@@ -32,6 +32,7 @@ from .transform import (
     greedy_distill,
     inverse_transform,
     kl_distill,
+    layered_optimal_values,
     lift_policy,
     lower_policy,
     sequential_transform,
@@ -46,6 +47,7 @@ from .learners import (
     duplex_decompose,
     gd_run,
     igm_check,
+    layered_q_learning,
     mapg_loss_and_grad,
     q_learning,
     run_mapg,

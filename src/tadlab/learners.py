@@ -14,7 +14,10 @@ The single-agent side (value iteration, synchronous/sampled Q-learning,
 softmax policy gradient with an optional clipped surrogate) runs on the
 layered models produced by the transformation; composing transform, solver,
 and greedy distillation yields decentralized policies with the solver's
-optimality carried over.
+optimality carried over. Inside that composition, value iteration and
+synchronous Q-learning run layer by layer on the MMDP's own tensors
+(`layered_optimal_values`, `layered_q_learning`) rather than on the dense
+transform.
 """
 
 from __future__ import annotations
@@ -36,7 +39,16 @@ from .core import (
     optimal_values,
     require_valid,
 )
-from .transform import greedy_distill, kl_distill, lower_policy, sequential_transform
+from .transform import (
+    greedy_distill,
+    kl_distill,
+    layer_backup,
+    layered_optimal_values,
+    lower_policy,
+    row_max,
+    sequential_transform,
+    step_discount,
+)
 
 
 class GdDivergenceError(RuntimeError):
@@ -544,15 +556,11 @@ def value_iteration(mdp, tol=1e-10):
     return ValueTable.from_q(q), np.argmax(q, axis=1)
 
 
-def _q_target(q, model):
-    """Bootstrapped backup with episodic termination masked in."""
-    if model.horizon is None or model.horizon == 1:
-        return bellman_backup(q, model)
-    pos = episode_positions(model)
-    target = model.reward + model.gamma * (model.transition @ q.max(axis=1))
-    final = pos == model.horizon - 1
-    target[final] = model.reward[final]
-    return target
+def _final_steps(model):
+    """Mask of the states at the last episode step, which do not bootstrap."""
+    if model.horizon is None:
+        return np.zeros(model.n_states, dtype=bool)
+    return episode_positions(model) == model.horizon - 1
 
 
 def q_learning(mdp, sweeps=200, mode="synchronous", lr=0.5, steps=100_000,
@@ -565,18 +573,17 @@ def q_learning(mdp, sweeps=200, mode="synchronous", lr=0.5, steps=100_000,
     """
     require_valid(mdp)
     q = np.zeros_like(mdp.reward)
+    if mode not in ("synchronous", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    final = _final_steps(mdp)
     if mode == "synchronous":
         for _ in range(sweeps):
-            q = q + lr * (_q_target(q, mdp) - q)
+            target = bellman_backup(q, mdp)
+            target[final] = mdp.reward[final]
+            q = q + lr * (target - q)
         return ValueTable.from_q(q)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(rng)
     s_dim, a_dim = mdp.reward.shape
-    if mdp.horizon is None:
-        final = np.zeros(s_dim, dtype=bool)
-    else:
-        final = episode_positions(mdp) == mdp.horizon - 1
     s_all = rng.integers(s_dim, size=steps)
     a_all = rng.integers(a_dim, size=steps)
     u_all = rng.random(steps)
@@ -593,6 +600,30 @@ def q_learning(mdp, sweeps=200, mode="synchronous", lr=0.5, steps=100_000,
         alpha = lr_halflife / (lr_halflife + visits[s, a])
         q[s, a] += alpha * (reward[s, a] + gamma * boot - q[s, a])
     return ValueTable.from_q(q)
+
+
+def layered_q_learning(model, sweeps=200, lr=0.5):
+    """Synchronous Q-learning on the sequential transform of an MMDP, run
+    layer by layer on the MMDP's tensors without building the transform.
+
+    Each sweep moves every layer toward its target from the previous
+    iterate: gamma' * max of layer k+1 for layer k < n-1, and
+    R + gamma' * T @ max(q_0) for the last layer, which does not bootstrap
+    at the final episode step. The iterates are those of synchronous
+    `q_learning` on the dense transform (rows in its virtual-state order),
+    up to summation order in T @ max(q_0).
+    """
+    gamma_step = step_discount(model)
+    a, n = model.n_actions, model.n_agents
+    final = np.repeat(_final_steps(model), a ** (n - 1))
+    last_reward = model.reward.reshape(-1, a)
+    q = [np.zeros((model.n_states * a**k, a)) for k in range(n)]
+    for _ in range(sweeps):
+        targets = [layer_backup(model, k, row_max(q[(k + 1) % n]), gamma_step)
+                   for k in range(n)]
+        targets[-1][final] = last_reward[final]
+        q = [q_k + lr * (t_k - q_k) for q_k, t_k in zip(q, targets)]
+    return ValueTable.from_q(np.concatenate(q))
 
 
 def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
@@ -753,32 +784,37 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
 def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     """Transform, solve with a single-agent learner, lower, and distill.
 
+    vi and synchronous q_learning solve the transform layer by layer on the
+    MMDP's own tensors and never build it; sampled q_learning and the
+    policy-gradient learners run on the dense `sequential_transform`.
     Returns the decentralized policies and a trace. Iterative learners
     contribute their own trace (measured on the transformed model); vi and
     q_learning yield a single summary row whose loss column holds the
     negated final return.
     """
     require_valid(model)
-    mdp = sequential_transform(model)
     trace = None
+    q = None
     if sarl == "vi":
-        _, greedy = value_iteration(mdp, tol=cfg.pop("tol", 1e-10))
+        tol = cfg.pop("tol", 1e-10)
         if cfg:
             raise ValueError(f"unknown vi options: {sorted(cfg)}")
-        pol = np.zeros(mdp.reward.shape)
-        pol[np.arange(mdp.n_states), greedy] = 1.0
+        q, _ = layered_optimal_values(model, tol=tol)
+    elif sarl == "q_learning" and cfg.get("mode", "synchronous") == "synchronous":
+        cfg.pop("mode", None)
+        q = layered_q_learning(model, **cfg).q
     elif sarl == "q_learning":
-        vt = q_learning(mdp, rng=seed, **cfg)
-        greedy = np.argmax(vt.q, axis=1)
-        pol = np.zeros(mdp.reward.shape)
-        pol[np.arange(mdp.n_states), greedy] = 1.0
+        q = q_learning(sequential_transform(model), rng=seed, **cfg).q
     elif sarl in ("softmax_pg", "clipped_pg"):
         if sarl == "clipped_pg":
             cfg.setdefault("clip", 0.2)
-        logits, trace = softmax_pg(mdp, **cfg)
+        logits, trace = softmax_pg(sequential_transform(model), **cfg)
         pol = softmax(logits)
     else:
         raise ValueError(f"unknown single-agent learner {sarl!r}")
+    if q is not None:
+        pol = np.zeros(q.shape)
+        pol[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
     pc = lower_policy(pol, model.n_agents)
     if distill == "greedy":
         policies = greedy_distill(pc, model)

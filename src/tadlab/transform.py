@@ -10,9 +10,20 @@ Virtual-state indexing: block offsets offset(k) = S*(A**k - 1)/(A - 1) (k*S
 when A == 1), then s-major / prefix-minor within a block, with prefixes coded
 in the same mixed radix as joint actions. This makes a layer's rows plain
 reshapes of the joint tensors.
+
+Value iteration and synchronous Q-learning never build the transform: they
+back up the layers n-1..0 one at a time (``layer_backup``) on the MMDP's own
+tensors, which is the agent-by-agent backup of the sequential
+transformation. The dense model from ``sequential_transform``, a
+[V, A, V] tensor over V = S*(A**n - 1)/(A - 1) virtual states, remains for
+exact policy gradient (which needs the V x V policy kernel), sampled
+Q-learning (whose draws index dense virtual states), the claim-3 value
+relation check and the inverse transform.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,6 +35,7 @@ from .core import (
     Mmdp,
     SizeGuardError,
     digit_table,
+    episode_positions,
     evaluate_policy,
     require_valid,
 )
@@ -45,17 +57,29 @@ def virtual_state_index(k, s, prefix, n_states, n_agents, n_actions):
     return offsets[k] + s * n_actions**k + prefix
 
 
-def sequential_transform(model, size_guard=SIZE_GUARD):
-    """Rewrite an MMDP as the layered one-agent-per-step MDP."""
+def step_discount(model):
+    """Validate an MMDP and return its transform's per-step discount gamma**(1/n)."""
     require_valid(model)
     if model.gamma == 0.0 and model.n_agents > 1:
         raise ValueError("gamma = 0 cannot be split across agent steps")
+    return model.gamma ** (1.0 / model.n_agents)
+
+
+def sequential_transform(model, size_guard=SIZE_GUARD):
+    """Rewrite an MMDP as the layered one-agent-per-step MDP.
+
+    The result is dense: its transition tensor alone holds V*A*V floats.
+    `size_guard` bounds the float64 entries of all its tensors together.
+    """
+    gamma_step = step_discount(model)
     s, n, a = model.n_states, model.n_agents, model.n_actions
     offsets, total = layer_offsets(s, n, a)
-    if total * a > size_guard:
+    entries = total * a * total + total * a + total
+    if entries > size_guard:
         raise SizeGuardError(
-            f"transformed model has {total} states x {a} actions, "
-            f"exceeding the guard ({size_guard})"
+            f"transformed model has {total} states x {a} actions; its dense "
+            f"tensors would take {8 * entries} bytes ({entries} float64 "
+            f"entries), exceeding the guard ({size_guard} entries)"
         )
     transition = np.zeros((total, a, total))
     reward = np.zeros((total, a))
@@ -78,11 +102,85 @@ def sequential_transform(model, size_guard=SIZE_GUARD):
         n_actions=a,
         transition=transition,
         reward=reward,
-        gamma=model.gamma ** (1.0 / n),
+        gamma=gamma_step,
         initial_dist=initial,
         horizon=None if model.horizon is None else n * model.horizon,
     )
     return require_valid(mdp)
+
+
+def row_max(q):
+    """Row maxima of a [rows, A] table, equal to q.max(axis=1).
+
+    Folds np.maximum over the A columns: numpy's reduction over a short
+    trailing axis is several times slower on the tall layer tables.
+    """
+    return functools.reduce(np.maximum, q.T)
+
+
+def layer_backup(model, k, v_next, gamma_step):
+    """Action values [S*A**k, A] of transform layer k, backed up from the
+    values of its successors.
+
+    For k < n-1 the successors are layer k+1 (`v_next` has S*A**(k+1)
+    entries): moves are deterministic with zero reward, so the table is
+    gamma_step * v_next with each layer-k state's children as one row. The
+    last layer replays the joint step from the base states' values `v_next`
+    [S]: R + gamma_step * (T @ v_next), one row per (state, prefix).
+    """
+    a = model.n_actions
+    if k == model.n_agents - 1:
+        q = model.reward + gamma_step * (model.transition @ v_next)
+    else:
+        q = gamma_step * v_next
+    return q.reshape(-1, a)
+
+
+def layered_optimal_values(model, tol=1e-10, max_iter=1_000_000):
+    """Optimal action values [V, A] of the sequential transform, plus
+    per-pass sup-norm residuals, without building the transform.
+
+    Rows follow the transform's virtual-state order. One pass backs up the
+    layers n-1..0 once, i.e. one original step. Infinite horizon: passes
+    repeat until the sup-norm change of the layer-0 values drops below
+    `tol`; a pass contracts by gamma_step**n = gamma, so this takes as many
+    passes as value iteration on the MMDP takes sweeps. Episodic: backward
+    induction over the original steps, each virtual state's rows read at
+    its base state's episode step from `episode_positions` (models must be
+    layered; never-reached states sit at the last step). Memory is the
+    V*A entries of the layer tables, never a [V, A, V] tensor.
+    """
+    gamma_step = step_discount(model)
+    s, n, a = model.n_states, model.n_agents, model.n_actions
+
+    def backup_pass(v0):
+        tables = [None] * n
+        v = v0
+        for k in reversed(range(n)):
+            tables[k] = layer_backup(model, k, v, gamma_step)
+            v = row_max(tables[k])
+        return tables, v
+
+    if model.horizon is not None:
+        pos = episode_positions(model)
+        out = [np.empty((s, a**k, a)) for k in range(n)]
+        v0 = np.zeros(s)
+        for t in reversed(range(model.horizon)):
+            tables, v0 = backup_pass(v0)
+            at_t = pos == t
+            for k in range(n):
+                out[k][at_t] = tables[k].reshape(s, a**k, a)[at_t]
+        return np.concatenate([o.reshape(-1, a) for o in out]), [0.0]
+    v0 = np.zeros(s)
+    residuals = []
+    for _ in range(max_iter):
+        tables, v = backup_pass(v0)
+        res = float(np.max(np.abs(v - v0)))
+        residuals.append(res)
+        v0 = v
+        if res < tol:
+            return np.concatenate(tables), residuals
+    raise RuntimeError(f"layered value iteration did not reach tol={tol} in {max_iter} passes")
 
 
 def _infer_base_states(total, n_agents, n_actions):

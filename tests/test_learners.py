@@ -13,6 +13,7 @@ from tadlab import (
     greedy_distill,
     igm_check,
     joint_digits,
+    layered_q_learning,
     lower_policy,
     mapg_loss_and_grad,
     q_learning,
@@ -23,14 +24,16 @@ from tadlab import (
     vd_forward,
     vd_loss_and_grad,
 )
+import tadlab.learners as learners
 from tadlab.constructions import (
     MATGAME2,
     builtin_game,
     diag_game,
+    random_matrix_game,
     random_mmdp,
     undercut_diag_payoff,
 )
-from tadlab.core import Mdp
+from tadlab.core import Mdp, bellman_backup, episode_positions
 from tadlab.learners import (
     TrainTrace,
     igm_consistent,
@@ -403,6 +406,55 @@ def test_q_learning_sampled_approaches_fixed_point():
     assert np.abs(vt.q - vt_star.q).max() < 1e-3
 
 
+def _q_learning_per_sweep_positions(mdp, sweeps, lr):
+    """Synchronous Q-learning recomputing the episode positions every sweep."""
+    q = np.zeros_like(mdp.reward)
+    for _ in range(sweeps):
+        if mdp.horizon is None or mdp.horizon == 1:
+            target = bellman_backup(q, mdp)
+        else:
+            target = mdp.reward + mdp.gamma * (mdp.transition @ q.max(axis=1))
+            final = episode_positions(mdp) == mdp.horizon - 1
+            target[final] = mdp.reward[final]
+        q = q + lr * (target - q)
+    return q
+
+
+@pytest.mark.parametrize("model", [
+    M2,
+    random_mmdp(3, 2, 2, gamma=0.9, rng=40),
+    random_mmdp(3, 2, 2, gamma=0.9, rng=41, horizon=1),
+], ids=["game", "discounted", "one-step"])
+def test_q_learning_synchronous_computes_positions_once(model, monkeypatch):
+    mdp = sequential_transform(model)
+    want = _q_learning_per_sweep_positions(mdp, 50, 0.5)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return episode_positions(m)
+
+    monkeypatch.setattr(learners, "episode_positions", counted)
+    got = q_learning(mdp, sweeps=50, lr=0.5).q
+    assert np.array_equal(got, want)
+    assert len(calls) == (mdp.horizon is not None)
+
+
+@pytest.mark.parametrize("game", [TABLE1, M2, random_matrix_game(2, 4, 0)],
+                         ids=["table1", "matgame2", "random_k2_n4"])
+def test_layered_q_learning_bitwise_on_one_step_games(game):
+    dense = q_learning(sequential_transform(game), sweeps=200, lr=0.5)
+    layered = layered_q_learning(game, sweeps=200, lr=0.5)
+    assert np.array_equal(layered.q, dense.q)
+
+
+def test_layered_q_learning_matches_dense_discounted():
+    model = random_mmdp(5, 2, 3, gamma=0.9, rng=42)
+    dense = q_learning(sequential_transform(model), sweeps=300, lr=0.7)
+    layered = layered_q_learning(model, sweeps=300, lr=0.7)
+    assert np.abs(layered.q - dense.q).max() < 1e-10
+
+
 def test_softmax_pg_two_action_bandit_monotone():
     mdp = Mdp(1, 2, np.ones((1, 2, 1)), np.array([[0.0, 1.0]]), 0.9, [1.0],
               horizon=1)
@@ -481,6 +533,24 @@ def test_tad_kl_distillation_path():
         np.argmax(policies.tables, axis=2), 3
     )
     assert evaluate_policy(TABLE1, greedy) == pytest.approx(10.0, abs=1e-9)
+
+
+def test_tad_vi_and_synchronous_q_never_build_the_transform(monkeypatch):
+    def refuse(model, *args, **kwargs):
+        raise AssertionError("dense transform built")
+
+    monkeypatch.setattr(learners, "sequential_transform", refuse)
+    for model in (TABLE1, random_mmdp(4, 2, 3, gamma=0.9, rng=43),
+                  random_mmdp(3, 3, 2, gamma=0.5, rng=44)):
+        best, _ = brute_force_optimal(model)
+        for kwargs in ({"sarl": "vi"}, {"sarl": "vi", "distill": "kl"},
+                       {"sarl": "q_learning", "sweeps": 3000, "lr": 1.0}):
+            policies, _ = tad_run(model, **kwargs)
+            greedy = DecentralizedPolicySet.deterministic(
+                policies.greedy_actions(), model.n_actions)
+            assert evaluate_policy(model, greedy) == pytest.approx(best, abs=1e-9)
+    with pytest.raises(AssertionError, match="dense transform"):
+        tad_run(TABLE1, sarl="q_learning", mode="sampled", steps=10)
 
 
 def test_tad_rejects_unknown_learner():

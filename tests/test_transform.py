@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tadlab import (
     CoordinationPolicy,
     DecentralizedPolicySet,
+    Mmdp,
     evaluate_policy,
     greedy_distill,
     inverse_transform,
     kl_distill,
+    layered_optimal_values,
     lift_policy,
     lower_policy,
     sequential_transform,
@@ -15,8 +19,9 @@ from tadlab import (
     validate,
     value_relation_check,
 )
-from tadlab.constructions import builtin_game, random_mmdp
-from tadlab.core import Mdp, SizeGuardError
+from tadlab.constructions import builtin_game, builtin_names, random_matrix_game, random_mmdp
+from tadlab.core import SIZE_GUARD, Mdp, SizeGuardError
+from tadlab.learners import value_iteration
 from tadlab.transform import layer_offsets, virtual_state_index
 
 
@@ -104,6 +109,23 @@ def test_transform_size_guard():
     model = random_mmdp(2, 3, 3, gamma=0.9, rng=7)
     with pytest.raises(SizeGuardError):
         sequential_transform(model, size_guard=10)
+
+
+def test_transform_size_guard_bounds_allocated_entries():
+    # 4,095 virtual states x 2 actions pass a pair count, but the dense
+    # transition tensor alone would hold 33.5M floats (268 MB)
+    game = random_matrix_game(2, 12, 0)
+    _, total = layer_offsets(1, 12, 2)
+    assert total * 2 <= SIZE_GUARD < total * 2 * total
+    entries = total * 2 * total + total * 2 + total
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=f"{8 * entries} bytes"):
+            sequential_transform(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_transform_rejects_zero_discount_multi_agent():
@@ -296,3 +318,91 @@ def test_size_report_single_action_degenerate():
     assert report == {"original_sa": 3, "transformed_sa": 6, "bound": True}
     model = random_mmdp(3, 4, 1, gamma=0.9, rng=23)
     assert size_report(model)["bound"] is False
+
+
+# ---------------------------------------------------------------------------
+# layered solve against value iteration on the dense transform
+
+def _claim4_models(seed=0):
+    """The models `tadlab verify 4 --seed <seed>` solves."""
+    models = [builtin_game(name) for name in builtin_names()]
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        models.append(random_mmdp(
+            int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 5)),
+            gamma=float(rng.choice([0.5, 0.9, 0.99])), rng=rng,
+        ))
+    return models
+
+
+def _greedy_policies(q, model):
+    pol = np.zeros(q.shape)
+    pol[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
+    return greedy_distill(lower_policy(pol, model.n_agents), model)
+
+
+def _assert_layered_matches_dense(model, reachable_states=None):
+    dense, _ = value_iteration(sequential_transform(model))
+    layered, _ = layered_optimal_values(model)
+    assert layered.shape == dense.q.shape
+    offsets, _ = layer_offsets(model.n_states, model.n_agents, model.n_actions)
+    if reachable_states is None:
+        reachable_states = np.ones(model.n_states, dtype=bool)
+    a = model.n_actions
+    rows = np.concatenate([np.repeat(reachable_states, a**k) for k in range(model.n_agents)])
+    assert np.array_equal(np.argmax(layered, axis=1)[rows], np.argmax(dense.q, axis=1)[rows])
+    assert np.abs(layered - dense.q)[rows].max() < 1e-9
+    assert evaluate_policy(model, _greedy_policies(layered, model)) == evaluate_policy(
+        model, _greedy_policies(dense.q, model))
+
+
+def test_layered_vi_matches_dense_on_claim4_models():
+    for model in _claim4_models():
+        _assert_layered_matches_dense(model)
+
+
+def test_layered_vi_matches_dense_on_small_random_mmdp():
+    _assert_layered_matches_dense(random_mmdp(6, 2, 3, gamma=0.9, rng=31))
+
+
+def test_layered_vi_pass_count_matches_mmdp_sweeps():
+    from tadlab.core import optimal_values
+
+    model = random_mmdp(6, 2, 3, gamma=0.9, rng=31)
+    _, residuals = layered_optimal_values(model)
+    _, sweeps = optimal_values(model)
+    assert len(residuals) == len(sweeps)
+    assert residuals[-1] < 1e-10
+
+
+def _horizon2_mmdp():
+    """Layered episodic model: 0 -> {1, 2} -> end; state 3 is never reached."""
+    transition = np.zeros((4, 4, 4))
+    transition[0, :2, 1] = 1.0
+    transition[0, 2, 1:3] = 0.5
+    transition[0, 3, 2] = 1.0
+    transition[1:, :, 0] = 1.0
+    reward = np.array([
+        [0.0, 1.0, 2.0, 0.5],
+        [3.0, 0.0, 0.0, 1.0],
+        [0.0, 4.0, 0.0, 0.0],
+        [0.0, 0.0, 5.0, 0.0],
+    ])
+    return Mmdp(4, 2, 2, transition, reward, 0.9, [1.0, 0.0, 0.0, 0.0], horizon=2)
+
+
+def test_layered_vi_matches_dense_on_horizon2_episodic():
+    model = _horizon2_mmdp()
+    _assert_layered_matches_dense(model, reachable_states=np.array([1, 1, 1, 0], dtype=bool))
+    # never-reached states sit at the last step: their rows hold that step's
+    # backup, where the dense transform leaves intermediate layers at zero
+    layered, _ = layered_optimal_values(model)
+    assert np.argmax(layered[3]) == 1
+
+
+def test_layered_vi_rejects_unlayered_episodic_model():
+    model = random_mmdp(3, 2, 2, gamma=0.9, rng=32, horizon=3)
+    with pytest.raises(ValueError, match="not layered"):
+        value_iteration(sequential_transform(model))
+    with pytest.raises(ValueError, match="not layered"):
+        layered_optimal_values(model)
