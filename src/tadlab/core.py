@@ -28,6 +28,8 @@ import numpy as np
 PROB_TOL = 1e-12
 #: exact solvers refuse models with more state-action pairs than this
 SIZE_GUARD = 10**7
+#: value iteration gives up after this many sweeps
+MAX_SWEEPS = 1_000_000
 
 
 class SizeGuardError(RuntimeError):
@@ -492,7 +494,7 @@ def episode_positions(model):
     return tau
 
 
-def optimal_values(model, tol=1e-10, max_iter=1_000_000):
+def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
     """Optimal action values [S, M] plus per-sweep sup-norm residuals.
 
     Infinite horizon: synchronous value iteration to the given tolerance.

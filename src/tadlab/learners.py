@@ -45,6 +45,7 @@ from .transform import (
     layer_backup,
     layered_optimal_values,
     lower_policy,
+    never_reached,
     row_max,
     sequential_transform,
     step_discount,
@@ -609,19 +610,24 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     Each sweep moves every layer toward its target from the previous
     iterate: gamma' * max of layer k+1 for layer k < n-1, and
     R + gamma' * T @ max(q_0) for the last layer, which does not bootstrap
-    at the final episode step. The iterates are those of synchronous
+    at the final episode step. Never-reached base states of episodic models
+    target zero in their intermediate layers, as the dense transform pins
+    them to its last step. The iterates are those of synchronous
     `q_learning` on the dense transform (rows in its virtual-state order),
     up to summation order in T @ max(q_0).
     """
     gamma_step = step_discount(model)
     a, n = model.n_actions, model.n_agents
     final = np.repeat(_final_steps(model), a ** (n - 1))
+    dead = [np.repeat(never_reached(model), a**k) for k in range(n - 1)]
     last_reward = model.reward.reshape(-1, a)
     q = [np.zeros((model.n_states * a**k, a)) for k in range(n)]
     for _ in range(sweeps):
         targets = [layer_backup(model, k, row_max(q[(k + 1) % n]), gamma_step)
                    for k in range(n)]
         targets[-1][final] = last_reward[final]
+        for t_k, dead_k in zip(targets, dead):
+            t_k[dead_k] = 0.0
         q = [q_k + lr * (t_k - q_k) for q_k, t_k in zip(q, targets)]
     return ValueTable.from_q(np.concatenate(q))
 

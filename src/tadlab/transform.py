@@ -28,6 +28,7 @@ import functools
 import numpy as np
 
 from .core import (
+    MAX_SWEEPS,
     SIZE_GUARD,
     CoordinationPolicy,
     DecentralizedPolicySet,
@@ -37,6 +38,7 @@ from .core import (
     digit_table,
     episode_positions,
     evaluate_policy,
+    first_visit_times,
     require_valid,
 )
 
@@ -136,7 +138,20 @@ def layer_backup(model, k, v_next, gamma_step):
     return q.reshape(-1, a)
 
 
-def layered_optimal_values(model, tol=1e-10, max_iter=1_000_000):
+def never_reached(model):
+    """Mask of the base states an episodic model never reaches.
+
+    The dense transform pins every virtual state of such a state to its last
+    step, so its intermediate-layer rows there are zero and do not bootstrap;
+    the layered solvers zero the same rows. Infinite-horizon models have no
+    such states.
+    """
+    if model.horizon is None:
+        return np.zeros(model.n_states, dtype=bool)
+    return first_visit_times(model) < 0
+
+
+def layered_optimal_values(model, tol=1e-10):
     """Optimal action values [V, A] of the sequential transform, plus
     per-pass sup-norm residuals, without building the transform.
 
@@ -147,8 +162,9 @@ def layered_optimal_values(model, tol=1e-10, max_iter=1_000_000):
     passes as value iteration on the MMDP takes sweeps. Episodic: backward
     induction over the original steps, each virtual state's rows read at
     its base state's episode step from `episode_positions` (models must be
-    layered; never-reached states sit at the last step). Memory is the
-    V*A entries of the layer tables, never a [V, A, V] tensor.
+    layered); as in the dense transform, never-reached states keep their
+    last-layer rows from the last step and zero intermediate-layer rows.
+    Memory is the V*A entries of the layer tables, never a [V, A, V] tensor.
     """
     gamma_step = step_discount(model)
     s, n, a = model.n_states, model.n_agents, model.n_actions
@@ -170,17 +186,21 @@ def layered_optimal_values(model, tol=1e-10, max_iter=1_000_000):
             at_t = pos == t
             for k in range(n):
                 out[k][at_t] = tables[k].reshape(s, a**k, a)[at_t]
+        unreached = never_reached(model)
+        for k in range(n - 1):
+            out[k][unreached] = 0.0
         return np.concatenate([o.reshape(-1, a) for o in out]), [0.0]
     v0 = np.zeros(s)
     residuals = []
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         tables, v = backup_pass(v0)
         res = float(np.max(np.abs(v - v0)))
         residuals.append(res)
         v0 = v
         if res < tol:
             return np.concatenate(tables), residuals
-    raise RuntimeError(f"layered value iteration did not reach tol={tol} in {max_iter} passes")
+    raise RuntimeError(
+        f"layered value iteration did not reach tol={tol} in {MAX_SWEEPS} passes")
 
 
 def _infer_base_states(total, n_agents, n_actions):

@@ -455,6 +455,14 @@ def test_layered_q_learning_matches_dense_discounted():
     assert np.abs(layered.q - dense.q).max() < 1e-10
 
 
+def test_layered_q_learning_matches_dense_with_unreached_states(partly_reached_models):
+    for model in partly_reached_models:
+        dense = q_learning(sequential_transform(model), sweeps=200, lr=0.5).q
+        layered = layered_q_learning(model, sweeps=200, lr=0.5).q
+        assert np.abs(layered - dense).max() < 1e-12
+        assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
+
+
 def test_softmax_pg_two_action_bandit_monotone():
     mdp = Mdp(1, 2, np.ones((1, 2, 1)), np.array([[0.0, 1.0]]), 0.9, [1.0],
               horizon=1)

@@ -341,17 +341,12 @@ def _greedy_policies(q, model):
     return greedy_distill(lower_policy(pol, model.n_agents), model)
 
 
-def _assert_layered_matches_dense(model, reachable_states=None):
+def _assert_layered_matches_dense(model):
     dense, _ = value_iteration(sequential_transform(model))
     layered, _ = layered_optimal_values(model)
     assert layered.shape == dense.q.shape
-    offsets, _ = layer_offsets(model.n_states, model.n_agents, model.n_actions)
-    if reachable_states is None:
-        reachable_states = np.ones(model.n_states, dtype=bool)
-    a = model.n_actions
-    rows = np.concatenate([np.repeat(reachable_states, a**k) for k in range(model.n_agents)])
-    assert np.array_equal(np.argmax(layered, axis=1)[rows], np.argmax(dense.q, axis=1)[rows])
-    assert np.abs(layered - dense.q)[rows].max() < 1e-9
+    assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense.q, axis=1))
+    assert np.abs(layered - dense.q).max() < 1e-9
     assert evaluate_policy(model, _greedy_policies(layered, model)) == evaluate_policy(
         model, _greedy_policies(dense.q, model))
 
@@ -375,29 +370,12 @@ def test_layered_vi_pass_count_matches_mmdp_sweeps():
     assert residuals[-1] < 1e-10
 
 
-def _horizon2_mmdp():
-    """Layered episodic model: 0 -> {1, 2} -> end; state 3 is never reached."""
-    transition = np.zeros((4, 4, 4))
-    transition[0, :2, 1] = 1.0
-    transition[0, 2, 1:3] = 0.5
-    transition[0, 3, 2] = 1.0
-    transition[1:, :, 0] = 1.0
-    reward = np.array([
-        [0.0, 1.0, 2.0, 0.5],
-        [3.0, 0.0, 0.0, 1.0],
-        [0.0, 4.0, 0.0, 0.0],
-        [0.0, 0.0, 5.0, 0.0],
-    ])
-    return Mmdp(4, 2, 2, transition, reward, 0.9, [1.0, 0.0, 0.0, 0.0], horizon=2)
-
-
-def test_layered_vi_matches_dense_on_horizon2_episodic():
-    model = _horizon2_mmdp()
-    _assert_layered_matches_dense(model, reachable_states=np.array([1, 1, 1, 0], dtype=bool))
-    # never-reached states sit at the last step: their rows hold that step's
-    # backup, where the dense transform leaves intermediate layers at zero
-    layered, _ = layered_optimal_values(model)
-    assert np.argmax(layered[3]) == 1
+def test_layered_vi_matches_dense_with_unreached_states(partly_reached_models):
+    for model in partly_reached_models:
+        _assert_layered_matches_dense(model)
+    # never-reached state 3 of the horizon-2 model: its layer-0 row is zero
+    layered, _ = layered_optimal_values(partly_reached_models[0])
+    assert np.all(layered[3] == 0.0)
 
 
 def test_layered_vi_rejects_unlayered_episodic_model():
