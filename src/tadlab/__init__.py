@@ -18,6 +18,7 @@ from .core import (
     bellman_backup,
     brute_force_optimal,
     evaluate_policy,
+    greedy_codes,
     joint_code,
     joint_digits,
     load_env_file,
@@ -25,6 +26,7 @@ from .core import (
     mmdp_from_dict,
     mmdp_to_dict,
     occupancy,
+    policy_slices,
     pure_nash_enumerate,
     validate,
 )

@@ -40,6 +40,7 @@ from .core import (
     brute_force_optimal,
     dump_env_text,
     evaluate_policy,
+    greedy_codes,
     load_env_file,
     matrix_game,
 )
@@ -171,13 +172,6 @@ def _init_vd(init_cfg, variant, model):
     raise SchemaError(f"unknown init mode {mode!r}")
 
 
-def _greedy_codes(policies, model):
-    codes = np.zeros(model.n_states, dtype=np.intp)
-    for i in range(model.n_agents):
-        codes = codes * model.n_actions + np.argmax(policies.tables[i], axis=1)
-    return codes
-
-
 def _execute(config, seed, out_dir):
     """Run one replica; returns the summary dict (also written to disk)."""
     model, env_name = _resolve_env(config["env"])
@@ -201,8 +195,6 @@ def _execute(config, seed, out_dir):
         params0 = _init_mapg(init_cfg, model)
         params, trace = run_mapg(model, params0, lr=lr, steps=steps, log_every=log_every)
         policies = params.policies()
-        final_return = evaluate_policy(model, policies)
-        saved = {"type": "decentralized", "tables": policies.tables.tolist()}
 
         def loss_fn(x):
             loss, grad = mapg_loss_and_grad(params.unpack_like(x), model)
@@ -218,8 +210,6 @@ def _execute(config, seed, out_dir):
         params, trace = run_vd(model, params0, lr=lr, steps=steps, log_every=log_every)
         acts = np.argmax(params.q_local, axis=2)
         policies = DecentralizedPolicySet.deterministic(acts, model.n_actions)
-        final_return = evaluate_policy(model, policies)
-        saved = {"type": "decentralized", "tables": policies.tables.tolist()}
 
         def loss_fn(x):
             loss, grad = vd_loss_and_grad(params.unpack_like(x), model)
@@ -243,12 +233,11 @@ def _execute(config, seed, out_dir):
         elif sarl == "vi":
             cfg = {"tol": float(learner.get("tol", 1e-10))}
         policies, trace = tad_run(model, sarl=sarl, distill=distill, seed=seed, **cfg)
-        final_return = evaluate_policy(model, policies)
-        saved = {"type": "decentralized", "tables": policies.tables.tolist()}
 
-    greedy_acts = np.stack([np.argmax(policies.tables[i], axis=1)
-                            for i in range(model.n_agents)])
-    greedy_policies = DecentralizedPolicySet.deterministic(greedy_acts, model.n_actions)
+    final_return = evaluate_policy(model, policies)
+    saved = {"type": "decentralized", "tables": policies.tables.tolist()}
+    greedy_policies = DecentralizedPolicySet.deterministic(
+        policies.greedy_actions(), model.n_actions)
     greedy_return = evaluate_policy(model, greedy_policies)
     optimal_return, _ = brute_force_optimal(model)
     summary = {
@@ -259,7 +248,7 @@ def _execute(config, seed, out_dir):
         "greedy_return": greedy_return,
         "optimal_return": optimal_return,
         "suboptimality_gap": optimal_return - greedy_return,
-        "greedy_policy": [int(c) for c in _greedy_codes(policies, model)],
+        "greedy_policy": [int(c) for c in greedy_codes(policies.tables)],
         "certificates": certificates,
         "tolerances": {"oracle_vi_tol": 1e-10, "stationarity_tol": STATIONARITY_TOL},
     }

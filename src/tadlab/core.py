@@ -75,6 +75,17 @@ def digit_table(n_agents, n_actions):
     return digits
 
 
+def greedy_codes(tables):
+    """Per-state joint code of each agent's argmax in an [n, S, A] table
+    (lowest index on ties)."""
+    n, s, a = np.shape(tables)
+    acts = np.argmax(tables, axis=2)
+    codes = np.zeros(s, dtype=np.intp)
+    for i in range(n):
+        codes = codes * a + acts[i]
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # model types
 
@@ -105,27 +116,9 @@ class Mmdp:
         return self.n_actions**self.n_agents
 
 
-@dataclass(frozen=True)
-class Mdp:
-    """Single-agent MDP with the same layout (actions play the joint slot)."""
-
-    n_states: int
-    n_actions: int
-    transition: np.ndarray
-    reward: np.ndarray
-    gamma: float
-    initial_dist: np.ndarray
-    horizon: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "transition", _frozen(self.transition))
-        object.__setattr__(self, "reward", _frozen(self.reward))
-        object.__setattr__(self, "initial_dist", _frozen(self.initial_dist))
-
-    @property
-    def n_joint_actions(self):
-        # single agent: the "joint" action space is the action space
-        return self.n_actions
+def Mdp(n_states, n_actions, transition, reward, gamma, initial_dist, horizon=None):
+    """Single-agent MDP: a one-agent Mmdp, whose joint actions are its actions."""
+    return Mmdp(n_states, 1, n_actions, transition, reward, gamma, initial_dist, horizon)
 
 
 def matrix_game(payoff, gamma=0.99):
@@ -314,7 +307,7 @@ def validate(model):
         issues.append(f"n_states must be positive, got {model.n_states}")
     if model.n_actions < 1:
         issues.append(f"n_actions must be positive, got {model.n_actions}")
-    if isinstance(model, Mmdp) and model.n_agents < 1:
+    if model.n_agents < 1:
         issues.append(f"n_agents must be positive, got {model.n_agents}")
     if not (0.0 <= model.gamma < 1.0):
         issues.append(f"gamma must lie in [0, 1), got {model.gamma}")
@@ -373,13 +366,7 @@ def require_valid(model):
 def joint_policy_matrix(model, policy):
     """Normalize any supported policy object into a [S, M] stochastic matrix."""
     m = model.n_joint_actions
-    if isinstance(policy, DecentralizedPolicySet):
-        if not isinstance(model, Mmdp):
-            raise TypeError("decentralized policy sets apply to Mmdp models")
-        mat = policy.joint()
-    elif isinstance(policy, CoordinationPolicy):
-        if not isinstance(model, Mmdp):
-            raise TypeError("coordination policies apply to Mmdp models")
+    if isinstance(policy, (DecentralizedPolicySet, CoordinationPolicy)):
         mat = policy.joint()
     elif isinstance(policy, DeterministicJointPolicy):
         mat = policy.joint(m)
@@ -392,46 +379,48 @@ def joint_policy_matrix(model, policy):
     return mat
 
 
-def _chain(model, pol):
-    """Reward vector and state-to-state kernel under a fixed joint policy."""
+def policy_slices(model, pol):
+    """Exact return of a [S, M] joint policy matrix and its (d_t, q_t) slices.
+
+    d_t[s] is the discounted visit weight gamma^t Pr(s_t = s) and q_t[s, a]
+    the action value at episode step t. Infinite horizon yields one slice
+    summed over all steps (two linear solves); episodic models yield one
+    slice per step by backward induction. Every exact quantity reads off
+    these: J = sum_t d_t . r_pi, the occupancy sum_t d_t, and the policy
+    gradient sum_t d_t * q_t.
+    """
     r_pi = np.einsum("sa,sa->s", pol, model.reward)
     p_pi = np.einsum("sa,sat->st", pol, model.transition)
-    return r_pi, p_pi
-
-
-def policy_values(model, policy):
-    """Exact V[s] of a stationary policy; backward induction when episodic."""
-    pol = joint_policy_matrix(model, policy)
-    r_pi, p_pi = _chain(model, pol)
     if model.horizon is None:
         eye = np.eye(model.n_states)
-        return np.linalg.solve(eye - model.gamma * p_pi, r_pi)
-    v = np.zeros(model.n_states)
-    for _ in range(model.horizon):
-        v = r_pi + model.gamma * (p_pi @ v)
-    return v
+        v = np.linalg.solve(eye - model.gamma * p_pi, r_pi)
+        q = model.reward + model.gamma * (model.transition @ v)
+        d = np.linalg.solve(eye - model.gamma * p_pi.T, model.initial_dist)
+        return float(model.initial_dist @ v), [(d, q)]
+    q_by_t = np.empty((model.horizon,) + model.reward.shape)
+    v_next = np.zeros(model.n_states)
+    for t in reversed(range(model.horizon)):
+        q_by_t[t] = model.reward + model.gamma * (model.transition @ v_next)
+        v_next = np.einsum("sa,sa->s", pol, q_by_t[t])
+    slices = []
+    rho = model.initial_dist.copy()
+    scale = 1.0
+    for t in range(model.horizon):
+        slices.append((scale * rho, q_by_t[t]))
+        rho = rho @ p_pi
+        scale *= model.gamma
+    return float(model.initial_dist @ v_next), slices
 
 
 def evaluate_policy(model, policy):
     """Exact expected discounted return from the initial distribution."""
-    return float(model.initial_dist @ policy_values(model, policy))
+    return policy_slices(model, joint_policy_matrix(model, policy))[0]
 
 
 def occupancy(model, policy):
     """Discounted state-visit weights d[s] = sum_t gamma^t Pr(s_t = s)."""
-    pol = joint_policy_matrix(model, policy)
-    _, p_pi = _chain(model, pol)
-    if model.horizon is None:
-        eye = np.eye(model.n_states)
-        return np.linalg.solve(eye - model.gamma * p_pi.T, model.initial_dist)
-    d = np.zeros(model.n_states)
-    rho = model.initial_dist.copy()
-    scale = 1.0
-    for _ in range(model.horizon):
-        d += scale * rho
-        rho = rho @ p_pi
-        scale *= model.gamma
-    return d
+    _, slices = policy_slices(model, joint_policy_matrix(model, policy))
+    return sum(d_t for d_t, _ in slices)
 
 
 # ---------------------------------------------------------------------------

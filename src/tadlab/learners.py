@@ -35,8 +35,10 @@ from .core import (
     digit_table,
     episode_positions,
     evaluate_policy,
+    greedy_codes,
     joint_code,
     optimal_values,
+    policy_slices,
     require_valid,
 )
 from .transform import (
@@ -91,11 +93,7 @@ class MapgParams:
 
     def greedy_joint(self):
         """Per-state joint code of the per-agent argmax actions."""
-        acts = np.argmax(self.logits, axis=2)
-        codes = np.zeros(self.logits.shape[1], dtype=np.intp)
-        for i in range(self.logits.shape[0]):
-            codes = codes * self.logits.shape[2] + acts[i]
-        return codes
+        return greedy_codes(self.logits)
 
     def pack(self):
         return self.logits.ravel().copy()
@@ -179,11 +177,7 @@ class VdParams:
 
     def greedy_joint(self):
         """Per-state joint code composed from local argmaxes (ties: lowest index)."""
-        acts = np.argmax(self.q_local, axis=2)
-        codes = np.zeros(self.n_states, dtype=np.intp)
-        for i in range(self.n_agents):
-            codes = codes * self.n_actions + acts[i]
-        return codes
+        return greedy_codes(self.q_local)
 
     def pack(self):
         parts = [self.q_local.ravel()]
@@ -291,31 +285,13 @@ def product_policy_value_and_grad(model, tables):
     pol = np.ones((model.n_states, digits.shape[0]))
     for i in range(n):
         pol *= tables[i][:, digits[:, i]]
-    r_pi = np.einsum("sj,sj->s", pol, model.reward)
-    p_pi = np.einsum("sj,sjt->st", pol, model.transition)
+    value, slices = policy_slices(model, pol)
     others = [_others_product(tables, digits, i) for i in range(n)]
     grad = np.zeros_like(tables)
-    if model.horizon is None:
-        eye = np.eye(model.n_states)
-        v = np.linalg.solve(eye - model.gamma * p_pi, r_pi)
-        q = model.reward + model.gamma * (model.transition @ v)
-        d = np.linalg.solve(eye - model.gamma * p_pi.T, model.initial_dist)
+    for d_t, q_t in slices:
         for i in range(n):
-            grad[i] = d[:, None] * ((others[i] * q) @ masks[i])
-        return float(model.initial_dist @ v), grad
-    q_by_t = np.empty((model.horizon,) + model.reward.shape)
-    v_next = np.zeros(model.n_states)
-    for t in reversed(range(model.horizon)):
-        q_by_t[t] = model.reward + model.gamma * (model.transition @ v_next)
-        v_next = np.einsum("sj,sj->s", pol, q_by_t[t])
-    rho = model.initial_dist.copy()
-    scale = 1.0
-    for t in range(model.horizon):
-        for i in range(n):
-            grad[i] += scale * rho[:, None] * ((others[i] * q_by_t[t]) @ masks[i])
-        rho = rho @ p_pi
-        scale *= model.gamma
-    return float(model.initial_dist @ v_next), grad
+            grad[i] += d_t[:, None] * ((others[i] * q_t) @ masks[i])
+    return value, grad
 
 
 def mapg_loss_and_grad(params, model):
@@ -660,9 +636,10 @@ def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
     trace = TrainTrace()
     for t in range(steps + 1):
         pi_old = softmax(logits)
-        value, occ_q = _policy_eval_slices(mdp, pi_old)
+        value, occ_q = policy_slices(mdp, pi_old)
         if t % log_every == 0 or t == steps:
-            trace.append(t, -value, _vanilla_pg_norm(pi_old, occ_q),
+            _, grad = mapg_loss_and_grad(MapgParams(logits[None]), mdp)
+            trace.append(t, -value, float(np.linalg.norm(grad)),
                          value, np.argmax(logits, axis=1))
         if t == steps:
             break
@@ -681,45 +658,6 @@ def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
                 surr += pi * (dpi - inner)
             logits = logits + lr * surr
     return logits, trace
-
-
-def _policy_eval_slices(mdp, pi):
-    """Exact (occupancy, action values) slices for a stochastic policy.
-
-    Infinite horizon yields one slice; episodic models yield one per step
-    with the occupancy already discounted.
-    """
-    r_pi = np.einsum("sa,sa->s", pi, mdp.reward)
-    p_pi = np.einsum("sa,sat->st", pi, mdp.transition)
-    if mdp.horizon is None:
-        eye = np.eye(mdp.n_states)
-        v = np.linalg.solve(eye - mdp.gamma * p_pi, r_pi)
-        q = mdp.reward + mdp.gamma * (mdp.transition @ v)
-        d = np.linalg.solve(eye - mdp.gamma * p_pi.T, mdp.initial_dist)
-        return float(mdp.initial_dist @ v), [(d, q)]
-    q_by_t = np.empty((mdp.horizon,) + mdp.reward.shape)
-    v_next = np.zeros(mdp.n_states)
-    for t in reversed(range(mdp.horizon)):
-        q_by_t[t] = mdp.reward + mdp.gamma * (mdp.transition @ v_next)
-        v_next = np.einsum("sa,sa->s", pi, q_by_t[t])
-    slices = []
-    rho = mdp.initial_dist.copy()
-    scale = 1.0
-    for t in range(mdp.horizon):
-        slices.append((scale * rho, q_by_t[t]))
-        rho = rho @ p_pi
-        scale *= mdp.gamma
-    return float(mdp.initial_dist @ v_next), slices
-
-
-def _vanilla_pg_norm(pi, occ_q):
-    g = np.zeros_like(pi)
-    for d_t, q_t in occ_q:
-        v_t = np.sum(pi * q_t, axis=1)
-        dpi = d_t[:, None] * (q_t - v_t[:, None])
-        inner = np.sum(pi * dpi, axis=1, keepdims=True)
-        g += pi * (dpi - inner)
-    return float(np.linalg.norm(g))
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +767,7 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     else:
         raise ValueError(f"unknown distillation {distill!r}")
     final_return = evaluate_policy(model, policies)
-    codes = np.zeros(model.n_states, dtype=np.intp)
-    for i in range(model.n_agents):
-        codes = codes * model.n_actions + np.argmax(policies.tables[i], axis=1)
+    codes = greedy_codes(policies.tables)
     if trace is None:
         trace = TrainTrace()
         trace.append(0, -final_return, 0.0, final_return, codes)
