@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -73,6 +74,29 @@ _LEARNER_KEYS = {
     "vd": {"kind", "variant", "lr", "steps", "log_every"},
     "tad": {"kind", "sarl", "lr", "steps", "clip", "sweeps", "tol", "log_every"},
 }
+#: numeric learner fields: (integer-valued?, lower bound, bound allowed?)
+_LEARNER_NUMBERS = {
+    "lr": (False, 0, False),
+    "tol": (False, 0, False),
+    "clip": (False, 0, False),
+    "steps": (True, 0, True),
+    "log_every": (True, 1, True),
+    "sweeps": (True, 1, True),
+}
+_INIT_MODES = ("uniform", "concentrated", "file")
+
+
+def _check_number(key, value):
+    integral, low, closed = _LEARNER_NUMBERS[key]
+    exact = isinstance(value, int) and not isinstance(value, bool)
+    real = isinstance(value, float) and math.isfinite(value)
+    ok = (exact or real) and (value >= low if closed else value > low)
+    if integral and real:
+        ok = ok and value.is_integer()
+    if not ok:
+        kind = "an integer" if integral else "a number"
+        bound = ">=" if closed else ">"
+        raise SchemaError(f"learner {key!r} must be {kind} {bound} {low}, got {value!r}")
 
 
 def _load_config(path):
@@ -106,7 +130,21 @@ def _load_config(path):
         "vi", "q_learning", "softmax_pg", "clipped_pg",
     ):
         raise SchemaError(f"unknown single-agent learner {learner.get('sarl')!r}")
+    for key in _LEARNER_NUMBERS:
+        if key in learner and not (key == "clip" and learner[key] is None):
+            _check_number(key, learner[key])
+    init = config.get("init", {})
+    if not isinstance(init, dict):
+        raise SchemaError("'init' must be an object")
+    mode = init.get("mode", "uniform")
+    if mode not in _INIT_MODES:
+        raise SchemaError(f"unknown init mode {mode!r}")
+    if mode == "file" and not (isinstance(init.get("file"), str)
+                               and os.path.isfile(init["file"])):
+        raise SchemaError(f"init file not found: {init.get('file')!r}")
     outputs = config.get("outputs", ["trace", "summary"])
+    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        raise SchemaError("'outputs' must be a list of names")
     bad = set(outputs) - {"trace", "summary"}
     if bad:
         raise SchemaError(f"unknown outputs: {sorted(bad)}")
@@ -275,7 +313,11 @@ def cmd_run(args):
     try:
         config = _load_config(args.config)
         if args.seeds:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            try:
+                seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            except ValueError as exc:
+                raise SchemaError(f"--seeds must be comma-separated integers: "
+                                  f"{args.seeds!r}") from exc
         else:
             seeds = [args.seed]
         if not seeds:

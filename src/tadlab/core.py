@@ -128,10 +128,10 @@ def matrix_game(payoff, gamma=0.99):
     The (unused) post-episode transition is a self loop.
     """
     payoff = np.asarray(payoff, dtype=float)
+    if len(set(payoff.shape)) != 1:
+        raise ValueError(f"payoff tensor must be hypercubic, got shape {payoff.shape}")
     n = payoff.ndim
     k = payoff.shape[0]
-    if any(d != k for d in payoff.shape):
-        raise ValueError(f"payoff tensor must be hypercubic, got shape {payoff.shape}")
     n_joint = k**n
     transition = np.ones((1, n_joint, 1))
     return Mmdp(
@@ -590,7 +590,8 @@ def mmdp_from_dict(data):
         extra = set(data) - {"matrix", "gamma"}
         if extra:
             raise ValueError(f"unexpected keys with matrix shorthand: {sorted(extra)}")
-        return matrix_game(data["matrix"], gamma=data.get("gamma", 0.99))
+        game = matrix_game(data["matrix"], gamma=float(data.get("gamma", 0.99)))
+        return require_valid(game)
     required = {
         "n_states", "n_agents", "n_actions", "gamma",
         "initial_dist", "transition", "reward",

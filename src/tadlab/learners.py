@@ -482,6 +482,8 @@ def run_vd(model, params, lr=0.1, steps=5000, dist=None, stop_tol=0.0, log_every
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     n, _, a = params.q_local.shape
     dist = _check_dist(dist, model)
     digits = digit_table(n, a)

@@ -172,3 +172,52 @@ def test_verify_claim_3(capsys):
     assert cli.main(["verify", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "100 cases" in out
+
+
+def _probe(learner=None, **fields):
+    config = {"env": "table1", "learner": {"kind": "mapg", "steps": 10, **(learner or {})}}
+    config.update(fields)
+    return config
+
+
+@pytest.mark.parametrize("config", [
+    _probe({"lr": "abc"}),
+    _probe({"lr": 0}),
+    _probe({"lr": -0.5}),
+    _probe({"steps": -3}),
+    _probe({"steps": 2.5}),
+    _probe({"log_every": 0}),
+    _probe({"kind": "vd", "steps": -3}),
+    _probe({"kind": "tad", "sarl": "q_learning", "sweeps": 0}),
+    _probe({"kind": "tad", "sarl": "vi", "tol": 0.0}),
+    _probe({"kind": "tad", "sarl": "clipped_pg", "clip": -0.1}),
+    _probe(init="uniform"),
+    _probe(init={"mode": "file", "file": "no/such/params.json"}),
+    _probe(init={"mode": "file"}),
+    _probe(outputs="trace"),
+], ids=["lr-string", "lr-zero", "lr-negative", "steps-negative", "steps-fraction",
+        "log-every-zero", "vd-steps-negative", "sweeps-zero", "tol-zero",
+        "clip-negative", "init-not-object", "init-file-missing", "init-file-absent",
+        "outputs-string"])
+def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config):
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_seed_list_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", _probe())
+    assert cli.main(["run", cfg, "--seeds", "a,b", "--out", str(tmp_path / "out")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_matrix_shorthand_with_nan_exits_2(tmp_path, capsys):
+    env_path = tmp_path / "game.json"
+    env_path.write_text('{"matrix": [[1, NaN], [0, 1]]}')
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"env": str(env_path), "learner": {"kind": "tad"}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "non-finite" in err

@@ -275,3 +275,51 @@ def test_evaluate_rejects_malformed_policy_rows():
         evaluate_policy(g, bad)
     with pytest.raises(ValueError, match="shape"):
         evaluate_policy(g, np.ones((1, 4)) / 4)
+
+
+def test_mdp_is_a_one_agent_mmdp():
+    from tadlab import Mdp, sequential_transform
+
+    mdp = Mdp(2, 3, np.full((2, 3, 2), 0.5), np.arange(6.0).reshape(2, 3), 0.9, [1.0, 0.0])
+    assert isinstance(mdp, Mmdp)
+    assert (mdp.n_agents, mdp.n_actions, mdp.n_joint_actions) == (1, 3, 3)
+    transformed = sequential_transform(builtin_game("table1"))
+    assert isinstance(transformed, Mmdp) and transformed.n_agents == 1
+    rng = np.random.default_rng(3)
+    raw = rng.dirichlet(np.ones(transformed.n_actions), size=transformed.n_states)
+    one_agent = DecentralizedPolicySet(raw[None])
+    assert evaluate_policy(transformed, one_agent) == evaluate_policy(transformed, raw)
+
+
+def test_greedy_codes_match_joint_code_of_lowest_argmax():
+    from tadlab import greedy_codes
+
+    rng = np.random.default_rng(17)
+    ties = 0
+    for n, s, a in [(1, 4, 3), (2, 5, 3), (3, 6, 2), (4, 3, 3)]:
+        tables = rng.integers(0, 3, size=(n, s, a)).astype(float)
+        codes = greedy_codes(tables)
+        assert codes.shape == (s,)
+        for state in range(s):
+            tops = [np.flatnonzero(row == row.max()) for row in tables[:, state]]
+            ties += sum(top.size > 1 for top in tops)
+            assert codes[state] == joint_code([top[0] for top in tops], a)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("horizon", [None, 3, 1])
+def test_policy_slices_sum_to_return_and_occupancy(horizon):
+    from tadlab import occupancy, policy_slices
+
+    rng = np.random.default_rng(23)
+    model = random_mmdp(4, 2, 3, gamma=0.9, rng=37, horizon=horizon)
+    pol = DecentralizedPolicySet(rng.dirichlet(np.ones(3), size=(2, 4))).joint()
+    value, slices = policy_slices(model, pol)
+    assert len(slices) == (1 if horizon is None else horizon)
+    r_pi = np.sum(pol * model.reward, axis=1)
+    assert sum(d_t @ r_pi for d_t, _ in slices) == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(sum(d_t for d_t, _ in slices), occupancy(model, pol),
+                               rtol=1e-12)
+    steps = 1 / (1 - 0.9) if horizon is None else (1 - 0.9**horizon) / (1 - 0.9)
+    assert occupancy(model, pol).sum() == pytest.approx(steps, rel=1e-12)
+    assert value == pytest.approx(evaluate_policy(model, pol), rel=1e-12)

@@ -564,3 +564,9 @@ def test_tad_vi_and_synchronous_q_never_build_the_transform(monkeypatch):
 def test_tad_rejects_unknown_learner():
     with pytest.raises(ValueError):
         tad_run(TABLE1, sarl="sarsa")
+
+
+def test_run_vd_rejects_negative_steps():
+    params = VdParams.zeros("vdn", M2.n_agents, M2.n_states, M2.n_actions)
+    with pytest.raises(ValueError, match="steps"):
+        run_vd(M2, params, steps=-3)
