@@ -180,10 +180,8 @@ def _init_mapg(init_cfg, model):
             model.n_agents, model.n_states, model.n_actions,
             target, float(init_cfg.get("scale", 5.0)),
         )
-    if mode == "file":
-        with open(init_cfg["file"]) as fh:
-            return MapgParams(np.asarray(json.load(fh)["logits"], dtype=float))
-    raise SchemaError(f"unknown init mode {mode!r}")
+    with open(init_cfg["file"]) as fh:
+        return MapgParams(np.asarray(json.load(fh)["logits"], dtype=float))
 
 
 def _init_vd(init_cfg, variant, model):
@@ -198,16 +196,14 @@ def _init_vd(init_cfg, variant, model):
         for i, a in enumerate(target):
             p.q_local[i, :, int(a)] = float(init_cfg.get("scale", 1.0))
         return p
-    if mode == "file":
-        with open(init_cfg["file"]) as fh:
-            data = json.load(fh)
-        return VdParams(
-            variant,
-            np.asarray(data["q_local"], dtype=float),
-            None if data.get("w_raw") is None else np.asarray(data["w_raw"], dtype=float),
-            None if data.get("lam_raw") is None else np.asarray(data["lam_raw"], dtype=float),
-        )
-    raise SchemaError(f"unknown init mode {mode!r}")
+    with open(init_cfg["file"]) as fh:
+        data = json.load(fh)
+    return VdParams(
+        variant,
+        np.asarray(data["q_local"], dtype=float),
+        None if data.get("w_raw") is None else np.asarray(data["w_raw"], dtype=float),
+        None if data.get("lam_raw") is None else np.asarray(data["lam_raw"], dtype=float),
+    )
 
 
 def _execute(config, seed, out_dir):

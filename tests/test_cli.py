@@ -213,11 +213,12 @@ def test_bad_seed_list_exits_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_matrix_shorthand_with_nan_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", ['{"matrix": [[1, NaN], [0, 1]]}', '{"matrix": 5}'])
+def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     env_path = tmp_path / "game.json"
-    env_path.write_text('{"matrix": [[1, NaN], [0, 1]]}')
+    env_path.write_text(text)
     cfg = write_config(tmp_path / "cfg.json",
                        {"env": str(env_path), "learner": {"kind": "tad"}})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "non-finite" in err
+    assert len(err.splitlines()) == 1 and "bad environment file" in err
