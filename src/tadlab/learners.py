@@ -3,7 +3,10 @@
 Two families of multi-agent learners live here:
 
 - product-policy gradient descent on the negative expected return, with the
-  gradient computed analytically from exact occupancies and action values;
+  gradient sum_t d_t * q_t read from the exact slices of
+  `core.policy_slices` (single-agent softmax policy gradient is the same
+  computation at one agent, and the clipped surrogate reads the same
+  slices);
 - value decomposition trained by semi-gradient TD (the bootstrap target is
   frozen per step), with three mixers: additive (vdn), positive linear
   mixing (monotonic), and a dueling mixer whose advantage weights are
@@ -11,13 +14,13 @@ Two families of multi-agent learners live here:
   consistent for every parameter setting.
 
 The single-agent side (value iteration, synchronous/sampled Q-learning,
-softmax policy gradient with an optional clipped surrogate) runs on the
-layered models produced by the transformation; composing transform, solver,
-and greedy distillation yields decentralized policies with the solver's
-optimality carried over. Inside that composition, value iteration and
-synchronous Q-learning run layer by layer on the MMDP's own tensors
-(`layered_optimal_values`, `layered_q_learning`) rather than on the dense
-transform.
+softmax policy gradient with an optional clipped surrogate) runs on
+one-agent models, such as the layered models produced by the
+transformation; composing transform, solver, and greedy distillation
+yields decentralized policies with the solver's optimality carried over.
+Inside that composition, value iteration and synchronous Q-learning run
+layer by layer on the MMDP's own tensors (`layered_optimal_values`,
+`layered_q_learning`) rather than on the dense transform.
 """
 
 from __future__ import annotations
