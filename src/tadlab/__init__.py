@@ -44,6 +44,7 @@ from .transform import (
 from .learners import (
     GdDivergenceError,
     MapgParams,
+    ReplicaTraces,
     TrainTrace,
     VdParams,
     duplex_decompose,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import brute_force_optimal, evaluate_policy, pure_nash_enumerate
+from .core import brute_force_optimal, evaluate_policy, pure_nash_enumerate, row_norms
 from .constructions import random_matrix_game
 
 
@@ -35,6 +35,11 @@ def stationarity_certificate(loss_and_grad, theta, tol):
     return norm < tol, norm
 
 
+#: ball samples evaluated per stacked call; 256 samples of d parameters
+#: take 2 KiB * d, so the stacks stay far below 1 MB at the sizes tested
+_CHUNK = 256
+
+
 def local_min_certificate(loss_and_grad, theta, radius, samples, rng, slack=1e-9):
     """Probabilistic local-minimality check by uniform ball sampling.
 
@@ -42,21 +47,56 @@ def local_min_certificate(loss_and_grad, theta, radius, samples, rng, slack=1e-9
     coordinates, where gradient descent moves) drops the loss by more than
     `slack`. A False is a certified escape direction; a True is evidence at
     the stated sample count, not a proof.
+
+    A [K, d] `theta` certifies K points and returns K bools. Then
+    `loss_and_grad` must accept a [m, d] stack and return m losses, each
+    from its own row alone. The points are handled in order; each draws its
+    samples from `rng` in the same calls and order as a flat `theta` would,
+    and stops drawing at its first escaping sample, so K points cost the
+    generator what K sequential calls on it would.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(rng)
-    theta = np.asarray(theta, dtype=float).ravel()
-    base, _ = loss_and_grad(theta)
-    d = theta.size
-    for _ in range(samples):
-        direction = rng.standard_normal(d)
-        direction /= np.linalg.norm(direction)
-        r = radius * rng.random() ** (1.0 / d)
-        loss, _ = loss_and_grad(theta + r * direction)
-        if loss < base - slack:
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 2:
+        def losses(xs):
+            return np.reshape(loss_and_grad(xs)[0], len(xs))
+        points = theta
+    else:
+        def losses(xs):
+            return np.array([loss_and_grad(x)[0] for x in xs])
+        points = theta.ravel()[None]
+    held = [_ball_holds(losses, x, base, radius, samples, rng, slack)
+            for x, base in zip(points, losses(points))]
+    return np.array(held) if theta.ndim == 2 else held[0]
+
+
+def _ball_holds(losses, theta, base, radius, samples, rng, slack):
+    """No escape among `samples` ball points around one theta; evaluated
+    `_CHUNK` at a time, drawn one sample at a time."""
+    for start in range(0, samples, _CHUNK):
+        state = rng.bit_generator.state
+        xs = _ball_points(theta, radius, min(_CHUNK, samples - start), rng)
+        escaped = np.flatnonzero(losses(xs) < base - slack)
+        if escaped.size:
+            # leave the generator where a one-by-one search would stop
+            rng.bit_generator.state = state
+            _ball_points(theta, radius, escaped[0] + 1, rng)
             return False
     return True
+
+
+def _ball_points(theta, radius, m, rng):
+    """m uniform points in the radius ball around theta, one
+    standard_normal(d) and one random() draw per point."""
+    d = theta.size
+    dirs = np.empty((m, d))
+    r = np.empty(m)
+    for j in range(m):
+        dirs[j] = rng.standard_normal(d)
+        r[j] = radius * rng.random() ** (1.0 / d)
+    return theta + r[:, None] * (dirs / row_norms(dirs)[:, None])
 
 
 def suboptimality_gap(model, policy, tol=1e-10):

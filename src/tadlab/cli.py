@@ -119,7 +119,7 @@ def _load_config(path):
     if not isinstance(learner, dict) or "kind" not in learner:
         raise SchemaError("config needs a 'learner' object with a 'kind'")
     kind = learner["kind"]
-    if kind not in _LEARNER_KEYS:
+    if not isinstance(kind, str) or kind not in _LEARNER_KEYS:
         raise SchemaError(f"unknown learner kind {kind!r}")
     extra = set(learner) - _LEARNER_KEYS[kind]
     if extra:
@@ -168,42 +168,71 @@ def _resolve_env(spec):
     raise SchemaError(f"env {spec!r} is neither a builtin nor an existing file")
 
 
+def _init_target(init_cfg, model, default_scale):
+    """The per-agent actions and the scale of a concentrated init."""
+    target = init_cfg.get("target_joint_action")
+    if not (isinstance(target, list) and len(target) == model.n_agents and all(
+            type(a) is int and 0 <= a < model.n_actions for a in target)):
+        raise SchemaError(f"concentrated init needs target_joint_action: one action "
+                          f"in [0, {model.n_actions}) per agent, got {target!r}")
+    scale = init_cfg.get("scale", default_scale)
+    if type(scale) not in (int, float) or not math.isfinite(scale):
+        raise SchemaError(f"init 'scale' must be a finite number, got {scale!r}")
+    return target, float(scale)
+
+
+def _init_arrays(path, shapes):
+    """Arrays of a `file` init by name, each checked against its entry in
+    `shapes`; the first is required, the others are None when absent or null."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read init file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"init file {path} must hold a JSON object")
+    arrays = {}
+    for i, (key, shape) in enumerate(shapes.items()):
+        if data.get(key) is None:
+            if i == 0:
+                raise SchemaError(f"init file {path} lacks {key!r}")
+            arrays[key] = None
+            continue
+        try:
+            arrays[key] = np.asarray(data[key], dtype=float)
+            ok = arrays[key].shape == shape
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise SchemaError(f"init file {path}: {key!r} must be a numeric array "
+                              f"of shape {list(shape)}")
+    return arrays
+
+
 def _init_mapg(init_cfg, model):
+    shape = (model.n_agents, model.n_states, model.n_actions)
     mode = init_cfg.get("mode", "uniform")
     if mode == "uniform":
-        return MapgParams.uniform(model.n_agents, model.n_states, model.n_actions)
+        return MapgParams.uniform(*shape)
     if mode == "concentrated":
-        target = init_cfg.get("target_joint_action")
-        if target is None or len(target) != model.n_agents:
-            raise SchemaError("concentrated init needs target_joint_action per agent")
-        return MapgParams.concentrated(
-            model.n_agents, model.n_states, model.n_actions,
-            target, float(init_cfg.get("scale", 5.0)),
-        )
-    with open(init_cfg["file"]) as fh:
-        return MapgParams(np.asarray(json.load(fh)["logits"], dtype=float))
+        return MapgParams.concentrated(*shape, *_init_target(init_cfg, model, 5.0))
+    return MapgParams(**_init_arrays(init_cfg["file"], {"logits": shape}))
 
 
 def _init_vd(init_cfg, variant, model):
+    n, s, a = model.n_agents, model.n_states, model.n_actions
     mode = init_cfg.get("mode", "uniform")
     if mode == "uniform":
-        return VdParams.zeros(variant, model.n_agents, model.n_states, model.n_actions)
+        return VdParams.zeros(variant, n, s, a)
     if mode == "concentrated":
-        target = init_cfg.get("target_joint_action")
-        if target is None or len(target) != model.n_agents:
-            raise SchemaError("concentrated init needs target_joint_action per agent")
-        p = VdParams.zeros(variant, model.n_agents, model.n_states, model.n_actions)
-        for i, a in enumerate(target):
-            p.q_local[i, :, int(a)] = float(init_cfg.get("scale", 1.0))
+        target, scale = _init_target(init_cfg, model, 1.0)
+        p = VdParams.zeros(variant, n, s, a)
+        for i, act in enumerate(target):
+            p.q_local[i, :, act] = scale
         return p
-    with open(init_cfg["file"]) as fh:
-        data = json.load(fh)
-    return VdParams(
-        variant,
-        np.asarray(data["q_local"], dtype=float),
-        None if data.get("w_raw") is None else np.asarray(data["w_raw"], dtype=float),
-        None if data.get("lam_raw") is None else np.asarray(data["lam_raw"], dtype=float),
-    )
+    mixer = {"monotonic": {"w_raw": (n, s)}, "duplex": {"lam_raw": (n, s, a**n)}}
+    shapes = {"q_local": (n, s, a), **mixer.get(variant, {})}
+    return VdParams(variant, **_init_arrays(init_cfg["file"], shapes))
 
 
 def _execute(config, seed, out_dir):
@@ -367,57 +396,64 @@ def _check(label, ok, detail):
 
 
 def _verify_pg_traps(seed):
-    """Concentrated inits stay on their diagonal; uniform init finds the optimum."""
+    """Concentrated inits stay on their diagonal; uniform init finds the optimum.
+
+    The three inits descend together as one batched run."""
     model = builtin_game("table1")
+    traps = (((1, 1), 5.0), ((2, 2), 1.0))
+    starts = [MapgParams.concentrated(2, 1, 3, target, 5.0).logits for target, _ in traps]
+    starts.append(MapgParams.uniform(2, 1, 3).logits)
+    params, _ = run_mapg(model, MapgParams(np.stack(starts)), lr=0.05,
+                         steps=20000, log_every=5000)
+    returns = [
+        evaluate_policy(model, DecentralizedPolicySet.deterministic(
+            np.argmax(logits, axis=2), model.n_actions))
+        for logits in params.logits
+    ]
     ok = True
-    for target, expected in (((1, 1), 5.0), ((2, 2), 1.0)):
-        params0 = MapgParams.concentrated(2, 1, 3, target, 5.0)
-        params, _ = run_mapg(model, params0, lr=0.05, steps=20000, log_every=5000)
-        code = int(params.greedy_joint()[0])
-        greedy = DecentralizedPolicySet.deterministic(
-            np.argmax(params.logits, axis=2), model.n_actions
-        )
-        ret = evaluate_policy(model, greedy)
+    for (target, expected), code, ret in zip(traps, params.greedy_joint()[:, 0], returns):
         ok &= _check(
             f"concentrated init at {target}",
             code == target[0] * 3 + target[1] and abs(ret - expected) < 1e-6,
             f"greedy code {code}, greedy return {ret:.9f} (want {expected})",
         )
-    params, _ = run_mapg(model, MapgParams.uniform(2, 1, 3), lr=0.05,
-                         steps=20000, log_every=5000)
-    greedy = DecentralizedPolicySet.deterministic(
-        np.argmax(params.logits, axis=2), model.n_actions
-    )
-    ret = evaluate_policy(model, greedy)
-    ok &= _check("uniform init", abs(ret - 10.0) < 1e-6,
-                 f"greedy return {ret:.9f} (want 10)")
+    ok &= _check("uniform init", abs(returns[-1] - 10.0) < 1e-6,
+                 f"greedy return {returns[-1]:.9f} (want 10)")
     return ok
 
 
 def _verify_vd_traps(seed):
+    """The constructed points are stationary, ball-certified local minima,
+    and descent from the suboptimal ones keeps their greedy action.
+
+    All points are certified in one stacked pass, and the suboptimal ones
+    descend together as one batched run."""
     tensor, points = construct_local_minima(3, 2, None)
     game = matrix_game(tensor)
     best = tensor.max()
-    ok = True
-    rng = np.random.default_rng(seed)
-    for idx, theta in enumerate(points):
-        def loss_fn(x, _theta=theta):
-            loss, grad = vd_loss_and_grad(_theta.unpack_like(x), game)
-            return loss, grad.pack()
+    template = points[0]
 
-        stat_ok, norm = stationarity_certificate(loss_fn, theta.pack(), 1e-8)
+    def loss_fn(x):
+        loss, grad = vd_loss_and_grad(template.unpack_like(x), game)
+        return loss, grad.pack()
+
+    thetas = np.stack([theta.pack() for theta in points])
+    local = local_min_certificate(loss_fn, thetas, radius=0.02, samples=10000,
+                                  rng=np.random.default_rng(seed))
+    greedy = template.unpack_like(thetas).greedy_joint()[:, 0]
+    payoffs = tensor.reshape(-1)[greedy]
+    trapped = np.flatnonzero(payoffs < best)
+    x, _ = gd_run(loss_fn, thetas[trapped], lr=0.05, steps=10000, log_every=10000)
+    kept = dict(zip(trapped, template.unpack_like(x).greedy_joint()[:, 0] == greedy[trapped]))
+    ok = True
+    for idx, theta in enumerate(thetas):
+        stat_ok, norm = stationarity_certificate(loss_fn, theta, 1e-8)
         ok &= _check(f"point {idx} stationary", stat_ok, f"grad norm {norm:.3e}")
-        local = local_min_certificate(loss_fn, theta.pack(), radius=0.02,
-                                      samples=10000, rng=rng)
-        ok &= _check(f"point {idx} local minimum", local,
+        ok &= _check(f"point {idx} local minimum", bool(local[idx]),
                      "no descent direction in 10^4 ball samples (radius 0.02)")
-        payoff = tensor.reshape(-1)[int(theta.greedy_joint()[0])]
-        if payoff < best:
-            x, _ = gd_run(loss_fn, theta.pack(), lr=0.05, steps=10000, log_every=10000)
-            after = theta.unpack_like(x)
-            stuck = int(after.greedy_joint()[0]) == int(theta.greedy_joint()[0])
-            ok &= _check(f"point {idx} retains suboptimal greedy", stuck,
-                         f"greedy payoff {payoff} < optimum {best}")
+        if idx in kept:
+            ok &= _check(f"point {idx} retains suboptimal greedy", bool(kept[idx]),
+                         f"greedy payoff {payoffs[idx]} < optimum {best}")
     return ok
 
 

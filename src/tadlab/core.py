@@ -75,21 +75,27 @@ def digit_table(n_agents, n_actions):
     return digits
 
 
+def row_norms(x):
+    """Euclidean norm of each row of a [K, d] array, each the dot-product
+    norm that np.linalg.norm takes of a flat vector (bit for bit)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def greedy_codes(tables):
-    """Per-state joint code of each agent's argmax in an [n, S, A] table
-    (lowest index on ties)."""
-    n, s, a = np.shape(tables)
-    acts = np.argmax(tables, axis=2)
-    codes = np.zeros(s, dtype=np.intp)
+    """Per-state joint code of each agent's argmax in an [..., n, S, A] table
+    (lowest index on ties); leading replica axes carry through."""
+    *_, n, _, a = np.shape(tables)
+    acts = np.argmax(tables, axis=-1)
+    codes = np.zeros(acts.shape[:-2] + acts.shape[-1:], dtype=np.intp)
     for i in range(n):
-        codes = codes * a + acts[i]
+        codes = codes * a + acts[..., i, :]
     return codes
 
 
 # ---------------------------------------------------------------------------
 # model types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mmdp:
     """Fully observable common-reward multi-agent MDP.
 
@@ -149,7 +155,7 @@ def matrix_game(payoff, gamma=0.99):
 # ---------------------------------------------------------------------------
 # policy types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecentralizedPolicySet:
     """Per-agent stochastic tables [n_agents, n_states, n_actions]."""
 
@@ -198,7 +204,7 @@ class DecentralizedPolicySet:
         return np.argmax(self.tables, axis=2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CoordinationPolicy:
     """Per-agent conditional tables for sequential decision making.
 
@@ -264,7 +270,7 @@ class CoordinationPolicy:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DeterministicJointPolicy:
     """One joint-action code per state."""
 
@@ -279,7 +285,7 @@ class DeterministicJointPolicy:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ValueTable:
     """Action values q[state, action] and state values v[state]."""
 
@@ -379,6 +385,12 @@ def joint_policy_matrix(model, policy):
     return mat
 
 
+def _next_values(model, v):
+    """E[v(s') | s, a] as [..., S, M] for state values v [..., S], one
+    matrix-vector product per replica and state."""
+    return (model.transition @ v[..., None, :, None])[..., 0]
+
+
 def policy_slices(model, pol):
     """Exact return of a [S, M] joint policy matrix and its (d_t, q_t) slices.
 
@@ -388,28 +400,39 @@ def policy_slices(model, pol):
     slice per step by backward induction. Every exact quantity reads off
     these: J = sum_t d_t . r_pi, the occupancy sum_t d_t, and the policy
     gradient sum_t d_t * q_t.
+
+    A stack of policies [K, S, M] gives K returns and slices with the same
+    leading axis. Each replica's numbers are computed from its own row only
+    (stacked solves and per-row products), so for a C-ordered stack they are
+    bit-identical to an unstacked call on that row.
     """
-    r_pi = np.einsum("sa,sa->s", pol, model.reward)
-    p_pi = np.einsum("sa,sat->st", pol, model.transition)
+    batch = pol.shape[:-2]
     if model.horizon is None:
-        eye = np.eye(model.n_states)
-        v = np.linalg.solve(eye - model.gamma * p_pi, r_pi)
-        q = model.reward + model.gamma * (model.transition @ v)
-        d = np.linalg.solve(eye - model.gamma * p_pi.T, model.initial_dist)
-        return float(model.initial_dist @ v), [(d, q)]
-    q_by_t = np.empty((model.horizon,) + model.reward.shape)
-    v_next = np.zeros(model.n_states)
-    for t in reversed(range(model.horizon)):
-        q_by_t[t] = model.reward + model.gamma * (model.transition @ v_next)
-        v_next = np.einsum("sa,sa->s", pol, q_by_t[t])
-    slices = []
-    rho = model.initial_dist.copy()
-    scale = 1.0
-    for t in range(model.horizon):
-        slices.append((scale * rho, q_by_t[t]))
-        rho = rho @ p_pi
-        scale *= model.gamma
-    return float(model.initial_dist @ v_next), slices
+        r_pi = np.einsum("...sa,sa->...s", pol, model.reward)
+        p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
+        a = np.eye(model.n_states) - model.gamma * p_pi
+        v = np.linalg.solve(a, r_pi[..., None])[..., 0]
+        q = model.reward + model.gamma * _next_values(model, v)
+        d = np.linalg.solve(a.swapaxes(-1, -2), model.initial_dist[:, None])[..., 0]
+        slices = [(d, q)]
+    else:
+        q_by_t = np.empty((model.horizon,) + batch + model.reward.shape)
+        v = np.zeros(batch + (model.n_states,))
+        for t in reversed(range(model.horizon)):
+            q_by_t[t] = model.reward + model.gamma * _next_values(model, v)
+            v = np.einsum("...sa,...sa->...s", pol, q_by_t[t])
+        rho = np.empty_like(v)
+        rho[...] = model.initial_dist
+        slices = [(rho, q_by_t[0])]
+        if model.horizon > 1:
+            p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
+            scale = 1.0
+            for q_t in q_by_t[1:]:
+                rho = (rho[..., None, :] @ p_pi)[..., 0, :]
+                scale *= model.gamma
+                slices.append((scale * rho, q_t))
+    value = (model.initial_dist @ v[..., None])[..., 0]
+    return (value if batch else float(value)), slices
 
 
 def evaluate_policy(model, policy):
@@ -427,17 +450,17 @@ def occupancy(model, policy):
 # Bellman operator and optimal solvers
 
 def bellman_backup(q, model):
-    """One synchronous optimality backup of a [S, M] action-value table.
+    """One synchronous optimality backup of a [..., S, M] action-value table.
 
     One-step games (horizon 1) have no bootstrap: the backup is the reward
     table itself.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != model.reward.shape:
+    if q.shape[-2:] != model.reward.shape:
         raise ValueError(f"q shape {q.shape} != {model.reward.shape}")
     if model.horizon == 1:
-        return model.reward.copy()
-    return model.reward + model.gamma * (model.transition @ q.max(axis=1))
+        return np.broadcast_to(model.reward, q.shape).copy()
+    return model.reward + model.gamma * _next_values(model, q.max(axis=-1))
 
 
 def first_visit_times(model):
@@ -579,18 +602,33 @@ def mmdp_to_dict(model):
     }
 
 
+def _field(data, key, cast, default=None):
+    """`cast(data[key])` (`default` when absent); ValueError when the value
+    is not numeric."""
+    try:
+        return cast(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key!r} must be numeric: {exc}") from exc
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
 def mmdp_from_dict(data):
     """Build an Mmdp from the environment schema.
 
     Accepts either the full field set or the matrix-game shorthand
     ``{"matrix": [[...]], "gamma": optional}`` where the agent count is the
-    nesting depth.
+    nesting depth. Malformed content raises ValueError.
     """
+    if not isinstance(data, dict):
+        raise ValueError("environment must be a JSON object")
     if "matrix" in data:
         extra = set(data) - {"matrix", "gamma"}
         if extra:
             raise ValueError(f"unexpected keys with matrix shorthand: {sorted(extra)}")
-        game = matrix_game(data["matrix"], gamma=float(data.get("gamma", 0.99)))
+        game = matrix_game(data["matrix"], gamma=_field(data, "gamma", float, 0.99))
         return require_valid(game)
     required = {
         "n_states", "n_agents", "n_actions", "gamma",
@@ -599,11 +637,10 @@ def mmdp_from_dict(data):
     missing = required - set(data)
     if missing:
         raise ValueError(f"environment file missing fields: {sorted(missing)}")
-    reward = np.asarray(data["reward"], dtype=float)
-    transition = np.asarray(data["transition"], dtype=float)
-    n_states = int(data["n_states"])
-    n_agents = int(data["n_agents"])
-    n_actions = int(data["n_actions"])
+    reward = _field(data, "reward", _floats)
+    transition = _field(data, "transition", _floats)
+    n_states, n_agents, n_actions = (_field(data, key, int)
+                                     for key in ("n_states", "n_agents", "n_actions"))
     n_joint = n_actions**n_agents
     # nested per-agent reward tensors are accepted and flattened to joint codes
     if reward.shape == (n_states,) + (n_actions,) * n_agents:
@@ -611,15 +648,17 @@ def mmdp_from_dict(data):
     if transition.shape == (n_states,) + (n_actions,) * n_agents + (n_states,):
         transition = transition.reshape(n_states, n_joint, n_states)
     horizon = data.get("horizon")
+    if horizon is not None:
+        horizon = _field(data, "horizon", int)
     model = Mmdp(
         n_states=n_states,
         n_agents=n_agents,
         n_actions=n_actions,
         transition=transition,
         reward=reward,
-        gamma=float(data["gamma"]),
-        initial_dist=np.asarray(data["initial_dist"], dtype=float),
-        horizon=None if horizon is None else int(horizon),
+        gamma=_field(data, "gamma", float),
+        initial_dist=_field(data, "initial_dist", _floats),
+        horizon=horizon,
     )
     return require_valid(model)
 

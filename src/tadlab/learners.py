@@ -13,6 +13,16 @@ Two families of multi-agent learners live here:
   strictly positive (duplex), which keeps local and joint argmaxes
   consistent for every parameter setting.
 
+The MA-PG and VD kernels (`mapg_loss_and_grad`, `vd_loss_and_grad`), the
+descent loop `gd_run` and `run_mapg` take an optional leading replica axis:
+`MapgParams.logits` [K, n, S, A], `VdParams` arrays [K, ...], and a [K, d]
+stack of flat parameter vectors. K independent points then descend in one
+vectorized pass, because these small-array loops are bound by per-call
+overhead rather than arithmetic. Each replica's numbers come from its own
+row alone, bit for bit what a one-replica run gives; a stack-aware
+objective handed to `gd_run` must keep that contract. `run_vd` stays a
+single-replica loop.
+
 The single-agent side (value iteration, synchronous/sampled Q-learning,
 softmax policy gradient with an optional clipped surrogate) runs on
 one-agent models, such as the layered models produced by the
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +54,7 @@ from .core import (
     optimal_values,
     policy_slices,
     require_valid,
+    row_norms,
 )
 from .transform import (
     greedy_distill,
@@ -62,7 +74,7 @@ class GdDivergenceError(RuntimeError):
 
 
 def softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -70,9 +82,13 @@ def softmax(logits):
 # ---------------------------------------------------------------------------
 # parameter containers
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MapgParams:
-    """Softmax logits [n_agents, n_states, n_actions] for decentralized policies."""
+    """Softmax logits [n_agents, n_states, n_actions] for decentralized policies.
+
+    A leading replica axis, [K, n_agents, n_states, n_actions], holds K
+    independent parameter points; `pack` then gives a [K, d] stack.
+    """
 
     logits: np.ndarray
 
@@ -99,22 +115,27 @@ class MapgParams:
         return greedy_codes(self.logits)
 
     def pack(self):
-        return self.logits.ravel().copy()
+        return self.logits.reshape(self.logits.shape[:-3] + (-1,)).copy()
 
     def unpack_like(self, vec):
-        return MapgParams(np.asarray(vec, dtype=float).reshape(self.logits.shape))
+        """Params of this point's shape from a flat [d] vector or a [K, d] stack."""
+        vec = np.asarray(vec, dtype=float)
+        return MapgParams(vec.reshape(vec.shape[:-1] + self.logits.shape[-3:]))
 
 
 VD_VARIANTS = ("vdn", "monotonic", "duplex")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VdParams:
     """Local tables plus mixer parameters for one value-decomposition variant.
 
     q_local: [n_agents, n_states, n_actions]
     w_raw:   [n_agents, n_states]            (monotonic; weights are exp(w_raw))
     lam_raw: [n_agents, n_states, n_joint]   (duplex; weights are exp(lam_raw))
+
+    Every array may carry the same leading replica axis [K, ...] for K
+    independent points; `pack` then gives a [K, d] stack.
     """
 
     variant: str
@@ -128,25 +149,25 @@ class VdParams:
         self.q_local = np.asarray(self.q_local, dtype=float)
         if self.variant == "monotonic":
             if self.w_raw is None:
-                self.w_raw = np.zeros(self.q_local.shape[:2])
+                self.w_raw = np.zeros(self.q_local.shape[:-1])
             self.w_raw = np.asarray(self.w_raw, dtype=float)
         if self.variant == "duplex":
-            n, s, a = self.q_local.shape
             if self.lam_raw is None:
-                self.lam_raw = np.zeros((n, s, a**n))
+                n, a = self.n_agents, self.n_actions
+                self.lam_raw = np.zeros(self.q_local.shape[:-1] + (a**n,))
             self.lam_raw = np.asarray(self.lam_raw, dtype=float)
 
     @property
     def n_agents(self):
-        return self.q_local.shape[0]
+        return self.q_local.shape[-3]
 
     @property
     def n_states(self):
-        return self.q_local.shape[1]
+        return self.q_local.shape[-2]
 
     @property
     def n_actions(self):
-        return self.q_local.shape[2]
+        return self.q_local.shape[-1]
 
     @classmethod
     def zeros(cls, variant, n_agents, n_states, n_actions):
@@ -182,23 +203,28 @@ class VdParams:
         """Per-state joint code composed from local argmaxes (ties: lowest index)."""
         return greedy_codes(self.q_local)
 
+    def _arrays(self):
+        """(array, number of per-replica axes) for q_local, w_raw, lam_raw."""
+        return (self.q_local, 3), (self.w_raw, 2), (self.lam_raw, 3)
+
     def pack(self):
-        parts = [self.q_local.ravel()]
-        if self.w_raw is not None:
-            parts.append(self.w_raw.ravel())
-        if self.lam_raw is not None:
-            parts.append(self.lam_raw.ravel())
-        return np.concatenate(parts)
+        batch = self.q_local.shape[:-3]
+        return np.concatenate([arr.reshape(batch + (-1,))
+                               for arr, _ in self._arrays() if arr is not None], axis=-1)
 
     def unpack_like(self, vec):
+        """Params of this point's shape from a flat [d] vector or a [K, d] stack."""
         vec = np.asarray(vec, dtype=float)
-        k = self.q_local.size
-        out = VdParams(self.variant, vec[:k].reshape(self.q_local.shape))
-        if self.variant == "monotonic":
-            out.w_raw = vec[k : k + self.w_raw.size].reshape(self.w_raw.shape)
-        if self.variant == "duplex":
-            out.lam_raw = vec[k : k + self.lam_raw.size].reshape(self.lam_raw.shape)
-        return out
+        parts, start = [], 0
+        for arr, dims in self._arrays():
+            if arr is None:
+                parts.append(None)
+                continue
+            shape = arr.shape[-dims:]
+            size = math.prod(shape)
+            parts.append(vec[..., start : start + size].reshape(vec.shape[:-1] + shape))
+            start += size
+        return VdParams(self.variant, *parts)
 
 
 @dataclass
@@ -250,6 +276,22 @@ class TrainTrace:
                 fh.write(f"{t},{self.loss[i]!r},{self.grad_norm[i]!r},{ret},{greedy}\n")
 
 
+class ReplicaTraces(tuple):
+    """The traces of a batched run: one TrainTrace per replica.
+
+    `step` lists every step at which any replica logged, so `step[-1]` is
+    the last step of the longest-running replica; `replica(k)` is replica
+    k's own trace, whose rows end at its own stop step.
+    """
+
+    @property
+    def step(self):
+        return sorted(set().union(*(trace.step for trace in self)))
+
+    def replica(self, k):
+        return self[k]
+
+
 # ---------------------------------------------------------------------------
 # exact policy gradient for product policies
 
@@ -266,43 +308,57 @@ def _action_masks(n_agents, n_actions):
     return tuple(masks)
 
 
-def _others_product(tables, digits, skip):
-    out = np.ones((tables.shape[1], digits.shape[0]))
-    for j in range(tables.shape[0]):
-        if j != skip:
-            out *= tables[j][:, digits[:, j]]
+def _picked(tables, digits):
+    """Each agent's table read at its digit of every joint action: n arrays
+    [..., S, M] from [..., n, S, A].
+
+    `take` returns C-ordered arrays; the reductions downstream then run
+    along the same memory layout for every replica and batch size, which
+    keeps a replica's bits independent of the batch.
+    """
+    return [tables[..., i, :, :].take(digits[:, i], axis=-1)
+            for i in range(digits.shape[1])]
+
+
+def _product(factors, shape, skip=None):
+    """Product of the factors except `skip` (read-only; 1.0 * f is f exactly,
+    so the leading ones factor is left out)."""
+    rest = [f for j, f in enumerate(factors) if j != skip]
+    if not rest:
+        return np.ones(shape)
+    out = rest[0]
+    for f in rest[1:]:
+        out = out * f
     return out
 
 
 def product_policy_value_and_grad(model, tables):
     """Expected return of a product policy and its policy-space gradient.
 
-    `tables` is [n_agents, n_states, n_actions]; the gradient entry
-    g[i, s, b] is d J / d pi_i(b|s): the occupancy-weighted action value of
-    agent i playing b while the others follow their tables.
+    `tables` is [n_agents, n_states, n_actions], or a [K, ...] stack of K
+    replicas; the gradient entry g[i, s, b] is d J / d pi_i(b|s): the
+    occupancy-weighted action value of agent i playing b while the others
+    follow their tables.
     """
-    n = tables.shape[0]
-    a = tables.shape[2]
-    digits = digit_table(n, a)
+    n, _, a = tables.shape[-3:]
     masks = _action_masks(n, a)
-    pol = np.ones((model.n_states, digits.shape[0]))
-    for i in range(n):
-        pol *= tables[i][:, digits[:, i]]
-    value, slices = policy_slices(model, pol)
-    others = [_others_product(tables, digits, i) for i in range(n)]
+    picked = _picked(tables, digit_table(n, a))
+    shape = picked[0].shape
+    value, slices = policy_slices(model, _product(picked, shape))
+    others = [_product(picked, shape, skip=i) for i in range(n)]
     grad = np.zeros_like(tables)
     for d_t, q_t in slices:
         for i in range(n):
-            grad[i] += d_t[:, None] * ((others[i] * q_t) @ masks[i])
+            grad[..., i, :, :] += d_t[..., None] * ((others[i] * q_t) @ masks[i])
     return value, grad
 
 
 def mapg_loss_and_grad(params, model):
     """Negative expected return of the softmax product policy and its logit
-    gradient, both exact."""
+    gradient, both exact (K of each for [K, ...] stacked logits)."""
     tables = softmax(params.logits)
     value, pol_grad = product_policy_value_and_grad(model, tables)
-    inner = np.sum(tables * pol_grad, axis=2, keepdims=True)
+    inner = (tables * pol_grad).sum(axis=-1, keepdims=True)
     logit_grad = tables * (pol_grad - inner)
     return -value, -logit_grad
 
@@ -336,52 +392,58 @@ def _check_dist(dist, model):
 
 
 def _vd_kernel(variant, q_local, w_raw, lam_raw, model, dist, digits, masks):
-    """Shared TD loss/gradient over raw arrays; grads are None where unused."""
-    n, s, _ = q_local.shape
-    picked = [q_local[i][:, digits[:, i]] for i in range(n)]
+    """Shared TD loss/gradient over raw arrays; grads are None where unused.
+
+    The arrays may carry a leading replica axis; the loss then has it too.
+    """
+    n = q_local.shape[-3]
+    picked = _picked(q_local, digits)
     if variant == "vdn":
         q = picked[0].copy()
         for i in range(1, n):
             q += picked[i]
     elif variant == "monotonic":
         weights = np.exp(w_raw)
-        q = weights[0][:, None] * picked[0]
+        q = weights[..., 0, :, None] * picked[0]
         for i in range(1, n):
-            q += weights[i][:, None] * picked[i]
+            q += weights[..., i, :, None] * picked[i]
     else:
         lam = np.exp(lam_raw)
-        maxes = q_local.max(axis=2)
-        adv = [picked[i] - maxes[i][:, None] for i in range(n)]
-        q = lam[0] * adv[0]
+        maxes = q_local.max(axis=-1)
+        adv = [picked[i] - maxes[..., i, :, None] for i in range(n)]
+        q = lam[..., 0, :, :] * adv[0]
         for i in range(1, n):
-            q += lam[i] * adv[i]
-        q += maxes.sum(axis=0)[:, None]
+            q += lam[..., i, :, :] * adv[i]
+        q += maxes.sum(axis=-2)[..., None]
     if model.horizon == 1:
         target = model.reward
     else:
         target = bellman_backup(q, model)
     resid = q - target
-    loss = 0.5 * float(np.sum(dist * resid * resid))
+    sq = dist * resid * resid
+    loss = 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1)
     w = dist * resid
-    gq = np.empty_like(q_local)
+    gq = np.empty(q_local.shape)
     gw = glam = None
     if variant == "vdn":
         for i in range(n):
-            gq[i] = w @ masks[i]
+            gq[..., i, :, :] = w @ masks[i]
     elif variant == "monotonic":
         gw = np.empty_like(w_raw)
         for i in range(n):
-            gq[i] = weights[i][:, None] * (w @ masks[i])
-            gw[i] = weights[i] * np.sum(w * picked[i], axis=1)
+            gq[..., i, :, :] = weights[..., i, :, None] * (w @ masks[i])
+            gw[..., i, :] = weights[..., i, :] * (w * picked[i]).sum(-1)
     else:
-        best = np.argmax(q_local, axis=2)
         glam = np.empty_like(lam_raw)
-        rows = np.arange(s)
+        at_best = np.empty(q_local.shape[:-1])
         for i in range(n):
-            wlam = w * lam[i]
-            glam[i] = wlam * adv[i]
-            gq[i] = wlam @ masks[i]
-            gq[i][rows, best[i]] += np.sum(w - wlam, axis=1)
+            wlam = w * lam[..., i, :, :]
+            glam[..., i, :, :] = wlam * adv[i]
+            gq[..., i, :, :] = wlam @ masks[i]
+            at_best[..., i, :] = (w - wlam).sum(-1)
+        # d q / d max_i = 1 - lam_i, routed to agent i's local argmax
+        rows = gq.reshape(-1, gq.shape[-1])
+        rows[np.arange(len(rows)), q_local.argmax(-1).ravel()] += at_best.ravel()
     return loss, gq, gw, glam
 
 
@@ -390,9 +452,11 @@ def vd_loss_and_grad(params, model, dist=None):
 
     The bootstrap target is treated as a constant. On one-step games the
     target is the payoff table, so the loss is plain least-squares regression
-    and the semi-gradient is the exact gradient.
+    and the semi-gradient is the exact gradient. Params with a leading
+    replica axis give one loss per replica and stacked gradients, each
+    replica's from its own row only.
     """
-    n, _, a = params.q_local.shape
+    n, a = params.n_agents, params.n_actions
     dist = _check_dist(dist, model)
     loss, gq, gw, glam = _vd_kernel(
         params.variant, params.q_local, params.w_raw, params.lam_raw,
@@ -426,48 +490,66 @@ def igm_check(params, s, tol=1e-9):
 # plain gradient descent
 
 def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1):
-    """Constant-step gradient descent on a flat parameter vector.
+    """Constant-step gradient descent on a flat parameter vector, or on a
+    [K, d] stack of K independent replicas.
 
-    `loss_and_grad(x) -> (loss, grad)`; the run stops early once the gradient
-    norm drops below `stop_tol`. `monitor(x, loss) -> (return, greedy_codes)`
-    fills the policy columns of the trace at logged steps. Non-finite losses
-    or gradients abort with GdDivergenceError.
+    `loss_and_grad(x) -> (loss, grad)` is called on x in the shape of `x0`;
+    on a stack it returns K losses and a [K, d] gradient, whose row k must
+    depend on row k of x alone. A replica stops once its gradient norm drops
+    below `stop_tol` and stays frozen from then on; the run ends when every
+    replica has stopped, or after `steps` steps. `monitor(x, loss) ->
+    (return, greedy_codes)` fills the policy columns of a replica's trace at
+    its logged steps, called on that replica's row. Non-finite losses or
+    gradients abort with GdDivergenceError. Returns the final x and a
+    TrainTrace, or ReplicaTraces for a stack.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     x = np.array(x0, dtype=float)
-    trace = TrainTrace()
+    stacked = x.ndim == 2
+    traces = [TrainTrace() for _ in range(len(x) if stacked else 1)]
+    live = np.ones(len(traces), dtype=bool)
+    frozen = False
     t = 0
     while True:
         loss, grad = loss_and_grad(x)
-        grad = np.asarray(grad, dtype=float)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        loss = np.asarray(loss, dtype=float).reshape(len(traces))
+        grad = np.asarray(grad, dtype=float).reshape(len(traces), -1)
+        if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
             raise GdDivergenceError(
                 f"non-finite loss or gradient at step {t} (lr={lr})"
             )
-        gnorm = float(np.linalg.norm(grad))
-        done = t >= steps or gnorm < stop_tol
-        if done or t % log_every == 0:
-            if monitor is None:
-                trace.append(t, loss, gnorm)
-            else:
-                ret, greedy = monitor(x, loss)
-                trace.append(t, loss, gnorm, ret, greedy)
-        if done:
-            return x, trace
-        x = x - lr * grad
+        gnorm = row_norms(grad)
+        logged = t % log_every == 0
+        if logged or t >= steps or (stop_tol > 0 and (gnorm < stop_tol).any()):
+            stop = (gnorm < stop_tol) | (t >= steps)
+            for k in np.flatnonzero(live & (stop | logged)):
+                if monitor is None:
+                    traces[k].append(t, loss[k], gnorm[k])
+                else:
+                    ret, greedy = monitor(x[k] if stacked else x, loss[k])
+                    traces[k].append(t, loss[k], gnorm[k], ret, greedy)
+            live &= ~stop
+            if not live.any():
+                return x, ReplicaTraces(traces) if stacked else traces[0]
+            frozen = not live.all()
+        step = lr * grad
+        if frozen:
+            step[~live] = 0.0
+        x = x - step.reshape(x.shape)
         t += 1
 
 
 def run_mapg(model, params, lr=0.05, steps=20000, stop_tol=0.0, log_every=200):
-    """Gradient descent on the product-policy loss from a given logit point."""
+    """Gradient descent on the product-policy loss from a given logit point,
+    or from a [K, ...] stack of K points run as one batched descent."""
     template = params
 
     def objective(x):
         loss, grad = mapg_loss_and_grad(template.unpack_like(x), model)
-        return loss, grad.ravel()
+        return loss, grad.reshape(x.shape)
 
     def monitor(x, loss):
         # for policy gradient the stochastic return is exactly -loss

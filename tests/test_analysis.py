@@ -137,3 +137,43 @@ def test_ne_count_invariant_to_positive_affine_payoffs():
 def test_ne_count_rejects_no_trials():
     with pytest.raises(ValueError):
         ne_count_expectation(3, 0, rng=0)
+
+
+def ring_objective(x):
+    """Flat inside radius 0.019975, falling outside: about one ball sample
+    in 400 escapes a radius-0.02 ball around the origin."""
+    return -np.maximum(0.0, np.linalg.norm(x, axis=-1) - 0.019975), None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_stacked_local_min_certificate_matches_sequential_calls(seed):
+    points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    stacked_rng = np.random.default_rng(seed)
+    stacked = local_min_certificate(ring_objective, points, radius=0.02,
+                                    samples=1000, rng=stacked_rng)
+    rng = np.random.default_rng(seed)
+    sequential = [local_min_certificate(ring_objective, p, radius=0.02,
+                                        samples=1000, rng=rng) for p in points]
+    assert stacked.tolist() == sequential
+    assert not sequential[2]
+    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_stacked_certificate_finds_escapes_past_the_first_chunk():
+    # seeds whose first escape lands after sample 256 exercise the rewind
+    late = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        held = local_min_certificate(ring_objective, np.zeros((1, 2)), radius=0.02,
+                                     samples=1000, rng=rng)
+        ref = np.random.default_rng(seed)
+        for drawn in range(1, 1001):
+            ref.standard_normal(2)  # the direction
+            r = 0.02 * ref.random() ** 0.5
+            if r > 0.019975 + 1e-9:
+                break
+        assert held[0] == (r <= 0.019975 + 1e-9)
+        if not held[0]:
+            assert rng.bit_generator.state == ref.bit_generator.state
+            late += drawn > 256
+    assert late > 0

@@ -195,10 +195,16 @@ def _probe(learner=None, **fields):
     _probe(init={"mode": "file", "file": "no/such/params.json"}),
     _probe(init={"mode": "file"}),
     _probe(outputs="trace"),
+    _probe({"kind": ["mapg"]}),
+    _probe(init={"mode": "concentrated", "target_joint_action": [5, 5]}),
+    _probe(init={"mode": "concentrated", "target_joint_action": "ab"}),
+    _probe({"kind": "vd"}, init={"mode": "concentrated", "target_joint_action": ["a", 1]}),
+    _probe(init={"mode": "concentrated", "target_joint_action": [1, 1], "scale": "big"}),
 ], ids=["lr-string", "lr-zero", "lr-negative", "steps-negative", "steps-fraction",
         "log-every-zero", "vd-steps-negative", "sweeps-zero", "tol-zero",
         "clip-negative", "init-not-object", "init-file-missing", "init-file-absent",
-        "outputs-string"])
+        "outputs-string", "kind-list", "target-out-of-range", "target-string",
+        "vd-target-not-integer", "scale-string"])
 def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config):
     cfg = write_config(tmp_path / "cfg.json", config)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -213,7 +219,11 @@ def test_bad_seed_list_exits_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("text", ['{"matrix": [[1, NaN], [0, 1]]}', '{"matrix": 5}'])
+@pytest.mark.parametrize("text", [
+    '{"matrix": [[1, NaN], [0, 1]]}', '{"matrix": 5}',
+    '{"matrix": [[1, 2], [3, 4]], "gamma": null}',
+    '{"matrix": [[1, 2], [3, 4]], "gamma": [0.9]}',
+])
 def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     env_path = tmp_path / "game.json"
     env_path.write_text(text)
@@ -222,3 +232,61 @@ def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "bad environment file" in err
+
+
+@pytest.mark.parametrize("kind,contents", [
+    ("mapg", {"q_local": [[[0.0, 0.0, 0.0]]] * 2}),
+    ("mapg", {"logits": [[[0.0, 0.0]]] * 2}),
+    ("mapg", {"logits": "zeros"}),
+    ("mapg", [[[0.0, 0.0, 0.0]]]),
+    ("vd", {"logits": [[[0.0, 0.0, 0.0]]] * 2}),
+    ("vd", {"q_local": [[[0.0, 0.0, 0.0]]] * 3}),
+    ("duplex", {"q_local": [[[0.0, 0.0, 0.0]]] * 2, "lam_raw": [[[0.0] * 3]] * 2}),
+], ids=["mapg-lacks-logits", "mapg-wrong-shape", "mapg-not-numeric", "mapg-not-object",
+        "vd-lacks-q-local", "vd-wrong-shape", "duplex-lam-wrong-shape"])
+def test_bad_init_file_contents_exit_2(tmp_path, capsys, kind, contents):
+    init_path = tmp_path / "params.json"
+    init_path.write_text(json.dumps(contents))
+    learner = {"kind": "vd", "variant": kind} if kind == "duplex" else {"kind": kind}
+    cfg = write_config(tmp_path / "cfg.json", _probe(
+        learner, init={"mode": "file", "file": str(init_path)}))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_vd_file_init_reads_each_mixer_array(tmp_path):
+    from tadlab import VdParams, vd_loss_and_grad
+
+    q_local = np.eye(3)[[1, 1]][:, None, :]  # both agents favour action 1
+    for variant, extra in (("duplex", {"lam_raw": np.full((2, 1, 9), 0.7)}),
+                           ("monotonic", {"w_raw": np.array([[0.5], [-0.5]])}),
+                           ("duplex", {"lam_raw": None})):
+        init_path = tmp_path / "params.json"
+        init_path.write_text(json.dumps({"q_local": q_local.tolist(), **{
+            k: None if v is None else v.tolist() for k, v in extra.items()}}))
+        cfg = write_config(tmp_path / "cfg.json", _probe(
+            {"kind": "vd", "variant": variant, "steps": 0},
+            init={"mode": "file", "file": str(init_path)}))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        _, grad = vd_loss_and_grad(VdParams(variant, q_local, **extra), builtin_game("table1"))
+        assert summary["greedy_policy"] == [4]
+        assert summary["certificates"]["stationarity"]["grad_norm"] == np.linalg.norm(grad.pack())
+
+
+def test_full_env_file_with_bad_fields_exits_2(tmp_path, capsys):
+    from tadlab.core import mmdp_to_dict
+
+    base = mmdp_to_dict(builtin_game("table1"))
+    for key, value in (("gamma", None), ("n_states", None), ("horizon", "one"),
+                       ("reward", {"a": 1})):
+        env_path = tmp_path / f"{key}.json"
+        env_path.write_text(json.dumps({**base, key: value}))
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"env": str(env_path), "learner": {"kind": "tad"}})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "bad environment file" in err

@@ -323,3 +323,15 @@ def test_policy_slices_sum_to_return_and_occupancy(horizon):
     steps = 1 / (1 - 0.9) if horizon is None else (1 - 0.9**horizon) / (1 - 0.9)
     assert occupancy(model, pol).sum() == pytest.approx(steps, rel=1e-12)
     assert value == pytest.approx(evaluate_policy(model, pol), rel=1e-12)
+
+
+def test_array_holding_objects_compare_and_hash_by_identity():
+    from tadlab import MapgParams, VdParams
+
+    first, second = builtin_game("table1"), builtin_game("table1")
+    assert first == first and first != second and len({first, second}) == 2
+    policies = DecentralizedPolicySet.uniform(2, 1, 3)
+    assert policies != DecentralizedPolicySet.uniform(2, 1, 3)
+    for make in (lambda: MapgParams.uniform(2, 1, 3), lambda: VdParams.zeros("duplex", 2, 1, 3)):
+        params = make()
+        assert params == params and params != make()

@@ -570,3 +570,84 @@ def test_run_vd_rejects_negative_steps():
     params = VdParams.zeros("vdn", M2.n_agents, M2.n_states, M2.n_actions)
     with pytest.raises(ValueError, match="steps"):
         run_vd(M2, params, steps=-3)
+
+
+# ---------------------------------------------------------------------------
+# the replica axis: a replica's numbers do not depend on the batch
+
+REPLICA_MODELS = {
+    "table1": TABLE1,
+    "discounted": random_mmdp(3, 2, 2, gamma=0.9, rng=51),
+    "horizon3": random_mmdp(3, 2, 2, gamma=0.9, rng=52, horizon=3),
+}
+
+
+def assert_same_trace(a, b):
+    assert (a.step, a.loss, a.grad_norm, a.ret, a.greedy) == (
+        b.step, b.loss, b.grad_norm, b.ret, b.greedy)
+
+
+@pytest.mark.parametrize("name", sorted(REPLICA_MODELS))
+def test_batched_run_mapg_rows_match_single_replicas(name):
+    model = REPLICA_MODELS[name]
+    logits = np.random.default_rng(53).standard_normal(
+        (8, model.n_agents, model.n_states, model.n_actions))
+    batch, traces = run_mapg(model, MapgParams(logits), lr=0.1, steps=300, log_every=50)
+    assert traces.step[-1] == 300
+    for k in range(8):
+        one, trace = run_mapg(model, MapgParams(logits[k:k + 1]), lr=0.1,
+                              steps=300, log_every=50)
+        flat, flat_trace = run_mapg(model, MapgParams(logits[k]), lr=0.1,
+                                    steps=300, log_every=50)
+        assert np.array_equal(batch.logits[k], one.logits[0])
+        assert np.array_equal(flat.logits, one.logits[0])
+        assert_same_trace(traces.replica(k), trace.replica(0))
+        assert_same_trace(flat_trace, trace.replica(0))
+
+
+@pytest.mark.parametrize("variant", learners.VD_VARIANTS)
+def test_batched_gd_run_on_vd_rows_match_single_replicas(variant):
+    model = REPLICA_MODELS["discounted"]
+    template = VdParams.zeros(variant, model.n_agents, model.n_states, model.n_actions)
+
+    def objective(x):
+        loss, grad = vd_loss_and_grad(template.unpack_like(x), model)
+        return loss, grad.pack()
+
+    rng = np.random.default_rng(54)
+    x0 = np.stack([VdParams.random(variant, model.n_agents, model.n_states,
+                                   model.n_actions, rng).pack() for _ in range(8)])
+    x, traces = gd_run(objective, x0, lr=0.05, steps=200, log_every=40)
+    for k in range(8):
+        one, trace = gd_run(objective, x0[k:k + 1], lr=0.05, steps=200, log_every=40)
+        flat, flat_trace = gd_run(objective, x0[k], lr=0.05, steps=200, log_every=40)
+        assert np.array_equal(x[k], one[0]) and np.array_equal(flat, one[0])
+        assert_same_trace(traces.replica(k), trace.replica(0))
+        assert_same_trace(flat_trace, trace.replica(0))
+
+
+def test_gd_run_freezes_a_stopped_replica_without_touching_the_others():
+    def objective(x):
+        return 0.5 * np.sum(x * x, axis=-1), x
+
+    x0 = np.array([[1e-3, 0.0], [1.0, -2.0], [3.0, 1.0]])
+    x, traces = gd_run(objective, x0, lr=0.1, steps=400, stop_tol=1e-6, log_every=100)
+    stops = [traces.replica(k).step[-1] for k in range(3)]
+    assert stops[0] < stops[1] < stops[2] < 400
+    assert traces.step[-1] == stops[2]
+    for k in range(3):
+        one, trace = gd_run(objective, x0[k:k + 1], lr=0.1, steps=400,
+                            stop_tol=1e-6, log_every=100)
+        assert np.array_equal(x[k], one[0])
+        assert_same_trace(traces.replica(k), trace.replica(0))
+        assert traces.replica(k).grad_norm[-1] < 1e-6 <= traces.replica(k).grad_norm[-2]
+
+
+def test_replica_axis_round_trips_through_pack():
+    rng = np.random.default_rng(55)
+    for variant in learners.VD_VARIANTS:
+        points = [VdParams.random(variant, 2, 3, 2, rng) for _ in range(4)]
+        stack = points[0].unpack_like(np.stack([p.pack() for p in points]))
+        assert stack.n_agents == 2 and stack.q_local.shape == (4, 2, 3, 2)
+        assert np.array_equal(stack.pack()[2], points[2].pack())
+        assert np.array_equal(stack.greedy_joint()[1], points[1].greedy_joint())
