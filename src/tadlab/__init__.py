@@ -52,6 +52,7 @@ from .learners import (
     igm_check,
     layered_q_learning,
     mapg_loss_and_grad,
+    mapg_objective,
     q_learning,
     run_mapg,
     run_vd,
@@ -60,6 +61,7 @@ from .learners import (
     value_iteration,
     vd_forward,
     vd_loss_and_grad,
+    vd_objective,
 )
 from .constructions import (
     builtin_game,

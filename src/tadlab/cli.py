@@ -50,11 +50,11 @@ from .learners import (
     MapgParams,
     VdParams,
     gd_run,
-    mapg_loss_and_grad,
+    mapg_objective,
     run_mapg,
     run_vd,
     tad_run,
-    vd_loss_and_grad,
+    vd_objective,
 )
 from .transform import size_report, value_relation_check
 
@@ -236,7 +236,7 @@ def _init_vd(init_cfg, variant, model):
 
 
 def _execute(config, seed, out_dir):
-    """Run one replica; returns the summary dict (also written to disk)."""
+    """Run one (config, seed) pair; returns the summary dict (also written to disk)."""
     model, env_name = _resolve_env(config["env"])
     if model.n_states * model.n_joint_actions > SIZE_GUARD:
         raise SizeGuardError(
@@ -254,18 +254,12 @@ def _execute(config, seed, out_dir):
 
     resolved = {"kind": kind, "lr": lr, "steps": steps, "log_every": log_every}
     certificates = {}
+    objective = None
     if kind == "mapg":
         params0 = _init_mapg(init_cfg, model)
         params, trace = run_mapg(model, params0, lr=lr, steps=steps, log_every=log_every)
         policies = params.policies()
-
-        def loss_fn(x):
-            loss, grad = mapg_loss_and_grad(params.unpack_like(x), model)
-            return loss, grad.ravel()
-
-        ok, norm = stationarity_certificate(loss_fn, params.pack(), STATIONARITY_TOL)
-        certificates["stationarity"] = {"ok": bool(ok), "grad_norm": norm,
-                                        "tol": STATIONARITY_TOL}
+        objective = mapg_objective(params, model)
     elif kind == "vd":
         variant = learner.get("variant", "vdn")
         resolved["variant"] = variant
@@ -273,14 +267,7 @@ def _execute(config, seed, out_dir):
         params, trace = run_vd(model, params0, lr=lr, steps=steps, log_every=log_every)
         acts = np.argmax(params.q_local, axis=2)
         policies = DecentralizedPolicySet.deterministic(acts, model.n_actions)
-
-        def loss_fn(x):
-            loss, grad = vd_loss_and_grad(params.unpack_like(x), model)
-            return loss, grad.pack()
-
-        ok, norm = stationarity_certificate(loss_fn, params.pack(), STATIONARITY_TOL)
-        certificates["stationarity"] = {"ok": bool(ok), "grad_norm": norm,
-                                        "tol": STATIONARITY_TOL}
+        objective = vd_objective(params, model)
     else:
         sarl = learner.get("sarl", "vi")
         resolved["sarl"] = sarl
@@ -296,6 +283,10 @@ def _execute(config, seed, out_dir):
         elif sarl == "vi":
             cfg = {"tol": float(learner.get("tol", 1e-10))}
         policies, trace = tad_run(model, sarl=sarl, distill=distill, seed=seed, **cfg)
+    if objective is not None:
+        ok, norm = stationarity_certificate(objective, params.pack(), STATIONARITY_TOL)
+        certificates["stationarity"] = {"ok": bool(ok), "grad_norm": norm,
+                                        "tol": STATIONARITY_TOL}
 
     final_return = evaluate_policy(model, policies)
     saved = {"type": "decentralized", "tables": policies.tables.tolist()}
@@ -329,11 +320,6 @@ def _execute(config, seed, out_dir):
     return summary
 
 
-def _sweep_worker(payload):
-    config, seed, out_dir = payload
-    return seed, _execute(config, seed, Path(out_dir))
-
-
 def cmd_run(args):
     try:
         config = _load_config(args.config)
@@ -347,6 +333,8 @@ def cmd_run(args):
             seeds = [args.seed]
         if not seeds:
             raise SchemaError("empty seed list")
+        if len(set(seeds)) < len(seeds):
+            raise SchemaError(f"--seeds lists a seed more than once: {args.seeds!r}")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -356,20 +344,11 @@ def cmd_run(args):
             summary = _execute(config, seeds[0], out)
             print(json.dumps(summary, indent=2, sort_keys=True))
             return 0
-        payloads = [(config, s, str(out / f"seed_{s}")) for s in seeds]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(4, len(payloads))) as pool:
-                results = list(pool.map(_sweep_worker, payloads))
-        except (OSError, PermissionError):
-            results = [_sweep_worker(p) for p in payloads]
-        results.sort(key=lambda pair: pair[0])
-        sweep = [
-            {"seed": s, "final_return": r["final_return"],
-             "suboptimality_gap": r["suboptimality_gap"]}
-            for s, r in results
-        ]
+        sweep = []
+        for s in sorted(seeds):
+            r = _execute(config, s, out / f"seed_{s}")
+            sweep.append({"seed": s, "final_return": r["final_return"],
+                          "suboptimality_gap": r["suboptimality_gap"]})
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.json", "w") as fh:
             json.dump(sweep, fh, indent=2, sort_keys=True)
@@ -432,11 +411,7 @@ def _verify_vd_traps(seed):
     game = matrix_game(tensor)
     best = tensor.max()
     template = points[0]
-
-    def loss_fn(x):
-        loss, grad = vd_loss_and_grad(template.unpack_like(x), game)
-        return loss, grad.pack()
-
+    loss_fn = vd_objective(template, game)
     thetas = np.stack([theta.pack() for theta in points])
     local = local_min_certificate(loss_fn, thetas, radius=0.02, samples=10000,
                                   rng=np.random.default_rng(seed))
@@ -554,7 +529,7 @@ def build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--seeds", default=None,
-                       help="comma-separated seed sweep (parallel replicas)")
+                       help="comma-separated seed sweep, run one seed after another")
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=cmd_run)
 

@@ -370,7 +370,8 @@ def require_valid(model):
 # exact policy evaluation
 
 def joint_policy_matrix(model, policy):
-    """Normalize any supported policy object into a [S, M] stochastic matrix."""
+    """Normalize any supported policy object into a C-ordered [S, M]
+    stochastic matrix (the evaluator's bits must not depend on memory order)."""
     m = model.n_joint_actions
     if isinstance(policy, (DecentralizedPolicySet, CoordinationPolicy)):
         mat = policy.joint()
@@ -382,7 +383,7 @@ def joint_policy_matrix(model, policy):
         raise ValueError(f"policy shape {mat.shape} does not match model {(model.n_states, m)}")
     if np.any(mat < -PROB_TOL) or np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("policy rows are not probability vectors")
-    return mat
+    return np.ascontiguousarray(mat)
 
 
 def _next_values(model, v):

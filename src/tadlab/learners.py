@@ -13,15 +13,17 @@ Two families of multi-agent learners live here:
   strictly positive (duplex), which keeps local and joint argmaxes
   consistent for every parameter setting.
 
-The MA-PG and VD kernels (`mapg_loss_and_grad`, `vd_loss_and_grad`), the
-descent loop `gd_run` and `run_mapg` take an optional leading replica axis:
+Both families descend through one loop, `gd_run`, on the flat parameter
+vector: `mapg_objective` and `vd_objective` turn a parameter template and a
+model into the `(loss, packed gradient)` function it calls, and `run_mapg`,
+`run_vd` and unclipped `softmax_pg` are thin wrappers around it. The
+kernels, the objectives and `gd_run` take an optional leading replica axis:
 `MapgParams.logits` [K, n, S, A], `VdParams` arrays [K, ...], and a [K, d]
 stack of flat parameter vectors. K independent points then descend in one
 vectorized pass, because these small-array loops are bound by per-call
 overhead rather than arithmetic. Each replica's numbers come from its own
 row alone, bit for bit what a one-replica run gives; a stack-aware
-objective handed to `gd_run` must keep that contract. `run_vd` stays a
-single-replica loop.
+objective handed to `gd_run` must keep that contract.
 
 The single-agent side (value iteration, synchronous/sampled Q-learning,
 softmax policy gradient with an optional clipped surrogate) runs on
@@ -44,6 +46,7 @@ import numpy as np
 
 from .core import (
     DecentralizedPolicySet,
+    DeterministicJointPolicy,
     ValueTable,
     bellman_backup,
     digit_table,
@@ -363,6 +366,16 @@ def mapg_loss_and_grad(params, model):
     return -value, -logit_grad
 
 
+def mapg_objective(template, model):
+    """`f(x) -> (loss, packed gradient)` of the product-policy loss, for a
+    flat x of `template`'s point shape or a [K, d] stack of them."""
+    def f(x):
+        loss, grad = mapg_loss_and_grad(template.unpack_like(x), model)
+        return loss, grad.reshape(x.shape)
+
+    return f
+
+
 # ---------------------------------------------------------------------------
 # value decomposition
 
@@ -465,6 +478,26 @@ def vd_loss_and_grad(params, model, dist=None):
     return loss, VdParams(params.variant, gq, gw, glam)
 
 
+def vd_objective(template, model, dist=None):
+    """`f(x) -> (loss, packed gradient)` of the semi-gradient TD loss, for a
+    flat x of `template`'s point shape or a [K, d] stack of them.
+
+    `dist` is checked once here, and each call runs the kernel on the
+    unpacked arrays directly, so a long descent pays no per-step checks."""
+    n, a = template.n_agents, template.n_actions
+    dist = _check_dist(dist, model)
+    digits, masks = digit_table(n, a), _action_masks(n, a)
+
+    def f(x):
+        p = template.unpack_like(x)
+        loss, *grads = _vd_kernel(p.variant, p.q_local, p.w_raw, p.lam_raw,
+                                  model, dist, digits, masks)
+        return loss, np.concatenate([g.reshape(x.shape[:-1] + (-1,))
+                                     for g in grads if g is not None], axis=-1)
+
+    return f
+
+
 def igm_consistent(joint_row, local_rows, tol=1e-9):
     """True when every combination of local argmaxes is a joint argmax."""
     joint_row = np.asarray(joint_row, dtype=float)
@@ -489,6 +522,13 @@ def igm_check(params, s, tol=1e-9):
 # ---------------------------------------------------------------------------
 # plain gradient descent
 
+def _check_lr_steps(lr, steps):
+    if lr <= 0:
+        raise ValueError("lr must be positive")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+
+
 def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1):
     """Constant-step gradient descent on a flat parameter vector, or on a
     [K, d] stack of K independent replicas.
@@ -499,14 +539,12 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
     below `stop_tol` and stays frozen from then on; the run ends when every
     replica has stopped, or after `steps` steps. `monitor(x, loss) ->
     (return, greedy_codes)` fills the policy columns of a replica's trace at
-    its logged steps, called on that replica's row. Non-finite losses or
-    gradients abort with GdDivergenceError. Returns the final x and a
-    TrainTrace, or ReplicaTraces for a stack.
+    its logged steps, called on that replica's row. The gradient norm is
+    computed only where it is logged or tested against `stop_tol`.
+    Non-finite losses or gradients abort with GdDivergenceError. Returns the
+    final x and a TrainTrace, or ReplicaTraces for a stack.
     """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    _check_lr_steps(lr, steps)
     x = np.array(x0, dtype=float)
     stacked = x.ndim == 2
     traces = [TrainTrace() for _ in range(len(x) if stacked else 1)]
@@ -521,9 +559,9 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
             raise GdDivergenceError(
                 f"non-finite loss or gradient at step {t} (lr={lr})"
             )
-        gnorm = row_norms(grad)
         logged = t % log_every == 0
-        if logged or t >= steps or (stop_tol > 0 and (gnorm < stop_tol).any()):
+        if logged or t >= steps or stop_tol > 0:
+            gnorm = row_norms(grad)
             stop = (gnorm < stop_tol) | (t >= steps)
             for k in np.flatnonzero(live & (stop | logged)):
                 if monitor is None:
@@ -545,69 +583,26 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
 def run_mapg(model, params, lr=0.05, steps=20000, stop_tol=0.0, log_every=200):
     """Gradient descent on the product-policy loss from a given logit point,
     or from a [K, ...] stack of K points run as one batched descent."""
-    template = params
-
-    def objective(x):
-        loss, grad = mapg_loss_and_grad(template.unpack_like(x), model)
-        return loss, grad.reshape(x.shape)
-
     def monitor(x, loss):
         # for policy gradient the stochastic return is exactly -loss
-        return -loss, template.unpack_like(x).greedy_joint()
+        return -loss, params.unpack_like(x).greedy_joint()
 
-    x, trace = gd_run(objective, template.pack(), lr, steps, stop_tol, monitor, log_every)
-    return template.unpack_like(x), trace
+    x, trace = gd_run(mapg_objective(params, model), params.pack(), lr, steps,
+                      stop_tol, monitor, log_every)
+    return params.unpack_like(x), trace
 
 
 def run_vd(model, params, lr=0.1, steps=5000, dist=None, stop_tol=0.0, log_every=200):
-    """Semi-gradient TD descent for any mixer variant from a given parameter point.
+    """Semi-gradient TD descent for any mixer variant from a given parameter
+    point, or from a [K, ...] stack of K points run as one batched descent.
+    The trace's return column is the exact return of the greedy policy."""
+    def monitor(x, loss):
+        codes = params.unpack_like(x).greedy_joint()
+        return evaluate_policy(model, DeterministicJointPolicy(codes)), codes
 
-    Runs the same update as gd_run over the packed vector, but keeps the
-    parameter arrays in place so long runs stay cheap.
-    """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    n, _, a = params.q_local.shape
-    dist = _check_dist(dist, model)
-    digits = digit_table(n, a)
-    masks = _action_masks(n, a)
-    variant = params.variant
-    q_local = params.q_local.copy()
-    w_raw = None if params.w_raw is None else params.w_raw.copy()
-    lam_raw = None if params.lam_raw is None else params.lam_raw.copy()
-    trace = TrainTrace()
-    t = 0
-    while True:
-        loss, gq, gw, glam = _vd_kernel(
-            variant, q_local, w_raw, lam_raw, model, dist, digits, masks
-        )
-        sq = float(np.sum(gq * gq))
-        if gw is not None:
-            sq += float(np.sum(gw * gw))
-        if glam is not None:
-            sq += float(np.sum(glam * glam))
-        gnorm = np.sqrt(sq)
-        if not np.isfinite(loss) or not np.isfinite(gnorm):
-            raise GdDivergenceError(
-                f"non-finite loss or gradient at step {t} (lr={lr})"
-            )
-        done = t >= steps or gnorm < stop_tol
-        if done or t % log_every == 0:
-            current = VdParams(variant, q_local, w_raw, lam_raw)
-            codes = current.greedy_joint()
-            pol = np.zeros(model.reward.shape)
-            pol[np.arange(model.n_states), codes] = 1.0
-            trace.append(t, loss, gnorm, evaluate_policy(model, pol), codes)
-        if done:
-            return VdParams(variant, q_local, w_raw, lam_raw), trace
-        q_local -= lr * gq
-        if gw is not None:
-            w_raw -= lr * gw
-        if glam is not None:
-            lam_raw -= lr * glam
-        t += 1
+    x, trace = gd_run(vd_objective(params, model, dist), params.pack(), lr, steps,
+                      stop_tol, monitor, log_every)
+    return params.unpack_like(x), trace
 
 
 # ---------------------------------------------------------------------------
@@ -707,19 +702,11 @@ def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
     s_dim, a_dim = mdp.reward.shape
     logits = np.zeros((s_dim, a_dim)) if init_logits is None else np.array(init_logits, dtype=float)
     if clip is None:
-        template = MapgParams(logits[None, :, :])
-
-        def objective(x):
-            loss, grad = mapg_loss_and_grad(template.unpack_like(x), mdp)
-            return loss, grad.ravel()
-
-        def monitor(x, loss):
-            return -loss, np.argmax(template.unpack_like(x).logits[0], axis=1)
-
-        x, trace = gd_run(objective, template.pack(), lr, steps, stop_tol, monitor, log_every)
-        return template.unpack_like(x).logits[0], trace
+        params, trace = run_mapg(mdp, MapgParams(logits[None]), lr, steps, stop_tol, log_every)
+        return params.logits[0], trace
     if clip <= 0:
         raise ValueError("clip must be positive")
+    _check_lr_steps(lr, steps)
     trace = TrainTrace()
     for t in range(steps + 1):
         pi_old = softmax(logits)

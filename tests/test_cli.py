@@ -290,3 +290,11 @@ def test_full_env_file_with_bad_fields_exits_2(tmp_path, capsys):
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "bad environment file" in err
+
+
+def test_duplicate_seeds_exit_2_before_any_run(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", _probe())
+    assert cli.main(["run", cfg, "--seeds", "1,1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

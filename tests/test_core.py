@@ -335,3 +335,16 @@ def test_array_holding_objects_compare_and_hash_by_identity():
     for make in (lambda: MapgParams.uniform(2, 1, 3), lambda: VdParams.zeros("duplex", 2, 1, 3)):
         params = make()
         assert params == params and params != make()
+
+
+def test_evaluation_bits_do_not_depend_on_memory_order():
+    from tadlab import occupancy
+
+    model = random_mmdp(6, 2, 3, gamma=0.9, rng=1, horizon=3)
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        pol = rng.random((model.n_states, model.n_joint_actions))
+        pol /= pol.sum(axis=1, keepdims=True)
+        fortran = np.asfortranarray(pol)
+        assert evaluate_policy(model, pol) == evaluate_policy(model, fortran)
+        assert np.array_equal(occupancy(model, pol), occupancy(model, fortran))

@@ -651,3 +651,38 @@ def test_replica_axis_round_trips_through_pack():
         assert stack.n_agents == 2 and stack.q_local.shape == (4, 2, 3, 2)
         assert np.array_equal(stack.pack()[2], points[2].pack())
         assert np.array_equal(stack.greedy_joint()[1], points[1].greedy_joint())
+
+
+@pytest.mark.parametrize("bad", [{"steps": -3}, {"lr": 0.0}, {"lr": -0.5}])
+def test_clipped_softmax_pg_rejects_bad_steps_and_lr(bad):
+    mdp = sequential_transform(TABLE1)
+    with pytest.raises(ValueError, match="steps" if "steps" in bad else "lr"):
+        softmax_pg(mdp, **{"lr": 1.0, "steps": 10, "clip": 0.2, **bad})
+    if "steps" in bad:
+        with pytest.raises(ValueError, match="steps"):
+            tad_run(TABLE1, sarl="clipped_pg", steps=-3)
+
+
+@pytest.mark.parametrize("variant", learners.VD_VARIANTS)
+def test_batched_run_vd_rows_match_single_replicas(variant):
+    model = REPLICA_MODELS["discounted"]
+    rng = np.random.default_rng(56)
+    points = [VdParams.random(variant, model.n_agents, model.n_states,
+                              model.n_actions, rng) for _ in range(8)]
+    stack = points[0].unpack_like(np.stack([p.pack() for p in points]))
+    batch, traces = run_vd(model, stack, lr=0.05, steps=200, log_every=40)
+    assert traces.step[-1] == 200
+    for k, point in enumerate(points):
+        one, trace = run_vd(model, point, lr=0.05, steps=200, log_every=40)
+        assert np.array_equal(batch.pack()[k], one.pack())
+        assert_same_trace(traces.replica(k), trace)
+
+
+@pytest.mark.parametrize("variant", learners.VD_VARIANTS)
+def test_run_vd_trace_norm_is_the_stationarity_norm(variant):
+    from tadlab import stationarity_certificate
+
+    p0 = VdParams.random(variant, 2, 1, 2, rng=57)
+    p, trace = run_vd(M2, p0, lr=0.05, steps=123, log_every=50)
+    _, norm = stationarity_certificate(learners.vd_objective(p, M2), p.pack(), 1e-6)
+    assert trace.step[-1] == 123 and trace.grad_norm[-1] == norm
