@@ -100,7 +100,8 @@ def _ball_points(theta, radius, m, rng):
 
 
 def suboptimality_gap(model, policy, tol=1e-10):
-    """Optimal return minus the policy's return, via the brute-force oracle."""
+    """Optimal return minus the policy's return, via the oracle
+    `brute_force_optimal` (policy iteration to advantage tolerance `tol`)."""
     best, _ = brute_force_optimal(model, tol=tol)
     return best - evaluate_policy(model, policy)
 

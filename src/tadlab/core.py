@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 PROB_TOL = 1e-12
 #: exact solvers refuse models with more state-action pairs than this
 SIZE_GUARD = 10**7
-#: value iteration gives up after this many sweeps
+#: the iterative solvers give up after this many iterations (sweeps, passes)
 MAX_SWEEPS = 1_000_000
 
 
@@ -351,6 +352,8 @@ def validate(model):
         issues.append(
             f"transition row (s, a) = {coords} sums to {sums[coords]:.15g}"
         )
+    if not np.all(np.isfinite(model.initial_dist)):
+        issues.append("initial_dist contains non-finite entries")
     if np.any(model.initial_dist < 0):
         issues.append("initial_dist has negative entries")
     total = model.initial_dist.sum()
@@ -508,11 +511,22 @@ def episode_positions(model):
 
 
 def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
-    """Optimal action values [S, M] plus per-sweep sup-norm residuals.
+    """Optimal action values [S, M] plus the solver's per-iteration record.
 
-    Infinite horizon: synchronous value iteration to the given tolerance.
+    Infinite horizon: Howard policy iteration over deterministic joint
+    policies, starting from the greedy-on-reward policy. Each iteration
+    evaluates the current policy mu exactly (`policy_slices`), records its
+    largest advantage max_s [max_a q_mu(s, a) - q_mu(s, mu(s))], and
+    switches a state to its best action only where that advantage exceeds
+    `tol`. It stops when no state switches and returns q_mu; the last
+    record entry is then the certificate margin: no action improves on mu
+    by more than it, so every state's value is within margin/(1 - gamma)
+    of the optimum, and so is the greedy policy of the returned table.
+    `max_iter` caps the iterations.
+
     Episodic: exact backward induction, reading each state's table at its
-    episode step (models must be layered; one-step games trivially are).
+    episode step (models must be layered; one-step games trivially are);
+    the record is [0.0].
     """
     s, m = model.reward.shape
     if model.horizon is not None:
@@ -527,24 +541,31 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
         return tables[pos, np.arange(s), :], [0.0]
     if model.gamma >= 1.0:
         raise ValueError("infinite-horizon solve requires gamma < 1")
-    v = np.zeros(s)
-    residuals = []
+    states = np.arange(s)
+    codes = np.argmax(model.reward, axis=1)
+    margins = []
     for _ in range(max_iter):
-        q = model.reward + model.gamma * (model.transition @ v)
-        v_new = q.max(axis=1)
-        res = float(np.max(np.abs(v_new - v)))
-        residuals.append(res)
-        v = v_new
-        if res < tol:
-            return q, residuals
-    raise RuntimeError(f"value iteration did not reach tol={tol} in {max_iter} sweeps")
+        pol = np.zeros((s, m))
+        pol[states, codes] = 1.0
+        _, [(_, q)] = policy_slices(model, pol)
+        best = np.argmax(q, axis=1)
+        advantage = q[states, best] - q[states, codes]
+        margins.append(float(advantage.max()))
+        switch = advantage > tol
+        if not switch.any():
+            return q, margins
+        codes = np.where(switch, best, codes)
+    raise RuntimeError(f"policy iteration did not settle at tol={tol} in {max_iter} iterations")
 
 
 def brute_force_optimal(model, tol=1e-10, size_guard=SIZE_GUARD):
     """Optimal return and a greedy deterministic joint policy.
 
-    The greedy policy of the converged table is evaluated exactly, so the
-    returned value is the true optimum (not the iterate's approximation).
+    The table comes from `optimal_values` (policy iteration with advantage
+    tolerance `tol` for infinite horizons, backward induction otherwise);
+    its greedy policy is evaluated exactly, and its return is within
+    margin/(1 - gamma) of the optimum, where margin (<= tol) is the
+    certificate `optimal_values` stopped at.
     """
     require_valid(model)
     if model.n_states * model.n_joint_actions > size_guard:
@@ -612,6 +633,15 @@ def _field(data, key, cast, default=None):
         raise ValueError(f"{key!r} must be numeric: {exc}") from exc
 
 
+def _integer(data, key):
+    """`data[key]` as an int; ValueError unless it is an integer (JSON
+    fractions and booleans are refused, not truncated)."""
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value):
     return np.asarray(value, dtype=float)
 
@@ -640,7 +670,7 @@ def mmdp_from_dict(data):
         raise ValueError(f"environment file missing fields: {sorted(missing)}")
     reward = _field(data, "reward", _floats)
     transition = _field(data, "transition", _floats)
-    n_states, n_agents, n_actions = (_field(data, key, int)
+    n_states, n_agents, n_actions = (_integer(data, key)
                                      for key in ("n_states", "n_agents", "n_actions"))
     n_joint = n_actions**n_agents
     # nested per-agent reward tensors are accepted and flattened to joint codes
@@ -648,9 +678,7 @@ def mmdp_from_dict(data):
         reward = reward.reshape(n_states, n_joint)
     if transition.shape == (n_states,) + (n_actions,) * n_agents + (n_states,):
         transition = transition.reshape(n_states, n_joint, n_states)
-    horizon = data.get("horizon")
-    if horizon is not None:
-        horizon = _field(data, "horizon", int)
+    horizon = None if data.get("horizon") is None else _integer(data, "horizon")
     model = Mmdp(
         n_states=n_states,
         n_agents=n_agents,

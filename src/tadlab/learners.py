@@ -25,8 +25,9 @@ overhead rather than arithmetic. Each replica's numbers come from its own
 row alone, bit for bit what a one-replica run gives; a stack-aware
 objective handed to `gd_run` must keep that contract.
 
-The single-agent side (value iteration, synchronous/sampled Q-learning,
-softmax policy gradient with an optional clipped surrogate) runs on
+The single-agent side (`value_iteration`, which is the oracle's policy
+iteration under its old name; synchronous/sampled Q-learning; softmax
+policy gradient with an optional clipped surrogate) runs on
 one-agent models, such as the layered models produced by the
 transformation; composing transform, solver, and greedy distillation
 yields decentralized policies with the solver's optimality carried over.
@@ -609,7 +610,13 @@ def run_vd(model, params, lr=0.1, steps=5000, dist=None, stop_tol=0.0, log_every
 # single-agent solvers for the transformed models
 
 def value_iteration(mdp, tol=1e-10):
-    """Optimal action values and the greedy deterministic policy."""
+    """Optimal action values and the greedy deterministic policy.
+
+    The name is kept; the solver is `optimal_values`: policy iteration to
+    advantage tolerance `tol` for infinite horizons (the table is the exact
+    action values of the last policy, whose values are within
+    tol / (1 - gamma) of the optimum), backward induction otherwise.
+    """
     require_valid(mdp)
     q, _ = optimal_values(mdp, tol=tol)
     return ValueTable.from_q(q), np.argmax(q, axis=1)

@@ -282,7 +282,8 @@ def test_full_env_file_with_bad_fields_exits_2(tmp_path, capsys):
 
     base = mmdp_to_dict(builtin_game("table1"))
     for key, value in (("gamma", None), ("n_states", None), ("horizon", "one"),
-                       ("reward", {"a": 1})):
+                       ("reward", {"a": 1}), ("initial_dist", [float("nan")]),
+                       ("horizon", 1.7), ("horizon", True), ("n_agents", 2.0)):
         env_path = tmp_path / f"{key}.json"
         env_path.write_text(json.dumps({**base, key: value}))
         cfg = write_config(tmp_path / "cfg.json",

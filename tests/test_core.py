@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from tadlab import (
     validate,
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
-from tadlab.core import digit_table
+from tadlab.core import digit_table, optimal_values, policy_slices
+
+from oracles import vi_oracle
 
 
 def test_joint_codec_round_trip():
@@ -177,6 +181,72 @@ def test_brute_force_matches_policy_enumeration():
         top = max(top, evaluate_policy(model, DeterministicJointPolicy(actions)))
     assert best == pytest.approx(top, abs=1e-10)
     assert evaluate_policy(model, mu) == pytest.approx(top, abs=1e-10)
+
+
+def _tie_chain(delta, gamma=0.99):
+    """Three states, four joint actions; Q*(0, 0) - Q*(0, 1) = delta.
+
+    From state 0, joint action 0 pays delta - gamma now and moves to state 1
+    (absorbing, worth 1); actions 1-3 pay 0, -1, -1 and move to state 2
+    (absorbing, worth 0). The greedy-on-reward start plays action 1 there.
+    """
+    t = np.zeros((3, 4, 3))
+    t[0, 0, 1] = t[0, 1:, 2] = t[1, :, 1] = t[2, :, 2] = 1.0
+    r = np.zeros((3, 4))
+    r[0, 0], r[0, 2:], r[1] = delta - gamma, -1.0, 1.0 - gamma
+    return Mmdp(3, 2, 2, t, r, gamma, [1.0, 0.0, 0.0])
+
+
+def _tie_random(delta, seed, gamma=0.99):
+    """random_mmdp(3, 2, 2) with state 0's runner-up joint action made
+    exactly delta worse than the optimal one (the optimum is unchanged)."""
+    base = random_mmdp(3, 2, 2, gamma=gamma, rng=seed)
+    best = max(itertools.product(range(4), repeat=3),
+               key=lambda c: evaluate_policy(base, DeterministicJointPolicy(c)))
+    _, [(_, q)] = policy_slices(base, DeterministicJointPolicy(best).joint(4))
+    runner_up = max((a for a in range(4) if a != best[0]), key=lambda a: q[0, a])
+    reward = base.reward.copy()
+    reward[0, runner_up] += q[0, best[0]] - q[0, runner_up] - delta
+    return Mmdp(3, 2, 2, base.transition, reward, gamma, base.initial_dist)
+
+
+TIE_GAPS = (1e-9, 1e-10, 1e-11, 1e-12)
+
+
+@pytest.mark.parametrize("model", [_tie_chain(0.5)]
+                         + [_tie_chain(d) for d in TIE_GAPS]
+                         + [_tie_chain(-d) for d in TIE_GAPS]
+                         + [_tie_random(d, seed) for d in TIE_GAPS for seed in range(3)])
+def test_brute_force_certificate_matches_enumeration(model):
+    tol = 1e-10
+    best, mu = brute_force_optimal(model, tol=tol)
+    _, margins = optimal_values(model, tol=tol)
+    top = max(evaluate_policy(model, DeterministicJointPolicy(c))
+              for c in itertools.product(range(4), repeat=3))
+    assert margins[-1] <= tol
+    # the certificate bound, plus a few ulp of rounding in the evaluations
+    assert top - best <= margins[-1] / (1 - model.gamma) + 4 * np.spacing(top)
+    assert evaluate_policy(model, mu) == best
+
+
+@pytest.mark.parametrize("delta,iterations", [
+    (0.5, 2), (1e-9, 2), (1e-10, None), (1e-11, 1), (1e-12, 1)])
+def test_policy_iteration_ranks_near_tied_actions(delta, iterations):
+    # value iteration stopped at a 1e-10 change (tests/oracles.py) plays
+    # action 1 at state 0 for the gaps 1e-9 to 1e-12; policy iteration plays
+    # action 0. It switches when the gap exceeds its tolerance (a gap at the
+    # tolerance may go either way), and otherwise the greedy policy of its
+    # table does.
+    _, margins = optimal_values(_tie_chain(delta))
+    assert delta > 1e-8 or np.argmax(vi_oracle(_tie_chain(delta))[0][0]) == 1
+    assert brute_force_optimal(_tie_chain(delta))[1].actions[0] == 0
+    assert brute_force_optimal(_tie_chain(-delta))[1].actions[0] == 1
+    assert iterations is None or len(margins) == iterations
+
+
+def test_policy_iteration_cap_raises():
+    with pytest.raises(RuntimeError, match="policy iteration"):
+        optimal_values(_tie_chain(0.5), max_iter=1)
 
 
 def test_brute_force_size_guard():

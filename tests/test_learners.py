@@ -154,7 +154,8 @@ def test_vd_gradients_match_finite_differences():
 
 
 def test_run_vd_matches_generic_descent_exactly():
-    # the in-place kernel loop must retrace gd_run on the packed vector
+    # run_vd (gd_run on vd_objective) must retrace gd_run on an objective
+    # built by hand from vd_loss_and_grad
     for variant in ("vdn", "monotonic", "duplex"):
         p0 = VdParams.random(variant, 2, 1, 2, rng=5)
 

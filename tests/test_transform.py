@@ -24,6 +24,8 @@ from tadlab.core import SIZE_GUARD, Mdp, SizeGuardError
 from tadlab.learners import value_iteration
 from tadlab.transform import layer_offsets, virtual_state_index
 
+from oracles import vi_oracle
+
 
 def test_table1_layout():
     g = builtin_game("table1")
@@ -342,13 +344,21 @@ def _greedy_policies(q, model):
 
 
 def _assert_layered_matches_dense(model):
-    dense, _ = value_iteration(sequential_transform(model))
+    # layered VI against value iteration on the dense transform, then against
+    # the exact solve within its stopping bound: a pass contracts the layer-0
+    # values by gamma, and each table is one step of discount gamma**(1/n)
+    # from them, so the tables sit within tol * gamma**(1/n) / (1 - gamma)
+    tol = 1e-10  # layered_optimal_values' default
+    transformed = sequential_transform(model)
+    dense, _ = vi_oracle(transformed)
     layered, _ = layered_optimal_values(model)
-    assert layered.shape == dense.q.shape
-    assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense.q, axis=1))
-    assert np.abs(layered - dense.q).max() < 1e-9
+    assert layered.shape == dense.shape
+    assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
+    assert np.abs(layered - dense).max() < 1e-9
     assert evaluate_policy(model, _greedy_policies(layered, model)) == evaluate_policy(
-        model, _greedy_policies(dense.q, model))
+        model, _greedy_policies(dense, model))
+    exact, _ = value_iteration(transformed)
+    assert np.abs(layered - exact.q).max() <= tol * transformed.gamma / (1 - model.gamma)
 
 
 def test_layered_vi_matches_dense_on_claim4_models():
@@ -356,16 +366,28 @@ def test_layered_vi_matches_dense_on_claim4_models():
         _assert_layered_matches_dense(model)
 
 
+def test_policy_iteration_oracle_agrees_with_vi_oracle():
+    # claim-4 models and the benchmark's solve models (S=50, n=3, A=4): the
+    # same greedy policy and the bit-identical return as value iteration
+    from tadlab.core import DeterministicJointPolicy, brute_force_optimal, optimal_values
+
+    solve = [random_mmdp(50, 3, 4, gamma=0.99, rng=seed) for seed in range(10)]
+    for model in _claim4_models(0) + _claim4_models(1) + solve:
+        greedy = np.argmax(vi_oracle(model)[0], axis=1)
+        best, mu = brute_force_optimal(model)
+        assert np.array_equal(mu.actions, greedy)
+        assert best == evaluate_policy(model, DeterministicJointPolicy(greedy))
+    assert all(len(optimal_values(model)[1]) <= 2 for model in solve)
+
+
 def test_layered_vi_matches_dense_on_small_random_mmdp():
     _assert_layered_matches_dense(random_mmdp(6, 2, 3, gamma=0.9, rng=31))
 
 
 def test_layered_vi_pass_count_matches_mmdp_sweeps():
-    from tadlab.core import optimal_values
-
     model = random_mmdp(6, 2, 3, gamma=0.9, rng=31)
     _, residuals = layered_optimal_values(model)
-    _, sweeps = optimal_values(model)
+    _, sweeps = vi_oracle(model)
     assert len(residuals) == len(sweeps)
     assert residuals[-1] < 1e-10
 
