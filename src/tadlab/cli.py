@@ -40,6 +40,7 @@ from .core import (
     SizeGuardError,
     brute_force_optimal,
     dump_env_text,
+    episode_positions,
     evaluate_policy,
     greedy_codes,
     load_env_file,
@@ -56,7 +57,7 @@ from .learners import (
     tad_run,
     vd_objective,
 )
-from .transform import size_report, value_relation_check
+from .transform import size_report, step_discount, value_relation_check
 
 #: gradient-norm threshold echoed into summaries
 STATIONARITY_TOL = 1e-6
@@ -64,6 +65,9 @@ STATIONARITY_TOL = 1e-6
 
 class SchemaError(ValueError):
     """Config or environment file does not match the documented schema."""
+
+
+_EXIT_CODES = {SchemaError: 2, SizeGuardError: 3, GdDivergenceError: 4}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,10 @@ def _resolve_env(spec):
         return builtin_game(spec), spec
     if os.path.exists(spec):
         try:
-            return load_env_file(spec), spec
+            model = load_env_file(spec)
+            if model.horizon is not None:
+                episode_positions(model)  # the oracle needs a layered model
+            return model, spec
         except (ValueError, json.JSONDecodeError) as exc:
             raise SchemaError(f"bad environment file {spec}: {exc}") from exc
     raise SchemaError(f"env {spec!r} is neither a builtin nor an existing file")
@@ -282,6 +289,10 @@ def _execute(config, seed, out_dir):
             cfg = {"sweeps": int(learner.get("sweeps", 200))}
         elif sarl == "vi":
             cfg = {"tol": float(learner.get("tol", 1e-10))}
+        try:
+            step_discount(model)
+        except ValueError as exc:
+            raise SchemaError(f"the tad learner cannot run on {env_name}: {exc}") from exc
         policies, trace = tad_run(model, sarl=sarl, distill=distill, seed=seed, **cfg)
     if objective is not None:
         ok, norm = stationarity_certificate(objective, params.pack(), STATIONARITY_TOL)
@@ -337,11 +348,7 @@ def cmd_run(args):
             raise SchemaError("empty seed list")
         if len(set(seeds)) < len(seeds):
             raise SchemaError(f"--seeds lists a seed more than once: {args.seeds!r}")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    try:
+        out = Path(args.out)
         if len(seeds) == 1:
             summary = _execute(config, seeds[0], out)
             print(json.dumps(summary, indent=2, sort_keys=True))
@@ -357,15 +364,9 @@ def cmd_run(args):
             fh.write("\n")
         print(json.dumps(sweep, indent=2, sort_keys=True))
         return 0
-    except SchemaError as exc:
+    except (SchemaError, SizeGuardError, GdDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GdDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,17 @@ def _next_values(model, v):
     return (model.transition @ v[..., None, :, None])[..., 0]
 
 
+def _solve_values(model, pol):
+    """Infinite-horizon evaluation of a [..., S, M] policy matrix by one
+    linear solve: the system matrix I - gamma * P_pi, the state values v
+    [..., S] and the action values q [..., S, M]."""
+    r_pi = np.einsum("...sa,sa->...s", pol, model.reward)
+    p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
+    a = np.eye(model.n_states) - model.gamma * p_pi
+    v = np.linalg.solve(a, r_pi[..., None])[..., 0]
+    return a, v, model.reward + model.gamma * _next_values(model, v)
+
+
 def policy_slices(model, pol):
     """Exact return of a [S, M] joint policy matrix and its (d_t, q_t) slices.
 
@@ -412,11 +423,7 @@ def policy_slices(model, pol):
     """
     batch = pol.shape[:-2]
     if model.horizon is None:
-        r_pi = np.einsum("...sa,sa->...s", pol, model.reward)
-        p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
-        a = np.eye(model.n_states) - model.gamma * p_pi
-        v = np.linalg.solve(a, r_pi[..., None])[..., 0]
-        q = model.reward + model.gamma * _next_values(model, v)
+        a, v, q = _solve_values(model, pol)
         d = np.linalg.solve(a.swapaxes(-1, -2), model.initial_dist[:, None])[..., 0]
         slices = [(d, q)]
     else:
@@ -515,7 +522,8 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
 
     Infinite horizon: Howard policy iteration over deterministic joint
     policies, starting from the greedy-on-reward policy. Each iteration
-    evaluates the current policy mu exactly (`policy_slices`), records its
+    evaluates the current policy mu exactly (one linear solve for its
+    values, as in `policy_slices`, without the occupancy), records its
     largest advantage max_s [max_a q_mu(s, a) - q_mu(s, mu(s))], and
     switches a state to its best action only where that advantage exceeds
     `tol`. It stops when no state switches and returns q_mu; the last
@@ -547,7 +555,7 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
     for _ in range(max_iter):
         pol = np.zeros((s, m))
         pol[states, codes] = 1.0
-        _, [(_, q)] = policy_slices(model, pol)
+        _, _, q = _solve_values(model, pol)
         best = np.argmax(q, axis=1)
         advantage = q[states, best] - q[states, codes]
         margins.append(float(advantage.max()))
@@ -642,8 +650,20 @@ def _integer(data, key):
     return int(value)
 
 
+def _real(value):
+    """A JSON number as a float (booleans and strings are refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(value):
-    return np.asarray(value, dtype=float)
+    """JSON numbers, nested lists allowed, as a float array (no booleans,
+    strings or nulls)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {arr.dtype.kind!r}-kind entries")
+    return arr.astype(float)
 
 
 def mmdp_from_dict(data):
@@ -659,7 +679,8 @@ def mmdp_from_dict(data):
         extra = set(data) - {"matrix", "gamma"}
         if extra:
             raise ValueError(f"unexpected keys with matrix shorthand: {sorted(extra)}")
-        game = matrix_game(data["matrix"], gamma=_field(data, "gamma", float, 0.99))
+        game = matrix_game(_field(data, "matrix", _floats),
+                           gamma=_field(data, "gamma", _real, 0.99))
         return require_valid(game)
     required = {
         "n_states", "n_agents", "n_actions", "gamma",
@@ -668,6 +689,9 @@ def mmdp_from_dict(data):
     missing = required - set(data)
     if missing:
         raise ValueError(f"environment file missing fields: {sorted(missing)}")
+    extra = set(data) - required - {"horizon"}
+    if extra:
+        raise ValueError(f"unexpected environment keys: {sorted(extra)}")
     reward = _field(data, "reward", _floats)
     transition = _field(data, "transition", _floats)
     n_states, n_agents, n_actions = (_integer(data, key)
@@ -685,7 +709,7 @@ def mmdp_from_dict(data):
         n_actions=n_actions,
         transition=transition,
         reward=reward,
-        gamma=_field(data, "gamma", float),
+        gamma=_field(data, "gamma", _real),
         initial_dist=_field(data, "initial_dist", _floats),
         horizon=horizon,
     )

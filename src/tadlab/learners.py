@@ -15,15 +15,19 @@ Two families of multi-agent learners live here:
 
 Both families descend through one loop, `gd_run`, on the flat parameter
 vector: `mapg_objective` and `vd_objective` turn a parameter template and a
-model into the `(loss, packed gradient)` function it calls, and `run_mapg`,
-`run_vd` and unclipped `softmax_pg` are thin wrappers around it. The
-kernels, the objectives and `gd_run` take an optional leading replica axis:
-`MapgParams.logits` [K, n, S, A], `VdParams` arrays [K, ...], and a [K, d]
-stack of flat parameter vectors. K independent points then descend in one
-vectorized pass, because these small-array loops are bound by per-call
-overhead rather than arithmetic. Each replica's numbers come from its own
-row alone, bit for bit what a one-replica run gives; a stack-aware
-objective handed to `gd_run` must keep that contract.
+model into the `(loss, packed gradient)` function it calls, on views of x,
+and `run_mapg`, `run_vd` and unclipped `softmax_pg` are thin wrappers
+around it. These small-array loops are bound by per-call overhead rather
+than arithmetic, so the kernels carry agents and replicas as array axes.
+One cached index `take`s every agent's table at its digit of each joint
+action into [..., n, S, M], and agent sums and products reduce axis -3 in
+agent order. The kernels, the objectives and `gd_run` take an optional
+leading replica axis (`MapgParams.logits` [K, n, S, A], `VdParams` arrays
+[K, ...], a [K, d] stack of flat vectors), so K points descend in one
+pass. Each replica's numbers come from its own row alone, bit for bit what
+a one-replica run gives (gathers use `take`, whose C-ordered output keeps
+the layout independent of K); a stack-aware objective handed to `gd_run`
+must keep that contract.
 
 The single-agent side (`value_iteration`, which is the oracle's policy
 iteration under its old name; synchronous/sampled Q-learning; softmax
@@ -79,8 +83,9 @@ class GdDivergenceError(RuntimeError):
 
 def softmax(logits):
     z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -190,45 +195,40 @@ class VdParams:
         return p
 
     def joint_table(self):
-        """Mixed joint values [n_states, n_actions**n_agents]."""
-        n, s, a = self.q_local.shape
-        digits = digit_table(n, a)
-        picked = np.stack([self.q_local[i][:, digits[:, i]] for i in range(n)])
-        if self.variant == "vdn":
-            return picked.sum(axis=0)
-        if self.variant == "monotonic":
-            return np.einsum("ns,nsj->sj", np.exp(self.w_raw), picked)
-        maxes = self.q_local.max(axis=2)
-        adv = picked - maxes[:, :, None]
-        lam = np.exp(self.lam_raw)
-        return maxes.sum(axis=0)[:, None] + (lam * adv).sum(axis=0)
+        """Mixed joint values [..., n_states, n_actions**n_agents]."""
+        return _vd_mix(self.variant, self.q_local, self.mix)[0]
 
     def greedy_joint(self):
         """Per-state joint code composed from local argmaxes (ties: lowest index)."""
         return greedy_codes(self.q_local)
 
-    def _arrays(self):
-        """(array, number of per-replica axes) for q_local, w_raw, lam_raw."""
-        return (self.q_local, 3), (self.w_raw, 2), (self.lam_raw, 3)
+    @property
+    def mix(self):
+        """The mixer's raw array: w_raw, lam_raw, or None for vdn."""
+        return self.lam_raw if self.variant == "duplex" else self.w_raw
 
     def pack(self):
         batch = self.q_local.shape[:-3]
         return np.concatenate([arr.reshape(batch + (-1,))
-                               for arr, _ in self._arrays() if arr is not None], axis=-1)
+                               for arr in (self.q_local, self.mix) if arr is not None],
+                              axis=-1)
+
+    def views(self, vec):
+        """(q_local, mixer array) views of a flat [d] vector or a [K, d]
+        stack, in this point's per-replica shapes."""
+        batch, lead, mix = vec.shape[:-1], self.q_local.ndim - 3, self.mix
+        point = self.q_local.shape[lead:]
+        nq = math.prod(point)
+        q_local = vec[..., :nq].reshape(batch + point)
+        if mix is None:
+            return q_local, None
+        return q_local, vec[..., nq:].reshape(batch + mix.shape[lead:])
 
     def unpack_like(self, vec):
         """Params of this point's shape from a flat [d] vector or a [K, d] stack."""
-        vec = np.asarray(vec, dtype=float)
-        parts, start = [], 0
-        for arr, dims in self._arrays():
-            if arr is None:
-                parts.append(None)
-                continue
-            shape = arr.shape[-dims:]
-            size = math.prod(shape)
-            parts.append(vec[..., start : start + size].reshape(vec.shape[:-1] + shape))
-            start += size
-        return VdParams(self.variant, *parts)
+        q_local, mix = self.views(np.asarray(vec, dtype=float))
+        return VdParams(self.variant, q_local,
+                        *((mix, None) if self.variant == "monotonic" else (None, mix)))
 
 
 @dataclass
@@ -300,40 +300,39 @@ class ReplicaTraces(tuple):
 # exact policy gradient for product policies
 
 @functools.lru_cache(maxsize=None)
-def _action_masks(n_agents, n_actions):
-    """Tuple of [n_joint, n_actions] one-hot matrices selecting agent i's digit."""
-    digits = digit_table(n_agents, n_actions)
-    masks = []
-    for i in range(n_agents):
-        m = np.zeros((digits.shape[0], n_actions))
-        m[np.arange(digits.shape[0]), digits[:, i]] = 1.0
-        m.flags.writeable = False
-        masks.append(m)
-    return tuple(masks)
+def _agent_axis(n_agents, n_states, n_actions):
+    """The read-only index arrays of the agent-stacked kernels:
 
-
-def _picked(tables, digits):
-    """Each agent's table read at its digit of every joint action: n arrays
-    [..., S, M] from [..., n, S, A].
-
-    `take` returns C-ordered arrays; the reductions downstream then run
-    along the same memory layout for every replica and batch size, which
-    keeps a replica's bits independent of the batch.
+    - flat [n, S, M], flat[i, s, j] = (i*S + s)*A + digit_i(j): agent i's
+      entry at its digit of joint action j in the [..., n*S*A] view;
+    - masks [n, M, A]: one-hot, masks[i] sums joint columns onto agent i's
+      digit;
+    - others: row i lists the agents other than i, in order; [n, n-1], or
+      [n] for two agents, whose one other factor needs no product.
     """
-    return [tables[..., i, :, :].take(digits[:, i], axis=-1)
-            for i in range(digits.shape[1])]
+    digits = digit_table(n_agents, n_actions)
+    rows = np.arange(n_agents * n_states).reshape(n_agents, n_states, 1)
+    flat = np.ascontiguousarray(rows * n_actions + digits.T[:, None, :])
+    masks = np.eye(n_actions)[digits.T]
+    others = np.array([[j for j in range(n_agents) if j != i] for i in range(n_agents)],
+                      dtype=np.intp).reshape(n_agents, n_agents - 1)
+    others = others.ravel() if n_agents == 2 else others
+    for arr in (flat, masks, others):
+        arr.flags.writeable = False
+    return flat, masks, others
 
 
-def _product(factors, shape, skip=None):
-    """Product of the factors except `skip` (read-only; 1.0 * f is f exactly,
-    so the leading ones factor is left out)."""
-    rest = [f for j, f in enumerate(factors) if j != skip]
-    if not rest:
-        return np.ones(shape)
-    out = rest[0]
-    for f in rest[1:]:
-        out = out * f
-    return out
+def _picked(tables):
+    """Every agent's table read at its digit of each joint action, in one
+    gather: [..., n, S, M] from [..., n, S, A].
+
+    `take` returns a C-ordered array whatever the strides of `tables`
+    (fancy indexing need not), so the agent reductions downstream run along
+    the same memory layout for every replica and batch size, which keeps a
+    replica's bits independent of the batch.
+    """
+    flat = _agent_axis(*tables.shape[-3:])[0]
+    return tables.reshape(tables.shape[:-3] + (-1,)).take(flat, axis=-1)
 
 
 def product_policy_value_and_grad(model, tables):
@@ -344,35 +343,38 @@ def product_policy_value_and_grad(model, tables):
     occupancy-weighted action value of agent i playing b while the others
     follow their tables.
     """
-    n, _, a = tables.shape[-3:]
-    masks = _action_masks(n, a)
-    picked = _picked(tables, digit_table(n, a))
-    shape = picked[0].shape
-    value, slices = policy_slices(model, _product(picked, shape))
-    others = [_product(picked, shape, skip=i) for i in range(n)]
-    grad = np.zeros_like(tables)
+    _, masks, index = _agent_axis(*tables.shape[-3:])
+    picked = _picked(tables)
+    value, slices = policy_slices(model, picked.prod(axis=-3))
+    # products over axis -3 multiply the agents left to right; `take` gives
+    # the other agents' factors as a C-ordered copy, so the matmul below
+    # reads the same layout at every K
+    others = picked.take(index, axis=-3)
+    if index.ndim == 2:
+        others = others.prod(axis=-3)
+    grad = np.zeros(tables.shape)
     for d_t, q_t in slices:
-        for i in range(n):
-            grad[..., i, :, :] += d_t[..., None] * ((others[i] * q_t) @ masks[i])
+        grad += d_t[..., None, :, None] * ((others * q_t[..., None, :, :]) @ masks)
     return value, grad
 
 
 def mapg_loss_and_grad(params, model):
     """Negative expected return of the softmax product policy and its logit
     gradient, both exact (K of each for [K, ...] stacked logits)."""
-    tables = softmax(params.logits)
-    value, pol_grad = product_policy_value_and_grad(model, tables)
-    inner = (tables * pol_grad).sum(axis=-1, keepdims=True)
-    logit_grad = tables * (pol_grad - inner)
-    return -value, -logit_grad
+    loss, grad = mapg_objective(params, model)(params.pack())
+    return loss, grad.reshape(params.logits.shape)
 
 
 def mapg_objective(template, model):
     """`f(x) -> (loss, packed gradient)` of the product-policy loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them."""
+    shape = template.logits.shape[-3:]
+
     def f(x):
-        loss, grad = mapg_loss_and_grad(template.unpack_like(x), model)
-        return loss, grad.reshape(x.shape)
+        tables = softmax(x.reshape(x.shape[:-1] + shape))
+        value, pol_grad = product_policy_value_and_grad(model, tables)
+        inner = (tables * pol_grad).sum(axis=-1, keepdims=True)
+        return -value, -(tables * (pol_grad - inner)).reshape(x.shape)
 
     return f
 
@@ -405,60 +407,24 @@ def _check_dist(dist, model):
     return dist
 
 
-def _vd_kernel(variant, q_local, w_raw, lam_raw, model, dist, digits, masks):
-    """Shared TD loss/gradient over raw arrays; grads are None where unused.
-
-    The arrays may carry a leading replica axis; the loss then has it too.
-    """
-    n = q_local.shape[-3]
-    picked = _picked(q_local, digits)
+def _vd_mix(variant, q_local, mix):
+    """Mixed joint table [..., S, M] from local tables [..., n, S, A] and the
+    mixer's raw parameters (None, w_raw or lam_raw), plus the per-agent
+    terms its gradient reuses: the picked tables and, for monotonic, the
+    weights exp(w_raw) [..., n, S, 1]; for duplex the advantages and their
+    weights exp(lam_raw). Agents are summed over axis -3, in agent order."""
+    picked = _picked(q_local)
     if variant == "vdn":
-        q = picked[0].copy()
-        for i in range(1, n):
-            q += picked[i]
-    elif variant == "monotonic":
-        weights = np.exp(w_raw)
-        q = weights[..., 0, :, None] * picked[0]
-        for i in range(1, n):
-            q += weights[..., i, :, None] * picked[i]
-    else:
-        lam = np.exp(lam_raw)
-        maxes = q_local.max(axis=-1)
-        adv = [picked[i] - maxes[..., i, :, None] for i in range(n)]
-        q = lam[..., 0, :, :] * adv[0]
-        for i in range(1, n):
-            q += lam[..., i, :, :] * adv[i]
-        q += maxes.sum(axis=-2)[..., None]
-    if model.horizon == 1:
-        target = model.reward
-    else:
-        target = bellman_backup(q, model)
-    resid = q - target
-    sq = dist * resid * resid
-    loss = 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1)
-    w = dist * resid
-    gq = np.empty(q_local.shape)
-    gw = glam = None
-    if variant == "vdn":
-        for i in range(n):
-            gq[..., i, :, :] = w @ masks[i]
-    elif variant == "monotonic":
-        gw = np.empty_like(w_raw)
-        for i in range(n):
-            gq[..., i, :, :] = weights[..., i, :, None] * (w @ masks[i])
-            gw[..., i, :] = weights[..., i, :] * (w * picked[i]).sum(-1)
-    else:
-        glam = np.empty_like(lam_raw)
-        at_best = np.empty(q_local.shape[:-1])
-        for i in range(n):
-            wlam = w * lam[..., i, :, :]
-            glam[..., i, :, :] = wlam * adv[i]
-            gq[..., i, :, :] = wlam @ masks[i]
-            at_best[..., i, :] = (w - wlam).sum(-1)
-        # d q / d max_i = 1 - lam_i, routed to agent i's local argmax
-        rows = gq.reshape(-1, gq.shape[-1])
-        rows[np.arange(len(rows)), q_local.argmax(-1).ravel()] += at_best.ravel()
-    return loss, gq, gw, glam
+        return picked.sum(axis=-3), picked, None
+    if variant == "monotonic":
+        weights = np.exp(mix)[..., None]
+        return (weights * picked).sum(axis=-3), picked, weights
+    lam = np.exp(mix)
+    maxes = q_local.max(axis=-1)
+    adv = picked - maxes[..., None]
+    q = (lam * adv).sum(axis=-3)
+    q += maxes.sum(axis=-2)[..., None]
+    return q, adv, lam
 
 
 def vd_loss_and_grad(params, model, dist=None):
@@ -470,31 +436,45 @@ def vd_loss_and_grad(params, model, dist=None):
     replica axis give one loss per replica and stacked gradients, each
     replica's from its own row only.
     """
-    n, a = params.n_agents, params.n_actions
-    dist = _check_dist(dist, model)
-    loss, gq, gw, glam = _vd_kernel(
-        params.variant, params.q_local, params.w_raw, params.lam_raw,
-        model, dist, digit_table(n, a), _action_masks(n, a),
-    )
-    return loss, VdParams(params.variant, gq, gw, glam)
+    loss, grad = vd_objective(params, model, dist)(params.pack())
+    return loss, params.unpack_like(grad)
 
 
 def vd_objective(template, model, dist=None):
     """`f(x) -> (loss, packed gradient)` of the semi-gradient TD loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them.
 
-    `dist` is checked once here, and each call runs the kernel on the
-    unpacked arrays directly, so a long descent pays no per-step checks."""
-    n, a = template.n_agents, template.n_actions
+    `dist` is checked once here; each call runs on views of x and writes the
+    gradient into one packed buffer, so a long descent pays no per-step
+    checks or repacking."""
     dist = _check_dist(dist, model)
-    digits, masks = digit_table(n, a), _action_masks(n, a)
+    variant, point = template.variant, template.q_local.shape[-3:]
+    masks, nq = _agent_axis(*point)[1], math.prod(point)
 
     def f(x):
-        p = template.unpack_like(x)
-        loss, *grads = _vd_kernel(p.variant, p.q_local, p.w_raw, p.lam_raw,
-                                  model, dist, digits, masks)
-        return loss, np.concatenate([g.reshape(x.shape[:-1] + (-1,))
-                                     for g in grads if g is not None], axis=-1)
+        q_local, mix = template.views(x)
+        q, terms, weights = _vd_mix(variant, q_local, mix)
+        target = model.reward if model.horizon == 1 else bellman_backup(q, model)
+        resid = q - target
+        sq = dist * resid * resid
+        w = (dist * resid)[..., None, :, :]
+        grad, flat = np.empty(x.shape), x.shape[:-1] + (-1,)
+        if variant == "vdn":
+            gq = w @ masks
+        elif variant == "monotonic":
+            gq = weights * (w @ masks)
+            grad[..., nq:] = (weights[..., 0] * (w * terms).sum(-1)).reshape(flat)
+        else:
+            wlam = w * weights
+            gq = wlam @ masks
+            # d q / d max_i = 1 - lam_i, routed to agent i's local argmax; gq
+            # is a fresh C-ordered array, so its reshape is a view and the
+            # update lands
+            rows = gq.reshape(-1, gq.shape[-1])
+            rows[np.arange(len(rows)), q_local.argmax(-1).ravel()] += (w - wlam).sum(-1).ravel()
+            grad[..., nq:] = (wlam * terms).reshape(flat)
+        grad[..., :nq] = gq.reshape(flat)
+        return 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1), grad
 
     return f
 
@@ -788,18 +768,13 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
         if arr[s].max() > v + 1e-12:
             raise ValueError(f"a_star is not a maximizer at state {s}")
         star = digits[code]
-        for i in range(n_agents):
-            params.q_local[i, s, :] = v / n_agents - 1.0
-            params.q_local[i, s, star[i]] = v / n_agents
+        params.q_local[:, s, :] = v / n_agents - 1.0
+        params.q_local[np.arange(n_agents), s, star] = v / n_agents
         disagree = digits != star[None, :]
         k = disagree.sum(axis=1)
-        for ja in range(n_joint):
-            if k[ja] == 0:
-                continue
+        for ja in np.flatnonzero(k):
             lam = max((v - arr[s, ja]) / k[ja], lam_floor)
-            for i in range(n_agents):
-                if disagree[ja, i]:
-                    params.lam_raw[i, s, ja] = np.log(lam)
+            params.lam_raw[disagree[ja], s, ja] = np.log(lam)
     return params
 
 

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from tadlab.core import MAX_SWEEPS, optimal_values
+from tadlab.core import (
+    MAX_SWEEPS,
+    bellman_backup,
+    digit_table,
+    optimal_values,
+    policy_slices,
+)
 
 
 def level_scan_oracle(target, weights, code, grid=200001):
@@ -69,3 +75,118 @@ def vi_oracle(model, tol=1e-10, max_iter=MAX_SWEEPS):
         if res < tol:
             return q, residuals
     raise RuntimeError(f"value iteration did not reach tol={tol} in {max_iter} sweeps")
+
+
+# ---------------------------------------------------------------------------
+# the per-agent-loop MA-PG and VD kernels that the agent-stacked kernels of
+# `tadlab.learners` replaced; the new kernels must match them bit for bit
+
+def _action_masks(n_agents, n_actions):
+    """Tuple of [n_joint, n_actions] one-hot matrices selecting agent i's digit."""
+    digits = digit_table(n_agents, n_actions)
+    masks = []
+    for i in range(n_agents):
+        m = np.zeros((digits.shape[0], n_actions))
+        m[np.arange(digits.shape[0]), digits[:, i]] = 1.0
+        masks.append(m)
+    return tuple(masks)
+
+
+def _picked(tables, digits):
+    """Each agent's table read at its digit of every joint action: n arrays
+    [..., S, M] from [..., n, S, A]."""
+    return [tables[..., i, :, :].take(digits[:, i], axis=-1)
+            for i in range(digits.shape[1])]
+
+
+def _product(factors, shape, skip=None):
+    """Product of the factors except `skip`, left to right."""
+    rest = [f for j, f in enumerate(factors) if j != skip]
+    if not rest:
+        return np.ones(shape)
+    out = rest[0]
+    for f in rest[1:]:
+        out = out * f
+    return out
+
+
+def mapg_kernel_oracle(model, tables):
+    """Return and policy-space gradient of the product policy `tables`
+    [..., n, S, A], one agent at a time."""
+    n, _, a = tables.shape[-3:]
+    masks = _action_masks(n, a)
+    picked = _picked(tables, digit_table(n, a))
+    shape = picked[0].shape
+    value, slices = policy_slices(model, _product(picked, shape))
+    others = [_product(picked, shape, skip=i) for i in range(n)]
+    grad = np.zeros_like(tables)
+    for d_t, q_t in slices:
+        for i in range(n):
+            grad[..., i, :, :] += d_t[..., None] * ((others[i] * q_t) @ masks[i])
+    return value, grad
+
+
+def mapg_loss_oracle(logits, model):
+    """Negative return of the softmax product policy and its logit gradient."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    tables = e / e.sum(axis=-1, keepdims=True)
+    value, pol_grad = mapg_kernel_oracle(model, tables)
+    inner = (tables * pol_grad).sum(axis=-1, keepdims=True)
+    logit_grad = tables * (pol_grad - inner)
+    return -value, -logit_grad
+
+
+def vd_kernel_oracle(variant, q_local, w_raw, lam_raw, model, dist):
+    """Semi-gradient TD loss and the gradients (q_local, w_raw, lam_raw),
+    None where the variant has no such array, one agent at a time."""
+    n, _, a = q_local.shape[-3:]
+    masks = _action_masks(n, a)
+    picked = _picked(q_local, digit_table(n, a))
+    if variant == "vdn":
+        q = picked[0].copy()
+        for i in range(1, n):
+            q += picked[i]
+    elif variant == "monotonic":
+        weights = np.exp(w_raw)
+        q = weights[..., 0, :, None] * picked[0]
+        for i in range(1, n):
+            q += weights[..., i, :, None] * picked[i]
+    else:
+        lam = np.exp(lam_raw)
+        maxes = q_local.max(axis=-1)
+        adv = [picked[i] - maxes[..., i, :, None] for i in range(n)]
+        q = lam[..., 0, :, :] * adv[0]
+        for i in range(1, n):
+            q += lam[..., i, :, :] * adv[i]
+        q += maxes.sum(axis=-2)[..., None]
+    if model.horizon == 1:
+        target = model.reward
+    else:
+        target = bellman_backup(q, model)
+    resid = q - target
+    sq = dist * resid * resid
+    loss = 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1)
+    w = dist * resid
+    gq = np.empty(q_local.shape)
+    gw = glam = None
+    if variant == "vdn":
+        for i in range(n):
+            gq[..., i, :, :] = w @ masks[i]
+    elif variant == "monotonic":
+        gw = np.empty_like(w_raw)
+        for i in range(n):
+            gq[..., i, :, :] = weights[..., i, :, None] * (w @ masks[i])
+            gw[..., i, :] = weights[..., i, :] * (w * picked[i]).sum(-1)
+    else:
+        glam = np.empty_like(lam_raw)
+        at_best = np.empty(q_local.shape[:-1])
+        for i in range(n):
+            wlam = w * lam[..., i, :, :]
+            glam[..., i, :, :] = wlam * adv[i]
+            gq[..., i, :, :] = wlam @ masks[i]
+            at_best[..., i, :] = (w - wlam).sum(-1)
+        # d q / d max_i = 1 - lam_i, routed to agent i's local argmax
+        rows = gq.reshape(-1, gq.shape[-1])
+        rows[np.arange(len(rows)), q_local.argmax(-1).ravel()] += at_best.ravel()
+    return loss, gq, gw, glam

@@ -26,7 +26,7 @@ from tadlab import (
     lift_policy,
     local_min_certificate,
     lower_policy,
-    mapg_loss_and_grad,
+    mapg_objective,
     ne_count_exact,
     ne_count_expectation,
     sequential_transform,
@@ -34,7 +34,7 @@ from tadlab import (
     stationarity_certificate,
     tad_run,
     value_relation_check,
-    vd_loss_and_grad,
+    vd_objective,
 )
 from tadlab.constructions import (
     builtin_game,
@@ -58,22 +58,6 @@ def report(criterion, ok, detail, elapsed, budget):
     print(f"ACCEPTANCE {criterion}: {status} ({detail}; {elapsed:.1f}s / {budget:.0f}s budget)")
     assert ok, detail
     assert elapsed < budget, f"runtime {elapsed:.1f}s exceeded {budget}s"
-
-
-def mapg_objective(template, model):
-    def f(x):
-        loss, grad = mapg_loss_and_grad(template.unpack_like(x), model)
-        return loss, grad.ravel()
-
-    return f
-
-
-def vd_objective(template, model):
-    def f(x):
-        loss, grad = vd_loss_and_grad(template.unpack_like(x), model)
-        return loss, grad.pack()
-
-    return f
 
 
 def greedy_return(model, params):

@@ -7,7 +7,7 @@ from tadlab import (
     evaluate_policy,
     grad_check,
     local_min_certificate,
-    mapg_loss_and_grad,
+    mapg_objective,
     ne_count_exact,
     ne_count_expectation,
     stationarity_certificate,
@@ -21,14 +21,6 @@ TABLE1 = builtin_game("table1")
 
 def quadratic(x):
     return 0.5 * float(x @ x), x
-
-
-def mapg_objective(params, model):
-    def f(x):
-        loss, grad = mapg_loss_and_grad(params.unpack_like(x), model)
-        return loss, grad.ravel()
-
-    return f
 
 
 def test_grad_check_quadratic():

@@ -299,3 +299,158 @@ def test_duplicate_seeds_exit_2_before_any_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: malformed env and config dicts made by mutating valid ones
+
+#: mutations by field type; every one makes the field invalid
+_MUTATIONS = {
+    "count": ("negative", "zero", "fraction", "bool", "string", "null", "nan", "inf",
+              "list"),
+    # env files take integers only; learner counts also take integral floats
+    "integer": ("negative", "zero", "fraction", "float", "bool", "string", "null", "nan",
+                "inf", "list"),
+    "real": ("nan", "inf", "-inf", "bool", "string", "null", "list", "object", "too-low"),
+    "array": ("string", "null", "scalar", "object", "nan-entry", "inf-entry",
+              "string-entry", "bool-entries", "ragged", "wrong-shape"),
+}
+
+
+def _mutate(kind, how, value, low, rng):
+    """A malformed stand-in for a field `value` of type `kind`; `low` is a
+    number outside the field's range."""
+    k = int(rng.integers(1, 9))
+    simple = {
+        "negative": -k, "zero": 0, "fraction": k + 0.5, "float": float(k),
+        "bool": bool(rng.integers(2)), "string": str(k), "null": None,
+        "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "list": [k],
+        "object": {"value": k}, "too-low": low, "scalar": float(k),
+    }
+    if how in simple:
+        return simple[how]
+    flat = np.asarray(value, dtype=float)
+    if how == "bool-entries":
+        return (flat > 0).tolist()
+    if how == "ragged":
+        return [value, [0.0]]
+    if how == "wrong-shape":
+        return np.resize(flat, flat.shape[:-1] + (flat.shape[-1] + 1,)).tolist()
+    broken = flat.astype(object)
+    broken.flat[int(rng.integers(flat.size))] = {
+        "nan-entry": float("nan"), "inf-entry": float("inf"), "string-entry": "0.5"}[how]
+    return broken.tolist()
+
+
+def _mutations(base, fields, rng, required):
+    """One malformed copy of `base` per (field, mutation) in `fields`, one
+    per missing required key, and one with an unknown key. `fields` maps
+    paths into nested dicts (tuples) to (type, out-of-range value, whether
+    null is allowed)."""
+    cases = []
+    for path, (kind, low, nullable) in fields.items():
+        for how in _MUTATIONS[kind]:
+            if (how == "zero" and low < 0) or (how == "null" and nullable):
+                continue
+            case = json.loads(json.dumps(base))
+            parent = case
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = _mutate(kind, how, parent[path[-1]], low, rng)
+            cases.append((f"{'.'.join(path)}:{how}", case))
+    for key in required:
+        cases.append((f"missing {key}", {k: v for k, v in base.items() if k != key}))
+    cases.append(("unknown key", {**base, "comment": "x"}))
+    return cases
+
+
+def _fuzz_cases(rng):
+    """(label, config, env dict or None) for every mutation of the valid
+    env dicts and configs below."""
+    from tadlab.constructions import random_mmdp
+    from tadlab.core import mmdp_to_dict
+
+    # a layered horizon-2 model: state 0, then states 1 and 2
+    transition = np.zeros((3, 4, 3))
+    transition[0, :, 1:] = rng.dirichlet([1.0, 1.0], size=4)
+    transition[1:, :, 0] = 1.0
+    env = {"n_states": 3, "n_agents": 2, "n_actions": 2, "gamma": 0.9, "horizon": 2,
+           "initial_dist": [1.0, 0.0, 0.0], "transition": transition.tolist(),
+           "reward": rng.standard_normal((3, 4)).tolist()}
+    env_fields = {(key,): ("integer", 0, key == "horizon")
+                  for key in ("n_states", "n_agents", "n_actions", "horizon")}
+    env_fields[("gamma",)] = ("real", -0.5, False)
+    env_fields.update({(key,): ("array", 0, False)
+                       for key in ("initial_dist", "transition", "reward")})
+    matrix = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "gamma": 0.5}
+    envs = (_mutations(env, env_fields, rng, set(env) - {"horizon"})
+            + _mutations(matrix, {("matrix",): ("array", 0, False),
+                                  ("gamma",): ("real", -1.0, False)}, rng, ["matrix"]))
+    envs.append(("not layered", mmdp_to_dict(random_mmdp(2, 2, 2, gamma=0.9, rng=3,
+                                                         horizon=2))))
+    envs.append(("gamma zero", {**env, "gamma": 0.0}))  # tad cannot split it
+    cases = [(f"env {label}", {"learner": {"kind": "tad"}}, bad) for label, bad in envs]
+    concentrated = {"mode": "concentrated", "target_joint_action": [1, 1], "scale": 5.0}
+    configs = [
+        ({"env": "table1", "learner": {"kind": "mapg", "lr": 0.05, "steps": 5,
+                                       "log_every": 1}, "init": concentrated},
+         {("learner", "lr"): ("real", 0.0, False),
+          ("init", "scale"): ("real", float("nan"), False)}),
+        ({"env": "matgame2", "learner": {"kind": "vd", "variant": "duplex", "lr": 0.01,
+                                         "steps": 5}, "outputs": ["trace"]},
+         {("learner", "steps"): ("count", -1, False)}),
+        ({"env": "table1", "learner": {"kind": "tad", "sarl": "clipped_pg", "lr": 1.0,
+                                       "steps": 5, "clip": 0.2, "log_every": 2},
+          "distill": "kl"},
+         {("learner", "clip"): ("real", -0.1, True),
+          ("learner", "log_every"): ("count", 0, False)}),
+        ({"env": "table1", "learner": {"kind": "tad", "sarl": "vi", "tol": 1e-10}},
+         {("learner", "tol"): ("real", 0.0, False)}),
+        ({"env": "matgame2", "learner": {"kind": "tad", "sarl": "q_learning",
+                                         "sweeps": 5}},
+         {("learner", "sweeps"): ("count", 0, False)}),
+    ]
+    for i, (config, fields) in enumerate(configs):
+        for label, bad in _mutations(config, fields, rng, ["env", "learner"]):
+            cases.append((f"config {i} {label}", bad, None))
+        learner = config["learner"]
+        for key, values in (("kind", (None, 3, "mapg ", ["mapg"])),
+                            ("variant", ("qmix", None, 2)), ("sarl", ("ppo", None, 2)),
+                            ("beta", (0.5,))):
+            if key in learner or key == "beta":
+                for value in values:
+                    bad = {**config, "learner": {**learner, key: value}}
+                    cases.append((f"config {i} learner.{key}={value!r}", bad, None))
+        for key, values in (("env", ("table2", 5, None, [], {"file": 5})),
+                            ("learner", ("mapg", None, {})),
+                            ("init", ("uniform", [], {"mode": "random"},
+                                      {"mode": "file", "file": 3}, {"mode": "file"})),
+                            ("outputs", ("trace", ["trace", 1], ["plots"], None)),
+                            ("distill", ("soft", ["kl"], None))):
+            for value in values:
+                cases.append((f"config {i} {key}={value!r}", {**config, key: value}, None))
+    for value in ([1], [1, 1, 1], [1, -1], [1, 3], [True, 1], [1.0, 1], "11", None):
+        bad = {**configs[0][0], "init": {**concentrated, "target_joint_action": value}}
+        cases.append((f"target={value!r}", bad, None))
+    return cases
+
+
+def test_fuzzed_env_and_config_dicts_exit_2_with_one_line(tmp_path, capsys):
+    cases = _fuzz_cases(np.random.default_rng(2022))
+    assert len(cases) >= 200
+    failures = []
+    for i, (label, config, env) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        if env is not None:
+            config = {**config, "env": str(tmp_path / f"env{i}.json")}
+            (tmp_path / f"env{i}.json").write_text(json.dumps(env))
+        cfg = write_config(tmp_path / f"cfg{i}.json", config)
+        try:
+            rc = cli.main(["run", cfg, "--out", str(out)])
+        except Exception as exc:  # a traceback, in a real run
+            rc = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if rc != 2 or len(err.splitlines()) != 1 or not err.startswith("error: ") \
+                or "Traceback" in err or out.exists():
+            failures.append(f"{label}: exit {rc}, stderr {err!r}")
+    assert not failures, f"{len(failures)} of {len(cases)} cases:\n" + "\n".join(failures)

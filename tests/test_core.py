@@ -249,6 +249,46 @@ def test_policy_iteration_cap_raises():
         optimal_values(_tie_chain(0.5), max_iter=1)
 
 
+def _pi_through_policy_slices(model, tol=1e-10):
+    """Policy iteration evaluating each policy with `policy_slices`, which
+    also solves for the occupancy (the loop before the value solve was
+    factored out)."""
+    s, m = model.reward.shape
+    codes = np.argmax(model.reward, axis=1)
+    margins = []
+    while True:
+        pol = np.zeros((s, m))
+        pol[np.arange(s), codes] = 1.0
+        _, [(_, q)] = policy_slices(model, pol)
+        best = np.argmax(q, axis=1)
+        advantage = q[np.arange(s), best] - q[np.arange(s), codes]
+        margins.append(float(advantage.max()))
+        if not (advantage > tol).any():
+            return q, margins
+        codes = np.where(advantage > tol, best, codes)
+
+
+@pytest.mark.parametrize("model", [
+    random_mmdp(4, 2, 3, gamma=0.9, rng=70),
+    random_mmdp(6, 3, 2, gamma=0.99, rng=71),
+    random_mmdp(50, 3, 4, gamma=0.99, rng=0),
+    _tie_chain(1e-9),
+], ids=["s4", "s6-n3", "s50-solve", "tie-chain"])
+def test_policy_iteration_solves_values_only(model, monkeypatch):
+    want_q, want_margins = _pi_through_policy_slices(model)
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    q, margins = optimal_values(model)
+    assert len(solves) == len(margins)
+    assert np.array_equal(q, want_q) and margins == want_margins
+
+
 def test_brute_force_size_guard():
     model = random_mmdp(2, 2, 3, gamma=0.9, rng=19)
     with pytest.raises(SizeGuardError):

@@ -16,6 +16,7 @@ from tadlab import (
     layered_q_learning,
     lower_policy,
     mapg_loss_and_grad,
+    mapg_objective,
     q_learning,
     sequential_transform,
     softmax_pg,
@@ -23,6 +24,7 @@ from tadlab import (
     value_iteration,
     vd_forward,
     vd_loss_and_grad,
+    vd_objective,
 )
 import tadlab.learners as learners
 from tadlab.constructions import (
@@ -42,23 +44,33 @@ from tadlab.learners import (
     softmax,
     uniform_dist,
 )
+from oracles import mapg_loss_oracle, vd_kernel_oracle
 
 TABLE1 = builtin_game("table1")
 M2 = builtin_game("matgame2")
 
 
-def mapg_objective(params, model):
+def mapg_oracle_objective(template, model):
+    """The packed product-policy objective on the per-agent-loop oracle kernel."""
+    shape = template.logits.shape[-3:]
+
     def f(x):
-        loss, grad = mapg_loss_and_grad(params.unpack_like(x), model)
-        return loss, grad.ravel()
+        loss, grad = mapg_loss_oracle(x.reshape(x.shape[:-1] + shape), model)
+        return loss, grad.reshape(x.shape)
 
     return f
 
 
-def vd_objective(params, model, dist=None):
+def vd_oracle_objective(template, model, dist=None):
+    """The packed TD objective on the per-agent-loop oracle kernel."""
+    dist = uniform_dist(model) if dist is None else dist
+
     def f(x):
-        loss, grad = vd_loss_and_grad(params.unpack_like(x), model, dist=dist)
-        return loss, grad.pack()
+        p = template.unpack_like(x)
+        loss, *grads = vd_kernel_oracle(p.variant, p.q_local, p.w_raw, p.lam_raw,
+                                        model, dist)
+        return loss, np.concatenate([g.reshape(x.shape[:-1] + (-1,))
+                                     for g in grads if g is not None], axis=-1)
 
     return f
 
@@ -155,14 +167,10 @@ def test_vd_gradients_match_finite_differences():
 
 def test_run_vd_matches_generic_descent_exactly():
     # run_vd (gd_run on vd_objective) must retrace gd_run on an objective
-    # built by hand from vd_loss_and_grad
+    # built independently, on the per-agent-loop oracle kernel
     for variant in ("vdn", "monotonic", "duplex"):
         p0 = VdParams.random(variant, 2, 1, 2, rng=5)
-
-        def objective(x, p0=p0):
-            loss, grad = vd_loss_and_grad(p0.unpack_like(x), M2)
-            return loss, grad.pack()
-
+        objective = vd_oracle_objective(p0, M2)
         x, t1 = gd_run(objective, p0.pack(), lr=0.05, steps=57, log_every=10)
         p, t2 = run_vd(M2, p0, lr=0.05, steps=57, log_every=10)
         assert np.array_equal(x, p.pack())
@@ -685,5 +693,94 @@ def test_run_vd_trace_norm_is_the_stationarity_norm(variant):
 
     p0 = VdParams.random(variant, 2, 1, 2, rng=57)
     p, trace = run_vd(M2, p0, lr=0.05, steps=123, log_every=50)
-    _, norm = stationarity_certificate(learners.vd_objective(p, M2), p.pack(), 1e-6)
+    _, norm = stationarity_certificate(vd_objective(p, M2), p.pack(), 1e-6)
     assert trace.step[-1] == 123 and trace.grad_norm[-1] == norm
+
+
+# ---------------------------------------------------------------------------
+# the agent-stacked kernels against the per-agent-loop oracles, bit for bit
+
+KERNEL_MODELS = {
+    "matgame2": M2,
+    "table1": TABLE1,
+    "discounted": random_mmdp(3, 2, 2, gamma=0.9, rng=58),
+    "discounted_n3": random_mmdp(2, 3, 2, gamma=0.8, rng=59),
+    "horizon3": random_mmdp(3, 2, 3, gamma=0.9, rng=60, horizon=3),
+    "horizon2_n3": random_mmdp(2, 3, 2, gamma=0.9, rng=61, horizon=2),
+}
+
+
+def _random_vd_params(variant, batch, model, rng):
+    p = VdParams(variant, rng.standard_normal(
+        batch + (model.n_agents, model.n_states, model.n_actions)))
+    if p.mix is not None:
+        p.mix[...] = rng.standard_normal(p.mix.shape)
+    return p
+
+
+def assert_kernels_match_oracles(model, rng):
+    n, s, a = model.n_agents, model.n_states, model.n_actions
+    weighted = rng.random(model.reward.shape) + 0.1
+    for batch in ((), (1,), (4,)):
+        logits = MapgParams(2.0 * rng.standard_normal(batch + (n, s, a)))
+        want_loss, want_grad = mapg_loss_oracle(logits.logits, model)
+        loss, grad = mapg_loss_and_grad(logits, model)
+        assert np.array_equal(loss, want_loss) and np.array_equal(grad, want_grad)
+        loss, grad = mapg_objective(logits, model)(logits.pack())
+        assert np.array_equal(loss, want_loss)
+        assert np.array_equal(grad, want_grad.reshape(grad.shape))
+        for variant in learners.VD_VARIANTS:
+            p = _random_vd_params(variant, batch, model, rng)
+            for dist in (uniform_dist(model), weighted / weighted.sum()):
+                want_loss, *want = vd_kernel_oracle(variant, p.q_local, p.w_raw,
+                                                    p.lam_raw, model, dist)
+                loss, grad = vd_loss_and_grad(p, model, dist=dist)
+                assert np.array_equal(loss, want_loss)
+                for got, ref in zip((grad.q_local, grad.w_raw, grad.lam_raw), want):
+                    assert (got is None and ref is None) or np.array_equal(got, ref)
+                loss, packed = vd_objective(p, model, dist)(p.pack())
+                assert np.array_equal(loss, want_loss)
+                assert np.array_equal(packed, VdParams(variant, *want).pack())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_stacked_kernels_match_loop_oracles_bitwise(name):
+    assert_kernels_match_oracles(KERNEL_MODELS[name], np.random.default_rng(62))
+
+
+def test_stacked_kernels_match_loop_oracles_on_partly_reached_models(partly_reached_models):
+    for model in partly_reached_models:
+        assert_kernels_match_oracles(model, np.random.default_rng(63))
+
+
+@pytest.mark.parametrize("name", ["table1", "discounted_n3", "horizon2_n3"])
+def test_descents_retrace_the_loop_oracles(name):
+    model = KERNEL_MODELS[name]
+    rng = np.random.default_rng(64)
+    shape = (3, model.n_agents, model.n_states, model.n_actions)
+    p0 = MapgParams(rng.standard_normal(shape))
+    x, t1 = gd_run(mapg_oracle_objective(p0, model), p0.pack(), lr=0.1, steps=40,
+                   log_every=10)
+    p, t2 = run_mapg(model, p0, lr=0.1, steps=40, log_every=10)
+    assert np.array_equal(x, p.pack())
+    assert [t.loss for t in t1] == [t.loss for t in t2]
+    for variant in learners.VD_VARIANTS:
+        p0 = _random_vd_params(variant, (3,), model, rng)
+        x, t1 = gd_run(vd_oracle_objective(p0, model), p0.pack(), lr=0.02, steps=40,
+                       log_every=10)
+        p, t2 = run_vd(model, p0, lr=0.02, steps=40, log_every=10)
+        assert np.array_equal(x, p.pack())
+        assert [t.loss for t in t1] == [t.loss for t in t2]
+
+
+@pytest.mark.parametrize("variant", learners.VD_VARIANTS)
+def test_joint_table_has_the_replica_axis(variant):
+    model = KERNEL_MODELS["discounted_n3"]
+    stack = _random_vd_params(variant, (4,), model, np.random.default_rng(65))
+    table = stack.joint_table()
+    assert table.shape == (4, model.n_states, model.n_joint_actions)
+    for k in range(4):
+        point = stack.unpack_like(stack.pack()[k])
+        assert np.array_equal(table[k], point.joint_table())
+        for s in range(model.n_states):
+            assert vd_forward(point, s, 5) == table[k, s, 5]
