@@ -3,8 +3,8 @@
 Models and oracles live in `core`, the sequential transformation and
 distillation in `transform`, gradient-descent learners and single-agent
 solvers in `learners`, benchmark games and counterexample constructions in
-`constructions`, certificates in `analysis`, and the experiment runner in
-`cli`.
+`constructions`, certificates in `analysis`, the four optimality claims'
+checks in `claims`, and the experiment runner and claim verifier in `cli`.
 """
 
 from .core import (

@@ -2,12 +2,13 @@
 
 Subcommands:
 
-- ``run CONFIG [--seed N] [--seeds a,b,c] [--out DIR]``: run one experiment
+- ``run CONFIG [--seed N] [--out DIR]``: run one experiment
   described by a JSON config, writing trace.csv, summary.json, policy.json.
-- ``verify {1,2,3,4}``: canned desk-scale reproductions of the four
-  optimality claims (1: product-policy gradient traps; 2: value-decomposition
-  traps; 3: transform value equivalence; 4: transform-and-distill
-  optimality). Exit 0 iff the claim's checks pass.
+- ``verify {1,2,3,4} [--seed N]``: canned desk-scale reproductions of the
+  four optimality claims (1: product-policy gradient traps; 2:
+  value-decomposition traps; 3: transform value equivalence; 4:
+  transform-and-distill optimality), run by `tadlab.claims`. Exit 0 iff the
+  claim's checks pass.
 - ``env list`` / ``env dump NAME``: built-in environments.
 - ``transform report ENV``: state-action accounting of the transformation.
 
@@ -26,16 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import local_min_certificate, stationarity_certificate
-from .constructions import (
-    builtin_game,
-    builtin_names,
-    construct_local_minima,
-    random_mmdp,
-)
+from .analysis import stationarity_certificate
+from .claims import CLAIMS
+from .constructions import builtin_game, builtin_names
 from .core import (
     SIZE_GUARD,
-    CoordinationPolicy,
     DecentralizedPolicySet,
     SizeGuardError,
     brute_force_optimal,
@@ -44,20 +40,18 @@ from .core import (
     evaluate_policy,
     greedy_codes,
     load_env_file,
-    matrix_game,
 )
 from .learners import (
     GdDivergenceError,
     MapgParams,
     VdParams,
-    gd_run,
     mapg_objective,
     run_mapg,
     run_vd,
     tad_run,
     vd_objective,
 )
-from .transform import size_report, step_discount, value_relation_check
+from .transform import size_report, step_discount
 
 #: gradient-norm threshold echoed into summaries
 STATIONARITY_TOL = 1e-6
@@ -335,163 +329,29 @@ def _execute(config, seed, out_dir):
 
 def cmd_run(args):
     try:
-        config = _load_config(args.config)
-        if args.seeds:
-            try:
-                seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-            except ValueError as exc:
-                raise SchemaError(f"--seeds must be comma-separated integers: "
-                                  f"{args.seeds!r}") from exc
-        else:
-            seeds = [args.seed]
-        if not seeds:
-            raise SchemaError("empty seed list")
-        if len(set(seeds)) < len(seeds):
-            raise SchemaError(f"--seeds lists a seed more than once: {args.seeds!r}")
-        out = Path(args.out)
-        if len(seeds) == 1:
-            summary = _execute(config, seeds[0], out)
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return 0
-        sweep = []
-        for s in sorted(seeds):
-            r = _execute(config, s, out / f"seed_{s}")
-            sweep.append({"seed": s, "final_return": r["final_return"],
-                          "suboptimality_gap": r["suboptimality_gap"]})
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.json", "w") as fh:
-            json.dump(sweep, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(json.dumps(sweep, indent=2, sort_keys=True))
-        return 0
+        summary = _execute(_load_config(args.config), args.seed, args.out)
     except (SchemaError, SizeGuardError, GdDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # claim verification
 
-def _check(label, ok, detail):
-    print(f"  [{'PASS' if ok else 'FAIL'}] {label}: {detail}")
-    return ok
-
-
-def _verify_pg_traps(seed):
-    """Concentrated inits stay on their diagonal; uniform init finds the optimum.
-
-    The three inits descend together as one batched run."""
-    model = builtin_game("table1")
-    traps = (((1, 1), 5.0), ((2, 2), 1.0))
-    starts = [MapgParams.concentrated(2, 1, 3, target, 5.0).logits for target, _ in traps]
-    starts.append(MapgParams.uniform(2, 1, 3).logits)
-    params, _ = run_mapg(model, MapgParams(np.stack(starts)), lr=0.05,
-                         steps=20000, log_every=5000)
-    returns = [
-        evaluate_policy(model, DecentralizedPolicySet.deterministic(
-            np.argmax(logits, axis=2), model.n_actions))
-        for logits in params.logits
-    ]
-    ok = True
-    for (target, expected), code, ret in zip(traps, params.greedy_joint()[:, 0], returns):
-        ok &= _check(
-            f"concentrated init at {target}",
-            code == target[0] * 3 + target[1] and abs(ret - expected) < 1e-6,
-            f"greedy code {code}, greedy return {ret:.9f} (want {expected})",
-        )
-    ok &= _check("uniform init", abs(returns[-1] - 10.0) < 1e-6,
-                 f"greedy return {returns[-1]:.9f} (want 10)")
-    return ok
-
-
-def _verify_vd_traps(seed):
-    """The constructed points are stationary, ball-certified local minima,
-    and descent from the suboptimal ones keeps their greedy action.
-
-    All points are certified in one stacked pass, and the suboptimal ones
-    descend together as one batched run."""
-    tensor, points = construct_local_minima(3, 2, None)
-    game = matrix_game(tensor)
-    best = tensor.max()
-    template = points[0]
-    loss_fn = vd_objective(template, game)
-    thetas = np.stack([theta.pack() for theta in points])
-    local = local_min_certificate(loss_fn, thetas, radius=0.02, samples=10000,
-                                  rng=np.random.default_rng(seed))
-    greedy = template.unpack_like(thetas).greedy_joint()[:, 0]
-    payoffs = tensor.reshape(-1)[greedy]
-    trapped = np.flatnonzero(payoffs < best)
-    x, _ = gd_run(loss_fn, thetas[trapped], lr=0.05, steps=10000, log_every=10000)
-    kept = dict(zip(trapped, template.unpack_like(x).greedy_joint()[:, 0] == greedy[trapped]))
-    ok = True
-    for idx, theta in enumerate(thetas):
-        stat_ok, norm = stationarity_certificate(loss_fn, theta, 1e-8)
-        ok &= _check(f"point {idx} stationary", stat_ok, f"grad norm {norm:.3e}")
-        ok &= _check(f"point {idx} local minimum", bool(local[idx]),
-                     "no descent direction in 10^4 ball samples (radius 0.02)")
-        if idx in kept:
-            ok &= _check(f"point {idx} retains suboptimal greedy", bool(kept[idx]),
-                         f"greedy payoff {payoffs[idx]} < optimum {best}")
-    return ok
-
-
-def _verify_value_relation(seed, cases=100):
-    rng = np.random.default_rng(seed)
-    combos = [(n, g) for n in (1, 2, 3, 4) for g in (0.5, 0.9, 0.99)]
-    worst = 0.0
-    for i in range(cases):
-        n_agents, gamma = combos[i % len(combos)]
-        n_states = int(rng.integers(1, 4))
-        n_actions = int(rng.integers(2, 4 if n_agents < 4 else 3))
-        model = random_mmdp(n_states, n_agents, n_actions, gamma=gamma, rng=rng)
-        pc = CoordinationPolicy.random(n_agents, n_states, n_actions, rng)
-        _, _, residual = value_relation_check(model, pc)
-        worst = max(worst, residual)
-    ok = worst < 1e-8
-    _check("value relation residual", ok, f"{cases} cases, max residual {worst:.3e}")
-    return ok
-
-
-def _verify_optimal_composition(seed):
-    rng = np.random.default_rng(seed)
-    names = ["table1", "matgame2"] + [f"multitask_{i}" for i in range(1, 11)] + [
-        "multitask_suite"
-    ]
-    ok = True
-    worst = 0.0
-    for name in names:
-        model = builtin_game(name)
-        policies, _ = tad_run(model, sarl="vi")
-        gap = brute_force_optimal(model)[0] - evaluate_policy(model, policies)
-        worst = max(worst, abs(gap))
-        ok &= abs(gap) < 1e-8
-    _check("built-in games", ok, f"max |gap| {worst:.3e}")
-    worst_r = 0.0
-    for _ in range(50):
-        model = random_mmdp(
-            int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 5)),
-            gamma=float(rng.choice([0.5, 0.9, 0.99])), rng=rng,
-        )
-        policies, _ = tad_run(model, sarl="vi")
-        gap = brute_force_optimal(model)[0] - evaluate_policy(model, policies)
-        worst_r = max(worst_r, abs(gap))
-    ok_r = worst_r < 1e-8
-    _check("random models", ok_r, f"50 models, max |gap| {worst_r:.3e}")
-    return ok and ok_r
-
-
 def cmd_verify(args):
-    checks = {
-        1: ("product-policy gradient descent is trapped by its init", _verify_pg_traps),
-        2: ("decomposed TD learning has constructible trap points", _verify_vd_traps),
-        3: ("the transformation rescales policy values exactly", _verify_value_relation),
-        4: ("transform + solve + distill reaches the optimum", _verify_optimal_composition),
-    }
-    label, fn = checks[args.claim]
-    print(f"claim {args.claim}: {label}")
-    ok = fn(seed=args.seed)
-    print(f"claim {args.claim}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}",
+              file=sys.stderr)
+        return 2
+    title, claim = CLAIMS[args.claim]
+    print(f"claim {args.claim}: {title}")
+    record = claim(seed=args.seed)
+    for label, ok, detail in record.checks:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {label}: {detail}")
+    print(f"claim {args.claim}: {'PASS' if record.ok else 'FAIL'}")
+    return 0 if record.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +391,6 @@ def build_parser():
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--seeds", default=None,
-                       help="comma-separated seed sweep, run one seed after another")
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=cmd_run)
 

@@ -7,7 +7,6 @@ lines; every tolerance is pinned in the assertions below.
 import time
 
 import numpy as np
-import pytest
 
 from tadlab import (
     CoordinationPolicy,
@@ -15,41 +14,34 @@ from tadlab import (
     MapgParams,
     VdParams,
     brute_force_optimal,
-    duplex_decompose,
+    claims,
     evaluate_policy,
-    gd_run,
     grad_check,
     greedy_distill,
     igm_check,
     inverse_transform,
     joint_digits,
     lift_policy,
-    local_min_certificate,
     lower_policy,
     mapg_objective,
     ne_count_exact,
     ne_count_expectation,
     sequential_transform,
     size_report,
-    stationarity_certificate,
     tad_run,
-    value_relation_check,
     vd_objective,
 )
 from tadlab.constructions import (
     builtin_game,
-    construct_local_minima,
     random_matrix_game,
     random_mmdp,
     restricted_minimizer,
     undercut_diag_payoff,
     undercut_diag_values,
 )
-from tadlab.core import matrix_game
-from tadlab.learners import run_mapg, run_vd
+from tadlab.learners import run_vd
 from oracles import level_scan_oracle
 
-TABLE1 = builtin_game("table1")
 M2 = builtin_game("matgame2")
 
 
@@ -60,62 +52,32 @@ def report(criterion, ok, detail, elapsed, budget):
     assert elapsed < budget, f"runtime {elapsed:.1f}s exceeded {budget}s"
 
 
-def greedy_return(model, params):
-    acts = np.argmax(params.logits, axis=2)
-    pol = DecentralizedPolicySet.deterministic(acts, model.n_actions)
-    return evaluate_policy(model, pol)
-
-
 def test_criterion_1_policy_gradient_traps():
     start = time.perf_counter()
-    results = []
-    for target, expected in (((1, 1), 5.0), ((2, 2), 1.0)):
-        p0 = MapgParams.concentrated(2, 1, 3, target, 5.0)
-        p, _ = run_mapg(TABLE1, p0, lr=0.05, steps=10000, log_every=2500)
-        ok = joint_digits(p.greedy_joint()[0], 2, 3) == target
-        ret = greedy_return(TABLE1, p)
-        ok &= abs(ret - expected) < 1e-6
-        results.append((target, ret, ok))
-    p, _ = run_mapg(TABLE1, MapgParams.uniform(2, 1, 3), lr=0.05, steps=10000,
-                    log_every=2500)
-    ret = greedy_return(TABLE1, p)
-    uniform_ok = abs(ret - 10.0) < 1e-6
+    record = claims.pg_traps(steps=10000)
+    codes, returns = record.numbers["codes"], record.numbers["returns"]
+    ok = record.ok and [joint_digits(c, 2, 3) for c in codes[:2]] == [(1, 1), (2, 2)]
+    ok &= np.abs(returns - [5.0, 1.0, 10.0]).max() < 1e-6
     elapsed = time.perf_counter() - start
-    ok = all(r[2] for r in results) and uniform_ok
     detail = (
-        f"greedy returns {results[0][1]:.9f}/{results[1][1]:.9f} at the traps, "
-        f"{ret:.9f} from uniform"
+        f"greedy returns {returns[0]:.9f}/{returns[1]:.9f} at the traps, "
+        f"{returns[2]:.9f} from uniform"
     )
     report(1, ok, detail, elapsed, 10.0)
 
 
 def test_criterion_2_value_decomposition_traps():
     start = time.perf_counter()
-    tensor, points = construct_local_minima(3, 2, None)
-    game = matrix_game(tensor)
-    flat = tensor.reshape(-1)
-    ok = len(points) == 3
-    norms = []
-    rng = np.random.default_rng(0)
-    suboptimal_retained = 0
-    for theta in points:
-        f = vd_objective(theta, game)
-        stat_ok, norm = stationarity_certificate(f, theta.pack(), 1e-8)
-        norms.append(norm)
-        ok &= stat_ok
-        ok &= local_min_certificate(f, theta.pack(), radius=0.02, samples=10**4,
-                                    rng=rng)
-        if flat[int(theta.greedy_joint()[0])] < flat.max():
-            x, _ = gd_run(f, theta.pack(), lr=0.05, steps=10**4, log_every=10**4)
-            after = theta.unpack_like(x)
-            if int(after.greedy_joint()[0]) == int(theta.greedy_joint()[0]):
-                suboptimal_retained += 1
-    ok &= suboptimal_retained == 2
+    record = claims.vd_traps(seed=0)
+    norms = record.numbers["grad_norms"]
+    retained = int(record.numbers["kept"].sum())
+    ok = record.ok and len(norms) == 3 and norms.max() < 1e-8
+    ok &= bool(record.numbers["local_min"].all()) and retained == 2
     elapsed = time.perf_counter() - start
     report(
         2, ok,
-        f"3 stationary points (max grad norm {max(norms):.2e}), ball-certified "
-        f"minima, {suboptimal_retained}/2 suboptimal points retained",
+        f"3 stationary points (max grad norm {norms.max():.2e}), ball-certified "
+        f"minima, {retained}/2 suboptimal points retained",
         elapsed, 30.0,
     )
 
@@ -140,49 +102,27 @@ def test_criterion_3_duplex_counterexample():
 
 def test_criterion_4_value_relation_residuals():
     start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    combos = [(n, g) for n in (1, 2, 3, 4) for g in (0.5, 0.9, 0.99)]
-    worst = 0.0
-    for i in range(100):
-        n_agents, gamma = combos[i % len(combos)]
-        n_states = int(rng.integers(1, 4))
-        n_actions = int(rng.integers(2, 4 if n_agents < 4 else 3))
-        model = random_mmdp(n_states, n_agents, n_actions, gamma=gamma, rng=rng)
-        pc = CoordinationPolicy.random(n_agents, n_states, n_actions, rng)
-        _, _, residual = value_relation_check(model, pc)
-        worst = max(worst, residual)
+    record = claims.value_relation(seed=0, cases=100)
+    residuals = record.numbers["residuals"]
+    worst = residuals.max()
     elapsed = time.perf_counter() - start
-    report(4, worst < 1e-8, f"100 pairs, max residual {worst:.3e}", elapsed, 10.0)
+    report(4, record.ok and len(residuals) == 100 and worst < 1e-8,
+           f"100 pairs, max residual {worst:.3e}", elapsed, 10.0)
 
 
 def test_criterion_5_transform_distill_optimality():
     start = time.perf_counter()
-    worst = 0.0
-    names = ["table1", "matgame2"] + [f"multitask_{i}" for i in range(1, 11)]
-    for name in names:
-        model = builtin_game(name)
-        policies, _ = tad_run(model, sarl="vi")
-        gap = brute_force_optimal(model)[0] - evaluate_policy(model, policies)
-        worst = max(worst, abs(gap))
+    record = claims.optimal_composition(seed=1)
+    gaps = np.concatenate([record.numbers["builtin_gaps"], record.numbers["random_gaps"]])
+    worst = gaps.max()
     suite = builtin_game("multitask_suite")
     policies, _ = tad_run(suite, sarl="vi")
     suite_return = evaluate_policy(suite, policies)
     per_state = sum(
         float(policies.joint()[s] @ suite.reward[s]) for s in range(10)
     )
-    worst = max(worst, abs(brute_force_optimal(suite)[0] - suite_return))
     ok = abs(suite_return - 10.0) < 1e-8 and abs(per_state - 100.0) < 1e-8
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        model = random_mmdp(
-            int(rng.integers(2, 5)), int(rng.integers(2, 4)),
-            int(rng.integers(2, 5)),
-            gamma=float(rng.choice([0.5, 0.9, 0.99])), rng=rng,
-        )
-        policies, _ = tad_run(model, sarl="vi")
-        gap = brute_force_optimal(model)[0] - evaluate_policy(model, policies)
-        worst = max(worst, abs(gap))
-    ok &= worst < 1e-8
+    ok &= record.ok and len(record.numbers["random_gaps"]) == 50 and worst < 1e-8
     elapsed = time.perf_counter() - start
     report(
         5, ok,
@@ -195,19 +135,16 @@ def test_criterion_5_transform_distill_optimality():
 def test_criterion_6_vdn_incompleteness():
     start = time.perf_counter()
     fit = np.array([[-12.25, 2.25], [2.25, 16.75]])
-    rng = np.random.default_rng(2)
-    ok = True
-    worst_fit = 0.0
-    for _ in range(20):
-        p0 = VdParams("vdn", rng.standard_normal((2, 1, 2)))
-        p, _ = run_vd(M2, p0, lr=1.0, steps=300, log_every=300)
-        worst_fit = max(worst_fit,
-                        np.abs(p.joint_table().reshape(2, 2) - fit).max())
-        ok &= joint_digits(p.greedy_joint()[0], 2, 2) == (1, 1)
-        pol = DecentralizedPolicySet.deterministic(np.argmax(p.q_local, axis=2), 2)
-        gap = brute_force_optimal(M2)[0] - evaluate_policy(M2, pol)
-        ok &= abs(gap - 1.0) < 1e-9
-    ok &= worst_fit < 1e-8
+    # the 20 inits run as one batched descent, each replica as its own run
+    p0 = VdParams("vdn", np.random.default_rng(2).standard_normal((20, 2, 1, 2)))
+    p, _ = run_vd(M2, p0, lr=1.0, steps=300, log_every=300)
+    worst_fit = np.abs(p.joint_table().reshape(20, 2, 2) - fit).max()
+    ok = worst_fit < 1e-8
+    ok &= all(joint_digits(c, 2, 2) == (1, 1) for c in p.greedy_joint()[:, 0])
+    best = brute_force_optimal(M2)[0]
+    for q_local in p.q_local:
+        pol = DecentralizedPolicySet.deterministic(np.argmax(q_local, axis=2), 2)
+        ok &= abs(best - evaluate_policy(M2, pol) - 1.0) < 1e-9
     elapsed = time.perf_counter() - start
     report(6, ok, f"20 inits all greedy (1,1) with gap 1, "
                   f"max fit error {worst_fit:.2e}", elapsed, 5.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tadlab.cli as cli
+from tadlab.claims import CLAIMS, ClaimRecord
 from tadlab import DecentralizedPolicySet, evaluate_policy
 from tadlab.constructions import builtin_game
 
@@ -125,22 +126,6 @@ def test_divergence_exits_4(tmp_path):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
 
 
-def test_seed_sweep_writes_sorted_merge(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        {
-            "env": "matgame2",
-            "learner": {"kind": "vd", "variant": "vdn", "lr": 0.5, "steps": 400},
-        },
-    )
-    rc = cli.main(["run", cfg, "--seeds", "5,2", "--out", str(tmp_path / "out")])
-    assert rc == 0
-    sweep = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert [row["seed"] for row in sweep] == [2, 5]
-    assert (tmp_path / "out" / "seed_2" / "summary.json").exists()
-    assert (tmp_path / "out" / "seed_5" / "summary.json").exists()
-
-
 def test_env_list_and_dump_round_trip(capsys, tmp_path):
     assert cli.main(["env", "list"]) == 0
     names = capsys.readouterr().out.split()
@@ -172,6 +157,26 @@ def test_verify_claim_3(capsys):
     assert cli.main(["verify", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "100 cases" in out
+
+
+def test_verify_prints_failed_check_and_exits_1(capsys, monkeypatch):
+    failed = ClaimRecord((("kept", True, "fine"), ("broken", False, "off by 1")), {})
+    monkeypatch.setitem(CLAIMS, 2, ("a claim", lambda seed: failed))
+    assert cli.main(["verify", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["claim 2: a claim", "  [PASS] kept: fine",
+                   "  [FAIL] broken: off by 1", "claim 2: FAIL"]
+
+
+@pytest.mark.parametrize("claim", ["1", "2", "3", "4"])
+def test_verify_negative_seed_exits_2_before_any_work(capsys, monkeypatch, claim):
+    def refuse(seed):
+        raise AssertionError("the claim ran")
+    monkeypatch.setitem(CLAIMS, int(claim), ("a claim", refuse))
+    assert cli.main(["verify", claim, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def _probe(learner=None, **fields):
@@ -211,12 +216,6 @@ def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
-
-
-def test_bad_seed_list_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", _probe())
-    assert cli.main(["run", cfg, "--seeds", "a,b", "--out", str(tmp_path / "out")]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -291,14 +290,6 @@ def test_full_env_file_with_bad_fields_exits_2(tmp_path, capsys):
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "bad environment file" in err
-
-
-def test_duplicate_seeds_exit_2_before_any_run(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", _probe())
-    assert cli.main(["run", cfg, "--seeds", "1,1", "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

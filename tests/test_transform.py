@@ -19,7 +19,8 @@ from tadlab import (
     validate,
     value_relation_check,
 )
-from tadlab.constructions import builtin_game, builtin_names, random_matrix_game, random_mmdp
+from tadlab.claims import composition_models
+from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 from tadlab.core import SIZE_GUARD, Mdp, SizeGuardError
 from tadlab.learners import value_iteration
 from tadlab.transform import layer_offsets, virtual_state_index
@@ -325,18 +326,6 @@ def test_size_report_single_action_degenerate():
 # ---------------------------------------------------------------------------
 # layered solve against value iteration on the dense transform
 
-def _claim4_models(seed=0):
-    """The models `tadlab verify 4 --seed <seed>` solves."""
-    models = [builtin_game(name) for name in builtin_names()]
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        models.append(random_mmdp(
-            int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 5)),
-            gamma=float(rng.choice([0.5, 0.9, 0.99])), rng=rng,
-        ))
-    return models
-
-
 def _greedy_policies(q, model):
     pol = np.zeros(q.shape)
     pol[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
@@ -362,7 +351,7 @@ def _assert_layered_matches_dense(model):
 
 
 def test_layered_vi_matches_dense_on_claim4_models():
-    for model in _claim4_models():
+    for _, model in composition_models(0):
         _assert_layered_matches_dense(model)
 
 
@@ -372,7 +361,8 @@ def test_policy_iteration_oracle_agrees_with_vi_oracle():
     from tadlab.core import DeterministicJointPolicy, brute_force_optimal, optimal_values
 
     solve = [random_mmdp(50, 3, 4, gamma=0.99, rng=seed) for seed in range(10)]
-    for model in _claim4_models(0) + _claim4_models(1) + solve:
+    claim4 = [model for seed in (0, 1) for _, model in composition_models(seed)]
+    for model in claim4 + solve:
         greedy = np.argmax(vi_oracle(model)[0], axis=1)
         best, mu = brute_force_optimal(model)
         assert np.array_equal(mu.actions, greedy)
