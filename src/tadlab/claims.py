@@ -1,8 +1,7 @@
 """The four optimality claims, one function each.
 
 `tadlab verify N` and the acceptance suite both run these. A claim's
-function takes its seed (claims 1 and 3 also a size: `steps`, `cases`) and
-returns a `ClaimRecord`: its (label, ok, detail) checks and the numbers they
+function takes only its seed and returns a `ClaimRecord`: its (label, ok, detail) checks and the numbers they
 tested; the claim holds when every check passes.
 """
 
@@ -37,18 +36,18 @@ class ClaimRecord:
         return all(ok for _, ok, _ in self.checks)
 
 
-def pg_traps(seed=0, steps=20000):
+def pg_traps(seed=0):
     """Claim 1: concentrated inits on `table1` stay on their diagonal cell;
     the uniform init finds the optimum.
 
-    The three inits descend together as one batched run. Nothing is drawn,
-    so the seed is unused."""
+    The three inits descend together as one batched 20k-step run. Nothing
+    is drawn, so the seed is unused."""
     model = builtin_game("table1")
     traps = (((1, 1), 5.0), ((2, 2), 1.0))
     starts = [MapgParams.concentrated(2, 1, 3, target, 5.0).logits for target, _ in traps]
     starts.append(MapgParams.uniform(2, 1, 3).logits)
     params, _ = run_mapg(model, MapgParams(np.stack(starts)), lr=0.05,
-                         steps=steps, log_every=5000)
+                         steps=20000, log_every=5000)
     codes = params.greedy_joint()[:, 0]
     returns = np.array([
         evaluate_policy(model, DecentralizedPolicySet.deterministic(
@@ -103,13 +102,13 @@ def vd_traps(seed=0):
     })
 
 
-def value_relation(seed=0, cases=100):
-    """Claim 3: the transform rescales each policy's value exactly, on
-    `cases` seeded random model/coordination-policy pairs."""
+def value_relation(seed=0):
+    """Claim 3: the transform rescales each policy's value exactly, on 100
+    seeded random model/coordination-policy pairs."""
     rng = np.random.default_rng(seed)
     combos = [(n, g) for n in (1, 2, 3, 4) for g in (0.5, 0.9, 0.99)]
-    residuals = np.empty(cases)
-    for i in range(cases):
+    residuals = np.empty(100)
+    for i in range(100):
         n_agents, gamma = combos[i % len(combos)]
         n_states = int(rng.integers(1, 4))
         n_actions = int(rng.integers(2, 4 if n_agents < 4 else 3))
@@ -118,7 +117,7 @@ def value_relation(seed=0, cases=100):
         residuals[i] = value_relation_check(model, pc)[2]
     worst = residuals.max(initial=0.0)
     check = ("value relation residual", bool(worst < 1e-8),
-             f"{cases} cases, max residual {worst:.3e}")
+             f"100 cases, max residual {worst:.3e}")
     return ClaimRecord((check,), {"residuals": residuals})
 
 

@@ -54,7 +54,7 @@ def report(criterion, ok, detail, elapsed, budget):
 
 def test_criterion_1_policy_gradient_traps():
     start = time.perf_counter()
-    record = claims.pg_traps(steps=10000)
+    record = claims.pg_traps()
     codes, returns = record.numbers["codes"], record.numbers["returns"]
     ok = record.ok and [joint_digits(c, 2, 3) for c in codes[:2]] == [(1, 1), (2, 2)]
     ok &= np.abs(returns - [5.0, 1.0, 10.0]).max() < 1e-6
@@ -102,7 +102,7 @@ def test_criterion_3_duplex_counterexample():
 
 def test_criterion_4_value_relation_residuals():
     start = time.perf_counter()
-    record = claims.value_relation(seed=0, cases=100)
+    record = claims.value_relation(seed=0)
     residuals = record.numbers["residuals"]
     worst = residuals.max()
     elapsed = time.perf_counter() - start
