@@ -135,7 +135,7 @@ def composition_models(seed=0):
 
 
 def optimal_composition(seed=0):
-    """Claim 4: transform + value iteration + greedy distillation reaches the
+    """Claim 4: transform + optimal solve + greedy distillation reaches the
     oracle optimum on every `composition_models` model."""
     builtin_gaps, random_gaps = [], []
     for name, model in composition_models(seed):

@@ -103,8 +103,8 @@ def _load_config(path):
             config = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read config {path} as JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise SchemaError("config must be a JSON object")
     allowed = {"env", "learner", "init", "distill", "outputs"}
@@ -164,7 +164,7 @@ def _resolve_env(spec):
             if model.horizon is not None:
                 episode_positions(model)  # the oracle needs a layered model
             return model, spec
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise SchemaError(f"bad environment file {spec}: {exc}") from exc
     raise SchemaError(f"env {spec!r} is neither a builtin nor an existing file")
 
@@ -188,7 +188,7 @@ def _init_arrays(path, shapes):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read init file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"init file {path} must hold a JSON object")
@@ -276,8 +276,10 @@ def _execute(config, seed, out_dir):
         cfg = {}
         if sarl in ("softmax_pg", "clipped_pg"):
             cfg = {"lr": lr, "steps": steps, "log_every": log_every}
-            if sarl == "clipped_pg" or learner.get("clip") is not None:
-                cfg["clip"] = float(learner.get("clip", 0.2))
+            # a null clip is absent: 0.2 for clipped_pg, unclipped softmax_pg
+            clip = learner.get("clip")
+            if sarl == "clipped_pg" or clip is not None:
+                cfg["clip"] = float(0.2 if clip is None else clip)
                 resolved["clip"] = cfg["clip"]
         elif sarl == "q_learning":
             cfg = {"sweeps": int(learner.get("sweeps", 200))}

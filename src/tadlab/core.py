@@ -29,7 +29,8 @@ import numpy as np
 PROB_TOL = 1e-12
 #: exact solvers refuse models with more state-action pairs than this
 SIZE_GUARD = 10**7
-#: the iterative solvers give up after this many iterations (sweeps, passes)
+#: policy iteration and the test oracle's value iteration give up after this
+#: many iterations (sweeps)
 MAX_SWEEPS = 1_000_000
 
 

@@ -35,9 +35,10 @@ policy gradient with an optional clipped surrogate) runs on
 one-agent models, such as the layered models produced by the
 transformation; composing transform, solver, and greedy distillation
 yields decentralized policies with the solver's optimality carried over.
-Inside that composition, value iteration and synchronous Q-learning run
-layer by layer on the MMDP's own tensors (`layered_optimal_values`,
-`layered_q_learning`) rather than on the dense transform.
+Inside that composition, the optimal solve and synchronous Q-learning run
+layer by layer on the MMDP's own tensors rather than on the dense
+transform: `layered_optimal_values` unrolls the oracle's optimal joint
+table into the layers, and `layered_q_learning` backs them up per sweep.
 """
 
 from __future__ import annotations
@@ -785,8 +786,10 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     """Transform, solve with a single-agent learner, lower, and distill.
 
     vi and synchronous q_learning solve the transform layer by layer on the
-    MMDP's own tensors and never build it; sampled q_learning and the
-    policy-gradient learners run on the dense `sequential_transform`.
+    MMDP's own tensors and never build it: vi unrolls the policy-iteration
+    oracle's optimal joint table into the layers (`tol` is its advantage
+    tolerance). Sampled q_learning and the policy-gradient learners run on
+    the dense `sequential_transform`.
     Returns the decentralized policies and a trace. Iterative learners
     contribute their own trace (measured on the transformed model); vi and
     q_learning yield a single summary row whose loss column holds the

@@ -11,14 +11,16 @@ when A == 1), then s-major / prefix-minor within a block, with prefixes coded
 in the same mixed radix as joint actions. This makes a layer's rows plain
 reshapes of the joint tensors.
 
-Value iteration and synchronous Q-learning never build the transform: they
-back up the layers n-1..0 one at a time (``layer_backup``) on the MMDP's own
-tensors, which is the agent-by-agent backup of the sequential
-transformation. The dense model from ``sequential_transform``, a
-[V, A, V] tensor over V = S*(A**n - 1)/(A - 1) virtual states, remains for
-exact policy gradient (which needs the V x V policy kernel), sampled
-Q-learning (whose draws index dense virtual states), the claim-3 value
-relation check and the inverse transform.
+The optimal solve and synchronous Q-learning never build the transform:
+they back up the layers n-1..0 one at a time (``layer_backup``) on the
+MMDP's own tensors, which is the agent-by-agent backup of the sequential
+transformation. The optimal solve needs only one pass: its last layer is the
+MMDP's optimal joint table from ``core.optimal_values``. The dense model
+from ``sequential_transform``, a [V, A, V] tensor over
+V = S*(A**n - 1)/(A - 1) virtual states, remains for exact policy gradient
+(which needs the V x V policy kernel), sampled Q-learning (whose draws
+index dense virtual states), the claim-3 value relation check and the
+inverse transform.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import functools
 import numpy as np
 
 from .core import (
-    MAX_SWEEPS,
     SIZE_GUARD,
     CoordinationPolicy,
     DecentralizedPolicySet,
@@ -36,9 +37,9 @@ from .core import (
     Mmdp,
     SizeGuardError,
     digit_table,
-    episode_positions,
     evaluate_policy,
     first_visit_times,
+    optimal_values,
     require_valid,
 )
 
@@ -152,55 +153,31 @@ def never_reached(model):
 
 
 def layered_optimal_values(model, tol=1e-10):
-    """Optimal action values [V, A] of the sequential transform, plus
-    per-pass sup-norm residuals, without building the transform.
+    """Optimal action values [V, A] of the sequential transform, plus the
+    record of `optimal_values`, without building the transform.
 
-    Rows follow the transform's virtual-state order. One pass backs up the
-    layers n-1..0 once, i.e. one original step. Infinite horizon: passes
-    repeat until the sup-norm change of the layer-0 values drops below
-    `tol`; a pass contracts by gamma_step**n = gamma, so this takes as many
-    passes as value iteration on the MMDP takes sweeps. Episodic: backward
-    induction over the original steps, each virtual state's rows read at
-    its base state's episode step from `episode_positions` (models must be
-    layered); as in the dense transform, never-reached states keep their
-    last-layer rows from the last step and zero intermediate-layer rows.
-    Memory is the V*A entries of the layer tables, never a [V, A, V] tensor.
+    Rows follow the transform's virtual-state order. The transform's layer-0
+    values are gamma**((n-1)/n) * V* and gamma_step * gamma**((n-1)/n) =
+    gamma, so its last layer's table is the MMDP's optimal joint table Q*
+    reshaped to [S*A**(n-1), A]. One `optimal_values` call gives Q* (policy
+    iteration to advantage tolerance `tol`, or backward induction read at
+    each state's episode step; the record is its margins, or [0.0]); the
+    earlier layers have zero reward and deterministic moves, so each is one
+    `layer_backup` of the next layer's row maxima. As in the dense
+    transform, never-reached states of an episodic model get zero
+    intermediate-layer rows. Memory is the V*A entries of the layer tables,
+    never a [V, A, V] tensor.
     """
     gamma_step = step_discount(model)
-    s, n, a = model.n_states, model.n_agents, model.n_actions
-
-    def backup_pass(v0):
-        tables = [None] * n
-        v = v0
-        for k in reversed(range(n)):
-            tables[k] = layer_backup(model, k, v, gamma_step)
-            v = row_max(tables[k])
-        return tables, v
-
-    if model.horizon is not None:
-        pos = episode_positions(model)
-        out = [np.empty((s, a**k, a)) for k in range(n)]
-        v0 = np.zeros(s)
-        for t in reversed(range(model.horizon)):
-            tables, v0 = backup_pass(v0)
-            at_t = pos == t
-            for k in range(n):
-                out[k][at_t] = tables[k].reshape(s, a**k, a)[at_t]
-        unreached = never_reached(model)
-        for k in range(n - 1):
-            out[k][unreached] = 0.0
-        return np.concatenate([o.reshape(-1, a) for o in out]), [0.0]
-    v0 = np.zeros(s)
-    residuals = []
-    for _ in range(MAX_SWEEPS):
-        tables, v = backup_pass(v0)
-        res = float(np.max(np.abs(v - v0)))
-        residuals.append(res)
-        v0 = v
-        if res < tol:
-            return np.concatenate(tables), residuals
-    raise RuntimeError(
-        f"layered value iteration did not reach tol={tol} in {MAX_SWEEPS} passes")
+    q, record = optimal_values(model, tol=tol)
+    n, a = model.n_agents, model.n_actions
+    tables = [q.reshape(-1, a)]
+    for k in reversed(range(n - 1)):
+        tables.insert(0, layer_backup(model, k, row_max(tables[0]), gamma_step))
+    unreached = never_reached(model)
+    for k in range(n - 1):
+        tables[k][np.repeat(unreached, a**k)] = 0.0
+    return np.concatenate(tables), record
 
 
 def _infer_base_states(total, n_agents, n_actions):

@@ -56,10 +56,10 @@ def vi_oracle(model, tol=1e-10, max_iter=MAX_SWEEPS):
     synchronous value iteration from zero, stopped at a sup-norm change
     below `tol` (the solver `optimal_values` ran before policy iteration).
 
-    Its values are within tol * gamma / (1 - gamma) of the optimum; it is
-    the reference the layered transform solver, also value iteration, is
-    checked against sweep for sweep. Episodic models go to the exact
-    backward induction of `optimal_values`.
+    Its values are within tol * gamma / (1 - gamma) of the optimum; run on
+    the dense transform, it is the independent reference for the layered
+    transform solve. Episodic models go to the exact backward induction of
+    `optimal_values`.
     """
     if model.horizon is not None:
         return optimal_values(model, tol, max_iter)

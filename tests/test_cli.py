@@ -218,6 +218,46 @@ def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config):
     assert not (tmp_path / "out").exists()
 
 
+def _unreadable_input(tmp_path, case):
+    """argv for a run or report whose config, env or init file cannot be read
+    as JSON text: a directory, or bytes that are not UTF-8."""
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"note": "caf\xe9"}')
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    out = ["--out", str(tmp_path / "out")]
+    if case == "config-dir":
+        return ["run", str(folder), *out]
+    if case == "config-not-utf8":
+        return ["run", str(not_utf8), *out]
+    if case == "env-dir-report":
+        return ["transform", "report", str(folder)]
+    if case == "env-dir-run":
+        config = _probe({"kind": "tad"}, env=str(folder))
+    else:
+        config = _probe(init={"mode": "file", "file": str(not_utf8)})
+    return ["run", write_config(tmp_path / "cfg.json", config), *out]
+
+
+@pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "env-dir-run",
+                                  "env-dir-report", "init-not-utf8"])
+def test_unreadable_input_files_exit_2_with_one_line(tmp_path, capsys, case):
+    assert cli.main(_unreadable_input(tmp_path, case)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_clipped_pg_null_clip_takes_the_default(tmp_path):
+    config = {"env": "table1", "learner": {"kind": "tad", "sarl": "clipped_pg",
+                                           "steps": 5, "clip": None}}
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["learner"]["clip"] == 0.2
+
+
 @pytest.mark.parametrize("text", [
     '{"matrix": [[1, NaN], [0, 1]]}', '{"matrix": 5}',
     '{"matrix": [[1, 2], [3, 4]], "gamma": null}',

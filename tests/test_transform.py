@@ -21,8 +21,17 @@ from tadlab import (
 )
 from tadlab.claims import composition_models
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
-from tadlab.core import SIZE_GUARD, Mdp, SizeGuardError
-from tadlab.learners import value_iteration
+from tadlab.core import (
+    SIZE_GUARD,
+    DeterministicJointPolicy,
+    Mdp,
+    SizeGuardError,
+    brute_force_optimal,
+    first_visit_times,
+    greedy_codes,
+    optimal_values,
+)
+from tadlab.learners import tad_run, value_iteration
 from tadlab.transform import layer_offsets, virtual_state_index
 
 from oracles import vi_oracle
@@ -333,21 +342,21 @@ def _greedy_policies(q, model):
 
 
 def _assert_layered_matches_dense(model):
-    # layered VI against value iteration on the dense transform, then against
-    # the exact solve within its stopping bound: a pass contracts the layer-0
-    # values by gamma, and each table is one step of discount gamma**(1/n)
-    # from them, so the tables sit within tol * gamma**(1/n) / (1 - gamma)
-    tol = 1e-10  # layered_optimal_values' default
+    # the layered tables against the exact solve of the dense transform, and
+    # against value iteration on it within VI's stopping bound
+    # tol * gamma**(1/n) / (1 - gamma): a dense sweep changes one layer, by at
+    # least gamma**((n-1)/n) times the MMDP sweep's change of V
+    tol = 1e-10  # vi_oracle's default
     transformed = sequential_transform(model)
+    exact, _ = value_iteration(transformed)
     dense, _ = vi_oracle(transformed)
     layered, _ = layered_optimal_values(model)
     assert layered.shape == dense.shape
+    assert np.abs(layered - exact.q).max() <= 1e-10
+    assert np.abs(layered - dense).max() <= tol * transformed.gamma / (1 - model.gamma)
     assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
-    assert np.abs(layered - dense).max() < 1e-9
     assert evaluate_policy(model, _greedy_policies(layered, model)) == evaluate_policy(
         model, _greedy_policies(dense, model))
-    exact, _ = value_iteration(transformed)
-    assert np.abs(layered - exact.q).max() <= tol * transformed.gamma / (1 - model.gamma)
 
 
 def test_layered_vi_matches_dense_on_claim4_models():
@@ -358,8 +367,6 @@ def test_layered_vi_matches_dense_on_claim4_models():
 def test_policy_iteration_oracle_agrees_with_vi_oracle():
     # claim-4 models and the benchmark's solve models (S=50, n=3, A=4): the
     # same greedy policy and the bit-identical return as value iteration
-    from tadlab.core import DeterministicJointPolicy, brute_force_optimal, optimal_values
-
     solve = [random_mmdp(50, 3, 4, gamma=0.99, rng=seed) for seed in range(10)]
     claim4 = [model for seed in (0, 1) for _, model in composition_models(seed)]
     for model in claim4 + solve:
@@ -374,12 +381,9 @@ def test_layered_vi_matches_dense_on_small_random_mmdp():
     _assert_layered_matches_dense(random_mmdp(6, 2, 3, gamma=0.9, rng=31))
 
 
-def test_layered_vi_pass_count_matches_mmdp_sweeps():
+def test_layered_solve_returns_the_oracle_record():
     model = random_mmdp(6, 2, 3, gamma=0.9, rng=31)
-    _, residuals = layered_optimal_values(model)
-    _, sweeps = vi_oracle(model)
-    assert len(residuals) == len(sweeps)
-    assert residuals[-1] < 1e-10
+    assert layered_optimal_values(model)[1] == optimal_values(model)[1]
 
 
 def test_layered_vi_matches_dense_with_unreached_states(partly_reached_models):
@@ -396,3 +400,24 @@ def test_layered_vi_rejects_unlayered_episodic_model():
         value_iteration(sequential_transform(model))
     with pytest.raises(ValueError, match="not layered"):
         layered_optimal_values(model)
+
+
+def test_tad_vi_plays_the_oracle_policy():
+    # transform + layered solve + greedy distillation gives the oracle's
+    # greedy joint codes on the claim-4 models and the solve models
+    claim4 = [model for seed in (0, 1) for _, model in composition_models(seed)]
+    solve = [random_mmdp(50, 3, 4, gamma=0.99, rng=seed) for seed in range(10)]
+    for model in claim4 + solve:
+        policies, _ = tad_run(model, sarl="vi")
+        _, mu = brute_force_optimal(model)
+        assert np.array_equal(greedy_codes(policies.tables), mu.actions)
+
+
+def test_tad_vi_plays_the_oracle_policy_on_reached_states(partly_reached_models):
+    # never-reached states differ by design: their layer-0 rows are zero
+    for model in partly_reached_models:
+        policies, _ = tad_run(model, sarl="vi")
+        best, mu = brute_force_optimal(model)
+        reached = first_visit_times(model) >= 0
+        assert np.array_equal(greedy_codes(policies.tables)[reached], mu.actions[reached])
+        assert evaluate_policy(model, policies) == best
