@@ -413,7 +413,9 @@ def policy_slices(model, pol):
     d_t[s] is the discounted visit weight gamma^t Pr(s_t = s) and q_t[s, a]
     the action value at episode step t. Infinite horizon yields one slice
     summed over all steps (two linear solves); episodic models yield one
-    slice per step by backward induction. Every exact quantity reads off
+    slice per step by backward induction, which starts from the last step's
+    table: the reward itself, as its next values are zero (`+ 0.0` keeps the
+    signed zeros of `reward + gamma * T @ 0`). Every exact quantity reads off
     these: J = sum_t d_t . r_pi, the occupancy sum_t d_t, and the policy
     gradient sum_t d_t * q_t.
 
@@ -429,10 +431,11 @@ def policy_slices(model, pol):
         slices = [(d, q)]
     else:
         q_by_t = np.empty((model.horizon,) + batch + model.reward.shape)
-        v = np.zeros(batch + (model.n_states,))
+        np.add(model.reward, 0.0, out=q_by_t[-1])
         for t in reversed(range(model.horizon)):
-            q_by_t[t] = model.reward + model.gamma * _next_values(model, v)
             v = np.einsum("...sa,...sa->...s", pol, q_by_t[t])
+            if t:
+                q_by_t[t - 1] = model.reward + model.gamma * _next_values(model, v)
         rho = np.empty_like(v)
         rho[...] = model.initial_dist
         slices = [(rho, q_by_t[0])]

@@ -214,20 +214,14 @@ class VdParams:
                                for arr in (self.q_local, self.mix) if arr is not None],
                               axis=-1)
 
-    def views(self, vec):
-        """(q_local, mixer array) views of a flat [d] vector or a [K, d]
-        stack, in this point's per-replica shapes."""
-        batch, lead, mix = vec.shape[:-1], self.q_local.ndim - 3, self.mix
-        point = self.q_local.shape[lead:]
-        nq = math.prod(point)
-        q_local = vec[..., :nq].reshape(batch + point)
-        if mix is None:
-            return q_local, None
-        return q_local, vec[..., nq:].reshape(batch + mix.shape[lead:])
+    def point_shapes(self):
+        """Per-replica shapes of q_local and of the mixer array (None for vdn)."""
+        lead, mix = self.q_local.ndim - 3, self.mix
+        return self.q_local.shape[lead:], None if mix is None else mix.shape[lead:]
 
     def unpack_like(self, vec):
         """Params of this point's shape from a flat [d] vector or a [K, d] stack."""
-        q_local, mix = self.views(np.asarray(vec, dtype=float))
+        q_local, mix = _vd_views(np.asarray(vec, dtype=float), *self.point_shapes())
         return VdParams(self.variant, q_local,
                         *((mix, None) if self.variant == "monotonic" else (None, mix)))
 
@@ -353,9 +347,10 @@ def product_policy_value_and_grad(model, tables):
     others = picked.take(index, axis=-3)
     if index.ndim == 2:
         others = others.prod(axis=-3)
-    grad = np.zeros(tables.shape)
+    # 0.0 + first term: the bits (signed zeros too) of a zeros buffer += term
+    grad = 0.0
     for d_t, q_t in slices:
-        grad += d_t[..., None, :, None] * ((others * q_t[..., None, :, :]) @ masks)
+        grad = grad + d_t[..., None, :, None] * ((others * q_t[..., None, :, :]) @ masks)
     return value, grad
 
 
@@ -401,11 +396,22 @@ def _check_dist(dist, model):
     dist = np.asarray(dist, dtype=float)
     if dist.shape != model.reward.shape:
         raise ValueError(f"dist shape {dist.shape} != {model.reward.shape}")
-    if np.any(dist <= 0):
+    if not (dist > 0).all():  # false for NaN entries too
         raise ValueError("sampling distribution must have full support")
     if abs(dist.sum() - 1.0) > 1e-9:
         raise ValueError("sampling distribution must sum to 1")
     return dist
+
+
+def _vd_views(vec, point, mix_shape):
+    """(q_local, mixer array) views of a flat [d] vector or a [K, d] stack,
+    in per-replica shapes `point` and `mix_shape` (None for vdn). Each is a
+    last-axis slice split into axes, which needs no copy in either layout."""
+    batch, nq = vec.shape[:-1], math.prod(point)
+    q_local = vec[..., :nq].reshape(batch + point)
+    if mix_shape is None:
+        return q_local, None
+    return q_local, vec[..., nq:].reshape(batch + mix_shape)
 
 
 def _vd_mix(variant, q_local, mix):
@@ -421,10 +427,10 @@ def _vd_mix(variant, q_local, mix):
         weights = np.exp(mix)[..., None]
         return (weights * picked).sum(axis=-3), picked, weights
     lam = np.exp(mix)
-    maxes = q_local.max(axis=-1)
-    adv = picked - maxes[..., None]
+    maxes = q_local.max(axis=-1, keepdims=True)
+    adv = picked - maxes
     q = (lam * adv).sum(axis=-3)
-    q += maxes.sum(axis=-2)[..., None]
+    q += maxes.sum(axis=-3)
     return q, adv, lam
 
 
@@ -445,37 +451,41 @@ def vd_objective(template, model, dist=None):
     """`f(x) -> (loss, packed gradient)` of the semi-gradient TD loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them.
 
-    `dist` is checked once here; each call runs on views of x and writes the
-    gradient into one packed buffer, so a long descent pays no per-step
-    checks or repacking."""
+    `dist` is checked once here and the view shapes are computed once; each
+    call runs on views of x and joins the packed gradient with one
+    concatenate, so a long descent pays no per-step checks or repacking."""
     dist = _check_dist(dist, model)
-    variant, point = template.variant, template.q_local.shape[-3:]
-    masks, nq = _agent_axis(*point)[1], math.prod(point)
+    variant, shapes = template.variant, template.point_shapes()
+    masks = _agent_axis(*shapes[0])[1]
+    row_starts = {}
 
     def f(x):
-        q_local, mix = template.views(x)
+        q_local, mix = _vd_views(x, *shapes)
         q, terms, weights = _vd_mix(variant, q_local, mix)
         target = model.reward if model.horizon == 1 else bellman_backup(q, model)
         resid = q - target
-        sq = dist * resid * resid
-        w = (dist * resid)[..., None, :, :]
-        grad, flat = np.empty(x.shape), x.shape[:-1] + (-1,)
+        w = dist * resid
+        loss = 0.5 * (w * resid).reshape(resid.shape[:-2] + (-1,)).sum(-1)
+        w = w[..., None, :, :]
         if variant == "vdn":
-            gq = w @ masks
-        elif variant == "monotonic":
-            gq = weights * (w @ masks)
-            grad[..., nq:] = (weights[..., 0] * (w * terms).sum(-1)).reshape(flat)
+            return loss, (w @ masks).reshape(x.shape)
+        if variant == "monotonic":
+            gq, g_mix = weights * (w @ masks), weights[..., 0] * (w * terms).sum(-1)
         else:
+            # one copy of w per agent, so the products below need no broadcast
+            w = w.repeat(len(masks), axis=-3)
             wlam = w * weights
             gq = wlam @ masks
             # d q / d max_i = 1 - lam_i, routed to agent i's local argmax; gq
-            # is a fresh C-ordered array, so its reshape is a view and the
-            # update lands
-            rows = gq.reshape(-1, gq.shape[-1])
-            rows[np.arange(len(rows)), q_local.argmax(-1).ravel()] += (w - wlam).sum(-1).ravel()
-            grad[..., nq:] = (wlam * terms).reshape(flat)
-        grad[..., :nq] = gq.reshape(flat)
-        return 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1), grad
+            # is a fresh C-ordered array, so its flat reshape is a view and
+            # the update lands
+            g_flat = gq.reshape(-1)
+            if g_flat.size not in row_starts:
+                row_starts[g_flat.size] = np.arange(0, g_flat.size, gq.shape[-1])
+            g_flat[row_starts[g_flat.size] + q_local.argmax(-1).ravel()] += (w - wlam).sum(-1).ravel()
+            g_mix = wlam * terms
+        flat = x.shape[:-1] + (-1,)
+        return loss, np.concatenate((gq.reshape(flat), g_mix.reshape(flat)), axis=-1)
 
     return f
 
@@ -504,11 +514,15 @@ def igm_check(params, s, tol=1e-9):
 # ---------------------------------------------------------------------------
 # plain gradient descent
 
-def _check_lr_steps(lr, steps):
-    if lr <= 0:
-        raise ValueError("lr must be positive")
+def _check_lr_steps(lr, steps, stop_tol, log_every):
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError("lr must be positive and finite")
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if not stop_tol >= 0:
+        raise ValueError("stop_tol must be non-negative")
+    if log_every < 1:
+        raise ValueError("log_every must be at least 1")
 
 
 def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1):
@@ -526,18 +540,24 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
     Non-finite losses or gradients abort with GdDivergenceError. Returns the
     final x and a TrainTrace, or ReplicaTraces for a stack.
     """
-    _check_lr_steps(lr, steps)
+    _check_lr_steps(lr, steps, stop_tol, log_every)
     x = np.array(x0, dtype=float)
     stacked = x.ndim == 2
-    traces = [TrainTrace() for _ in range(len(x) if stacked else 1)]
-    live = np.ones(len(traces), dtype=bool)
+    n_rows = len(x) if stacked else 1
+    rows = x.reshape(n_rows, -1)
+    traces = [TrainTrace() for _ in range(n_rows)]
+    live = np.ones(n_rows, dtype=bool)
     frozen = False
     t = 0
     while True:
         loss, grad = loss_and_grad(x)
-        loss = np.asarray(loss, dtype=float).reshape(len(traces))
-        grad = np.asarray(grad, dtype=float).reshape(len(traces), -1)
-        if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
+        loss = np.asarray(loss, dtype=float).reshape(n_rows)
+        grad = np.asarray(grad, dtype=float).reshape(n_rows, -1)
+        # a finite sum of squares proves every entry finite; one that
+        # overflows falls through to the entrywise check (vdot is a BLAS dot
+        # that raises no floating-point warning)
+        if not ((math.isfinite(np.vdot(loss, loss)) and math.isfinite(np.vdot(grad, grad)))
+                or (np.isfinite(loss).all() and np.isfinite(grad).all())):
             raise GdDivergenceError(
                 f"non-finite loss or gradient at step {t} (lr={lr})"
             )
@@ -558,7 +578,7 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
         step = lr * grad
         if frozen:
             step[~live] = 0.0
-        x = x - step.reshape(x.shape)
+        rows -= step
         t += 1
 
 
@@ -694,7 +714,7 @@ def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
         return params.logits[0], trace
     if clip <= 0:
         raise ValueError("clip must be positive")
-    _check_lr_steps(lr, steps)
+    _check_lr_steps(lr, steps, stop_tol, log_every)
     trace = TrainTrace()
     for t in range(steps + 1):
         pi_old = softmax(logits)

@@ -77,6 +77,32 @@ def vi_oracle(model, tol=1e-10, max_iter=MAX_SWEEPS):
     raise RuntimeError(f"value iteration did not reach tol={tol} in {max_iter} sweeps")
 
 
+def slices_oracle(model, pol):
+    """Episodic return and (d_t, q_t) slices of a [..., S, M] policy matrix
+    by the plain backward pass: every step, the last one too, backs up
+    `reward + gamma * T @ v` from v = 0. The reference for
+    `policy_slices`, whose backward pass starts from the reward table."""
+    batch = pol.shape[:-2]
+    q_by_t = np.empty((model.horizon,) + batch + model.reward.shape)
+    v = np.zeros(batch + (model.n_states,))
+    for t in reversed(range(model.horizon)):
+        next_v = (model.transition @ v[..., None, :, None])[..., 0]
+        q_by_t[t] = model.reward + model.gamma * next_v
+        v = np.einsum("...sa,...sa->...s", pol, q_by_t[t])
+    rho = np.empty_like(v)
+    rho[...] = model.initial_dist
+    slices = [(rho, q_by_t[0])]
+    if model.horizon > 1:
+        p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
+        scale = 1.0
+        for q_t in q_by_t[1:]:
+            rho = (rho[..., None, :] @ p_pi)[..., 0, :]
+            scale *= model.gamma
+            slices.append((scale * rho, q_t))
+    value = (model.initial_dist @ v[..., None])[..., 0]
+    return (value if batch else float(value)), slices
+
+
 # ---------------------------------------------------------------------------
 # the per-agent-loop MA-PG and VD kernels that the agent-stacked kernels of
 # `tadlab.learners` replaced; the new kernels must match them bit for bit

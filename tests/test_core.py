@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,7 +23,7 @@ from tadlab import (
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 from tadlab.core import digit_table, optimal_values, policy_slices
 
-from oracles import vi_oracle
+from oracles import slices_oracle, vi_oracle
 
 
 def test_joint_codec_round_trip():
@@ -458,3 +459,38 @@ def test_evaluation_bits_do_not_depend_on_memory_order():
         fortran = np.asfortranarray(pol)
         assert evaluate_policy(model, pol) == evaluate_policy(model, fortran)
         assert np.array_equal(occupancy(model, pol), occupancy(model, fortran))
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_policy_slices_match_the_backward_pass_oracle(partly_reached_models):
+    rng = np.random.default_rng(31)
+    horizon3 = random_mmdp(3, 2, 2, gamma=0.9, rng=33, horizon=3)
+    models = [
+        builtin_game("table1"),
+        # -0.0 rewards: the last step's table must hold +0.0 there, the
+        # bits of reward + gamma * T @ 0
+        matrix_game([[-0.0, 1.0], [2.0, -0.0]]),
+        random_mmdp(3, 2, 2, gamma=0.9, rng=32, horizon=1),
+        random_mmdp(3, 2, 2, gamma=0.9, rng=32, horizon=2),
+        horizon3,
+        dataclasses.replace(horizon3, reward=np.where(horizon3.reward < 0.5, -0.0,
+                                                      horizon3.reward)),
+        *partly_reached_models,
+    ]
+    for model in models:
+        for batch in [(), (1,), (4,)]:
+            pol = rng.dirichlet(np.ones(model.n_joint_actions), size=batch + (model.n_states,))
+            value, slices = policy_slices(model, pol)
+            want_value, want_slices = slices_oracle(model, pol)
+            assert type(value) is type(want_value)
+            assert_same_bits(value, want_value)
+            assert len(slices) == len(want_slices) == model.horizon
+            for (d_t, q_t), (want_d, want_q) in zip(slices, want_slices):
+                assert_same_bits(d_t, want_d)
+                assert_same_bits(q_t, want_q)
+            if (model.reward == 0).any():
+                assert not np.signbit(slices[-1][1]).any()

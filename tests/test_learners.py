@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ from tadlab.learners import (
     softmax,
     uniform_dist,
 )
-from oracles import mapg_loss_oracle, vd_kernel_oracle
+from oracles import mapg_kernel_oracle, mapg_loss_oracle, vd_kernel_oracle
 
 TABLE1 = builtin_game("table1")
 M2 = builtin_game("matgame2")
@@ -190,12 +193,13 @@ def test_vd_gradients_with_weighted_sampling_distribution():
 
 def test_vd_rejects_zero_support_dist():
     p = VdParams.zeros("vdn", 2, 1, 2)
-    dist = uniform_dist(M2)
-    dist = dist.copy()
-    dist[0, 1] = 0.0
-    dist[0, 0] += 1 / 4
-    with pytest.raises(ValueError, match="support"):
-        vd_loss_and_grad(p, M2, dist=dist)
+    for bad in (0.0, np.nan):
+        dist = uniform_dist(M2)
+        dist = dist.copy()
+        dist[0, 1] = bad
+        dist[0, 0] += 1 / 4
+        with pytest.raises(ValueError, match="support"):
+            vd_loss_and_grad(p, M2, dist=dist)
 
 
 def test_vdn_converges_to_additive_least_squares_fit():
@@ -323,9 +327,49 @@ def test_gd_run_nan_aborts():
         gd_run(bad, np.ones(2), lr=0.1, steps=10)
 
 
+BAD_STEP_SETTINGS = [{"lr": np.nan}, {"lr": np.inf}, {"log_every": 0},
+                     {"stop_tol": np.nan}, {"stop_tol": -1e-3}]
+
+
 def test_gd_run_rejects_bad_lr():
-    with pytest.raises(ValueError):
-        gd_run(lambda x: (0.0, x), np.ones(1), lr=0.0, steps=1)
+    for bad in [{"lr": 0.0}, *BAD_STEP_SETTINGS]:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            gd_run(lambda x: (0.0, x), np.ones(1), **{"lr": 0.1, "steps": 1, **bad})
+
+
+def test_gd_run_raises_at_the_step_of_one_non_finite_entry():
+    # entry None puts `value` into replica k's loss, entry j into its gradient
+    for value, k, entry in itertools.product((np.nan, np.inf, -np.inf), range(3),
+                                             (None, 0, 1)):
+        calls = []
+
+        def f(x):
+            loss, grad = 0.5 * (x * x).sum(-1), x.copy()
+            if len(calls) == 4:
+                if entry is None:
+                    loss[k] = value
+                else:
+                    grad[k, entry] = value
+            calls.append(1)
+            return loss, grad
+
+        with pytest.raises(GdDivergenceError, match="at step 4 "):
+            gd_run(f, np.ones((3, 2)), lr=0.1, steps=10, log_every=3)
+
+
+def test_gd_run_accepts_finite_losses_and_gradients_whose_sums_overflow():
+    huge = np.full((2, 2), 1e308)
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        loss = huge[:, 0] if len(calls) == 2 else np.zeros(2)
+        return loss, huge if len(calls) == 3 else np.zeros((2, 2))
+
+    # steps 1 and 2 are neither logged nor the last, so no norm is taken of them
+    x, traces = gd_run(f, np.zeros((2, 2)), lr=1e-300, steps=3, log_every=10)
+    assert traces.step == [0, 3]
+    assert np.array_equal(x, np.full((2, 2), -1e-300 * 1e308))
 
 
 def test_gd_run_monotone_below_smoothness_threshold():
@@ -662,10 +706,21 @@ def test_replica_axis_round_trips_through_pack():
         assert np.array_equal(stack.greedy_joint()[1], points[1].greedy_joint())
 
 
-@pytest.mark.parametrize("bad", [{"steps": -3}, {"lr": 0.0}, {"lr": -0.5}])
+def test_vd_views_of_flat_and_stacked_vectors_are_views():
+    # vd_objective reads q_local and the mixer array of x through these
+    # every step, so neither layout may copy
+    for variant in learners.VD_VARIANTS:
+        template = VdParams.zeros(variant, 2, 3, 2)
+        d = template.pack().size
+        for vec in (np.empty(d), np.empty((4, d))):
+            for view in learners._vd_views(vec, *template.point_shapes()):
+                assert view is None or np.shares_memory(view, vec)
+
+
+@pytest.mark.parametrize("bad", [{"steps": -3}, {"lr": 0.0}, {"lr": -0.5}, *BAD_STEP_SETTINGS])
 def test_clipped_softmax_pg_rejects_bad_steps_and_lr(bad):
     mdp = sequential_transform(TABLE1)
-    with pytest.raises(ValueError, match="steps" if "steps" in bad else "lr"):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         softmax_pg(mdp, **{"lr": 1.0, "steps": 10, "clip": 0.2, **bad})
     if "steps" in bad:
         with pytest.raises(ValueError, match="steps"):
@@ -751,6 +806,21 @@ def test_stacked_kernels_match_loop_oracles_bitwise(name):
 def test_stacked_kernels_match_loop_oracles_on_partly_reached_models(partly_reached_models):
     for model in partly_reached_models:
         assert_kernels_match_oracles(model, np.random.default_rng(63))
+
+
+def test_policy_gradient_kernel_keeps_the_oracles_signed_zeros(partly_reached_models):
+    # unreached states have d_t = 0, so negative action values make -0.0 terms
+    rng = np.random.default_rng(65)
+    for model in partly_reached_models:
+        model = dataclasses.replace(model, reward=model.reward - 10.0)
+        for batch in ((), (4,)):
+            tables = softmax(rng.standard_normal(
+                batch + (model.n_agents, model.n_states, model.n_actions)))
+            _, want = mapg_kernel_oracle(model, tables)
+            _, got = learners.product_policy_value_and_grad(model, tables)
+            assert (got == 0).any()
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("name", ["table1", "discounted_n3", "horizon2_n3"])
