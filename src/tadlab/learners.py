@@ -36,9 +36,9 @@ one-agent models, such as the layered models produced by the
 transformation; composing transform, solver, and greedy distillation
 yields decentralized policies with the solver's optimality carried over.
 Inside that composition, the optimal solve and synchronous Q-learning run
-layer by layer on the MMDP's own tensors rather than on the dense
-transform: `layered_optimal_values` unrolls the oracle's optimal joint
-table into the layers, and `layered_q_learning` backs them up per sweep.
+on the MMDP's own tensors rather than on the dense transform:
+`layered_optimal_values` unrolls the oracle's optimal joint table into the
+layers, and `layered_q_learning` backs up one flat [V, A] table per sweep.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ from .transform import (
     greedy_distill,
     kl_distill,
     layer_backup,
+    layer_offsets,
     layered_optimal_values,
     lower_policy,
-    never_reached,
+    never_reached_rows,
     row_max,
     sequential_transform,
     step_discount,
@@ -517,12 +518,25 @@ def igm_check(params, s, tol=1e-9):
 def _check_lr_steps(lr, steps, stop_tol, log_every):
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("lr must be positive and finite")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    if not (math.isfinite(steps) and steps >= 0 and steps == int(steps)):
+        raise ValueError("steps must be a non-negative integer")
     if not stop_tol >= 0:
         raise ValueError("stop_tol must be non-negative")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
+
+
+def _scaled_norms(grad, t):
+    """`row_norms` when a sum of squares overflows: a row whose norm is not
+    finite gets m * sqrt(sum((g / m)**2)), m its largest magnitude."""
+    with np.errstate(over="ignore"):
+        norms = row_norms(grad)
+        big = ~np.isfinite(norms)
+        m = np.abs(grad[big]).max(axis=1)
+        norms[big] = m * row_norms(grad[big] / m[:, None])
+    if not np.isfinite(norms).all():
+        raise GdDivergenceError(f"gradient norm beyond the float range at step {t}")
+    return norms
 
 
 def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1):
@@ -536,7 +550,8 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
     replica has stopped, or after `steps` steps. `monitor(x, loss) ->
     (return, greedy_codes)` fills the policy columns of a replica's trace at
     its logged steps, called on that replica's row. The gradient norm is
-    computed only where it is logged or tested against `stop_tol`.
+    computed only where it is logged or tested against `stop_tol`; a row
+    whose sum of squares overflows gets it by scaling (`_scaled_norms`).
     Non-finite losses or gradients abort with GdDivergenceError. Returns the
     final x and a TrainTrace, or ReplicaTraces for a stack.
     """
@@ -556,14 +571,15 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
         # a finite sum of squares proves every entry finite; one that
         # overflows falls through to the entrywise check (vdot is a BLAS dot
         # that raises no floating-point warning)
-        if not ((math.isfinite(np.vdot(loss, loss)) and math.isfinite(np.vdot(grad, grad)))
+        overflow = not math.isfinite(np.vdot(grad, grad))
+        if not ((math.isfinite(np.vdot(loss, loss)) and not overflow)
                 or (np.isfinite(loss).all() and np.isfinite(grad).all())):
             raise GdDivergenceError(
                 f"non-finite loss or gradient at step {t} (lr={lr})"
             )
         logged = t % log_every == 0
         if logged or t >= steps or stop_tol > 0:
-            gnorm = row_norms(grad)
+            gnorm = _scaled_norms(grad, t) if overflow else row_norms(grad)
             stop = (gnorm < stop_tol) | (t >= steps)
             for k in np.flatnonzero(live & (stop | logged)):
                 if monitor is None:
@@ -670,32 +686,32 @@ def q_learning(mdp, sweeps=200, mode="synchronous", lr=0.5, steps=100_000,
 
 
 def layered_q_learning(model, sweeps=200, lr=0.5):
-    """Synchronous Q-learning on the sequential transform of an MMDP, run
-    layer by layer on the MMDP's tensors without building the transform.
+    """Synchronous Q-learning on the sequential transform of an MMDP, on the
+    MMDP's tensors: one [V, A] table in virtual-state order, whose iterates
+    are those of `q_learning` on the dense transform up to summation order.
 
-    Each sweep moves every layer toward its target from the previous
-    iterate: gamma' * max of layer k+1 for layer k < n-1, and
-    R + gamma' * T @ max(q_0) for the last layer, which does not bootstrap
-    at the final episode step. Never-reached base states of episodic models
-    target zero in their intermediate layers, as the dense transform pins
-    them to its last step. The iterates are those of synchronous
-    `q_learning` on the dense transform (rows in its virtual-state order),
-    up to summation order in T @ max(q_0).
+    Each sweep moves every row toward gamma' * (max of its layer-k+1 child
+    row), or R + gamma' * T @ max(layer 0) in the last layer. Layers 1..n-1
+    are contiguous, so their row maxima as rows of A are the targets of
+    layers 0..n-2. Final-step rows do not bootstrap; never-reached rows
+    target zero, as in the dense transform.
     """
     gamma_step = step_discount(model)
-    a, n = model.n_actions, model.n_agents
-    final = np.repeat(_final_steps(model), a ** (n - 1))
-    dead = [np.repeat(never_reached(model), a**k) for k in range(n - 1)]
-    last_reward = model.reward.reshape(-1, a)
-    q = [np.zeros((model.n_states * a**k, a)) for k in range(n)]
+    s, a, n = model.n_states, model.n_actions, model.n_agents
+    offsets, total = layer_offsets(s, n, a)
+    final = np.flatnonzero(np.repeat(_final_steps(model), a ** (n - 1)))
+    final_reward = model.reward.reshape(-1, a)[final]
+    final += offsets[-1]
+    dead = never_reached_rows(model)
+    q = np.zeros((total, a))
     for _ in range(sweeps):
-        targets = [layer_backup(model, k, row_max(q[(k + 1) % n]), gamma_step)
-                   for k in range(n)]
-        targets[-1][final] = last_reward[final]
-        for t_k, dead_k in zip(targets, dead):
-            t_k[dead_k] = 0.0
-        q = [q_k + lr * (t_k - q_k) for q_k, t_k in zip(q, targets)]
-    return ValueTable.from_q(np.concatenate(q))
+        v = row_max(q)
+        target = np.concatenate((gamma_step * v[s:].reshape(-1, a),
+                                 layer_backup(model, n - 1, v[:s], gamma_step)))
+        target[final] = final_reward
+        target[dead] = 0.0
+        q += lr * (target - q)
+    return ValueTable.from_q(q)
 
 
 def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
@@ -704,7 +720,9 @@ def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
 
     With `clip` set, each outer step freezes the current policy, occupancy,
     and advantages, then takes `inner_epochs` ascent steps on the clipped
-    ratio surrogate with exact expectations.
+    ratio surrogate with exact expectations. Both forms stop at the first
+    step whose exact (unclipped) gradient norm is below `stop_tol`, and log
+    it.
     """
     require_valid(mdp)
     s_dim, a_dim = mdp.reward.shape
@@ -719,12 +737,15 @@ def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
     for t in range(steps + 1):
         pi_old = softmax(logits)
         value, occ_q = policy_slices(mdp, pi_old)
-        if t % log_every == 0 or t == steps:
+        logged = t % log_every == 0
+        if logged or t == steps or stop_tol > 0:
             _, grad = mapg_loss_and_grad(MapgParams(logits[None]), mdp)
-            trace.append(t, -value, float(np.linalg.norm(grad)),
-                         value, np.argmax(logits, axis=1))
-        if t == steps:
-            break
+            gnorm = float(np.linalg.norm(grad))
+            stop = gnorm < stop_tol or t == steps
+            if logged or stop:
+                trace.append(t, -value, gnorm, value, np.argmax(logits, axis=1))
+            if stop:
+                break
         for _ in range(inner_epochs):
             pi = softmax(logits)
             surr = np.zeros_like(logits)
@@ -805,11 +826,11 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
 def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     """Transform, solve with a single-agent learner, lower, and distill.
 
-    vi and synchronous q_learning solve the transform layer by layer on the
-    MMDP's own tensors and never build it: vi unrolls the policy-iteration
+    vi and synchronous q_learning never build the transform: vi unrolls the
     oracle's optimal joint table into the layers (`tol` is its advantage
-    tolerance). Sampled q_learning and the policy-gradient learners run on
-    the dense `sequential_transform`.
+    tolerance), q_learning sweeps one flat table. Sampled q_learning and the
+    policy-gradient learners run on the dense `sequential_transform`.
+    Distillation is `greedy_distill` or the closed-form `kl_distill`.
     Returns the decentralized policies and a trace. Iterative learners
     contribute their own trace (measured on the transformed model); vi and
     q_learning yield a single summary row whose loss column holds the

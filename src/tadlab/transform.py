@@ -12,15 +12,16 @@ in the same mixed radix as joint actions. This makes a layer's rows plain
 reshapes of the joint tensors.
 
 The optimal solve and synchronous Q-learning never build the transform:
-they back up the layers n-1..0 one at a time (``layer_backup``) on the
-MMDP's own tensors, which is the agent-by-agent backup of the sequential
-transformation. The optimal solve needs only one pass: its last layer is the
-MMDP's optimal joint table from ``core.optimal_values``. The dense model
-from ``sequential_transform``, a [V, A, V] tensor over
-V = S*(A**n - 1)/(A - 1) virtual states, remains for exact policy gradient
-(which needs the V x V policy kernel), sampled Q-learning (whose draws
-index dense virtual states), the claim-3 value relation check and the
-inverse transform.
+they back up the layers (``layer_backup``) on the MMDP's own tensors, which
+is the agent-by-agent backup of the sequential transformation. The optimal
+solve unrolls the MMDP's optimal joint table from ``core.optimal_values``
+into the earlier layers; Q-learning sweeps one flat [V, A] table. Closed-form
+``kl_distill`` and ``greedy_distill`` read product policies off the lowered
+coordination policy. The dense model from ``sequential_transform``, a
+[V, A, V] tensor over V = S*(A**n - 1)/(A - 1) virtual states, remains for
+exact policy gradient (which needs the V x V policy kernel), sampled
+Q-learning (whose draws index dense virtual states), the claim-3 value
+relation check and the inverse transform.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import (
     Mdp,
     Mmdp,
     SizeGuardError,
-    digit_table,
     evaluate_policy,
     first_visit_times,
     optimal_values,
@@ -139,17 +139,18 @@ def layer_backup(model, k, v_next, gamma_step):
     return q.reshape(-1, a)
 
 
-def never_reached(model):
-    """Mask of the base states an episodic model never reaches.
-
-    The dense transform pins every virtual state of such a state to its last
-    step, so its intermediate-layer rows there are zero and do not bootstrap;
-    the layered solvers zero the same rows. Infinite-horizon models have no
-    such states.
+def never_reached_rows(model):
+    """Rows of layers 0..n-2, in virtual-state order, at the base states an
+    episodic model never reaches. The dense transform pins them to its last
+    step, so they are zero and do not bootstrap; the layered solvers zero
+    the same rows. Infinite-horizon models have none.
     """
     if model.horizon is None:
-        return np.zeros(model.n_states, dtype=bool)
-    return first_visit_times(model) < 0
+        return np.zeros(0, dtype=np.intp)
+    a, n = model.n_actions, model.n_agents
+    rows = np.concatenate([np.repeat(first_visit_times(model) < 0, a**k) for k in range(n)])
+    rows[-model.n_states * a ** (n - 1):] = False
+    return np.flatnonzero(rows)
 
 
 def layered_optimal_values(model, tol=1e-10):
@@ -170,14 +171,12 @@ def layered_optimal_values(model, tol=1e-10):
     """
     gamma_step = step_discount(model)
     q, record = optimal_values(model, tol=tol)
-    n, a = model.n_agents, model.n_actions
-    tables = [q.reshape(-1, a)]
-    for k in reversed(range(n - 1)):
+    tables = [q.reshape(-1, model.n_actions)]
+    for k in reversed(range(model.n_agents - 1)):
         tables.insert(0, layer_backup(model, k, row_max(tables[0]), gamma_step))
-    unreached = never_reached(model)
-    for k in range(n - 1):
-        tables[k][np.repeat(unreached, a**k)] = 0.0
-    return np.concatenate(tables), record
+    q = np.concatenate(tables)
+    q[never_reached_rows(model)] = 0.0
+    return q, record
 
 
 def _infer_base_states(total, n_agents, n_actions):
@@ -300,42 +299,20 @@ def greedy_distill(pc, model):
     return DecentralizedPolicySet.deterministic(chosen, a)
 
 
-def kl_distill(pc, model, steps=4000, lr=None):
-    """Fit independent softmax policies to a coordination policy by descending
-    the exact cross-entropy, averaged over states.
-
-    The minimizer matches each agent's per-state action marginal under the
-    coordination policy's joint distribution, so the fit is exact only when
-    that joint is already a product; otherwise this is the best product
-    approximation in the cross-entropy sense. Returns the fitted policies and
-    the per-step loss trace.
+def kl_distill(pc, model):
+    """The product policy closest to a coordination policy in cross-entropy,
+    averaged over states: by Gibbs' inequality, each agent's per-state action
+    marginal of the joint, i.e. the joint as [S, A, ..., A] (agent i on axis
+    i+1) summed over the other agents' axes. It is one-hot, and equal to
+    `greedy_distill`, for a deterministic coordination policy. Returns the
+    policies and a one-entry array of the minimal loss (0 log 0 = 0).
     """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
     n, s, a = pc.n_agents, pc.n_states, pc.n_actions
-    if lr is None:
-        lr = float(s)
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    joint = pc.joint()
-    digits = digit_table(n, a)
-    marginals = np.zeros((n, s, a))
-    for i in range(n):
-        for b in range(a):
-            marginals[i, :, b] = joint[:, digits[:, i] == b].sum(axis=1)
-    logits = np.zeros((n, s, a))
-    losses = np.empty(steps)
-    for t in range(steps):
-        z = logits - logits.max(axis=2, keepdims=True)
-        expz = np.exp(z)
-        pi = expz / expz.sum(axis=2, keepdims=True)
-        log_pi = z - np.log(expz.sum(axis=2, keepdims=True))
-        losses[t] = -np.sum(marginals * log_pi) / s
-        logits -= lr * (pi - marginals) / s
-    z = logits - logits.max(axis=2, keepdims=True)
-    expz = np.exp(z)
-    pi = expz / expz.sum(axis=2, keepdims=True)
-    return DecentralizedPolicySet(pi), losses
+    joint = pc.joint().reshape((s,) + (a,) * n)
+    marginals = np.stack([joint.sum(axis=tuple(j + 1 for j in range(n) if j != i))
+                          for i in range(n)])
+    log_m = np.log(marginals, out=np.zeros_like(marginals), where=marginals > 0)
+    return DecentralizedPolicySet(marginals), np.array([-np.sum(marginals * log_m) / s])
 
 
 def size_report(model):

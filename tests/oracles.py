@@ -4,11 +4,15 @@ import numpy as np
 
 from tadlab.core import (
     MAX_SWEEPS,
+    DecentralizedPolicySet,
     bellman_backup,
     digit_table,
+    episode_positions,
+    first_visit_times,
     optimal_values,
     policy_slices,
 )
+from tadlab.transform import layer_backup, row_max, step_discount
 
 
 def level_scan_oracle(target, weights, code, grid=200001):
@@ -216,3 +220,61 @@ def vd_kernel_oracle(variant, q_local, w_raw, lam_raw, model, dist):
         rows = gq.reshape(-1, gq.shape[-1])
         rows[np.arange(len(rows)), q_local.argmax(-1).ravel()] += at_best.ravel()
     return loss, gq, gw, glam
+
+
+# ---------------------------------------------------------------------------
+# the iterative layered solvers that closed forms and one flat table replaced
+
+def kl_oracle(pc, steps=4000, lr=None):
+    """Independent softmax policies fitted to a coordination policy by a
+    softmax descent of the exact cross-entropy, averaged over states, from
+    zero logits; returns the fitted policies and the per-step loss trace.
+    The closed-form `kl_distill` must match its limit."""
+    n, s, a = pc.n_agents, pc.n_states, pc.n_actions
+    if lr is None:
+        lr = float(s)
+    joint = pc.joint()
+    digits = digit_table(n, a)
+    marginals = np.zeros((n, s, a))
+    for i in range(n):
+        for b in range(a):
+            marginals[i, :, b] = joint[:, digits[:, i] == b].sum(axis=1)
+    logits = np.zeros((n, s, a))
+    losses = np.empty(steps)
+    for t in range(steps):
+        z = logits - logits.max(axis=2, keepdims=True)
+        expz = np.exp(z)
+        pi = expz / expz.sum(axis=2, keepdims=True)
+        log_pi = z - np.log(expz.sum(axis=2, keepdims=True))
+        losses[t] = -np.sum(marginals * log_pi) / s
+        logits -= lr * (pi - marginals) / s
+    z = logits - logits.max(axis=2, keepdims=True)
+    expz = np.exp(z)
+    pi = expz / expz.sum(axis=2, keepdims=True)
+    return DecentralizedPolicySet(pi), losses
+
+
+def layered_q_oracle(model, sweeps=200, lr=0.5):
+    """Synchronous Q-learning on the sequential transform with one table per
+    layer: each sweep backs every layer up from the previous iterate, then
+    pins the final-step and never-reached rows. Returns the [V, A] table in
+    virtual-state order; `layered_q_learning` must match it bit for bit."""
+    gamma_step = step_discount(model)
+    a, n = model.n_actions, model.n_agents
+    final = np.zeros(model.n_states, dtype=bool)
+    unreached = np.zeros(model.n_states, dtype=bool)
+    if model.horizon is not None:
+        final = episode_positions(model) == model.horizon - 1
+        unreached = first_visit_times(model) < 0
+    final = np.repeat(final, a ** (n - 1))
+    dead = [np.repeat(unreached, a**k) for k in range(n - 1)]
+    last_reward = model.reward.reshape(-1, a)
+    q = [np.zeros((model.n_states * a**k, a)) for k in range(n)]
+    for _ in range(sweeps):
+        targets = [layer_backup(model, k, row_max(q[(k + 1) % n]), gamma_step)
+                   for k in range(n)]
+        targets[-1][final] = last_reward[final]
+        for t_k, dead_k in zip(targets, dead):
+            t_k[dead_k] = 0.0
+        q = [q_k + lr * (t_k - q_k) for q_k, t_k in zip(q, targets)]
+    return np.concatenate(q)

@@ -1,0 +1,59 @@
+"""Byte identity of what users run: the `verify` reports and the fast
+configs' output files at seed 0, pinned by sha256.
+
+A change that moves one of these bytes is an exception to byte identity and
+must say so, with the new hash and the reason, before it is re-pinned.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import tadlab.cli as cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+VERIFY_STDOUT_SHA256 = {
+    "1": "93d39c57bb5c101ee83aae3d7d7e676b08f4bbb6e3f88a5ab9db36aa803a5479",
+    "2": "d8f3db0f0fdf6cca8996b3736903718890370c7906e7c21219e905abbd90ad1f",
+    "3": "1575ec840fe80c69256d09ccdb5074a41d91c9745c2dfd36c653d29c9e4e8d08",
+    "4": "777302d70558751218b93d56d215ad7ab203d032b052f1ef6cab38607c947332",
+}
+
+CONFIG_OUTPUT_SHA256 = {
+    "matgame2_vdn": {
+        "policy.json": "ac736f7ac109fc38d2df6eaed8311af18f10a8553732ffc3e2cfb872f626be00",
+        "summary.json": "fef556221351a9a078856b7bbddc81e0cf0281257157a1c8ab36e98c34efe396",
+        "trace.csv": "afa4948d169892b726630ccb9fc8e2be258a70a26bab30713d8e1ba3d3dc4908",
+    },
+    "multitask_tad_vi": {
+        "policy.json": "57dbf9c1f82b53d23e5ee866e5117f505e4d5d3d1695ad6a9ad491369d89aea4",
+        "summary.json": "604614885151a116185e4137a26b0bc2e4e2486edcbbe05c3d1eb4ed0ce84065",
+        "trace.csv": "a8a1e9c6781acc47f0b2d86e17044e22b365ea28e8c0def5ca6292609e66ab6c",
+    },
+    "table1_tad_pg": {
+        "policy.json": "bed61b2c23a033f40b65612ba6fc0dc5e27c97c6e26fb75d86f10625a6ac6813",
+        "summary.json": "19fdf9b2e549da3cfdd58b003a8655b727bdf88c7bffcaa2072cc1207cb9d247",
+        "trace.csv": "5e99fc590fac1d93bc188ba66e54e4dd3f0c80d55bf3d33702b8ac6c241295a2",
+    },
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("claim", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_is_byte_identical(claim, capsys):
+    assert cli.main(["verify", claim, "--seed", "0"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == VERIFY_STDOUT_SHA256[claim]
+
+
+@pytest.mark.parametrize("stem", sorted(CONFIG_OUTPUT_SHA256))
+def test_config_outputs_are_byte_identical(stem, tmp_path):
+    out = tmp_path / stem
+    assert cli.main(["run", str(CONFIGS / f"{stem}.json"), "--seed", "0",
+                     "--out", str(out)]) == 0
+    got = {name: sha256((out / name).read_bytes()) for name in CONFIG_OUTPUT_SHA256[stem]}
+    assert got == CONFIG_OUTPUT_SHA256[stem]

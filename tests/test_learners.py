@@ -30,6 +30,7 @@ from tadlab import (
     vd_objective,
 )
 import tadlab.learners as learners
+from tadlab.claims import composition_models
 from tadlab.constructions import (
     MATGAME2,
     builtin_game,
@@ -47,7 +48,12 @@ from tadlab.learners import (
     softmax,
     uniform_dist,
 )
-from oracles import mapg_kernel_oracle, mapg_loss_oracle, vd_kernel_oracle
+from oracles import (
+    layered_q_oracle,
+    mapg_kernel_oracle,
+    mapg_loss_oracle,
+    vd_kernel_oracle,
+)
 
 TABLE1 = builtin_game("table1")
 M2 = builtin_game("matgame2")
@@ -337,6 +343,25 @@ def test_gd_run_rejects_bad_lr():
             gd_run(lambda x: (0.0, x), np.ones(1), **{"lr": 0.1, "steps": 1, **bad})
 
 
+def test_gd_run_rejects_non_integral_steps():
+    for steps in (np.nan, np.inf, 2.5):
+        with pytest.raises(ValueError, match="steps"):
+            gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1, steps=steps)
+
+
+def test_gd_run_logs_a_finite_norm_of_a_gradient_whose_squares_overflow(tmp_path):
+    # 1e200**2 overflows, the norm 2e200 does not; only the huge replica's
+    # norm is scaled, the other keeps its row_norms bits
+    grad = np.array([[1e200] * 4, [3.0, 4.0, 0.0, 0.0]])
+    x, traces = gd_run(lambda x: (np.zeros(2), grad), np.zeros((2, 4)), lr=1e-300,
+                       steps=1)
+    assert traces[0].grad_norm == [2e200, 2e200]
+    assert traces[1].grad_norm == [5.0, 5.0]
+    traces[0].to_csv(tmp_path / "trace.csv")
+    with pytest.raises(GdDivergenceError, match="norm beyond the float range at step 0"):
+        gd_run(lambda x: (0.0, np.full(4, 1e308)), np.zeros(4), lr=1e-300, steps=1)
+
+
 def test_gd_run_raises_at_the_step_of_one_non_finite_entry():
     # entry None puts `value` into replica k's loss, entry j into its gradient
     for value, k, entry in itertools.product((np.nan, np.inf, -np.inf), range(3),
@@ -516,6 +541,19 @@ def test_layered_q_learning_matches_dense_with_unreached_states(partly_reached_m
         assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
 
 
+@pytest.mark.parametrize("sweeps", [1, 3, 200])
+def test_layered_q_learning_bitwise_on_the_per_layer_oracle(sweeps, partly_reached_models):
+    # one flat table against one table per layer: every bit, signed zeros too
+    models = ([model for _, model in composition_models(0)] + partly_reached_models
+              + [random_matrix_game(3, 7, seed) for seed in range(3)]
+              + [random_mmdp(4, 1, 3, gamma=0.9, rng=45)])
+    for model in models:
+        got = layered_q_learning(model, sweeps=sweeps, lr=0.5).q
+        want = layered_q_oracle(model, sweeps=sweeps, lr=0.5)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_softmax_pg_two_action_bandit_monotone():
     mdp = Mdp(1, 2, np.ones((1, 2, 1)), np.array([[0.0, 1.0]]), 0.9, [1.0],
               horizon=1)
@@ -530,6 +568,16 @@ def test_softmax_pg_solves_transformed_table1():
     logits, _ = softmax_pg(mdp, lr=2.0, steps=800, log_every=400)
     dec = greedy_distill(lower_policy(softmax(logits), 2), TABLE1)
     assert evaluate_policy(TABLE1, dec) == pytest.approx(10.0, abs=1e-12)
+
+
+def test_clipped_pg_stops_at_the_first_step_below_stop_tol():
+    # every gradient norm is below 1e9, so both forms stop at step 0
+    mdp = sequential_transform(TABLE1)
+    for clip in (None, 0.2):
+        logits, trace = softmax_pg(mdp, lr=1.0, steps=300, clip=clip,
+                                   stop_tol=1e9, log_every=150)
+        assert trace.step == [0]
+        assert np.array_equal(logits, np.zeros_like(logits))
 
 
 def test_clipped_pg_matches_unclipped_greedy():
