@@ -4,9 +4,7 @@ Two families of multi-agent learners live here:
 
 - product-policy gradient descent on the negative expected return, with the
   gradient sum_t d_t * q_t read from the exact slices of
-  `core.policy_slices` (single-agent softmax policy gradient is the same
-  computation at one agent, and the clipped surrogate reads the same
-  slices);
+  `core.policy_slices`;
 - value decomposition trained by semi-gradient TD (the bootstrap target is
   frozen per step), with three mixers: additive (vdn), positive linear
   mixing (monotonic), and a dueling mixer whose advantage weights are
@@ -29,16 +27,17 @@ a one-replica run gives (gathers use `take`, whose C-ordered output keeps
 the layout independent of K); a stack-aware objective handed to `gd_run`
 must keep that contract.
 
-The single-agent side (`value_iteration`, which is the oracle's policy
-iteration under its old name; synchronous/sampled Q-learning; softmax
-policy gradient with an optional clipped surrogate) runs on
-one-agent models, such as the layered models produced by the
-transformation; composing transform, solver, and greedy distillation
-yields decentralized policies with the solver's optimality carried over.
-Inside that composition, the optimal solve and synchronous Q-learning run
-on the MMDP's own tensors rather than on the dense transform:
-`layered_optimal_values` unrolls the oracle's optimal joint table into the
-layers, and `layered_q_learning` backs up one flat [V, A] table per sweep.
+The single-agent side runs on one-agent models: `value_iteration` (the
+oracle's policy iteration under its old name) and synchronous `q_learning`,
+the dense references in the tests. The transform-and-distill composition,
+`tad_run`, solves the sequential transform of an MMDP on the MMDP's own
+tensors and never builds the dense transform: `layered_optimal_values`
+unrolls the oracle's optimal joint table into the layers,
+`layered_q_learning` backs up one flat [V, A] table per sweep, and
+`softmax_pg` (TAD-PG, or TAD-PPO with the clipped surrogate) descends [V, A]
+transform logits on the exact slices of `layered_policy_slices`. Greedy
+distillation then yields decentralized policies with the solver's
+optimality carried over.
 """
 
 from __future__ import annotations
@@ -71,10 +70,10 @@ from .transform import (
     layer_backup,
     layer_offsets,
     layered_optimal_values,
+    layered_policy_slices,
     lower_policy,
     never_reached_rows,
     row_max,
-    sequential_transform,
     step_discount,
 )
 
@@ -646,42 +645,19 @@ def _final_steps(model):
     return episode_positions(model) == model.horizon - 1
 
 
-def q_learning(mdp, sweeps=200, mode="synchronous", lr=0.5, steps=100_000,
-               lr_halflife=50.0, rng=None):
-    """Tabular Q-learning on a (possibly layered episodic) model.
-
-    synchronous: deterministic full sweeps q += lr * (target - q).
-    sampled: uniformly random (s, a) pairs, sampled next states, and a
-    per-pair step size lr_halflife / (lr_halflife + visits).
+def q_learning(mdp, sweeps=200, lr=0.5):
+    """Synchronous tabular Q-learning on a (possibly layered episodic)
+    one-agent model: deterministic full sweeps q += lr * (target - q), in
+    which final-step states do not bootstrap. On a dense transform it is the
+    reference that `layered_q_learning`'s iterates are checked against.
     """
     require_valid(mdp)
     q = np.zeros_like(mdp.reward)
-    if mode not in ("synchronous", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     final = _final_steps(mdp)
-    if mode == "synchronous":
-        for _ in range(sweeps):
-            target = bellman_backup(q, mdp)
-            target[final] = mdp.reward[final]
-            q = q + lr * (target - q)
-        return ValueTable.from_q(q)
-    rng = np.random.default_rng(rng)
-    s_dim, a_dim = mdp.reward.shape
-    s_all = rng.integers(s_dim, size=steps)
-    a_all = rng.integers(a_dim, size=steps)
-    u_all = rng.random(steps)
-    cdf = np.cumsum(mdp.transition, axis=2)
-    visits = np.zeros((s_dim, a_dim))
-    reward = mdp.reward
-    gamma = mdp.gamma
-    for t in range(steps):
-        s = s_all[t]
-        a = a_all[t]
-        nxt = min(np.searchsorted(cdf[s, a], u_all[t], side="right"), s_dim - 1)
-        boot = 0.0 if final[s] else q[nxt].max()
-        visits[s, a] += 1.0
-        alpha = lr_halflife / (lr_halflife + visits[s, a])
-        q[s, a] += alpha * (reward[s, a] + gamma * boot - q[s, a])
+    for _ in range(sweeps):
+        target = bellman_backup(q, mdp)
+        target[final] = mdp.reward[final]
+        q = q + lr * (target - q)
     return ValueTable.from_q(q)
 
 
@@ -714,48 +690,67 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     return ValueTable.from_q(q)
 
 
-def softmax_pg(mdp, lr=0.05, steps=2000, clip=None, inner_epochs=4,
-               init_logits=None, stop_tol=0.0, log_every=50):
-    """Exact-gradient softmax policy gradient on a single-agent model.
+def _tad_pg_eval(model, logits):
+    """Softmax policy of [V, A] transform logits, its negative return on the
+    transform, the exact logit gradient and the `layered_policy_slices`."""
+    pi = softmax(logits)
+    value, slices = layered_policy_slices(model, pi)
+    pol_grad = 0.0
+    for d_t, q_t in slices:
+        pol_grad = pol_grad + d_t[:, None] * q_t
+    inner = (pi * pol_grad).sum(axis=-1, keepdims=True)
+    return pi, -value, -(pi * (pol_grad - inner)), slices
 
-    With `clip` set, each outer step freezes the current policy, occupancy,
-    and advantages, then takes `inner_epochs` ascent steps on the clipped
-    ratio surrogate with exact expectations. Both forms stop at the first
-    step whose exact (unclipped) gradient norm is below `stop_tol`, and log
-    it.
+
+def softmax_pg(model, lr=0.05, steps=2000, clip=None, inner_epochs=4,
+               init_logits=None, stop_tol=0.0, log_every=50):
+    """Exact-gradient softmax policy gradient (TAD-PG) on the sequential
+    transform of an MMDP, one logit row per virtual state: [V, A] logits.
+
+    The transform is never built: every step reads `layered_policy_slices`,
+    and a one-agent model, its own transform, reads `policy_slices`.
+    Unclipped, `gd_run` descends the negative return. With `clip` set
+    (TAD-PPO), each outer step freezes the current policy, occupancy, and
+    advantages, then takes `inner_epochs` ascent steps on the clipped ratio
+    surrogate with exact expectations. Both forms stop at the first step
+    whose exact (unclipped) gradient norm is below `stop_tol`, and log it.
     """
-    require_valid(mdp)
-    s_dim, a_dim = mdp.reward.shape
-    logits = np.zeros((s_dim, a_dim)) if init_logits is None else np.array(init_logits, dtype=float)
+    step_discount(model)
+    shape = (layer_offsets(model.n_states, model.n_agents, model.n_actions)[1],
+             model.n_actions)
+    logits = np.zeros(shape) if init_logits is None else np.array(init_logits, dtype=float)
     if clip is None:
-        params, trace = run_mapg(mdp, MapgParams(logits[None]), lr, steps, stop_tol, log_every)
-        return params.logits[0], trace
+        def objective(x):
+            return _tad_pg_eval(model, x.reshape(shape))[1:3]
+
+        def monitor(x, loss):
+            # for policy gradient the stochastic return is exactly -loss
+            return -loss, np.argmax(x.reshape(shape), axis=1)
+
+        x, trace = gd_run(objective, logits.ravel(), lr, steps, stop_tol, monitor, log_every)
+        return x.reshape(shape), trace
     if clip <= 0:
         raise ValueError("clip must be positive")
     _check_lr_steps(lr, steps, stop_tol, log_every)
     trace = TrainTrace()
-    for t in range(steps + 1):
-        pi_old = softmax(logits)
-        value, occ_q = policy_slices(mdp, pi_old)
+    for t in range(int(steps) + 1):
+        pi_old, loss, grad, occ_q = _tad_pg_eval(model, logits)
         logged = t % log_every == 0
         if logged or t == steps or stop_tol > 0:
-            _, grad = mapg_loss_and_grad(MapgParams(logits[None]), mdp)
             gnorm = float(np.linalg.norm(grad))
             stop = gnorm < stop_tol or t == steps
             if logged or stop:
-                trace.append(t, -value, gnorm, value, np.argmax(logits, axis=1))
+                trace.append(t, loss, gnorm, -loss, np.argmax(logits, axis=1))
             if stop:
                 break
         for _ in range(inner_epochs):
             pi = softmax(logits)
+            ratio = pi / pi_old
             surr = np.zeros_like(logits)
             for d_t, q_t in occ_q:
-                v_t = np.sum(pi_old * q_t, axis=1)
-                adv = q_t - v_t[:, None]
-                ratio = pi / pi_old
-                clipped = ((adv > 0) & (ratio > 1.0 + clip)) | (
-                    (adv < 0) & (ratio < 1.0 - clip)
-                )
+                adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)
+                clipped = (((adv > 0) & (ratio > 1.0 + clip))
+                           | ((adv < 0) & (ratio < 1.0 - clip)))
                 dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
                 inner = np.sum(pi * dpi, axis=1, keepdims=True)
                 surr += pi * (dpi - inner)
@@ -826,17 +821,17 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
 def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     """Transform, solve with a single-agent learner, lower, and distill.
 
-    vi and synchronous q_learning never build the transform: vi unrolls the
-    oracle's optimal joint table into the layers (`tol` is its advantage
-    tolerance), q_learning sweeps one flat table. Sampled q_learning and the
-    policy-gradient learners run on the dense `sequential_transform`.
-    Distillation is `greedy_distill` or the closed-form `kl_distill`.
-    Returns the decentralized policies and a trace. Iterative learners
-    contribute their own trace (measured on the transformed model); vi and
-    q_learning yield a single summary row whose loss column holds the
-    negated final return.
+    No learner builds the dense transform: vi unrolls the oracle's optimal
+    joint table into the layers (`tol` is its advantage tolerance),
+    q_learning sweeps one flat [V, A] table, and softmax_pg and clipped_pg
+    (TAD-PG and TAD-PPO, clip 0.2 by default) read each step's exact slices
+    through `layered_policy_slices`. The learner validates the model, once
+    per run. Every learner is deterministic: `seed` is accepted and unused. Distillation is `greedy_distill` or the
+    closed-form `kl_distill`. Returns the decentralized policies and a
+    trace. Iterative learners contribute their own trace (measured on the
+    transformed model); vi and q_learning yield a single summary row whose
+    loss column holds the negated final return.
     """
-    require_valid(model)
     trace = None
     q = None
     if sarl == "vi":
@@ -844,15 +839,12 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
         if cfg:
             raise ValueError(f"unknown vi options: {sorted(cfg)}")
         q, _ = layered_optimal_values(model, tol=tol)
-    elif sarl == "q_learning" and cfg.get("mode", "synchronous") == "synchronous":
-        cfg.pop("mode", None)
-        q = layered_q_learning(model, **cfg).q
     elif sarl == "q_learning":
-        q = q_learning(sequential_transform(model), rng=seed, **cfg).q
+        q = layered_q_learning(model, **cfg).q
     elif sarl in ("softmax_pg", "clipped_pg"):
         if sarl == "clipped_pg":
             cfg.setdefault("clip", 0.2)
-        logits, trace = softmax_pg(sequential_transform(model), **cfg)
+        logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
     else:
         raise ValueError(f"unknown single-agent learner {sarl!r}")

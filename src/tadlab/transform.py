@@ -11,17 +11,18 @@ when A == 1), then s-major / prefix-minor within a block, with prefixes coded
 in the same mixed radix as joint actions. This makes a layer's rows plain
 reshapes of the joint tensors.
 
-The optimal solve and synchronous Q-learning never build the transform:
-they back up the layers (``layer_backup``) on the MMDP's own tensors, which
-is the agent-by-agent backup of the sequential transformation. The optimal
-solve unrolls the MMDP's optimal joint table from ``core.optimal_values``
-into the earlier layers; Q-learning sweeps one flat [V, A] table. Closed-form
-``kl_distill`` and ``greedy_distill`` read product policies off the lowered
-coordination policy. The dense model from ``sequential_transform``, a
-[V, A, V] tensor over V = S*(A**n - 1)/(A - 1) virtual states, remains for
-exact policy gradient (which needs the V x V policy kernel), sampled
-Q-learning (whose draws index dense virtual states), the claim-3 value
-relation check and the inverse transform.
+No learner builds the transform: each works on the MMDP's own tensors,
+layer by layer (``layer_backup``), which is the agent-by-agent backup of the
+sequential transformation. The optimal solve unrolls the MMDP's optimal joint
+table from ``core.optimal_values`` into the earlier layers; Q-learning sweeps
+one flat [V, A] table; policy gradient reads the transform's exact (d_t,
+q_t) slices from one MMDP evaluation (``layered_policy_slices``).
+Closed-form ``kl_distill`` and ``greedy_distill`` read product policies off
+the lowered coordination policy. The dense model from
+``sequential_transform``, a [V, A, V] tensor over V = S*(A**n - 1)/(A - 1)
+virtual states, serves only the claim-3 value relation check (the
+independent oracle for the transform itself), the inverse transform and the
+tests' cross-checks.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import (
     evaluate_policy,
     first_visit_times,
     optimal_values,
+    policy_slices,
     require_valid,
 )
 
@@ -137,6 +139,43 @@ def layer_backup(model, k, v_next, gamma_step):
     else:
         q = gamma_step * v_next
     return q.reshape(-1, a)
+
+
+def layered_policy_slices(model, pol):
+    """`core.policy_slices` of the sequential transform for a [V, A] policy
+    `pol` on it, from one `policy_slices` call on the MMDP: the transform's
+    return and one (d_t [V], q_t [V, A]) slice per MMDP slice. An episodic
+    model's slice t holds, in its layer-k rows, the transform's slice at
+    virtual step n*t + k (which visits layer k only); an infinite horizon
+    gives the one summed slice.
+
+    With pi_k = `pol`'s layer-k table [S, A**k, A] (`lower_policy`), the
+    reach of a prefix is P_0 = 1, P_{k+1}[s, p*A + a] = P_k[s, p] *
+    pi_k[s, p, a], and P_n is the joint policy matrix the MMDP evaluates.
+    As gamma'**n = gamma, the last layer's action values are the MMDP's q_t
+    and the return is gamma'**(n-1) * J_M; layer k's action values are a
+    `layer_backup` of layer k+1's policy-weighted values, and its visit
+    weights are gamma'**k * d_t(s) * P_k[s, p]. The model is not validated
+    here: callers check it once per run. A one-agent model is its own
+    transform, and its slices are `policy_slices`' own.
+    """
+    s, n, a = model.n_states, model.n_agents, model.n_actions
+    gamma_step = model.gamma ** (1.0 / n)
+    pis = lower_policy(pol, n).tables
+    reach = [np.ones((s, 1))]
+    for pi in pis:
+        reach.append((reach[-1][:, :, None] * pi).reshape(s, -1))
+    value, slices = policy_slices(model, reach.pop())
+    layered = []
+    for d_t, q_t in slices:
+        tables = [q_t.reshape(-1, a)]
+        for k in reversed(range(n - 1)):
+            v_next = (pis[k + 1].reshape(-1, a) * tables[0]).sum(axis=1)
+            tables.insert(0, layer_backup(model, k, v_next, gamma_step))
+        d = np.concatenate([(gamma_step**k * d_t[:, None] * p).ravel()
+                            for k, p in enumerate(reach)])
+        layered.append((d, np.concatenate(tables)))
+    return gamma_step ** (n - 1) * value, layered
 
 
 def never_reached_rows(model):
@@ -319,10 +358,7 @@ def size_report(model):
     """State-action counts before/after transformation plus the 2x bound flag."""
     s, n, a = model.n_states, model.n_agents, model.n_actions
     original = s * a**n
-    if a == 1:
-        transformed = n * s
-    else:
-        transformed = s * a * (a**n - 1) // (a - 1)
+    transformed = layer_offsets(s, n, a)[1] * a
     return {
         "original_sa": original,
         "transformed_sa": transformed,

@@ -278,3 +278,36 @@ def layered_q_oracle(model, sweeps=200, lr=0.5):
             t_k[dead_k] = 0.0
         q = [q_k + lr * (t_k - q_k) for q_k, t_k in zip(q, targets)]
     return np.concatenate(q)
+
+
+def clipped_pg_oracle(mdp, lr, steps, clip, inner_epochs=4, log_every=50):
+    """Clipped softmax policy gradient on a one-agent model, on the model's
+    own `policy_slices`, with the logged gradient norm taken from
+    `mapg_loss_oracle`: the single-agent TAD-PPO loop that `softmax_pg` must
+    match bit for bit on a model that is its own transform. Returns the
+    logits and the logged (step, loss, grad norm) rows."""
+    logits = np.zeros(mdp.reward.shape)
+    rows = []
+    for t in range(steps + 1):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        pi_old = e / e.sum(axis=1, keepdims=True)
+        value, occ_q = policy_slices(mdp, pi_old)
+        if t % log_every == 0 or t == steps:
+            _, grad = mapg_loss_oracle(logits[None], mdp)
+            rows.append((t, -value, float(np.linalg.norm(grad))))
+        if t == steps:
+            return logits, rows
+        for _ in range(inner_epochs):
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            pi = e / e.sum(axis=1, keepdims=True)
+            surr = np.zeros_like(logits)
+            for d_t, q_t in occ_q:
+                v_t = np.sum(pi_old * q_t, axis=1)
+                adv = q_t - v_t[:, None]
+                ratio = pi / pi_old
+                clipped = (((adv > 0) & (ratio > 1.0 + clip))
+                           | ((adv < 0) & (ratio < 1.0 - clip)))
+                dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
+                inner = np.sum(pi * dpi, axis=1, keepdims=True)
+                surr += pi * (dpi - inner)
+            logits = logits + lr * surr

@@ -35,7 +35,7 @@ CONFIG_OUTPUT_SHA256 = {
     "table1_tad_pg": {
         "policy.json": "bed61b2c23a033f40b65612ba6fc0dc5e27c97c6e26fb75d86f10625a6ac6813",
         "summary.json": "19fdf9b2e549da3cfdd58b003a8655b727bdf88c7bffcaa2072cc1207cb9d247",
-        "trace.csv": "5e99fc590fac1d93bc188ba66e54e4dd3f0c80d55bf3d33702b8ac6c241295a2",
+        "trace.csv": "79a394aa6f9042b804014bb9703d2a20aacae30535ebec9e147678061a89295b",
     },
 }
 

@@ -30,10 +30,12 @@ from tadlab import (
     vd_objective,
 )
 import tadlab.learners as learners
+import tadlab.transform as transform
 from tadlab.claims import composition_models
 from tadlab.constructions import (
     MATGAME2,
     builtin_game,
+    builtin_names,
     diag_game,
     random_matrix_game,
     random_mmdp,
@@ -48,7 +50,9 @@ from tadlab.learners import (
     softmax,
     uniform_dist,
 )
+from tadlab.transform import layered_policy_slices
 from oracles import (
+    clipped_pg_oracle,
     layered_q_oracle,
     mapg_kernel_oracle,
     mapg_loss_oracle,
@@ -462,7 +466,7 @@ def test_value_iteration_matches_joint_oracle_after_inverse():
 
 def test_q_learning_synchronous_solves_transformed_game():
     mdp = sequential_transform(M2)
-    vt = q_learning(mdp, sweeps=100, mode="synchronous", lr=1.0)
+    vt = q_learning(mdp, sweeps=100, lr=1.0)
     pol = np.zeros(mdp.reward.shape)
     pol[np.arange(mdp.n_states), np.argmax(vt.q, axis=1)] = 1.0
     dec = greedy_distill(lower_policy(pol, 2), M2)
@@ -472,16 +476,8 @@ def test_q_learning_synchronous_solves_transformed_game():
 def test_q_learning_one_step_bandit():
     mdp = Mdp(1, 3, np.ones((1, 3, 1)), np.array([[1.0, 2.0, 3.0]]), 0.9,
               [1.0], horizon=1)
-    vt = q_learning(mdp, sweeps=60, mode="synchronous", lr=0.5)
+    vt = q_learning(mdp, sweeps=60, lr=0.5)
     assert np.allclose(vt.q, [[1.0, 2.0, 3.0]], atol=1e-9)
-
-
-def test_q_learning_sampled_approaches_fixed_point():
-    model = random_mmdp(2, 2, 2, gamma=0.25, rng=9)
-    mdp = sequential_transform(model)
-    vt_star, _ = value_iteration(mdp, tol=1e-12)
-    vt = q_learning(mdp, mode="sampled", steps=250_000, lr_halflife=5.0, rng=10)
-    assert np.abs(vt.q - vt_star.q).max() < 1e-3
 
 
 def _q_learning_per_sweep_positions(mdp, sweeps, lr):
@@ -587,6 +583,76 @@ def test_clipped_pg_matches_unclipped_greedy():
     assert np.array_equal(np.argmax(plain, axis=1), np.argmax(clipped, axis=1))
 
 
+@pytest.mark.parametrize("clip", [None, 0.2])
+@pytest.mark.parametrize("game", [TABLE1, M2], ids=["table1", "matgame2"])
+def test_tad_pg_on_the_mmdp_matches_the_dense_transform(game, clip):
+    layered, layered_trace = softmax_pg(game, lr=1.0, steps=300, clip=clip, log_every=50)
+    dense, dense_trace = softmax_pg(sequential_transform(game), lr=1.0, steps=300,
+                                    clip=clip, log_every=50)
+    assert layered.shape == dense.shape
+    assert np.abs(layered - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+    assert layered_trace.step == dense_trace.step
+    assert layered_trace.greedy == dense_trace.greedy
+    assert np.allclose(layered_trace.loss, dense_trace.loss, rtol=1e-12, atol=0.0)
+
+
+ONE_AGENT_MODELS = {
+    "discounted": random_mmdp(4, 1, 3, gamma=0.9, rng=45),
+    "horizon3": random_mmdp(3, 1, 2, gamma=0.9, rng=52, horizon=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_AGENT_MODELS))
+def test_tad_pg_on_a_one_agent_model_is_the_plain_policy_gradient(name):
+    # a one-agent model is its own transform: unclipped TAD-PG retraces the
+    # one-agent MA-PG descent and TAD-PPO the clipped loop on the model's own
+    # slices, bit for bit
+    model = ONE_AGENT_MODELS[name]
+    logits, trace = softmax_pg(model, lr=0.5, steps=200, log_every=20)
+    params, want = run_mapg(model, MapgParams.uniform(1, model.n_states, model.n_actions),
+                            lr=0.5, steps=200, log_every=20)
+    assert np.array_equal(logits, params.logits[0])
+    assert_same_trace(trace, want)
+    logits, trace = softmax_pg(model, lr=0.5, steps=200, clip=0.2, log_every=20)
+    want_logits, rows = clipped_pg_oracle(model, lr=0.5, steps=200, clip=0.2, log_every=20)
+    assert np.array_equal(logits, want_logits)
+    assert list(zip(trace.step, trace.loss, trace.grad_norm)) == rows
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_tad_pg_from_uniform_logits_reaches_the_oracle(name):
+    # multitask_suite spreads its initial mass over ten tasks, so it needs the
+    # larger step; at lr 20 two of the single tasks stay trapped
+    game = builtin_game(name)
+    lr = 20.0 if name == "multitask_suite" else 2.0
+    logits, _ = softmax_pg(game, lr=lr, steps=800, log_every=800)
+    dec = greedy_distill(lower_policy(softmax(logits), game.n_agents), game)
+    assert evaluate_policy(game, dec) == brute_force_optimal(game)[0]
+
+
+@pytest.mark.parametrize("clip", [None, 0.2])
+def test_tad_pg_runs_a_float_step_count_as_its_integer(clip):
+    logits, trace = softmax_pg(TABLE1, lr=1.0, steps=3.0, clip=clip)
+    want, want_trace = softmax_pg(TABLE1, lr=1.0, steps=3, clip=clip)
+    assert trace.step == [0, 3]
+    assert np.array_equal(logits, want)
+    assert_same_trace(trace, want_trace)
+
+
+@pytest.mark.parametrize("clip", [None, 0.2])
+def test_tad_pg_evaluates_the_policy_once_per_outer_step(clip, monkeypatch):
+    calls = []
+
+    def counted(model, pol):
+        calls.append(model)
+        return layered_policy_slices(model, pol)
+
+    monkeypatch.setattr(learners, "layered_policy_slices", counted)
+    _, trace = softmax_pg(TABLE1, lr=1.0, steps=7, clip=clip, stop_tol=1e-12, log_every=3)
+    assert trace.step == [0, 3, 6, 7]
+    assert len(calls) == 8
+
+
 # ---------------------------------------------------------------------------
 # train traces
 
@@ -644,22 +710,23 @@ def test_tad_kl_distillation_path():
     assert evaluate_policy(TABLE1, greedy) == pytest.approx(10.0, abs=1e-9)
 
 
-def test_tad_vi_and_synchronous_q_never_build_the_transform(monkeypatch):
+def test_tad_learners_never_build_the_transform(monkeypatch):
     def refuse(model, *args, **kwargs):
         raise AssertionError("dense transform built")
 
-    monkeypatch.setattr(learners, "sequential_transform", refuse)
+    monkeypatch.setattr(transform, "sequential_transform", refuse)
     for model in (TABLE1, random_mmdp(4, 2, 3, gamma=0.9, rng=43),
                   random_mmdp(3, 3, 2, gamma=0.5, rng=44)):
         best, _ = brute_force_optimal(model)
         for kwargs in ({"sarl": "vi"}, {"sarl": "vi", "distill": "kl"},
-                       {"sarl": "q_learning", "sweeps": 3000, "lr": 1.0}):
+                       {"sarl": "q_learning", "sweeps": 3000, "lr": 1.0},
+                       {"sarl": "softmax_pg", "lr": 2.0, "steps": 800},
+                       {"sarl": "clipped_pg", "lr": 1.0, "steps": 300}):
             policies, _ = tad_run(model, **kwargs)
             greedy = DecentralizedPolicySet.deterministic(
                 policies.greedy_actions(), model.n_actions)
             assert evaluate_policy(model, greedy) == pytest.approx(best, abs=1e-9)
-    with pytest.raises(AssertionError, match="dense transform"):
-        tad_run(TABLE1, sarl="q_learning", mode="sampled", steps=10)
+    assert not hasattr(learners, "sequential_transform")
 
 
 def test_tad_rejects_unknown_learner():

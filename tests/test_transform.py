@@ -32,7 +32,8 @@ from tadlab.core import (
     optimal_values,
 )
 from tadlab.learners import tad_run, value_iteration
-from tadlab.transform import layer_offsets, virtual_state_index
+from tadlab.core import policy_slices
+from tadlab.transform import layer_offsets, layered_policy_slices, virtual_state_index
 
 from oracles import kl_oracle, vi_oracle
 
@@ -410,6 +411,56 @@ def test_layered_vi_rejects_unlayered_episodic_model():
         value_iteration(sequential_transform(model))
     with pytest.raises(ValueError, match="not layered"):
         layered_optimal_values(model)
+
+
+# ---------------------------------------------------------------------------
+# layered policy evaluation against the dense transform
+
+def _assert_layered_slices_match_dense(model, rng):
+    dense = sequential_transform(model)
+    pol = rng.random((dense.n_states, dense.n_actions)) + 0.05
+    pol /= pol.sum(axis=1, keepdims=True)
+    want, want_slices = policy_slices(dense, pol)
+    got, got_slices = layered_policy_slices(model, pol)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    want_grad = sum(d_t[:, None] * q_t for d_t, q_t in want_slices)
+    got_grad = sum(d_t[:, None] * q_t for d_t, q_t in got_slices)
+    assert got_grad.shape == want_grad.shape
+    assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    if model.horizon is None:
+        assert len(got_slices) == len(want_slices) == 1
+        return
+    # episodic: slice t's layer-k rows are the dense slice at virtual step
+    # n*t + k, which visits layer k only (the clipped surrogate reads them)
+    n = model.n_agents
+    offsets, total = layer_offsets(model.n_states, n, model.n_actions)
+    bounds = offsets + [total]
+    assert len(got_slices) * n == len(want_slices)
+    for t, (d, q) in enumerate(got_slices):
+        for k in range(n):
+            rows = slice(bounds[k], bounds[k + 1])
+            d_want, q_want = want_slices[n * t + k]
+            assert np.all(np.delete(d_want, np.arange(total)[rows]) == 0.0)
+            assert np.allclose(d[rows], d_want[rows], rtol=1e-12, atol=1e-15)
+            assert np.allclose(q[rows], q_want[rows], rtol=1e-12, atol=1e-12)
+
+
+def test_layered_policy_slices_match_dense(partly_reached_models):
+    rng = np.random.default_rng(33)
+    models = ([model for _, model in composition_models(0)] + partly_reached_models
+              + [random_mmdp(3, 2, 2, gamma=0.9, rng=52, horizon=3)])
+    for model in models:
+        _assert_layered_slices_match_dense(model, rng)
+
+
+def test_layered_policy_slices_of_a_one_agent_model_are_its_own():
+    model = random_mmdp(4, 1, 3, gamma=0.9, rng=45)
+    pol = np.random.default_rng(34).dirichlet(np.ones(3), size=4)
+    want, want_slices = policy_slices(model, pol)
+    got, got_slices = layered_policy_slices(model, pol)
+    assert got == want
+    for (d, q), (d_want, q_want) in zip(got_slices, want_slices, strict=True):
+        assert np.array_equal(d, d_want) and np.array_equal(q, q_want)
 
 
 def test_tad_vi_plays_the_oracle_policy():
