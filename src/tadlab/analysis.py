@@ -38,14 +38,18 @@ def stationarity_certificate(loss_and_grad, theta, tol):
 #: ball samples evaluated per stacked call; 256 samples of d parameters
 #: take 2 KiB * d, so the stacks stay far below 1 MB at the sizes tested
 _CHUNK = 256
+#: loss drop below which a ball sample does not count as an escape
+SLACK = 1e-9
+#: Monte-Carlo games drawn per array in `ne_count_expectation`
+_NE_BATCH = 20000
 
 
-def local_min_certificate(loss_and_grad, theta, radius, samples, rng, slack=1e-9):
+def local_min_certificate(loss_and_grad, theta, radius, samples, rng):
     """Probabilistic local-minimality check by uniform ball sampling.
 
     True when no sampled perturbation within `radius` (in raw parameter
     coordinates, where gradient descent moves) drops the loss by more than
-    `slack`. A False is a certified escape direction; a True is evidence at
+    `SLACK`. A False is a certified escape direction; a True is evidence at
     the stated sample count, not a proof.
 
     A [K, d] `theta` certifies K points and returns K bools. Then
@@ -67,18 +71,18 @@ def local_min_certificate(loss_and_grad, theta, radius, samples, rng, slack=1e-9
         def losses(xs):
             return np.array([loss_and_grad(x)[0] for x in xs])
         points = theta.ravel()[None]
-    held = [_ball_holds(losses, x, base, radius, samples, rng, slack)
+    held = [_ball_holds(losses, x, base, radius, samples, rng)
             for x, base in zip(points, losses(points))]
     return np.array(held) if theta.ndim == 2 else held[0]
 
 
-def _ball_holds(losses, theta, base, radius, samples, rng, slack):
+def _ball_holds(losses, theta, base, radius, samples, rng):
     """No escape among `samples` ball points around one theta; evaluated
     `_CHUNK` at a time, drawn one sample at a time."""
     for start in range(0, samples, _CHUNK):
         state = rng.bit_generator.state
         xs = _ball_points(theta, radius, min(_CHUNK, samples - start), rng)
-        escaped = np.flatnonzero(losses(xs) < base - slack)
+        escaped = np.flatnonzero(losses(xs) < base - SLACK)
         if escaped.size:
             # leave the generator where a one-by-one search would stop
             rng.bit_generator.state = state
@@ -99,14 +103,15 @@ def _ball_points(theta, radius, m, rng):
     return theta + r[:, None] * (dirs / row_norms(dirs)[:, None])
 
 
-def suboptimality_gap(model, policy, tol=1e-10):
+def suboptimality_gap(model, policy):
     """Optimal return minus the policy's return, via the oracle
-    `brute_force_optimal` (policy iteration to advantage tolerance `tol`)."""
-    best, _ = brute_force_optimal(model, tol=tol)
+    `brute_force_optimal` (policy iteration to its default advantage
+    tolerance)."""
+    best, _ = brute_force_optimal(model)
     return best - evaluate_policy(model, policy)
 
 
-def ne_count_expectation(k, trials, rng, batch=20000):
+def ne_count_expectation(k, trials, rng):
     """Monte-Carlo (mean, stderr) of the pure-equilibrium count in iid
     continuous k x k common-payoff games.
 
@@ -119,7 +124,7 @@ def ne_count_expectation(k, trials, rng, batch=20000):
     counts = np.empty(trials)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(_NE_BATCH, trials - done)
         x = rng.random((b, k, k))
         row_max = x.max(axis=2, keepdims=True)
         col_max = x.max(axis=1, keepdims=True)

@@ -42,6 +42,8 @@ from .core import (
     load_env_file,
 )
 from .learners import (
+    PPO_CLIP,
+    SARL_OPTIONS,
     GdDivergenceError,
     MapgParams,
     VdParams,
@@ -124,9 +126,7 @@ def _load_config(path):
         raise SchemaError(f"unknown learner keys for {kind}: {sorted(extra)}")
     if kind == "vd" and learner.get("variant", "vdn") not in ("vdn", "monotonic", "duplex"):
         raise SchemaError(f"unknown vd variant {learner.get('variant')!r}")
-    if kind == "tad" and learner.get("sarl", "vi") not in (
-        "vi", "q_learning", "softmax_pg", "clipped_pg",
-    ):
+    if kind == "tad" and learner.get("sarl", "vi") not in SARL_OPTIONS:
         raise SchemaError(f"unknown single-agent learner {learner.get('sarl')!r}")
     for key in _LEARNER_NUMBERS:
         if key in learner and not (key == "clip" and learner[key] is None):
@@ -276,10 +276,10 @@ def _execute(config, seed, out_dir):
         cfg = {}
         if sarl in ("softmax_pg", "clipped_pg"):
             cfg = {"lr": lr, "steps": steps, "log_every": log_every}
-            # a null clip is absent: 0.2 for clipped_pg, unclipped softmax_pg
+            # a null clip is absent: PPO_CLIP for clipped_pg, unclipped softmax_pg
             clip = learner.get("clip")
             if sarl == "clipped_pg" or clip is not None:
-                cfg["clip"] = float(0.2 if clip is None else clip)
+                cfg["clip"] = float(PPO_CLIP if clip is None else clip)
                 resolved["clip"] = cfg["clip"]
         elif sarl == "q_learning":
             cfg = {"sweeps": int(learner.get("sweeps", 200))}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Mmdp, joint_code, matrix_game, require_valid
+from .core import Mmdp, joint_code, matrix_game
 from .learners import duplex_decompose
 
 TABLE1 = [
@@ -100,7 +100,7 @@ MULTITASK_MATRICES = {
 }
 
 
-def multitask_suite(gamma=0.99):
+def multitask_suite():
     """The 10 matrices stacked into one 10-state, one-step game.
 
     The state is the (observable) matrix id, drawn uniformly at the start of
@@ -118,7 +118,7 @@ def multitask_suite(gamma=0.99):
         n_actions=5,
         transition=transition,
         reward=rewards,
-        gamma=gamma,
+        gamma=0.99,
         initial_dist=np.full(n_states, 0.1),
         horizon=1,
     )
@@ -299,10 +299,11 @@ def construct_local_minima(k, n, decomposer=None):
 # ---------------------------------------------------------------------------
 # seeded random generators
 
-def random_matrix_game(k, n, rng, low=-20.0, high=10.0, gamma=0.99):
-    """One-step game with iid uniform payoffs in [low, high]."""
+def random_matrix_game(k, n, rng):
+    """One-step game with iid uniform payoffs in [-20, 10], the payoff range
+    of the multitask matrices."""
     rng = np.random.default_rng(rng)
-    return matrix_game(rng.uniform(low, high, size=(k,) * n), gamma=gamma)
+    return matrix_game(rng.uniform(-20.0, 10.0, size=(k,) * n))
 
 
 def random_mmdp(n_states, n_agents, n_actions, gamma=0.9, rng=None, horizon=None):
@@ -313,7 +314,7 @@ def random_mmdp(n_states, n_agents, n_actions, gamma=0.9, rng=None, horizon=None
     transition /= transition.sum(axis=2, keepdims=True)
     initial = rng.random(n_states) + 1e-3
     initial /= initial.sum()
-    model = Mmdp(
+    return Mmdp(
         n_states=n_states,
         n_agents=n_agents,
         n_actions=n_actions,
@@ -323,4 +324,3 @@ def random_mmdp(n_states, n_agents, n_actions, gamma=0.9, rng=None, horizon=None
         initial_dist=initial,
         horizon=horizon,
     )
-    return require_valid(model)

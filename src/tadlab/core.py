@@ -12,14 +12,17 @@ Conventions used across the package:
   discount still applies within the episode, so a one-step game is evaluated
   as the undiscounted expected payoff of its single joint step.
 
-Model objects are immutable after construction (arrays are copied and marked
-read-only), so they can be shared freely across threads.
+Model objects are immutable and valid after construction: arrays are copied
+and marked read-only, and `Mmdp` refuses a model that breaks an invariant
+(`validate`) with ``ValueError("invalid model: ...")``. Every model that
+exists can therefore be solved as is, and shared freely across threads.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -99,7 +102,8 @@ def greedy_codes(tables):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Mmdp:
-    """Fully observable common-reward multi-agent MDP.
+    """Fully observable common-reward multi-agent MDP, refused at
+    construction when `validate` finds an issue.
 
     transition: [n_states, n_actions**n_agents, n_states]
     reward:     [n_states, n_actions**n_agents]
@@ -118,6 +122,7 @@ class Mmdp:
         object.__setattr__(self, "transition", _frozen(self.transition))
         object.__setattr__(self, "reward", _frozen(self.reward))
         object.__setattr__(self, "initial_dist", _frozen(self.initial_dist))
+        require_valid(self)
 
     @property
     def n_joint_actions(self):
@@ -310,7 +315,6 @@ class ValueTable:
 def validate(model):
     """Collect invariant violations (empty list means the model is valid)."""
     issues = []
-    s, m = model.n_states, model.n_joint_actions
     if model.n_states < 1:
         issues.append(f"n_states must be positive, got {model.n_states}")
     if model.n_actions < 1:
@@ -324,6 +328,7 @@ def validate(model):
     if issues:
         return issues
 
+    s, m = model.n_states, model.n_joint_actions
     if model.transition.shape != (s, m, s):
         issues.append(
             f"transition shape {model.transition.shape} != {(s, m, s)}"
@@ -364,6 +369,7 @@ def validate(model):
 
 
 def require_valid(model):
+    """The model itself, or ValueError naming every `validate` issue."""
     issues = validate(model)
     if issues:
         raise ValueError("invalid model: " + "; ".join(issues))
@@ -551,8 +557,6 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
             tables[t] = model.reward + model.gamma * (model.transition @ v_next)
             v_next = tables[t].max(axis=1)
         return tables[pos, np.arange(s), :], [0.0]
-    if model.gamma >= 1.0:
-        raise ValueError("infinite-horizon solve requires gamma < 1")
     states = np.arange(s)
     codes = np.argmax(model.reward, axis=1)
     margins = []
@@ -579,7 +583,6 @@ def brute_force_optimal(model, tol=1e-10, size_guard=SIZE_GUARD):
     margin/(1 - gamma) of the optimum, where margin (<= tol) is the
     certificate `optimal_values` stopped at.
     """
-    require_valid(model)
     if model.n_states * model.n_joint_actions > size_guard:
         raise SizeGuardError(
             f"{model.n_states} states x {model.n_joint_actions} joint actions "
@@ -683,9 +686,8 @@ def mmdp_from_dict(data):
         extra = set(data) - {"matrix", "gamma"}
         if extra:
             raise ValueError(f"unexpected keys with matrix shorthand: {sorted(extra)}")
-        game = matrix_game(_field(data, "matrix", _floats),
+        return matrix_game(_field(data, "matrix", _floats),
                            gamma=_field(data, "gamma", _real, 0.99))
-        return require_valid(game)
     required = {
         "n_states", "n_agents", "n_actions", "gamma",
         "initial_dist", "transition", "reward",
@@ -700,14 +702,15 @@ def mmdp_from_dict(data):
     transition = _field(data, "transition", _floats)
     n_states, n_agents, n_actions = (_integer(data, key)
                                      for key in ("n_states", "n_agents", "n_actions"))
-    n_joint = n_actions**n_agents
-    # nested per-agent reward tensors are accepted and flattened to joint codes
-    if reward.shape == (n_states,) + (n_actions,) * n_agents:
-        reward = reward.reshape(n_states, n_joint)
-    if transition.shape == (n_states,) + (n_actions,) * n_agents + (n_states,):
-        transition = transition.reshape(n_states, n_joint, n_states)
+    # nested per-agent tensors are flattened to joint codes; `Mmdp` checks
+    # the counts, so the size is a product, which cannot raise as 0 ** -1 does
+    nested = (n_actions,) * n_agents
+    if reward.shape == (n_states,) + nested:
+        reward = reward.reshape(n_states, math.prod(nested))
+    if transition.shape == (n_states,) + nested + (n_states,):
+        transition = transition.reshape(n_states, math.prod(nested), n_states)
     horizon = None if data.get("horizon") is None else _integer(data, "horizon")
-    model = Mmdp(
+    return Mmdp(
         n_states=n_states,
         n_agents=n_agents,
         n_actions=n_actions,
@@ -717,7 +720,6 @@ def mmdp_from_dict(data):
         initial_dist=_field(data, "initial_dist", _floats),
         horizon=horizon,
     )
-    return require_valid(model)
 
 
 def load_env_file(path):

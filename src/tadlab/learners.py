@@ -61,7 +61,6 @@ from .core import (
     joint_code,
     optimal_values,
     policy_slices,
-    require_valid,
     row_norms,
 )
 from .transform import (
@@ -506,9 +505,9 @@ def igm_consistent(joint_row, local_rows, tol=1e-9):
     return True
 
 
-def igm_check(params, s, tol=1e-9):
+def igm_check(params, s):
     """Check local/joint greedy consistency of a VD parameter point at state s."""
-    return igm_consistent(params.joint_table()[s], params.q_local[:, s, :], tol=tol)
+    return igm_consistent(params.joint_table()[s], params.q_local[:, s, :])
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +596,7 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
         t += 1
 
 
-def run_mapg(model, params, lr=0.05, steps=20000, stop_tol=0.0, log_every=200):
+def run_mapg(model, params, lr=0.05, steps=20000, log_every=200):
     """Gradient descent on the product-policy loss from a given logit point,
     or from a [K, ...] stack of K points run as one batched descent."""
     def monitor(x, loss):
@@ -605,20 +604,21 @@ def run_mapg(model, params, lr=0.05, steps=20000, stop_tol=0.0, log_every=200):
         return -loss, params.unpack_like(x).greedy_joint()
 
     x, trace = gd_run(mapg_objective(params, model), params.pack(), lr, steps,
-                      stop_tol, monitor, log_every)
+                      monitor=monitor, log_every=log_every)
     return params.unpack_like(x), trace
 
 
-def run_vd(model, params, lr=0.1, steps=5000, dist=None, stop_tol=0.0, log_every=200):
+def run_vd(model, params, lr=0.1, steps=5000, log_every=200):
     """Semi-gradient TD descent for any mixer variant from a given parameter
-    point, or from a [K, ...] stack of K points run as one batched descent.
-    The trace's return column is the exact return of the greedy policy."""
+    point, or from a [K, ...] stack of K points run as one batched descent,
+    under the uniform sampling distribution. The trace's return column is
+    the exact return of the greedy policy."""
     def monitor(x, loss):
         codes = params.unpack_like(x).greedy_joint()
         return evaluate_policy(model, DeterministicJointPolicy(codes)), codes
 
-    x, trace = gd_run(vd_objective(params, model, dist), params.pack(), lr, steps,
-                      stop_tol, monitor, log_every)
+    x, trace = gd_run(vd_objective(params, model), params.pack(), lr, steps,
+                      monitor=monitor, log_every=log_every)
     return params.unpack_like(x), trace
 
 
@@ -633,7 +633,6 @@ def value_iteration(mdp, tol=1e-10):
     action values of the last policy, whose values are within
     tol / (1 - gamma) of the optimum), backward induction otherwise.
     """
-    require_valid(mdp)
     q, _ = optimal_values(mdp, tol=tol)
     return ValueTable.from_q(q), np.argmax(q, axis=1)
 
@@ -651,7 +650,6 @@ def q_learning(mdp, sweeps=200, lr=0.5):
     which final-step states do not bootstrap. On a dense transform it is the
     reference that `layered_q_learning`'s iterates are checked against.
     """
-    require_valid(mdp)
     q = np.zeros_like(mdp.reward)
     final = _final_steps(mdp)
     for _ in range(sweeps):
@@ -702,23 +700,29 @@ def _tad_pg_eval(model, logits):
     return pi, -value, -(pi * (pol_grad - inner)), slices
 
 
-def softmax_pg(model, lr=0.05, steps=2000, clip=None, inner_epochs=4,
-               init_logits=None, stop_tol=0.0, log_every=50):
+#: TAD-PPO: ascent steps on the clipped surrogate per outer step, and the
+#: clip range `tad_run(sarl="clipped_pg")` and the CLI use when none is given
+PPO_EPOCHS = 4
+PPO_CLIP = 0.2
+
+
+def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50):
     """Exact-gradient softmax policy gradient (TAD-PG) on the sequential
-    transform of an MMDP, one logit row per virtual state: [V, A] logits.
+    transform of an MMDP, one logit row per virtual state: [V, A] logits,
+    starting from zero (the uniform policy).
 
     The transform is never built: every step reads `layered_policy_slices`,
     and a one-agent model, its own transform, reads `policy_slices`.
     Unclipped, `gd_run` descends the negative return. With `clip` set
     (TAD-PPO), each outer step freezes the current policy, occupancy, and
-    advantages, then takes `inner_epochs` ascent steps on the clipped ratio
+    advantages, then takes `PPO_EPOCHS` ascent steps on the clipped ratio
     surrogate with exact expectations. Both forms stop at the first step
     whose exact (unclipped) gradient norm is below `stop_tol`, and log it.
     """
     step_discount(model)
     shape = (layer_offsets(model.n_states, model.n_agents, model.n_actions)[1],
              model.n_actions)
-    logits = np.zeros(shape) if init_logits is None else np.array(init_logits, dtype=float)
+    logits = np.zeros(shape)
     if clip is None:
         def objective(x):
             return _tad_pg_eval(model, x.reshape(shape))[1:3]
@@ -743,7 +747,7 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, inner_epochs=4,
                 trace.append(t, loss, gnorm, -loss, np.argmax(logits, axis=1))
             if stop:
                 break
-        for _ in range(inner_epochs):
+        for _ in range(PPO_EPOCHS):
             pi = softmax(logits)
             ratio = pi / pi_old
             surr = np.zeros_like(logits)
@@ -761,7 +765,11 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, inner_epochs=4,
 # ---------------------------------------------------------------------------
 # constructive duplex decomposition
 
-def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
+#: smallest duplex advantage weight, which tied joint actions get
+LAM_FLOOR = 1e-12
+
+
+def duplex_decompose(target, a_star, n_agents=None):
     """Duplex parameters that reproduce a joint table with prescribed local
     argmaxes.
 
@@ -770,8 +778,8 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
     in every state. Construction per state: each agent's table holds
     target(a*)/n at its a* slot and target(a*)/n - 1 elsewhere, and for every
     joint action the disagreeing agents carry an advantage weight of
-    (target(a*) - target(a)) / #disagreeing (floored at `lam_floor` for
-    ties). The mixed table then matches `target` up to n * lam_floor, with
+    (target(a*) - target(a)) / #disagreeing (floored at `LAM_FLOOR` for
+    ties). The mixed table then matches `target` up to n * LAM_FLOOR, with
     strict local argmaxes at a*.
     """
     arr = np.asarray(target, dtype=float)
@@ -810,7 +818,7 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
         disagree = digits != star[None, :]
         k = disagree.sum(axis=1)
         for ja in np.flatnonzero(k):
-            lam = max((v - arr[s, ja]) / k[ja], lam_floor)
+            lam = max((v - arr[s, ja]) / k[ja], LAM_FLOOR)
             params.lam_raw[disagree[ja], s, ja] = np.log(lam)
     return params
 
@@ -818,36 +826,43 @@ def duplex_decompose(target, a_star, n_agents=None, lam_floor=1e-12):
 # ---------------------------------------------------------------------------
 # the transform-and-distill composition
 
+#: the options each single-agent learner of `tad_run` takes
+_PG_OPTIONS = {"lr", "steps", "clip", "stop_tol", "log_every"}
+SARL_OPTIONS = {"vi": {"tol"}, "q_learning": {"sweeps", "lr"},
+                "softmax_pg": _PG_OPTIONS, "clipped_pg": _PG_OPTIONS}
+
+
 def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     """Transform, solve with a single-agent learner, lower, and distill.
 
     No learner builds the dense transform: vi unrolls the oracle's optimal
     joint table into the layers (`tol` is its advantage tolerance),
     q_learning sweeps one flat [V, A] table, and softmax_pg and clipped_pg
-    (TAD-PG and TAD-PPO, clip 0.2 by default) read each step's exact slices
-    through `layered_policy_slices`. The learner validates the model, once
-    per run. Every learner is deterministic: `seed` is accepted and unused. Distillation is `greedy_distill` or the
-    closed-form `kl_distill`. Returns the decentralized policies and a
-    trace. Iterative learners contribute their own trace (measured on the
-    transformed model); vi and q_learning yield a single summary row whose
-    loss column holds the negated final return.
+    (TAD-PG and TAD-PPO, clip `PPO_CLIP` by default) read each step's exact
+    slices through `layered_policy_slices`. The options in `cfg` are the
+    learner's own (`SARL_OPTIONS`); any other raises ValueError. Every
+    learner is deterministic: `seed` is accepted and unused. Distillation
+    is `greedy_distill` or the closed-form `kl_distill`. Returns the
+    decentralized policies and a trace. Iterative learners contribute their
+    own trace (measured on the transformed model); vi and q_learning yield
+    a single summary row whose loss column holds the negated final return.
     """
+    if sarl not in SARL_OPTIONS:
+        raise ValueError(f"unknown single-agent learner {sarl!r}")
+    unknown = set(cfg) - SARL_OPTIONS[sarl]
+    if unknown:
+        raise ValueError(f"unknown {sarl} options: {sorted(unknown)}")
     trace = None
     q = None
     if sarl == "vi":
-        tol = cfg.pop("tol", 1e-10)
-        if cfg:
-            raise ValueError(f"unknown vi options: {sorted(cfg)}")
-        q, _ = layered_optimal_values(model, tol=tol)
+        q, _ = layered_optimal_values(model, **cfg)
     elif sarl == "q_learning":
         q = layered_q_learning(model, **cfg).q
-    elif sarl in ("softmax_pg", "clipped_pg"):
+    else:
         if sarl == "clipped_pg":
-            cfg.setdefault("clip", 0.2)
+            cfg.setdefault("clip", PPO_CLIP)
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
-    else:
-        raise ValueError(f"unknown single-agent learner {sarl!r}")
     if q is not None:
         pol = np.zeros(q.shape)
         pol[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0

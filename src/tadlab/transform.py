@@ -42,7 +42,6 @@ from .core import (
     first_visit_times,
     optimal_values,
     policy_slices,
-    require_valid,
 )
 
 
@@ -63,8 +62,8 @@ def virtual_state_index(k, s, prefix, n_states, n_agents, n_actions):
 
 
 def step_discount(model):
-    """Validate an MMDP and return its transform's per-step discount gamma**(1/n)."""
-    require_valid(model)
+    """The transform's per-step discount gamma**(1/n); a gamma of 0 has no
+    n-th root to spread over several agents' steps and is refused."""
     if model.gamma == 0.0 and model.n_agents > 1:
         raise ValueError("gamma = 0 cannot be split across agent steps")
     return model.gamma ** (1.0 / model.n_agents)
@@ -102,7 +101,7 @@ def sequential_transform(model, size_guard=SIZE_GUARD):
         transition[last, act, :s] = final_trans[:, act, :]
     initial = np.zeros(total)
     initial[:s] = model.initial_dist
-    mdp = Mdp(
+    return Mdp(
         n_states=total,
         n_actions=a,
         transition=transition,
@@ -111,7 +110,6 @@ def sequential_transform(model, size_guard=SIZE_GUARD):
         initial_dist=initial,
         horizon=None if model.horizon is None else n * model.horizon,
     )
-    return require_valid(mdp)
 
 
 def row_max(q):
@@ -155,9 +153,8 @@ def layered_policy_slices(model, pol):
     As gamma'**n = gamma, the last layer's action values are the MMDP's q_t
     and the return is gamma'**(n-1) * J_M; layer k's action values are a
     `layer_backup` of layer k+1's policy-weighted values, and its visit
-    weights are gamma'**k * d_t(s) * P_k[s, p]. The model is not validated
-    here: callers check it once per run. A one-agent model is its own
-    transform, and its slices are `policy_slices`' own.
+    weights are gamma'**k * d_t(s) * P_k[s, p]. A one-agent model is its
+    own transform, and its slices are `policy_slices`' own.
     """
     s, n, a = model.n_states, model.n_agents, model.n_actions
     gamma_step = model.gamma ** (1.0 / n)
@@ -239,7 +236,6 @@ def inverse_transform(mdp, n_agents):
     Inverts sequential_transform exactly on the tensors; the discount is
     recovered as gamma'**n (exact up to floating-point rounding).
     """
-    require_valid(mdp)
     n, a = n_agents, mdp.n_actions
     s = _infer_base_states(mdp.n_states, n, a)
     offsets, total = layer_offsets(s, n, a)
@@ -263,7 +259,7 @@ def inverse_transform(mdp, n_agents):
         raise ValueError("initial distribution puts mass on virtual states")
     if mdp.horizon is not None and mdp.horizon % n != 0:
         raise ValueError(f"horizon {mdp.horizon} is not a multiple of {n}")
-    model = Mmdp(
+    return Mmdp(
         n_states=s,
         n_agents=n,
         n_actions=a,
@@ -273,7 +269,6 @@ def inverse_transform(mdp, n_agents):
         initial_dist=mdp.initial_dist[:s],
         horizon=None if mdp.horizon is None else mdp.horizon // n,
     )
-    return require_valid(model)
 
 
 # ---------------------------------------------------------------------------

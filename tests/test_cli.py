@@ -332,6 +332,18 @@ def test_full_env_file_with_bad_fields_exits_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "bad environment file" in err
 
 
+def test_env_with_no_actions_and_negative_agents_exits_2(tmp_path, capsys):
+    # 0 ** -1 joint actions has no value; the counts are refused, not raised on
+    env = {"n_states": 1, "n_agents": -1, "n_actions": 0, "gamma": 0.9,
+           "initial_dist": [1.0], "transition": [[[1.0]]], "reward": [[0.0]]}
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps(env))
+    cfg = write_config(tmp_path / "cfg.json", {"env": str(env_path), "learner": {"kind": "tad"}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "n_agents must be positive, got -1" in err
+
+
 # ---------------------------------------------------------------------------
 # seeded fuzz: malformed env and config dicts made by mutating valid ones
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from tadlab import (
     validate,
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
-from tadlab.core import digit_table, optimal_values, policy_slices
+import tadlab
+from tadlab.core import Mdp, digit_table, optimal_values, policy_slices
 
 from oracles import slices_oracle, vi_oracle
 
@@ -49,24 +51,55 @@ def test_validate_flags_bad_row_sum():
     g = builtin_game("table1")
     trans = g.transition.copy()
     trans[0, 2, 0] = 0.98
-    bad = Mmdp(1, 2, 3, trans, g.reward, g.gamma, g.initial_dist, horizon=1)
-    issues = validate(bad)
-    assert any("(0, 2)" in line and "0.98" in line for line in issues)
+    with pytest.raises(ValueError, match=r"^invalid model: .*\(0, 2\) sums to 0\.98"):
+        Mmdp(1, 2, 3, trans, g.reward, g.gamma, g.initial_dist, horizon=1)
 
 
 def test_validate_flags_negative_probability():
     g = builtin_game("table1")
     trans = g.transition.copy()
     trans[0, 1, 0] = -0.5
-    bad = Mmdp(1, 2, 3, trans, g.reward, g.gamma, g.initial_dist, horizon=1)
-    issues = validate(bad)
-    assert any("negative" in line for line in issues)
+    with pytest.raises(ValueError, match=r"^invalid model: .*negative"):
+        Mmdp(1, 2, 3, trans, g.reward, g.gamma, g.initial_dist, horizon=1)
 
 
 def test_validate_rejects_gamma_one():
     g = builtin_game("table1")
-    bad = Mmdp(1, 2, 3, g.transition, g.reward, 1.0, g.initial_dist, horizon=1)
-    assert any("gamma" in line for line in validate(bad))
+    with pytest.raises(ValueError, match=r"^invalid model: .*gamma"):
+        Mmdp(1, 2, 3, g.transition, g.reward, 1.0, g.initial_dist, horizon=1)
+
+
+def test_every_constructor_refuses_an_invalid_model():
+    # an infinite-horizon two-state chain at gamma = 1 has no finite value,
+    # and a row summing to 1.5 is no distribution; neither model can exist
+    trans = np.zeros((2, 1, 2))
+    trans[:, 0, 1] = 1.0
+    gamma_one = r"gamma must lie in \[0, 1\), got 1\.0"
+    builders = [
+        (lambda: Mdp(2, 1, trans, np.ones((2, 1)), 1.0, [1.0, 0.0]), gamma_one),
+        (lambda: Mdp(2, 1, 1.5 * trans, np.ones((2, 1)), 0.9, [1.0, 0.0]),
+         r"\(0, 0\) sums to 1\.5"),
+        (lambda: Mmdp(2, 2, 1, trans, np.ones((2, 1)), 1.0, [1.0, 0.0]), gamma_one),
+        (lambda: matrix_game(np.eye(3), gamma=1.0), gamma_one),
+        (lambda: mmdp_from_dict({"matrix": [[1.0, 0.0], [0.0, 1.0]], "gamma": 1.0}),
+         gamma_one),
+    ]
+    for build, issue in builders:
+        with pytest.raises(ValueError, match=r"^invalid model: .*" + issue) as info:
+            build()
+        assert "\n" not in str(info.value)
+
+
+def test_only_the_model_type_calls_require_valid():
+    # validity is decided once, by Mmdp at construction; no other module
+    # re-checks a model it is handed
+    src = Path(tadlab.__file__).parent
+    callers = sorted(p.name for p in src.glob("*.py")
+                     if p.name != "core.py" and "require_valid" in p.read_text())
+    assert callers == []
+    core_lines = [line.strip() for line in (src / "core.py").read_text().splitlines()
+                  if "require_valid" in line]
+    assert core_lines == ["require_valid(self)", "def require_valid(model):"]
 
 
 def test_models_are_immutable():

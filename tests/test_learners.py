@@ -734,6 +734,23 @@ def test_tad_rejects_unknown_learner():
         tad_run(TABLE1, sarl="sarsa")
 
 
+def test_tad_refuses_unknown_options_for_every_learner():
+    # each learner's own options only; the refusal is tad_run's one-line
+    # ValueError, never a TypeError from the learner it would call
+    for sarl, bad in (("vi", {"sweeps": 3}), ("q_learning", {"mode": "sampled"}),
+                      ("softmax_pg", {"foo": 1}), ("clipped_pg", {"tol": 1e-6})):
+        with pytest.raises(ValueError, match=rf"^unknown {sarl} options: \[") as info:
+            tad_run(TABLE1, sarl=sarl, **bad)
+        assert "\n" not in str(info.value)
+
+
+def test_clipped_pg_defaults_to_the_ppo_clip():
+    _, want = softmax_pg(M2, lr=1.0, steps=5, clip=learners.PPO_CLIP, log_every=1)
+    _, got = tad_run(M2, sarl="clipped_pg", lr=1.0, steps=5, log_every=1)
+    assert learners.PPO_CLIP == 0.2
+    assert got.loss[:-1] == want.loss and got.step[:-1] == want.step
+
+
 def test_run_vd_rejects_negative_steps():
     params = VdParams.zeros("vdn", M2.n_agents, M2.n_states, M2.n_actions)
     with pytest.raises(ValueError, match="steps"):
