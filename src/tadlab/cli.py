@@ -42,7 +42,6 @@ from .core import (
     load_env_file,
 )
 from .learners import (
-    PPO_CLIP,
     SARL_OPTIONS,
     GdDivergenceError,
     MapgParams,
@@ -69,10 +68,11 @@ _EXIT_CODES = {SchemaError: 2, SizeGuardError: 3, GdDivergenceError: 4}
 # ---------------------------------------------------------------------------
 # config plumbing
 
+#: keys of the mapg and vd learners; a tad learner takes `sarl` and that
+#: learner's `SARL_OPTIONS`
 _LEARNER_KEYS = {
     "mapg": {"kind", "lr", "steps", "log_every"},
     "vd": {"kind", "variant", "lr", "steps", "log_every"},
-    "tad": {"kind", "sarl", "lr", "steps", "clip", "sweeps", "tol", "log_every"},
 }
 #: numeric learner fields: (integer-valued?, lower bound, bound allowed?)
 _LEARNER_NUMBERS = {
@@ -118,16 +118,21 @@ def _load_config(path):
     learner = config.get("learner")
     if not isinstance(learner, dict) or "kind" not in learner:
         raise SchemaError("config needs a 'learner' object with a 'kind'")
-    kind = learner["kind"]
-    if not isinstance(kind, str) or kind not in _LEARNER_KEYS:
+    name = kind = learner["kind"]
+    if kind == "tad":
+        name = learner.get("sarl", "vi")
+        if not isinstance(name, str) or name not in SARL_OPTIONS:
+            raise SchemaError(f"unknown single-agent learner {name!r}")
+        keys = {"kind", "sarl", *SARL_OPTIONS[name]}
+    elif isinstance(kind, str) and kind in _LEARNER_KEYS:
+        keys = _LEARNER_KEYS[kind]
+    else:
         raise SchemaError(f"unknown learner kind {kind!r}")
-    extra = set(learner) - _LEARNER_KEYS[kind]
+    extra = set(learner) - keys
     if extra:
-        raise SchemaError(f"unknown learner keys for {kind}: {sorted(extra)}")
+        raise SchemaError(f"unknown learner keys for {name}: {sorted(extra)}")
     if kind == "vd" and learner.get("variant", "vdn") not in ("vdn", "monotonic", "duplex"):
         raise SchemaError(f"unknown vd variant {learner.get('variant')!r}")
-    if kind == "tad" and learner.get("sarl", "vi") not in SARL_OPTIONS:
-        raise SchemaError(f"unknown single-agent learner {learner.get('sarl')!r}")
     for key in _LEARNER_NUMBERS:
         if key in learner and not (key == "clip" and learner[key] is None):
             _check_number(key, learner[key])
@@ -244,53 +249,42 @@ def _execute(config, seed, out_dir):
             f"environment has {model.n_states * model.n_joint_actions} "
             f"state-action pairs, beyond the oracle guard"
         )
-    learner = dict(config["learner"])
+    learner = config["learner"]
     kind = learner["kind"]
     init_cfg = config.get("init", {"mode": "uniform"})
     distill = config.get("distill", "greedy")
     outputs = config.get("outputs", ["trace", "summary"])
-    lr = float(learner.get("lr", 0.05 if model.horizon == 1 else 0.01))
-    steps = int(learner.get("steps", 20000))
-    log_every = int(learner.get("log_every", max(1, steps // 200)))
-
-    resolved = {"kind": kind, "lr": lr, "steps": steps, "log_every": log_every}
     certificates = {}
-    objective = None
-    if kind == "mapg":
-        params0 = _init_mapg(init_cfg, model)
-        params, trace = run_mapg(model, params0, lr=lr, steps=steps, log_every=log_every)
-        policies = params.policies()
-        objective = mapg_objective(params, model)
-    elif kind == "vd":
-        variant = learner.get("variant", "vdn")
-        resolved["variant"] = variant
-        params0 = _init_vd(init_cfg, variant, model)
-        params, trace = run_vd(model, params0, lr=lr, steps=steps, log_every=log_every)
-        acts = np.argmax(params.q_local, axis=2)
-        policies = DecentralizedPolicySet.deterministic(acts, model.n_actions)
-        objective = vd_objective(params, model)
-    else:
+    if kind == "tad":
         sarl = learner.get("sarl", "vi")
-        resolved["sarl"] = sarl
-        resolved["distill"] = distill
-        cfg = {}
-        if sarl in ("softmax_pg", "clipped_pg"):
-            cfg = {"lr": lr, "steps": steps, "log_every": log_every}
-            # a null clip is absent: PPO_CLIP for clipped_pg, unclipped softmax_pg
-            clip = learner.get("clip")
-            if sarl == "clipped_pg" or clip is not None:
-                cfg["clip"] = float(PPO_CLIP if clip is None else clip)
-                resolved["clip"] = cfg["clip"]
-        elif sarl == "q_learning":
-            cfg = {"sweeps": int(learner.get("sweeps", 200))}
-        elif sarl == "vi":
-            cfg = {"tol": float(learner.get("tol", 1e-10))}
+        # the learner's defaults under the given options, null counting as
+        # absent, each of its default's type
+        options = {key: type(default)(default if learner.get(key) is None else learner[key])
+                   for key, default in SARL_OPTIONS[sarl].items()}
+        resolved = {"kind": kind, "sarl": sarl, "distill": distill, **options}
         try:
             step_discount(model)
         except ValueError as exc:
             raise SchemaError(f"the tad learner cannot run on {env_name}: {exc}") from exc
-        policies, trace = tad_run(model, sarl=sarl, distill=distill, seed=seed, **cfg)
-    if objective is not None:
+        policies, trace = tad_run(model, sarl=sarl, distill=distill, seed=seed, **options)
+    else:
+        lr = float(learner.get("lr", 0.05 if model.horizon == 1 else 0.01))
+        steps = int(learner.get("steps", 20000))
+        log_every = int(learner.get("log_every", max(1, steps // 200)))
+        resolved = {"kind": kind, "lr": lr, "steps": steps, "log_every": log_every}
+        if kind == "mapg":
+            params0 = _init_mapg(init_cfg, model)
+            params, trace = run_mapg(model, params0, lr=lr, steps=steps, log_every=log_every)
+            policies = params.policies()
+            objective = mapg_objective(params, model)
+        else:
+            variant = learner.get("variant", "vdn")
+            resolved["variant"] = variant
+            params0 = _init_vd(init_cfg, variant, model)
+            params, trace = run_vd(model, params0, lr=lr, steps=steps, log_every=log_every)
+            acts = np.argmax(params.q_local, axis=2)
+            policies = DecentralizedPolicySet.deterministic(acts, model.n_actions)
+            objective = vd_objective(params, model)
         ok, norm = stationarity_certificate(objective, params.pack(), STATIONARITY_TOL)
         certificates["stationarity"] = {"ok": bool(ok), "grad_norm": norm,
                                         "tol": STATIONARITY_TOL}

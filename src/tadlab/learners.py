@@ -701,7 +701,7 @@ def _tad_pg_eval(model, logits):
 
 
 #: TAD-PPO: ascent steps on the clipped surrogate per outer step, and the
-#: clip range `tad_run(sarl="clipped_pg")` and the CLI use when none is given
+#: clip range `tad_run(sarl="clipped_pg")` uses when none is given
 PPO_EPOCHS = 4
 PPO_CLIP = 0.2
 
@@ -826,10 +826,11 @@ def duplex_decompose(target, a_star, n_agents=None):
 # ---------------------------------------------------------------------------
 # the transform-and-distill composition
 
-#: the options each single-agent learner of `tad_run` takes
-_PG_OPTIONS = {"lr", "steps", "clip", "stop_tol", "log_every"}
-SARL_OPTIONS = {"vi": {"tol"}, "q_learning": {"sweeps", "lr"},
-                "softmax_pg": _PG_OPTIONS, "clipped_pg": _PG_OPTIONS}
+#: each single-agent learner of `tad_run`: its options and their defaults,
+#: the only ones it takes (the CLI's `tad` block reads this table too)
+_PG_OPTIONS = {"lr": 0.05, "steps": 2000, "log_every": 50}
+SARL_OPTIONS = {"vi": {"tol": 1e-10}, "q_learning": {"sweeps": 200, "lr": 0.5},
+                "softmax_pg": _PG_OPTIONS, "clipped_pg": {**_PG_OPTIONS, "clip": PPO_CLIP}}
 
 
 def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
@@ -837,21 +838,24 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
 
     No learner builds the dense transform: vi unrolls the oracle's optimal
     joint table into the layers (`tol` is its advantage tolerance),
-    q_learning sweeps one flat [V, A] table, and softmax_pg and clipped_pg
-    (TAD-PG and TAD-PPO, clip `PPO_CLIP` by default) read each step's exact
-    slices through `layered_policy_slices`. The options in `cfg` are the
-    learner's own (`SARL_OPTIONS`); any other raises ValueError. Every
-    learner is deterministic: `seed` is accepted and unused. Distillation
-    is `greedy_distill` or the closed-form `kl_distill`. Returns the
-    decentralized policies and a trace. Iterative learners contribute their
-    own trace (measured on the transformed model); vi and q_learning yield
-    a single summary row whose loss column holds the negated final return.
+    q_learning sweeps one flat [V, A] table, and softmax_pg (TAD-PG) and
+    clipped_pg (TAD-PPO) read each step's exact slices through
+    `layered_policy_slices`. The options in `cfg` are the learner's own,
+    with their defaults in `SARL_OPTIONS`; an option given as None takes
+    its default (`PPO_CLIP` for clipped_pg's `clip`), and any other option
+    raises ValueError. Every learner is deterministic: `seed` is accepted
+    and unused. Distillation is `greedy_distill` or the closed-form
+    `kl_distill`. Returns the decentralized policies and a trace. Iterative
+    learners contribute their own trace (measured on the transformed
+    model); vi and q_learning yield a single summary row whose loss column
+    holds the negated final return.
     """
     if sarl not in SARL_OPTIONS:
         raise ValueError(f"unknown single-agent learner {sarl!r}")
-    unknown = set(cfg) - SARL_OPTIONS[sarl]
+    unknown = set(cfg) - set(SARL_OPTIONS[sarl])
     if unknown:
         raise ValueError(f"unknown {sarl} options: {sorted(unknown)}")
+    cfg = {**SARL_OPTIONS[sarl], **{k: v for k, v in cfg.items() if v is not None}}
     trace = None
     q = None
     if sarl == "vi":
@@ -859,8 +863,6 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     elif sarl == "q_learning":
         q = layered_q_learning(model, **cfg).q
     else:
-        if sarl == "clipped_pg":
-            cfg.setdefault("clip", PPO_CLIP)
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
     if q is not None:

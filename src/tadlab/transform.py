@@ -317,19 +317,18 @@ def greedy_distill(pc, model):
     """Determinize a coordination policy and unroll it into one-hot policies.
 
     Each conditional row is replaced by its argmax (lowest action index on
-    ties), then agent k's action at state s is read off under the earlier
-    agents' chosen actions. The product of the outputs plays exactly the
-    determinized coordination policy, so their values coincide.
+    ties), then agent k's action at every state is read off under the
+    earlier agents' chosen actions, whose mixed-radix code per state is
+    carried from agent to agent. The product of the outputs plays exactly
+    the determinized coordination policy, so their values coincide.
     """
-    n, s, a = pc.n_agents, pc.n_states, pc.n_actions
-    mu = [np.argmax(tab, axis=2) for tab in pc.tables]
-    chosen = np.zeros((n, s), dtype=np.intp)
-    for state in range(s):
-        prefix = 0
-        for k in range(n):
-            act = int(mu[k][state, prefix])
-            chosen[k, state] = act
-            prefix = prefix * a + act
+    s, a = pc.n_states, pc.n_actions
+    states = np.arange(s)
+    chosen = np.zeros((pc.n_agents, s), dtype=np.intp)
+    prefix = np.zeros(s, dtype=np.intp)
+    for k, tab in enumerate(pc.tables):
+        chosen[k] = tab[states, prefix].argmax(axis=1)
+        prefix = prefix * a + chosen[k]
     return DecentralizedPolicySet.deterministic(chosen, a)
 
 

@@ -311,3 +311,15 @@ def clipped_pg_oracle(mdp, lr, steps, clip, inner_epochs=4, log_every=50):
                 inner = np.sum(pi * dpi, axis=1, keepdims=True)
                 surr += pi * (dpi - inner)
             logits = logits + lr * surr
+
+
+def greedy_distill_oracle(pc):
+    """Greedy distillation state by state: each agent's argmax row under the
+    earlier agents' chosen actions at that state, as [n, S] actions."""
+    chosen = np.zeros((pc.n_agents, pc.n_states), dtype=np.intp)
+    for state in range(pc.n_states):
+        prefix = 0
+        for k, tab in enumerate(pc.tables):
+            chosen[k, state] = np.argmax(tab[state, prefix])
+            prefix = prefix * pc.n_actions + chosen[k, state]
+    return chosen

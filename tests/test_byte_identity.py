@@ -29,7 +29,7 @@ CONFIG_OUTPUT_SHA256 = {
     },
     "multitask_tad_vi": {
         "policy.json": "57dbf9c1f82b53d23e5ee866e5117f505e4d5d3d1695ad6a9ad491369d89aea4",
-        "summary.json": "604614885151a116185e4137a26b0bc2e4e2486edcbbe05c3d1eb4ed0ce84065",
+        "summary.json": "ad04c35752e0ca1e8bfbcda56fa160f5942b5a099bf55ef089ad4716a4cd818a",
         "trace.csv": "a8a1e9c6781acc47f0b2d86e17044e22b365ea28e8c0def5ca6292609e66ab6c",
     },
     "table1_tad_pg": {

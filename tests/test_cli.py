@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tadlab.cli as cli
+from tadlab import learners
 from tadlab.claims import CLAIMS, ClaimRecord
 from tadlab import DecentralizedPolicySet, evaluate_policy
 from tadlab.constructions import builtin_game
@@ -180,41 +181,55 @@ def test_verify_negative_seed_exits_2_before_any_work(capsys, monkeypatch, claim
 
 
 def _probe(learner=None, **fields):
-    config = {"env": "table1", "learner": {"kind": "mapg", "steps": 10, **(learner or {})}}
+    """A table1 config with a 10-step mapg learner updated by `learner`; a
+    tad learner holds only the keys given, so it takes each of them."""
+    learner = learner or {}
+    base = {} if learner.get("kind") == "tad" else {"kind": "mapg", "steps": 10}
+    config = {"env": "table1", "learner": {**base, **learner}}
     config.update(fields)
     return config
 
 
-@pytest.mark.parametrize("config", [
-    _probe({"lr": "abc"}),
-    _probe({"lr": 0}),
-    _probe({"lr": -0.5}),
-    _probe({"steps": -3}),
-    _probe({"steps": 2.5}),
-    _probe({"log_every": 0}),
-    _probe({"kind": "vd", "steps": -3}),
-    _probe({"kind": "tad", "sarl": "q_learning", "sweeps": 0}),
-    _probe({"kind": "tad", "sarl": "vi", "tol": 0.0}),
-    _probe({"kind": "tad", "sarl": "clipped_pg", "clip": -0.1}),
-    _probe(init="uniform"),
-    _probe(init={"mode": "file", "file": "no/such/params.json"}),
-    _probe(init={"mode": "file"}),
-    _probe(outputs="trace"),
-    _probe({"kind": ["mapg"]}),
-    _probe(init={"mode": "concentrated", "target_joint_action": [5, 5]}),
-    _probe(init={"mode": "concentrated", "target_joint_action": "ab"}),
-    _probe({"kind": "vd"}, init={"mode": "concentrated", "target_joint_action": ["a", 1]}),
-    _probe(init={"mode": "concentrated", "target_joint_action": [1, 1], "scale": "big"}),
-], ids=["lr-string", "lr-zero", "lr-negative", "steps-negative", "steps-fraction",
-        "log-every-zero", "vd-steps-negative", "sweeps-zero", "tol-zero",
-        "clip-negative", "init-not-object", "init-file-missing", "init-file-absent",
-        "outputs-string", "kind-list", "target-out-of-range", "target-string",
-        "vd-target-not-integer", "scale-string"])
-def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config):
+#: (id, config, a fragment of the one error line that names the fault)
+_BAD_FIELDS = [
+    ("lr-string", _probe({"lr": "abc"}), "'lr'"),
+    ("lr-zero", _probe({"lr": 0}), "'lr'"),
+    ("lr-negative", _probe({"lr": -0.5}), "'lr'"),
+    ("steps-negative", _probe({"steps": -3}), "'steps'"),
+    ("steps-fraction", _probe({"steps": 2.5}), "'steps'"),
+    ("log-every-zero", _probe({"log_every": 0}), "'log_every'"),
+    ("vd-steps-negative", _probe({"kind": "vd", "steps": -3}), "'steps'"),
+    ("sweeps-zero", _probe({"kind": "tad", "sarl": "q_learning", "sweeps": 0}), "'sweeps'"),
+    ("tol-zero", _probe({"kind": "tad", "sarl": "vi", "tol": 0.0}), "'tol'"),
+    ("clip-negative", _probe({"kind": "tad", "sarl": "clipped_pg", "clip": -0.1}), "'clip'"),
+    ("init-not-object", _probe(init="uniform"), "'init'"),
+    ("init-file-missing", _probe(init={"mode": "file", "file": "no/such/params.json"}),
+     "init file not found"),
+    ("init-file-absent", _probe(init={"mode": "file"}), "init file not found"),
+    ("outputs-string", _probe(outputs="trace"), "'outputs'"),
+    ("kind-list", _probe({"kind": ["mapg"]}), "learner kind"),
+    ("target-out-of-range",
+     _probe(init={"mode": "concentrated", "target_joint_action": [5, 5]}),
+     "target_joint_action"),
+    ("target-string", _probe(init={"mode": "concentrated", "target_joint_action": "ab"}),
+     "target_joint_action"),
+    ("vd-target-not-integer",
+     _probe({"kind": "vd"}, init={"mode": "concentrated", "target_joint_action": ["a", 1]}),
+     "target_joint_action"),
+    ("scale-string",
+     _probe(init={"mode": "concentrated", "target_joint_action": [1, 1], "scale": "big"}),
+     "'scale'"),
+]
+
+
+@pytest.mark.parametrize("config,fragment", [case[1:] for case in _BAD_FIELDS],
+                         ids=[case[0] for case in _BAD_FIELDS])
+def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config, fragment):
     cfg = write_config(tmp_path / "cfg.json", config)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert fragment in err
     assert not (tmp_path / "out").exists()
 
 
@@ -246,6 +261,7 @@ def test_unreadable_input_files_exit_2_with_one_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert ("Is a directory" if "dir" in case else "can't decode") in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -256,6 +272,48 @@ def test_clipped_pg_null_clip_takes_the_default(tmp_path):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["learner"]["clip"] == 0.2
+
+
+#: a valid value of every tad learner option
+_TAD_VALUES = {"tol": 1e-8, "sweeps": 5, "lr": 0.5, "steps": 3, "log_every": 1, "clip": 0.3}
+
+
+@pytest.mark.parametrize("sarl", sorted(learners.SARL_OPTIONS))
+def test_tad_block_takes_exactly_its_learners_options(tmp_path, capsys, sarl):
+    assert set(_TAD_VALUES) == set().union(*learners.SARL_OPTIONS.values())
+    own = {key: _TAD_VALUES[key] for key in learners.SARL_OPTIONS[sarl]}
+    for key in sorted(set(_TAD_VALUES) - set(own)):
+        learner = {"kind": "tad", "sarl": sarl, key: _TAD_VALUES[key]}
+        cfg = write_config(tmp_path / "bad.json", {"env": "table1", "learner": learner})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown learner keys for {sarl}: ['{key}']\n"
+        assert not (tmp_path / "bad").exists()
+    # the summary echoes exactly the options the learner ran with
+    for given, echoed in ((own, own), ({}, learners.SARL_OPTIONS[sarl])):
+        learner = {"kind": "tad", "sarl": sarl, **given}
+        cfg = write_config(tmp_path / "cfg.json", {"env": "table1", "learner": learner})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["learner"] == {"kind": "tad", "sarl": sarl, "distill": "greedy",
+                                      **echoed}
+
+
+def test_q_learning_options_reach_the_learner_and_the_summary(tmp_path, monkeypatch):
+    calls = []
+    sweep = learners.layered_q_learning
+
+    def spy(model, **options):
+        calls.append(options)
+        return sweep(model, **options)
+
+    monkeypatch.setattr(learners, "layered_q_learning", spy)
+    learner = {"kind": "tad", "sarl": "q_learning", "sweeps": 40, "lr": 0.9}
+    cfg = write_config(tmp_path / "cfg.json", {"env": "matgame2", "learner": learner})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert calls == [{"sweeps": 40, "lr": 0.9}]
+    assert summary["learner"] == {**learner, "distill": "greedy"}
 
 
 @pytest.mark.parametrize("text", [
@@ -458,7 +516,7 @@ def _fuzz_cases(rng):
             cases.append((f"config {i} {label}", bad, None))
         learner = config["learner"]
         for key, values in (("kind", (None, 3, "mapg ", ["mapg"])),
-                            ("variant", ("qmix", None, 2)), ("sarl", ("ppo", None, 2)),
+                            ("variant", ("qmix", None, 2)), ("sarl", ("ppo", None, 2, ["vi"])),
                             ("beta", (0.5,))):
             if key in learner or key == "beta":
                 for value in values:
@@ -472,6 +530,11 @@ def _fuzz_cases(rng):
                             ("distill", ("soft", ["kl"], None))):
             for value in values:
                 cases.append((f"config {i} {key}={value!r}", {**config, key: value}, None))
+    # a key that the chosen single-agent learner does not take
+    for sarl, key, value in (("vi", "lr", 0.05), ("q_learning", "steps", 5),
+                             ("softmax_pg", "clip", 0.2), ("clipped_pg", "tol", 1e-6)):
+        bad = {"env": "table1", "learner": {"kind": "tad", "sarl": sarl, key: value}}
+        cases.append((f"{sarl} with {key}", bad, None))
     for value in ([1], [1, 1, 1], [1, -1], [1, 3], [True, 1], [1.0, 1], "11", None):
         bad = {**configs[0][0], "init": {**concentrated, "target_joint_action": value}}
         cases.append((f"target={value!r}", bad, None))

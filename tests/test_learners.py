@@ -738,7 +738,8 @@ def test_tad_refuses_unknown_options_for_every_learner():
     # each learner's own options only; the refusal is tad_run's one-line
     # ValueError, never a TypeError from the learner it would call
     for sarl, bad in (("vi", {"sweeps": 3}), ("q_learning", {"mode": "sampled"}),
-                      ("softmax_pg", {"foo": 1}), ("clipped_pg", {"tol": 1e-6})):
+                      ("softmax_pg", {"foo": 1}), ("clipped_pg", {"tol": 1e-6}),
+                      ("softmax_pg", {"clip": 0.2}), ("clipped_pg", {"stop_tol": 1e-6})):
         with pytest.raises(ValueError, match=rf"^unknown {sarl} options: \[") as info:
             tad_run(TABLE1, sarl=sarl, **bad)
         assert "\n" not in str(info.value)
@@ -746,9 +747,32 @@ def test_tad_refuses_unknown_options_for_every_learner():
 
 def test_clipped_pg_defaults_to_the_ppo_clip():
     _, want = softmax_pg(M2, lr=1.0, steps=5, clip=learners.PPO_CLIP, log_every=1)
-    _, got = tad_run(M2, sarl="clipped_pg", lr=1.0, steps=5, log_every=1)
-    assert learners.PPO_CLIP == 0.2
-    assert got.loss[:-1] == want.loss and got.step[:-1] == want.step
+    _, unclipped = softmax_pg(M2, lr=1.0, steps=5, log_every=1)
+    assert learners.PPO_CLIP == 0.2 and unclipped.loss != want.loss
+    for clip in ({}, {"clip": None}):
+        _, got = tad_run(M2, sarl="clipped_pg", lr=1.0, steps=5, log_every=1, **clip)
+        assert got.loss[:-1] == want.loss and got.step[:-1] == want.step
+
+
+@pytest.mark.parametrize("sarl,solver", [
+    ("vi", "layered_optimal_values"), ("q_learning", "layered_q_learning"),
+    ("softmax_pg", "softmax_pg"), ("clipped_pg", "softmax_pg")])
+def test_tad_runs_each_learner_with_its_table_defaults(monkeypatch, sarl, solver):
+    # the table is the one home of the defaults: tad_run passes every option
+    # on, the given ones over SARL_OPTIONS, and None as absent
+    calls = []
+
+    def record(model, **options):
+        calls.append(options)
+        raise StopIteration
+
+    monkeypatch.setattr(learners, solver, record)
+    table = learners.SARL_OPTIONS[sarl]
+    first = next(iter(table))
+    for given in ({}, {first: None}, {first: 3}):
+        with pytest.raises(StopIteration):
+            tad_run(TABLE1, sarl=sarl, **given)
+    assert calls == [table, table, {**table, first: 3}]
 
 
 def test_run_vd_rejects_negative_steps():

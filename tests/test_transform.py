@@ -35,7 +35,7 @@ from tadlab.learners import tad_run, value_iteration
 from tadlab.core import policy_slices
 from tadlab.transform import layer_offsets, layered_policy_slices, virtual_state_index
 
-from oracles import kl_oracle, vi_oracle
+from oracles import greedy_distill_oracle, kl_oracle, vi_oracle
 
 
 def test_table1_layout():
@@ -246,6 +246,17 @@ def test_greedy_distill_tie_break_lowest_index():
     out = greedy_distill(pc, builtin_game("table1"))
     assert np.argmax(out.tables[0], axis=1)[0] == 0
     assert np.argmax(out.tables[1], axis=1)[0] == 0
+
+
+def test_greedy_distill_matches_the_per_state_loop():
+    model = builtin_game("table1")
+    for i, (s, n, a) in enumerate(((1, 2, 3), (4, 3, 2), (5, 2, 4), (3, 4, 3))):
+        pc = CoordinationPolicy.random(n, s, a, rng=60 + i)
+        # rounding makes ties, which break toward the lowest action
+        tied = CoordinationPolicy(tuple(np.round(tab, 1) for tab in pc.tables))
+        for policy in (pc, tied):
+            want = np.eye(a)[greedy_distill_oracle(policy)]
+            assert np.array_equal(greedy_distill(policy, model).tables, want)
 
 
 def test_greedy_distill_value_equals_determinized_coordination_policy():
