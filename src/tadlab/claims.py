@@ -15,7 +15,7 @@ from .analysis import local_min_certificate, stationarity_certificate
 from .constructions import builtin_game, builtin_names, construct_local_minima, random_mmdp
 from .core import (
     CoordinationPolicy,
-    DecentralizedPolicySet,
+    DeterministicJointPolicy,
     brute_force_optimal,
     evaluate_policy,
     matrix_game,
@@ -48,12 +48,9 @@ def pg_traps(seed=0):
     starts.append(MapgParams.uniform(2, 1, 3).logits)
     params, _ = run_mapg(model, MapgParams(np.stack(starts)), lr=0.05,
                          steps=20000, log_every=5000)
-    codes = params.greedy_joint()[:, 0]
-    returns = np.array([
-        evaluate_policy(model, DecentralizedPolicySet.deterministic(
-            np.argmax(logits, axis=2), model.n_actions))
-        for logits in params.logits
-    ])
+    greedy = params.greedy_joint()
+    returns = np.array([evaluate_policy(model, DeterministicJointPolicy(c)) for c in greedy])
+    codes = greedy[:, 0]
     checks = [
         (f"concentrated init at {target}",
          bool(code == target[0] * 3 + target[1] and abs(ret - expected) < 1e-6),

@@ -31,10 +31,13 @@ from .analysis import stationarity_certificate
 from .claims import CLAIMS
 from .constructions import builtin_game, builtin_names
 from .core import (
+    OPTION_BOUNDS,
     SIZE_GUARD,
     DecentralizedPolicySet,
+    DeterministicJointPolicy,
     SizeGuardError,
     brute_force_optimal,
+    check_options,
     dump_env_text,
     episode_positions,
     evaluate_policy,
@@ -74,29 +77,7 @@ _LEARNER_KEYS = {
     "mapg": {"kind", "lr", "steps", "log_every"},
     "vd": {"kind", "variant", "lr", "steps", "log_every"},
 }
-#: numeric learner fields: (integer-valued?, lower bound, bound allowed?)
-_LEARNER_NUMBERS = {
-    "lr": (False, 0, False),
-    "tol": (False, 0, False),
-    "clip": (False, 0, False),
-    "steps": (True, 0, True),
-    "log_every": (True, 1, True),
-    "sweeps": (True, 1, True),
-}
 _INIT_MODES = ("uniform", "concentrated", "file")
-
-
-def _check_number(key, value):
-    integral, low, closed = _LEARNER_NUMBERS[key]
-    exact = isinstance(value, int) and not isinstance(value, bool)
-    real = isinstance(value, float) and math.isfinite(value)
-    ok = (exact or real) and (value >= low if closed else value > low)
-    if integral and real:
-        ok = ok and value.is_integer()
-    if not ok:
-        kind = "an integer" if integral else "a number"
-        bound = ">=" if closed else ">"
-        raise SchemaError(f"learner {key!r} must be {kind} {bound} {low}, got {value!r}")
 
 
 def _load_config(path):
@@ -133,9 +114,11 @@ def _load_config(path):
         raise SchemaError(f"unknown learner keys for {name}: {sorted(extra)}")
     if kind == "vd" and learner.get("variant", "vdn") not in ("vdn", "monotonic", "duplex"):
         raise SchemaError(f"unknown vd variant {learner.get('variant')!r}")
-    for key in _LEARNER_NUMBERS:
-        if key in learner and not (key == "clip" and learner[key] is None):
-            _check_number(key, learner[key])
+    try:
+        check_options(**{key: learner[key] for key in OPTION_BOUNDS
+                         if key in learner and not (key == "clip" and learner[key] is None)})
+    except ValueError as exc:
+        raise SchemaError(f"learner {exc}") from exc
     init = config.get("init", {})
     if not isinstance(init, dict):
         raise SchemaError("'init' must be an object")
@@ -291,9 +274,8 @@ def _execute(config, seed, out_dir):
 
     final_return = evaluate_policy(model, policies)
     saved = {"type": "decentralized", "tables": policies.tables.tolist()}
-    greedy_policies = DecentralizedPolicySet.deterministic(
-        policies.greedy_actions(), model.n_actions)
-    greedy_return = evaluate_policy(model, greedy_policies)
+    codes = greedy_codes(policies.tables)
+    greedy_return = evaluate_policy(model, DeterministicJointPolicy(codes))
     optimal_return, _ = brute_force_optimal(model)
     summary = {
         "env": env_name,
@@ -303,7 +285,7 @@ def _execute(config, seed, out_dir):
         "greedy_return": greedy_return,
         "optimal_return": optimal_return,
         "suboptimality_gap": optimal_return - greedy_return,
-        "greedy_policy": [int(c) for c in greedy_codes(policies.tables)],
+        "greedy_policy": [int(c) for c in codes],
         "certificates": certificates,
         # oracle_vi_tol is the oracle's advantage tolerance; the key keeps its
         # value-iteration name so that summaries stay byte-identical

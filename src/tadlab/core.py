@@ -51,33 +51,34 @@ def _frozen(a, dtype=float):
 # joint-action codec
 
 def joint_code(actions, n_actions):
-    """Mixed-radix code of a per-agent action tuple (agent 0 most significant)."""
-    code = 0
-    for a in actions:
-        code = code * n_actions + int(a)
-    return code
+    """Mixed-radix code of a per-agent action tuple (agent 0 most
+    significant); an [n, ...] array of actions gives an array of codes.
+    ValueError when an action lies outside [0, n_actions)."""
+    return np.ravel_multi_index(tuple(actions), (n_actions,) * len(actions))
 
 
 def joint_digits(code, n_agents, n_actions):
-    """Per-agent action tuple for a joint-action code."""
-    out = []
-    code = int(code)
-    for _ in range(n_agents):
-        out.append(code % n_actions)
-        code //= n_actions
-    return tuple(reversed(out))
+    """Per-agent action tuple for a joint-action code; ValueError when the
+    code lies outside [0, n_actions**n_agents)."""
+    return tuple(map(int, np.unravel_index(code, (n_actions,) * n_agents)))
 
 
 @functools.lru_cache(maxsize=None)
 def digit_table(n_agents, n_actions):
     """Int array [A**n, n]: row `code` holds each agent's action (read-only)."""
-    codes = np.arange(n_actions**n_agents)
-    digits = np.empty((codes.size, n_agents), dtype=np.intp)
-    for i in range(n_agents - 1, -1, -1):
-        digits[:, i] = codes % n_actions
-        codes = codes // n_actions
+    digits = np.stack(np.unravel_index(np.arange(n_actions**n_agents),
+                                       (n_actions,) * n_agents), axis=1)
     digits.flags.writeable = False
     return digits
+
+
+def one_hot(codes, width):
+    """Float array [..., width] holding 1.0 at each entry's code and 0.0
+    elsewhere, from an int array `codes` [...]."""
+    codes = np.asarray(codes, dtype=np.intp)
+    out = np.zeros(codes.shape + (width,))
+    np.put_along_axis(out, codes[..., None], 1.0, axis=-1)
+    return out
 
 
 def row_norms(x):
@@ -89,12 +90,7 @@ def row_norms(x):
 def greedy_codes(tables):
     """Per-state joint code of each agent's argmax in an [..., n, S, A] table
     (lowest index on ties); leading replica axes carry through."""
-    *_, n, _, a = np.shape(tables)
-    acts = np.argmax(tables, axis=-1)
-    codes = np.zeros(acts.shape[:-2] + acts.shape[-1:], dtype=np.intp)
-    for i in range(n):
-        codes = codes * a + acts[..., i, :]
-    return codes
+    return joint_code(np.moveaxis(np.argmax(tables, axis=-1), -2, 0), np.shape(tables)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +260,18 @@ class CoordinationPolicy:
             tabs.append(np.broadcast_to(policies.tables[i][:, None, :], (s, a**i, a)).copy())
         return cls(tuple(tabs))
 
-    def joint(self):
-        """Chain-product joint policy [n_states, n_actions**n_agents]."""
-        n, s, a = self.n_agents, self.n_states, self.n_actions
-        digits = digit_table(n, a)
-        n_joint = a**n
-        out = np.ones((s, n_joint))
-        prefix = np.zeros(n_joint, dtype=np.intp)
-        for i in range(n):
-            out *= self.tables[i][:, prefix, digits[:, i]]
-            prefix = prefix * a + digits[:, i]
+    def reach(self):
+        """Prefix probabilities [P_0, ..., P_n]: P_k [n_states, n_actions**k]
+        is the chance that agents 0..k-1 play each prefix code, with P_0 = 1
+        and P_{k+1}[s, p*A + a] = P_k[s, p] * tables[k][s, p, a]."""
+        out = [np.ones((self.n_states, 1))]
+        for table in self.tables:
+            out.append((out[-1][:, :, None] * table).reshape(self.n_states, -1))
         return out
+
+    def joint(self):
+        """Chain-product joint policy [n_states, n_actions**n_agents]: P_n."""
+        return self.reach()[-1]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -287,9 +284,7 @@ class DeterministicJointPolicy:
         object.__setattr__(self, "actions", _frozen(self.actions, dtype=np.intp))
 
     def joint(self, n_joint_actions):
-        out = np.zeros((self.actions.shape[0], n_joint_actions))
-        out[np.arange(self.actions.shape[0]), self.actions] = 1.0
-        return out
+        return one_hot(self.actions, n_joint_actions)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -540,12 +535,14 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
     record entry is then the certificate margin: no action improves on mu
     by more than it, so every state's value is within margin/(1 - gamma)
     of the optimum, and so is the greedy policy of the returned table.
-    `max_iter` caps the iterations.
+    `tol` must be a finite number > 0 (`check_options`), and `max_iter`
+    caps the iterations.
 
     Episodic: exact backward induction, reading each state's table at its
     episode step (models must be layered; one-step games trivially are);
     the record is [0.0].
     """
+    check_options(tol=tol)
     s, m = model.reward.shape
     if model.horizon is not None:
         if model.horizon == 1:
@@ -561,9 +558,7 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
     codes = np.argmax(model.reward, axis=1)
     margins = []
     for _ in range(max_iter):
-        pol = np.zeros((s, m))
-        pol[states, codes] = 1.0
-        _, _, q = _solve_values(model, pol)
+        _, _, q = _solve_values(model, one_hot(codes, m))
         best = np.argmax(q, axis=1)
         advantage = q[states, best] - q[states, codes]
         margins.append(float(advantage.max()))
@@ -662,6 +657,41 @@ def _real(value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+#: numeric solver and learner options: (integer-valued?, lower bound,
+#: bound allowed?)
+OPTION_BOUNDS = {
+    "lr": (False, 0, False),
+    "tol": (False, 0, False),
+    "clip": (False, 0, False),
+    "stop_tol": (False, 0, True),
+    "steps": (True, 0, True),
+    "log_every": (True, 1, True),
+    "sweeps": (True, 1, True),
+}
+
+
+def check_options(**options):
+    """The given options' values in order, an integer-valued one as an int;
+    ValueError names the first that is not a finite number within its
+    `OPTION_BOUNDS` (booleans are refused, and fractions where an integer
+    is due)."""
+    checked = []
+    for key, value in options.items():
+        integral, low, closed = OPTION_BOUNDS[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            ok = False
+        elif isinstance(value, numbers.Integral):
+            ok = True
+        else:
+            ok = math.isfinite(value) and (float(value).is_integer() or not integral)
+        if not (ok and (value >= low if closed else value > low)):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"{key!r} must be {kind} {'>=' if closed else '>'} {low}, "
+                             f"got {value!r}")
+        checked.append(int(value) if integral else value)
+    return checked
 
 
 def _floats(value):

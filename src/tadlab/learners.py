@@ -54,11 +54,13 @@ from .core import (
     DeterministicJointPolicy,
     ValueTable,
     bellman_backup,
+    check_options,
     digit_table,
     episode_positions,
     evaluate_policy,
     greedy_codes,
     joint_code,
+    one_hot,
     optimal_values,
     policy_slices,
     row_norms,
@@ -307,7 +309,7 @@ def _agent_axis(n_agents, n_states, n_actions):
     digits = digit_table(n_agents, n_actions)
     rows = np.arange(n_agents * n_states).reshape(n_agents, n_states, 1)
     flat = np.ascontiguousarray(rows * n_actions + digits.T[:, None, :])
-    masks = np.eye(n_actions)[digits.T]
+    masks = one_hot(digits.T, n_actions)
     others = np.array([[j for j in range(n_agents) if j != i] for i in range(n_agents)],
                       dtype=np.intp).reshape(n_agents, n_agents - 1)
     others = others.ravel() if n_agents == 2 else others
@@ -438,7 +440,9 @@ def vd_loss_and_grad(params, model, dist=None):
 
     The bootstrap target is treated as a constant. On one-step games the
     target is the payoff table, so the loss is plain least-squares regression
-    and the semi-gradient is the exact gradient. Params with a leading
+    and the semi-gradient is the exact gradient; in other episodic models
+    (which must be layered) states at the last episode step do not
+    bootstrap either, as in `q_learning`. Params with a leading
     replica axis give one loss per replica and stacked gradients, each
     replica's from its own row only.
     """
@@ -450,10 +454,12 @@ def vd_objective(template, model, dist=None):
     """`f(x) -> (loss, packed gradient)` of the semi-gradient TD loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them.
 
-    `dist` is checked once here and the view shapes are computed once; each
-    call runs on views of x and joins the packed gradient with one
-    concatenate, so a long descent pays no per-step checks or repacking."""
+    `dist` is checked, and the view shapes and the final-step mask are
+    computed, once here; each call runs on views of x and joins the packed
+    gradient with one concatenate, so a long descent pays no per-step checks
+    or repacking."""
     dist = _check_dist(dist, model)
+    final = np.flatnonzero(_final_steps(model))
     variant, shapes = template.variant, template.point_shapes()
     masks = _agent_axis(*shapes[0])[1]
     row_starts = {}
@@ -461,7 +467,12 @@ def vd_objective(template, model, dist=None):
     def f(x):
         q_local, mix = _vd_views(x, *shapes)
         q, terms, weights = _vd_mix(variant, q_local, mix)
-        target = model.reward if model.horizon == 1 else bellman_backup(q, model)
+        if model.horizon == 1:
+            target = model.reward
+        else:
+            target = bellman_backup(q, model)
+            if final.size:
+                target[..., final, :] = model.reward[final]
         resid = q - target
         w = dist * resid
         loss = 0.5 * (w * resid).reshape(resid.shape[:-2] + (-1,)).sum(-1)
@@ -513,17 +524,6 @@ def igm_check(params, s):
 # ---------------------------------------------------------------------------
 # plain gradient descent
 
-def _check_lr_steps(lr, steps, stop_tol, log_every):
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError("lr must be positive and finite")
-    if not (math.isfinite(steps) and steps >= 0 and steps == int(steps)):
-        raise ValueError("steps must be a non-negative integer")
-    if not stop_tol >= 0:
-        raise ValueError("stop_tol must be non-negative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
-
-
 def _scaled_norms(grad, t):
     """`row_norms` when a sum of squares overflows: a row whose norm is not
     finite gets m * sqrt(sum((g / m)**2)), m its largest magnitude."""
@@ -550,10 +550,12 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
     its logged steps, called on that replica's row. The gradient norm is
     computed only where it is logged or tested against `stop_tol`; a row
     whose sum of squares overflows gets it by scaling (`_scaled_norms`).
-    Non-finite losses or gradients abort with GdDivergenceError. Returns the
-    final x and a TrainTrace, or ReplicaTraces for a stack.
+    Non-finite losses or gradients abort with GdDivergenceError, and options
+    outside their `OPTION_BOUNDS` with ValueError. Returns the final x and a
+    TrainTrace, or ReplicaTraces for a stack.
     """
-    _check_lr_steps(lr, steps, stop_tol, log_every)
+    lr, steps, stop_tol, log_every = check_options(
+        lr=lr, steps=steps, stop_tol=stop_tol, log_every=log_every)
     x = np.array(x0, dtype=float)
     stacked = x.ndim == 2
     n_rows = len(x) if stacked else 1
@@ -650,6 +652,7 @@ def q_learning(mdp, sweeps=200, lr=0.5):
     which final-step states do not bootstrap. On a dense transform it is the
     reference that `layered_q_learning`'s iterates are checked against.
     """
+    sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     q = np.zeros_like(mdp.reward)
     final = _final_steps(mdp)
     for _ in range(sweeps):
@@ -670,6 +673,7 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     layers 0..n-2. Final-step rows do not bootstrap; never-reached rows
     target zero, as in the dense transform.
     """
+    sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     gamma_step = step_discount(model)
     s, a, n = model.n_states, model.n_actions, model.n_agents
     offsets, total = layer_offsets(s, n, a)
@@ -733,11 +737,10 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50
 
         x, trace = gd_run(objective, logits.ravel(), lr, steps, stop_tol, monitor, log_every)
         return x.reshape(shape), trace
-    if clip <= 0:
-        raise ValueError("clip must be positive")
-    _check_lr_steps(lr, steps, stop_tol, log_every)
+    lr, steps, clip, stop_tol, log_every = check_options(
+        lr=lr, steps=steps, clip=clip, stop_tol=stop_tol, log_every=log_every)
     trace = TrainTrace()
-    for t in range(int(steps) + 1):
+    for t in range(steps + 1):
         pi_old, loss, grad, occ_q = _tad_pg_eval(model, logits)
         logged = t % log_every == 0
         if logged or t == steps or stop_tol > 0:
@@ -866,8 +869,7 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
     if q is not None:
-        pol = np.zeros(q.shape)
-        pol[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
+        pol = one_hot(np.argmax(q, axis=1), q.shape[1])
     pc = lower_policy(pol, model.n_agents)
     if distill == "greedy":
         policies = greedy_distill(pc, model)

@@ -147,30 +147,27 @@ def layered_policy_slices(model, pol):
     virtual step n*t + k (which visits layer k only); an infinite horizon
     gives the one summed slice.
 
-    With pi_k = `pol`'s layer-k table [S, A**k, A] (`lower_policy`), the
-    reach of a prefix is P_0 = 1, P_{k+1}[s, p*A + a] = P_k[s, p] *
-    pi_k[s, p, a], and P_n is the joint policy matrix the MMDP evaluates.
-    As gamma'**n = gamma, the last layer's action values are the MMDP's q_t
-    and the return is gamma'**(n-1) * J_M; layer k's action values are a
-    `layer_backup` of layer k+1's policy-weighted values, and its visit
-    weights are gamma'**k * d_t(s) * P_k[s, p]. A one-agent model is its
-    own transform, and its slices are `policy_slices`' own.
+    With pi = `lower_policy(pol)`, the prefix reach P_k =
+    `pi.reach()[k]` [S, A**k] gives the joint policy matrix P_n that the
+    MMDP evaluates. As gamma'**n = gamma, the last layer's action values are
+    the MMDP's q_t and the return is gamma'**(n-1) * J_M; layer k's action
+    values are a `layer_backup` of layer k+1's policy-weighted values, and
+    its visit weights are gamma'**k * d_t(s) * P_k[s, p]. A one-agent model
+    is its own transform, and its slices are `policy_slices`' own.
     """
-    s, n, a = model.n_states, model.n_agents, model.n_actions
+    n, a = model.n_agents, model.n_actions
     gamma_step = model.gamma ** (1.0 / n)
-    pis = lower_policy(pol, n).tables
-    reach = [np.ones((s, 1))]
-    for pi in pis:
-        reach.append((reach[-1][:, :, None] * pi).reshape(s, -1))
-    value, slices = policy_slices(model, reach.pop())
+    pi = lower_policy(pol, n)
+    reach = pi.reach()
+    value, slices = policy_slices(model, reach[-1])
     layered = []
     for d_t, q_t in slices:
         tables = [q_t.reshape(-1, a)]
         for k in reversed(range(n - 1)):
-            v_next = (pis[k + 1].reshape(-1, a) * tables[0]).sum(axis=1)
+            v_next = (pi.tables[k + 1].reshape(-1, a) * tables[0]).sum(axis=1)
             tables.insert(0, layer_backup(model, k, v_next, gamma_step))
         d = np.concatenate([(gamma_step**k * d_t[:, None] * p).ravel()
-                            for k, p in enumerate(reach)])
+                            for k, p in enumerate(reach[:-1])])
         layered.append((d, np.concatenate(tables)))
     return gamma_step ** (n - 1) * value, layered
 

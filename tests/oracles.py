@@ -194,6 +194,10 @@ def vd_kernel_oracle(variant, q_local, w_raw, lam_raw, model, dist):
         target = model.reward
     else:
         target = bellman_backup(q, model)
+        if model.horizon is not None:
+            # states at the last episode step do not bootstrap
+            final = episode_positions(model) == model.horizon - 1
+            target[..., final, :] = model.reward[final]
     resid = q - target
     sq = dist * resid * resid
     loss = 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1)
@@ -323,3 +327,77 @@ def greedy_distill_oracle(pc):
             chosen[k, state] = np.argmax(tab[state, prefix])
             prefix = prefix * pc.n_actions + chosen[k, state]
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# the hand-written joint-action codec, one-hot scatters and prefix-reach
+# chain that numpy's ravel/unravel, `core.one_hot` and
+# `CoordinationPolicy.reach` replaced; each must match bit for bit
+
+def joint_code_oracle(actions, n_actions):
+    """Mixed-radix code of an action tuple, agent 0 most significant."""
+    code = 0
+    for a in actions:
+        code = code * n_actions + int(a)
+    return code
+
+
+def joint_digits_oracle(code, n_agents, n_actions):
+    """Per-agent action tuple of a joint code, by repeated division."""
+    out = []
+    code = int(code)
+    for _ in range(n_agents):
+        out.append(code % n_actions)
+        code //= n_actions
+    return tuple(reversed(out))
+
+
+def digit_table_oracle(n_agents, n_actions):
+    """Int array [A**n, n] of every code's digits, filled agent by agent."""
+    codes = np.arange(n_actions**n_agents)
+    digits = np.empty((codes.size, n_agents), dtype=np.intp)
+    for i in range(n_agents - 1, -1, -1):
+        digits[:, i] = codes % n_actions
+        codes = codes // n_actions
+    return digits
+
+
+def greedy_codes_oracle(tables):
+    """Joint code of each agent's argmax in [..., n, S, A] tables, folded
+    agent by agent."""
+    *_, n, _, a = np.shape(tables)
+    acts = np.argmax(tables, axis=-1)
+    codes = np.zeros(acts.shape[:-2] + acts.shape[-1:], dtype=np.intp)
+    for i in range(n):
+        codes = codes * a + acts[..., i, :]
+    return codes
+
+
+def deterministic_tables_oracle(actions, n_actions):
+    """One-hot per-agent tables [n, S, A] from actions [n, S], agent by agent."""
+    actions = np.asarray(actions, dtype=np.intp)
+    n, s = actions.shape
+    tables = np.zeros((n, s, n_actions))
+    for i in range(n):
+        tables[i, np.arange(s), actions[i]] = 1.0
+    return tables
+
+
+def joint_one_hot_oracle(codes, n_joint_actions):
+    """One-hot joint policy matrix [S, M] from per-state codes [S]."""
+    out = np.zeros((codes.shape[0], n_joint_actions))
+    out[np.arange(codes.shape[0]), codes] = 1.0
+    return out
+
+
+def coordination_joint_oracle(pc):
+    """Chain-product joint policy [S, A**n] of a coordination policy, one
+    agent's factor per step, read at each joint action's running prefix."""
+    n, s, a = pc.n_agents, pc.n_states, pc.n_actions
+    digits = digit_table_oracle(n, a)
+    out = np.ones((s, a**n))
+    prefix = np.zeros(a**n, dtype=np.intp)
+    for i in range(n):
+        out *= pc.tables[i][:, prefix, digits[:, i]]
+        prefix = prefix * a + digits[:, i]
+    return out

@@ -1,5 +1,5 @@
-"""Byte identity of what users run: the `verify` reports and the fast
-configs' output files at seed 0, pinned by sha256.
+"""Byte identity of what users run: the `verify` reports and every
+config's output files at seed 0, pinned by sha256.
 
 A change that moves one of these bytes is an exception to byte identity and
 must say so, with the new hash and the reason, before it is re-pinned.
@@ -22,6 +22,11 @@ VERIFY_STDOUT_SHA256 = {
 }
 
 CONFIG_OUTPUT_SHA256 = {
+    "matgame2_duplex_counterexample": {
+        "policy.json": "ac736f7ac109fc38d2df6eaed8311af18f10a8553732ffc3e2cfb872f626be00",
+        "summary.json": "5e91edfde6b2fdd88da9a0bb41ee84d6d230d035949809fcbcf96a55d90d4038",
+        "trace.csv": "dc3339057abbf52509da389929642c07715bb5ea40a44d4db853f5d315b89e31",
+    },
     "matgame2_vdn": {
         "policy.json": "ac736f7ac109fc38d2df6eaed8311af18f10a8553732ffc3e2cfb872f626be00",
         "summary.json": "fef556221351a9a078856b7bbddc81e0cf0281257157a1c8ab36e98c34efe396",
@@ -31,6 +36,16 @@ CONFIG_OUTPUT_SHA256 = {
         "policy.json": "57dbf9c1f82b53d23e5ee866e5117f505e4d5d3d1695ad6a9ad491369d89aea4",
         "summary.json": "ad04c35752e0ca1e8bfbcda56fa160f5942b5a099bf55ef089ad4716a4cd818a",
         "trace.csv": "a8a1e9c6781acc47f0b2d86e17044e22b365ea28e8c0def5ca6292609e66ab6c",
+    },
+    "table1_mapg_trap": {
+        "policy.json": "2a61144bc1c83a58527a264d6a28b555eb57d6a670843c18b279aa66ea8b91a2",
+        "summary.json": "4607419915b6fabb1da7d337dcc445f214e24caddbb0329c33a996005c84e74c",
+        "trace.csv": "637d3c0718248d083fa8a1df081d513c0a98e8a6f080f228e1708f2037c6bb53",
+    },
+    "table1_mapg_uniform": {
+        "policy.json": "3fac0f1c55d9e1026fa1008b7083e094cbf2210bbfcf2854c758bb2f1ef2db9f",
+        "summary.json": "ca29f893c349c9a44f3a7e3c337a3fe0bddb60bd3588dc213c2b425814537159",
+        "trace.csv": "18e1652d224ca37a43bccdc408f768e0c450e0d98b63cd57c012d2cbba7a44cc",
     },
     "table1_tad_pg": {
         "policy.json": "bed61b2c23a033f40b65612ba6fc0dc5e27c97c6e26fb75d86f10625a6ac6813",

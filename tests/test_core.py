@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tadlab import (
+    CoordinationPolicy,
     DecentralizedPolicySet,
     DeterministicJointPolicy,
     Mmdp,
@@ -13,6 +14,7 @@ from tadlab import (
     bellman_backup,
     brute_force_optimal,
     evaluate_policy,
+    greedy_codes,
     joint_code,
     joint_digits,
     matrix_game,
@@ -23,9 +25,19 @@ from tadlab import (
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 import tadlab
-from tadlab.core import Mdp, digit_table, optimal_values, policy_slices
+from tadlab.core import Mdp, digit_table, one_hot, optimal_values, policy_slices
 
-from oracles import slices_oracle, vi_oracle
+from oracles import (
+    coordination_joint_oracle,
+    deterministic_tables_oracle,
+    digit_table_oracle,
+    greedy_codes_oracle,
+    joint_code_oracle,
+    joint_digits_oracle,
+    joint_one_hot_oracle,
+    slices_oracle,
+    vi_oracle,
+)
 
 
 def test_joint_codec_round_trip():
@@ -41,6 +53,70 @@ def test_joint_codec_round_trip():
 def test_agent_zero_is_most_significant():
     assert joint_code((1, 0, 0), 2) == 4
     assert joint_digits(7, 2, 3) == (2, 1)
+
+
+@pytest.mark.parametrize("n,a", list(itertools.product(range(1, 5), repeat=2)))
+def test_codec_matches_the_radix_loops_on_every_code(n, a):
+    table = digit_table(n, a)
+    want = digit_table_oracle(n, a)
+    assert table.dtype == want.dtype and np.array_equal(table, want)
+    assert table.flags.c_contiguous and not table.flags.writeable
+    for code in range(a**n):
+        digits = joint_digits(code, n, a)
+        assert digits == joint_digits_oracle(code, n, a)
+        assert all(type(d) is int for d in digits)
+        assert joint_code(digits, a) == joint_code_oracle(digits, a) == code
+    # a [K, n, S, A] stack of tables with ties, and one of its points
+    rng = np.random.default_rng(n * 10 + a)
+    tables = rng.integers(0, 2, size=(3, n, 5, a)).astype(float)
+    for t in (tables, tables[0]):
+        got, ref = greedy_codes(t), greedy_codes_oracle(t)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_codec_refuses_out_of_range_inputs():
+    for bad in [lambda: joint_code((3, 0), 3), lambda: joint_code((0, -1), 3),
+                lambda: joint_digits(9, 2, 3), lambda: joint_digits(-1, 2, 3)]:
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_one_hot_matches_the_scatters():
+    rng = np.random.default_rng(18)
+    actions = rng.integers(0, 3, size=(4, 6))
+    got = one_hot(actions, 3)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, deterministic_tables_oracle(actions, 3))
+    assert np.array_equal(DecentralizedPolicySet.deterministic(actions, 3).tables, got)
+    codes = rng.integers(0, 27, size=7)
+    want = joint_one_hot_oracle(codes, 27)
+    assert np.array_equal(one_hot(codes, 27), want)
+    assert np.array_equal(DeterministicJointPolicy(codes).joint(27), want)
+
+
+@pytest.mark.parametrize("n,s,a", [(1, 3, 4), (2, 4, 3), (3, 2, 2), (4, 2, 3)])
+def test_reach_ends_at_the_prefix_loop_joint(n, s, a):
+    pc = CoordinationPolicy.random(n, s, a, np.random.default_rng(19))
+    reach = pc.reach()
+    assert [p.shape for p in reach] == [(s, a**k) for k in range(n + 1)]
+    assert np.array_equal(reach[-1], coordination_joint_oracle(pc))
+    assert np.array_equal(pc.joint(), reach[-1])
+    assert np.allclose([p.sum(axis=1) for p in reach], 1.0)
+
+
+def test_greedy_play_through_codes_matches_per_agent_tables():
+    rng = np.random.default_rng(20)
+    models = [builtin_game("table1"), random_mmdp(3, 2, 3, gamma=0.9, rng=21),
+              random_mmdp(2, 3, 2, gamma=0.8, rng=22, horizon=3)]
+    for model in models:
+        for _ in range(4):
+            # integer tables give ties, which both paths break to the lowest index
+            tables = rng.integers(0, 2, size=(model.n_agents, model.n_states,
+                                              model.n_actions)).astype(float)
+            per_agent = DecentralizedPolicySet.deterministic(
+                DecentralizedPolicySet(tables).greedy_actions(), model.n_actions)
+            codes = DeterministicJointPolicy(greedy_codes(tables))
+            assert evaluate_policy(model, codes) == evaluate_policy(model, per_agent)
 
 
 def test_validate_table1_ok():

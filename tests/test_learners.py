@@ -41,7 +41,7 @@ from tadlab.constructions import (
     random_mmdp,
     undercut_diag_payoff,
 )
-from tadlab.core import Mdp, bellman_backup, episode_positions
+from tadlab.core import Mdp, Mmdp, bellman_backup, episode_positions, optimal_values
 from tadlab.learners import (
     TrainTrace,
     igm_consistent,
@@ -351,6 +351,33 @@ def test_gd_run_rejects_non_integral_steps():
     for steps in (np.nan, np.inf, 2.5):
         with pytest.raises(ValueError, match="steps"):
             gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1, steps=steps)
+
+
+#: (id, a call with an option value the CLI refuses, the option's name)
+_BAD_API_OPTIONS = [
+    ("tol-negative", lambda: optimal_values(random_mmdp(2, 2, 2, gamma=0.9, rng=0), tol=-1.0),
+     "tol"),
+    ("tol-nan", lambda: optimal_values(random_mmdp(10, 2, 3, gamma=0.99, rng=2), tol=np.nan),
+     "tol"),
+    ("vi-tol-zero", lambda: value_iteration(M2, tol=0.0), "tol"),
+    ("clip-nan", lambda: tad_run(TABLE1, sarl="clipped_pg", clip=np.nan), "clip"),
+    ("sweeps-fraction", lambda: tad_run(TABLE1, sarl="q_learning", sweeps=2.5), "sweeps"),
+    ("sweeps-negative", lambda: tad_run(TABLE1, sarl="q_learning", sweeps=-3), "sweeps"),
+    ("q-learning-lr-nan", lambda: q_learning(sequential_transform(TABLE1), lr=np.nan), "lr"),
+    ("log-every-nan", lambda: gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1, steps=5,
+                                     log_every=np.nan), "log_every"),
+    ("log-every-fraction", lambda: gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1, steps=5,
+                                          log_every=2.5), "log_every"),
+    ("steps-bool", lambda: gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1, steps=True),
+     "steps"),
+]
+
+
+@pytest.mark.parametrize("call,key", [case[1:] for case in _BAD_API_OPTIONS],
+                         ids=[case[0] for case in _BAD_API_OPTIONS])
+def test_the_api_refuses_the_options_the_cli_refuses(call, key):
+    with pytest.raises(ValueError, match=f"^'{key}' must be "):
+        call()
 
 
 def test_gd_run_logs_a_finite_norm_of_a_gradient_whose_squares_overflow(tmp_path):
@@ -911,6 +938,27 @@ def test_run_vd_trace_norm_is_the_stationarity_norm(variant):
 # ---------------------------------------------------------------------------
 # the agent-stacked kernels against the per-agent-loop oracles, bit for bit
 
+def layered_mmdp(layers, n_agents, n_actions, rng, gamma=0.9):
+    """Episodic MMDP with one episode step per entry of `layers`, each the
+    state count of its layer: every step moves at random into the next
+    layer, the last one back into layer 0, where episodes start uniformly.
+    Transitions, then rewards U(0, 1), are drawn from `default_rng(rng)`."""
+    rng = np.random.default_rng(rng)
+    bounds = np.cumsum((0,) + tuple(layers))
+    n_joint = n_actions**n_agents
+    transition = np.zeros((bounds[-1], n_joint, bounds[-1]))
+    for t, size in enumerate(layers):
+        nxt = (t + 1) % len(layers)
+        block = rng.random((size, n_joint, layers[nxt]))
+        transition[bounds[t]:bounds[t + 1], :, bounds[nxt]:bounds[nxt + 1]] = (
+            block / block.sum(axis=2, keepdims=True))
+    initial = np.zeros(bounds[-1])
+    initial[:layers[0]] = 1.0 / layers[0]
+    return Mmdp(bounds[-1], n_agents, n_actions, transition,
+                rng.uniform(0.0, 1.0, (bounds[-1], n_joint)), gamma, initial,
+                horizon=len(layers))
+
+
 KERNEL_MODELS = {
     "matgame2": M2,
     "table1": TABLE1,
@@ -918,7 +966,12 @@ KERNEL_MODELS = {
     "discounted_n3": random_mmdp(2, 3, 2, gamma=0.8, rng=59),
     "horizon3": random_mmdp(3, 2, 3, gamma=0.9, rng=60, horizon=3),
     "horizon2_n3": random_mmdp(2, 3, 2, gamma=0.9, rng=61, horizon=2),
+    "layered_h2": layered_mmdp((1, 2), 2, 2, rng=0),
+    "layered_h3": layered_mmdp((1, 2, 2), 2, 3, rng=66),
+    "layered_h2_n3": layered_mmdp((2, 1), 3, 2, rng=67),
 }
+#: episodic models that are not layered: MA-PG runs on them, VD refuses them
+NOT_LAYERED = ("horizon3", "horizon2_n3")
 
 
 def _random_vd_params(variant, batch, model, rng):
@@ -929,7 +982,7 @@ def _random_vd_params(variant, batch, model, rng):
     return p
 
 
-def assert_kernels_match_oracles(model, rng):
+def assert_kernels_match_oracles(model, rng, vd=True):
     n, s, a = model.n_agents, model.n_states, model.n_actions
     weighted = rng.random(model.reward.shape) + 0.1
     for batch in ((), (1,), (4,)):
@@ -940,7 +993,7 @@ def assert_kernels_match_oracles(model, rng):
         loss, grad = mapg_objective(logits, model)(logits.pack())
         assert np.array_equal(loss, want_loss)
         assert np.array_equal(grad, want_grad.reshape(grad.shape))
-        for variant in learners.VD_VARIANTS:
+        for variant in learners.VD_VARIANTS if vd else ():
             p = _random_vd_params(variant, batch, model, rng)
             for dist in (uniform_dist(model), weighted / weighted.sum()):
                 want_loss, *want = vd_kernel_oracle(variant, p.q_local, p.w_raw,
@@ -956,7 +1009,21 @@ def assert_kernels_match_oracles(model, rng):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_stacked_kernels_match_loop_oracles_bitwise(name):
-    assert_kernels_match_oracles(KERNEL_MODELS[name], np.random.default_rng(62))
+    model = KERNEL_MODELS[name]
+    assert_kernels_match_oracles(model, np.random.default_rng(62), vd=name not in NOT_LAYERED)
+    if name in NOT_LAYERED:
+        template = VdParams.zeros("vdn", model.n_agents, model.n_states, model.n_actions)
+        with pytest.raises(ValueError, match="not layered"):
+            vd_objective(template, model)
+
+
+def test_the_optimum_of_a_layered_episodic_model_is_a_td_fixed_point():
+    # a duplex point that reproduces Q*: its final-step states must not
+    # bootstrap past the episode, or their TD target misses Q* by gamma * V*
+    model = KERNEL_MODELS["layered_h2"]
+    q_star, _ = optimal_values(model)
+    loss, _ = vd_loss_and_grad(duplex_decompose(q_star, np.argmax(q_star, axis=1), 2), model)
+    assert loss <= 1e-20
 
 
 def test_stacked_kernels_match_loop_oracles_on_partly_reached_models(partly_reached_models):
@@ -979,7 +1046,7 @@ def test_policy_gradient_kernel_keeps_the_oracles_signed_zeros(partly_reached_mo
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("name", ["table1", "discounted_n3", "horizon2_n3"])
+@pytest.mark.parametrize("name", ["table1", "discounted_n3", "horizon2_n3", "layered_h2_n3"])
 def test_descents_retrace_the_loop_oracles(name):
     model = KERNEL_MODELS[name]
     rng = np.random.default_rng(64)
@@ -990,7 +1057,7 @@ def test_descents_retrace_the_loop_oracles(name):
     p, t2 = run_mapg(model, p0, lr=0.1, steps=40, log_every=10)
     assert np.array_equal(x, p.pack())
     assert [t.loss for t in t1] == [t.loss for t in t2]
-    for variant in learners.VD_VARIANTS:
+    for variant in learners.VD_VARIANTS if name not in NOT_LAYERED else ():
         p0 = _random_vd_params(variant, (3,), model, rng)
         x, t1 = gd_run(vd_oracle_objective(p0, model), p0.pack(), lr=0.02, steps=40,
                        log_every=10)
