@@ -77,7 +77,7 @@ def one_hot(codes, width):
     elsewhere, from an int array `codes` [...]."""
     codes = np.asarray(codes, dtype=np.intp)
     out = np.zeros(codes.shape + (width,))
-    np.put_along_axis(out, codes[..., None], 1.0, axis=-1)
+    out.reshape(-1, width)[np.arange(codes.size), codes.ravel()] = 1.0
     return out
 
 
@@ -182,12 +182,7 @@ class DecentralizedPolicySet:
     @classmethod
     def deterministic(cls, actions, n_actions):
         """One-hot policy set from an int array [n_agents, n_states]."""
-        actions = np.asarray(actions, dtype=np.intp)
-        n, s = actions.shape
-        tables = np.zeros((n, s, n_actions))
-        for i in range(n):
-            tables[i, np.arange(s), actions[i]] = 1.0
-        return cls(tables)
+        return cls(one_hot(actions, n_actions))
 
     @classmethod
     def uniform(cls, n_agents, n_states, n_actions):
