@@ -46,6 +46,7 @@ from .core import (
 )
 from .learners import (
     SARL_OPTIONS,
+    VD_VARIANTS,
     GdDivergenceError,
     MapgParams,
     VdParams,
@@ -112,7 +113,7 @@ def _load_config(path):
     extra = set(learner) - keys
     if extra:
         raise SchemaError(f"unknown learner keys for {name}: {sorted(extra)}")
-    if kind == "vd" and learner.get("variant", "vdn") not in ("vdn", "monotonic", "duplex"):
+    if kind == "vd" and learner.get("variant", "vdn") not in VD_VARIANTS:
         raise SchemaError(f"unknown vd variant {learner.get('variant')!r}")
     try:
         check_options(**{key: learner[key] for key in OPTION_BOUNDS

@@ -537,6 +537,20 @@ def _scaled_norms(grad, t):
     return norms
 
 
+def _check_finite(loss, grad, t, lr):
+    """Raise GdDivergenceError unless the losses and gradient rows [K, d] of
+    step t are finite; returns whether a row's sum of squares overflows, so
+    that its norm needs `_scaled_norms`."""
+    # a finite sum of squares proves every entry finite; one that overflows
+    # falls through to the entrywise check (vdot is a BLAS dot that raises no
+    # floating-point warning)
+    overflow = not math.isfinite(np.vdot(grad, grad))
+    if not ((math.isfinite(np.vdot(loss, loss)) and not overflow)
+            or (np.isfinite(loss).all() and np.isfinite(grad).all())):
+        raise GdDivergenceError(f"non-finite loss or gradient at step {t} (lr={lr})")
+    return overflow
+
+
 def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1):
     """Constant-step gradient descent on a flat parameter vector, or on a
     [K, d] stack of K independent replicas.
@@ -568,15 +582,7 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
         loss, grad = loss_and_grad(x)
         loss = np.asarray(loss, dtype=float).reshape(n_rows)
         grad = np.asarray(grad, dtype=float).reshape(n_rows, -1)
-        # a finite sum of squares proves every entry finite; one that
-        # overflows falls through to the entrywise check (vdot is a BLAS dot
-        # that raises no floating-point warning)
-        overflow = not math.isfinite(np.vdot(grad, grad))
-        if not ((math.isfinite(np.vdot(loss, loss)) and not overflow)
-                or (np.isfinite(loss).all() and np.isfinite(grad).all())):
-            raise GdDivergenceError(
-                f"non-finite loss or gradient at step {t} (lr={lr})"
-            )
+        overflow = _check_finite(loss, grad, t, lr)
         logged = t % log_every == 0
         if logged or t >= steps or stop_tol > 0:
             gnorm = _scaled_norms(grad, t) if overflow else row_norms(grad)
@@ -668,10 +674,11 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     are those of `q_learning` on the dense transform up to summation order.
 
     Each sweep moves every row toward gamma' * (max of its layer-k+1 child
-    row), or R + gamma' * T @ max(layer 0) in the last layer. Layers 1..n-1
-    are contiguous, so their row maxima as rows of A are the targets of
-    layers 0..n-2. Final-step rows do not bootstrap; never-reached rows
-    target zero, as in the dense transform.
+    row), or R + gamma' * T @ max(layer 0) in the last layer. By the layout
+    rule in `transform`, the children of layers 0..n-2 are rows [S, V) in
+    order, so those rows' maxima, as rows of A, are their targets.
+    Final-step rows do not bootstrap; never-reached rows target zero, as in
+    the dense transform.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     gamma_step = step_discount(model)
@@ -721,7 +728,8 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50
     (TAD-PPO), each outer step freezes the current policy, occupancy, and
     advantages, then takes `PPO_EPOCHS` ascent steps on the clipped ratio
     surrogate with exact expectations. Both forms stop at the first step
-    whose exact (unclipped) gradient norm is below `stop_tol`, and log it.
+    whose exact (unclipped) gradient norm is below `stop_tol`, and log it;
+    both check every step and take its norm as `gd_run` does.
     """
     step_discount(model)
     shape = (layer_offsets(model.n_states, model.n_agents, model.n_actions)[1],
@@ -742,9 +750,11 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50
     trace = TrainTrace()
     for t in range(steps + 1):
         pi_old, loss, grad, occ_q = _tad_pg_eval(model, logits)
+        grad = grad.reshape(1, -1)
+        overflow = _check_finite(loss, grad, t, lr)
         logged = t % log_every == 0
         if logged or t == steps or stop_tol > 0:
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = float((_scaled_norms(grad, t) if overflow else row_norms(grad))[0])
             stop = gnorm < stop_tol or t == steps
             if logged or stop:
                 trace.append(t, loss, gnorm, -loss, np.argmax(logits, axis=1))
@@ -752,7 +762,9 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50
                 break
         for _ in range(PPO_EPOCHS):
             pi = softmax(logits)
-            ratio = pi / pi_old
+            # an underflowed probability gives 0/0 = nan, which selects no clip
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = pi / pi_old
             surr = np.zeros_like(logits)
             for d_t, q_t in occ_q:
                 adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)

@@ -6,10 +6,15 @@ layer, intermediate steps are deterministic with zero reward, and the final
 layer replays the original joint transition and reward. The per-step discount
 becomes gamma**(1/n), so one original step spreads across n virtual steps.
 
-Virtual-state indexing: block offsets offset(k) = S*(A**k - 1)/(A - 1) (k*S
-when A == 1), then s-major / prefix-minor within a block, with prefixes coded
-in the same mixed radix as joint actions. This makes a layer's rows plain
-reshapes of the joint tensors.
+Virtual-state layout: layer k starts at offset(k) = S*(A**k - 1)/(A - 1)
+(k*S when A == 1) and holds its (s, prefix) states s-major, prefixes coded in
+the mixed radix of joint actions, so a layer's rows are plain reshapes of the
+joint tensors. Every layout job here derives from one rule: with inner =
+offset(n-1), virtual state v < inner moves under action b to A*v + S + b
+(for A == 1 too). So the children of rows [0, inner) are rows [S, V), in
+order; the intermediate block of the transition tensor, viewed as
+[inner*A, V], is the identity shifted right by S; and the last layer, rows
+[inner, V), holds the joint transition and reward as [S*A**(n-1), A, ...].
 
 No learner builds the transform: each works on the MMDP's own tensors,
 layer by layer (``layer_backup``), which is the agent-by-agent backup of the
@@ -85,20 +90,13 @@ def sequential_transform(model, size_guard=SIZE_GUARD):
             f"tensors would take {8 * entries} bytes ({entries} float64 "
             f"entries), exceeding the guard ({size_guard} entries)"
         )
+    inner = offsets[-1]
     transition = np.zeros((total, a, total))
+    rows = np.arange(inner * a)
+    transition.reshape(total * a, total)[rows, rows + s] = 1.0
+    transition[inner:, :, :s] = model.transition.reshape(-1, a, s)
     reward = np.zeros((total, a))
-    for k in range(n - 1):
-        width = a**k
-        v = offsets[k] + np.arange(s * width)
-        u0 = offsets[k + 1] + np.arange(s * width) * a
-        for act in range(a):
-            transition[v, act, u0 + act] = 1.0
-    width = a ** (n - 1)
-    last = offsets[n - 1] + np.arange(s * width)
-    reward[last, :] = model.reward.reshape(s * width, a)
-    final_trans = model.transition.reshape(s * width, a, s)
-    for act in range(a):
-        transition[last, act, :s] = final_trans[:, act, :]
+    reward[inner:] = model.reward.reshape(-1, a)
     initial = np.zeros(total)
     initial[:s] = model.initial_dist
     return Mdp(
@@ -214,11 +212,7 @@ def layered_optimal_values(model, tol=1e-10):
 
 def _infer_base_states(total, n_agents, n_actions):
     """Recover |S| from the layered state count, or fail loudly."""
-    if n_actions == 1:
-        s, rem = divmod(total, n_agents)
-    else:
-        denom = (n_actions**n_agents - 1) // (n_actions - 1)
-        s, rem = divmod(total, denom)
+    s, rem = divmod(total, layer_offsets(1, n_agents, n_actions)[1])
     if rem != 0 or s < 1:
         raise ValueError(
             f"{total} states cannot be a {n_agents}-layer stack over "
@@ -231,26 +225,21 @@ def inverse_transform(mdp, n_agents):
     """Compress n virtual steps back into one joint step.
 
     Inverts sequential_transform exactly on the tensors; the discount is
-    recovered as gamma'**n (exact up to floating-point rounding).
+    recovered as gamma'**n (exact up to floating-point rounding). The
+    intermediate rows must hold the layout rule's shifted identity and no
+    reward, and the last layer may move only to base states.
     """
-    n, a = n_agents, mdp.n_actions
-    s = _infer_base_states(mdp.n_states, n, a)
-    offsets, total = layer_offsets(s, n, a)
-    for k in range(n - 1):
-        width = a**k
-        v = offsets[k] + np.arange(s * width)
-        if np.any(mdp.reward[v, :] != 0.0):
-            raise ValueError(f"layer {k} has nonzero intermediate reward")
-        u0 = offsets[k + 1] + np.arange(s * width) * a
-        expected = np.zeros((s * width, a, total))
-        for act in range(a):
-            expected[np.arange(s * width), act, u0 + act] = 1.0
-        if np.any(mdp.transition[v, :, :] != expected):
-            raise ValueError(f"layer {k} transitions are not the one-hot appends")
-    width = a ** (n - 1)
-    last = offsets[n - 1] + np.arange(s * width)
-    final_trans = mdp.transition[last, :, :]
-    if s < total and np.any(final_trans[:, :, s:] != 0.0):
+    n, a, total = n_agents, mdp.n_actions, mdp.n_states
+    s = _infer_base_states(total, n, a)
+    inner = layer_offsets(s, n, a)[0][-1]
+    block = mdp.transition[:inner].reshape(inner * a, total)
+    rows = np.arange(inner * a)
+    if np.any(mdp.reward[:inner] != 0.0):
+        raise ValueError("nonzero intermediate reward")
+    if np.any(block[rows, rows + s] != 1.0) or np.count_nonzero(block) != inner * a:
+        raise ValueError("intermediate transitions are not the one-hot appends")
+    final_trans = mdp.transition[inner:]
+    if np.any(final_trans[:, :, s:] != 0.0):
         raise ValueError("final layer transitions leave the base-state block")
     if np.any(mdp.initial_dist[s:] != 0.0):
         raise ValueError("initial distribution puts mass on virtual states")
@@ -261,7 +250,7 @@ def inverse_transform(mdp, n_agents):
         n_agents=n,
         n_actions=a,
         transition=final_trans[:, :, :s].reshape(s, a**n, s),
-        reward=mdp.reward[last, :].reshape(s, a**n),
+        reward=mdp.reward[inner:].reshape(s, a**n),
         gamma=mdp.gamma**n,
         initial_dist=mdp.initial_dist[:s],
         horizon=None if mdp.horizon is None else mdp.horizon // n,
@@ -273,9 +262,7 @@ def inverse_transform(mdp, n_agents):
 
 def lift_policy(pc):
     """Coordination policy -> stochastic policy on the layered MDP (exact copy)."""
-    s, n, a = pc.n_states, pc.n_agents, pc.n_actions
-    blocks = [pc.tables[k].reshape(s * a**k, a) for k in range(n)]
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate([tab.reshape(-1, pc.n_actions) for tab in pc.tables])
 
 
 def lower_policy(policy, n_agents):
@@ -283,13 +270,8 @@ def lower_policy(policy, n_agents):
     policy = np.asarray(policy, dtype=float)
     total, a = policy.shape
     s = _infer_base_states(total, n_agents, a)
-    offsets, _ = layer_offsets(s, n_agents, a)
-    tables = []
-    for k in range(n_agents):
-        width = a**k
-        block = policy[offsets[k] : offsets[k] + s * width, :]
-        tables.append(block.reshape(s, width, a))
-    return CoordinationPolicy(tuple(tables))
+    blocks = np.split(policy, layer_offsets(s, n_agents, a)[0][1:])
+    return CoordinationPolicy(tuple(block.reshape(s, -1, a) for block in blocks))
 
 
 def value_relation_check(model, pc):

@@ -401,3 +401,32 @@ def coordination_joint_oracle(pc):
         out *= pc.tables[i][:, prefix, digits[:, i]]
         prefix = prefix * a + digits[:, i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-layer construction of the dense sequential transform that the
+# shifted-identity layout rule replaced; it must match bit for bit
+
+def sequential_transform_oracle(model):
+    """(transition [V, A, V], reward [V, A], initial [V]) of the sequential
+    transform, scattered layer by layer and action by action."""
+    s, n, a = model.n_states, model.n_agents, model.n_actions
+    offsets = [s * (a**k - 1) // (a - 1) if a > 1 else k * s for k in range(n)]
+    total = offsets[-1] + s * a ** (n - 1)
+    transition = np.zeros((total, a, total))
+    reward = np.zeros((total, a))
+    for k in range(n - 1):
+        width = a**k
+        v = offsets[k] + np.arange(s * width)
+        u0 = offsets[k + 1] + np.arange(s * width) * a
+        for act in range(a):
+            transition[v, act, u0 + act] = 1.0
+    width = a ** (n - 1)
+    last = offsets[n - 1] + np.arange(s * width)
+    reward[last, :] = model.reward.reshape(s * width, a)
+    final_trans = model.transition.reshape(s * width, a, s)
+    for act in range(a):
+        transition[last, act, :s] = final_trans[:, act, :]
+    initial = np.zeros(total)
+    initial[:s] = model.initial_dist
+    return transition, reward, initial

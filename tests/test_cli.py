@@ -127,6 +127,17 @@ def test_divergence_exits_4(tmp_path):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_clipped_pg_divergence_exits_4_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": "table1", "learner": {"kind": "tad", "sarl": "clipped_pg", "lr": 1e308}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "non-finite loss or gradient" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_list_and_dump_round_trip(capsys, tmp_path):
     assert cli.main(["env", "list"]) == 0
     names = capsys.readouterr().out.split()

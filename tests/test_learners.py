@@ -41,7 +41,14 @@ from tadlab.constructions import (
     random_mmdp,
     undercut_diag_payoff,
 )
-from tadlab.core import Mdp, Mmdp, bellman_backup, episode_positions, optimal_values
+from tadlab.core import (
+    Mdp,
+    Mmdp,
+    bellman_backup,
+    episode_positions,
+    matrix_game,
+    optimal_values,
+)
 from tadlab.learners import (
     TrainTrace,
     igm_consistent,
@@ -608,6 +615,24 @@ def test_clipped_pg_matches_unclipped_greedy():
     plain, _ = softmax_pg(mdp, lr=1.0, steps=300, log_every=150)
     clipped, _ = softmax_pg(mdp, lr=1.0, steps=300, clip=0.2, log_every=150)
     assert np.array_equal(np.argmax(plain, axis=1), np.argmax(clipped, axis=1))
+
+
+def test_clipped_pg_logs_the_scaled_norm_of_an_overflowing_gradient():
+    # the first gradient's sum of squares overflows: TAD-PPO logs the same
+    # scaled norm as gd_run does for unclipped TAD-PG
+    game = matrix_game([[1e200, 0], [0, 1]])
+    _, clipped = softmax_pg(game, lr=1e-3, steps=2, clip=0.2, log_every=1)
+    _, plain = softmax_pg(game, lr=1e-3, steps=2, log_every=1)
+    assert np.isfinite(clipped.grad_norm).all()
+    assert ((clipped.step[0], clipped.loss[0], clipped.grad_norm[0])
+            == (plain.step[0], plain.loss[0], plain.grad_norm[0]))
+
+
+def test_clipped_pg_takes_the_ratio_of_underflowed_probabilities_silently():
+    # at lr 200 a probability underflows to 0, and its ratio 0/0 is nan,
+    # which selects no clip; any warning here fails the suite
+    _, trace = tad_run(TABLE1, sarl="clipped_pg", lr=200, steps=50)
+    assert np.isfinite(trace.loss).all()
 
 
 @pytest.mark.parametrize("clip", [None, 0.2])

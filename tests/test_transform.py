@@ -35,7 +35,7 @@ from tadlab.learners import tad_run, value_iteration
 from tadlab.core import policy_slices
 from tadlab.transform import layer_offsets, layered_policy_slices, virtual_state_index
 
-from oracles import greedy_distill_oracle, kl_oracle, vi_oracle
+from oracles import greedy_distill_oracle, kl_oracle, sequential_transform_oracle, vi_oracle
 
 
 def test_table1_layout():
@@ -116,6 +116,77 @@ def test_inverse_rejects_wrong_state_count():
     model = random_mmdp(5, 1, 2, gamma=0.9, rng=6)
     with pytest.raises(ValueError):
         inverse_transform(model, 2)
+
+
+def claim3_and_degenerate_models(seed=0):
+    """The 100 models claim 3 draws at `seed`, then shapes with one action
+    and with one agent, episodic and not."""
+    rng = np.random.default_rng(seed)
+    combos = [(n, g) for n in (1, 2, 3, 4) for g in (0.5, 0.9, 0.99)]
+    for i in range(100):
+        n_agents, gamma = combos[i % len(combos)]
+        n_states = int(rng.integers(1, 4))
+        n_actions = int(rng.integers(2, 4 if n_agents < 4 else 3))
+        yield random_mmdp(n_states, n_agents, n_actions, gamma=gamma, rng=rng)
+        CoordinationPolicy.random(n_agents, n_states, n_actions, rng)
+    for i, (s, n, a, horizon) in enumerate([(3, 2, 1, None), (2, 4, 1, 2), (1, 3, 1, None),
+                                            (3, 1, 3, None), (2, 1, 2, 3), (1, 1, 1, None)]):
+        yield random_mmdp(s, n, a, gamma=0.9, rng=60 + i, horizon=horizon)
+
+
+def test_transform_matches_the_per_layer_construction():
+    for model in claim3_and_degenerate_models():
+        mdp = sequential_transform(model)
+        transition, reward, initial = sequential_transform_oracle(model)
+        assert np.array_equal(mdp.transition, transition)
+        assert np.array_equal(mdp.reward, reward)
+        assert np.array_equal(mdp.initial_dist, initial)
+        back = inverse_transform(mdp, model.n_agents)
+        assert np.array_equal(back.transition, model.transition)
+        assert np.array_equal(back.reward, model.reward)
+        assert back.horizon == model.horizon
+        pc = CoordinationPolicy.random(model.n_agents, model.n_states, model.n_actions, rng=9)
+        lifted = lift_policy(pc)
+        assert lifted.shape == (mdp.n_states, mdp.n_actions)
+        for tab, again in zip(pc.tables, lower_policy(lifted, model.n_agents).tables):
+            assert np.array_equal(tab, again)
+
+
+def _corrupt(mdp, case):
+    """A copy of a transform's tensors with one layout fact broken."""
+    transition, initial = mdp.transition.copy(), mdp.initial_dist.copy()
+    horizon = mdp.horizon
+    if case == "swapped-appends":
+        transition[0, [0, 1]] = transition[0, [1, 0]]
+    elif case == "last-layer-leaves-base":
+        transition[-1, 0] = 0.0
+        transition[-1, 0, -1] = 1.0
+    elif case == "initial-on-virtual":
+        initial[:] = 0.0
+        initial[-1] = 1.0
+    else:
+        horizon = 3
+    return Mdp(mdp.n_states, mdp.n_actions, transition, mdp.reward, mdp.gamma,
+               initial, horizon)
+
+
+BROKEN_LAYOUTS = {
+    "swapped-appends": "not the one-hot appends",
+    "last-layer-leaves-base": "leave the base-state block",
+    "initial-on-virtual": "mass on virtual states",
+    "horizon-not-multiple": "is not a multiple of 2",
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_LAYOUTS))
+def test_inverse_rejects_a_broken_layout(case):
+    model = random_mmdp(2, 3, 2, rng=4)
+    if case == "horizon-not-multiple":
+        model = random_mmdp(2, 2, 2, gamma=0.9, rng=4, horizon=2)
+    mdp = sequential_transform(model)
+    inverse_transform(mdp, model.n_agents)
+    with pytest.raises(ValueError, match=BROKEN_LAYOUTS[case]):
+        inverse_transform(_corrupt(mdp, case), model.n_agents)
 
 
 def test_transform_size_guard():
