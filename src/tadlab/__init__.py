@@ -14,7 +14,6 @@ from .core import (
     Mdp,
     Mmdp,
     SizeGuardError,
-    ValueTable,
     bellman_backup,
     brute_force_optimal,
     evaluate_policy,
@@ -27,7 +26,6 @@ from .core import (
     mmdp_to_dict,
     occupancy,
     policy_slices,
-    pure_nash_enumerate,
     validate,
 )
 from .transform import (
@@ -59,7 +57,6 @@ from .learners import (
     softmax_pg,
     tad_run,
     value_iteration,
-    vd_forward,
     vd_loss_and_grad,
     vd_objective,
 )
@@ -67,7 +64,6 @@ from .constructions import (
     builtin_game,
     builtin_names,
     construct_local_minima,
-    diag_game,
     random_matrix_game,
     random_mmdp,
     restricted_minimizer,

@@ -5,25 +5,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import brute_force_optimal, evaluate_policy, pure_nash_enumerate, row_norms
-from .constructions import random_matrix_game
+from .core import brute_force_optimal, evaluate_policy, row_norms
 
 
-def grad_check(loss_and_grad, theta, h=1e-6):
+#: central finite-difference step of `grad_check`
+FD_STEP = 1e-6
+
+
+def grad_check(loss_and_grad, theta):
     """Max per-coordinate relative error of the analytic gradient against
-    central finite differences."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    central finite differences of step `FD_STEP`."""
     theta = np.asarray(theta, dtype=float).ravel()
     _, grad = loss_and_grad(theta)
     grad = np.asarray(grad, dtype=float).ravel()
     fd = np.empty_like(grad)
     for i in range(theta.size):
         bump = np.zeros_like(theta)
-        bump[i] = h
+        bump[i] = FD_STEP
         up, _ = loss_and_grad(theta + bump)
         dn, _ = loss_and_grad(theta - bump)
-        fd[i] = (up - dn) / (2.0 * h)
+        fd[i] = (up - dn) / (2.0 * FD_STEP)
     scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
     return float(np.max(np.abs(grad - fd) / scale))
 
@@ -138,13 +139,3 @@ def ne_count_expectation(k, trials, rng):
 def ne_count_exact(k):
     """Closed-form expected pure-equilibrium count for iid continuous games."""
     return k * k / (2.0 * k - 1.0)
-
-
-def ne_count_bruteforce(k, trials, rng):
-    """Slow oracle for the Monte-Carlo estimate: enumerate equilibria per game."""
-    rng = np.random.default_rng(rng)
-    total = 0
-    for _ in range(trials):
-        game = random_matrix_game(k, 2, rng)
-        total += len(pure_nash_enumerate(game))
-    return total / trials

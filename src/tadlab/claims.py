@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import local_min_certificate, stationarity_certificate
+from .analysis import local_min_certificate, stationarity_certificate, suboptimality_gap
 from .constructions import builtin_game, builtin_names, construct_local_minima, random_mmdp
 from .core import (
     CoordinationPolicy,
     DeterministicJointPolicy,
-    brute_force_optimal,
     evaluate_policy,
     matrix_game,
 )
@@ -137,7 +136,7 @@ def optimal_composition(seed=0):
     builtin_gaps, random_gaps = [], []
     for name, model in composition_models(seed):
         policies, _ = tad_run(model, sarl="vi")
-        gap = brute_force_optimal(model)[0] - evaluate_policy(model, policies)
+        gap = suboptimality_gap(model, policies)
         (builtin_gaps if name else random_gaps).append(abs(gap))
     builtin_gaps, random_gaps = np.array(builtin_gaps), np.array(random_gaps)
     worst_b, worst_r = builtin_gaps.max(initial=0.0), random_gaps.max(initial=0.0)

@@ -148,19 +148,6 @@ def builtin_game(name):
     raise ValueError(f"unknown builtin game {name!r}; known: {builtin_names()}")
 
 
-def diag_game(k):
-    """2-agent game with payoffs 1..k on the diagonal and 0 elsewhere.
-
-    Every diagonal cell is a pure equilibrium, so product-policy learners
-    have k candidate attractors of which only (k-1, k-1) is optimal.
-    """
-    if k < 2:
-        raise ValueError("diag_game needs k >= 2")
-    payoff = np.zeros((k, k))
-    payoff[np.arange(k), np.arange(k)] = np.arange(1, k + 1)
-    return matrix_game(payoff)
-
-
 # ---------------------------------------------------------------------------
 # diagonal tensors with the suffix-mean undercut property
 

@@ -282,23 +282,6 @@ class DeterministicJointPolicy:
         return one_hot(self.actions, n_joint_actions)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ValueTable:
-    """Action values q[state, action] and state values v[state]."""
-
-    q: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _frozen(self.q))
-        object.__setattr__(self, "v", _frozen(self.v))
-
-    @classmethod
-    def from_q(cls, q):
-        q = np.asarray(q, dtype=float)
-        return cls(q, q.max(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -581,35 +564,6 @@ def brute_force_optimal(model, tol=1e-10, size_guard=SIZE_GUARD):
     q, _ = optimal_values(model, tol=tol)
     mu = DeterministicJointPolicy(np.argmax(q, axis=1))
     return evaluate_policy(model, mu), mu
-
-
-def pure_nash_enumerate(game):
-    """All pure Nash equilibria of a one-step common-payoff matrix game.
-
-    A joint action is an equilibrium when no single agent's unilateral
-    deviation strictly increases the payoff; ties count as equilibria.
-    Returns a set of per-agent action tuples.
-    """
-    if not isinstance(game, Mmdp) or game.n_states != 1 or game.horizon != 1:
-        raise ValueError("pure_nash_enumerate expects a 1-state, 1-step matrix game")
-    n, a = game.n_agents, game.n_actions
-    payoff = game.reward[0]
-    digits = digit_table(n, a)
-    # radix weight of each agent's digit in the joint code
-    weights = a ** np.arange(n - 1, -1, -1)
-    equilibria = set()
-    for code in range(payoff.size):
-        base = payoff[code]
-        stable = True
-        for i in range(n):
-            here = digits[code, i]
-            row = code + (np.arange(a) - here) * weights[i]
-            if np.any(payoff[row] > base):
-                stable = False
-                break
-        if stable:
-            equilibria.add(tuple(int(x) for x in digits[code]))
-    return equilibria
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,12 @@ the layout independent of K); a stack-aware objective handed to `gd_run`
 must keep that contract.
 
 The single-agent side runs on one-agent models: `value_iteration` (the
-oracle's policy iteration under its old name) and synchronous `q_learning`,
-the dense references in the tests. The transform-and-distill composition,
-`tad_run`, solves the sequential transform of an MMDP on the MMDP's own
+oracle's policy iteration under its old name, returning the table and its
+greedy policy) and synchronous `q_learning` (returning the table), the
+dense references in the tests. They, and `mapg_loss_and_grad` and
+`vd_loss_and_grad`, the objectives' one-point forms, stay in the package
+because the benchmark's tracer wraps them by name. The transform-and-distill
+composition, `tad_run`, solves the sequential transform of an MMDP on the MMDP's own
 tensors and never builds the dense transform: `layered_optimal_values`
 unrolls the oracle's optimal joint table into the layers,
 `layered_q_learning` backs up one flat [V, A] table per sweep, and
@@ -52,7 +55,6 @@ import numpy as np
 from .core import (
     DecentralizedPolicySet,
     DeterministicJointPolicy,
-    ValueTable,
     bellman_backup,
     check_options,
     digit_table,
@@ -280,16 +282,13 @@ class ReplicaTraces(tuple):
     """The traces of a batched run: one TrainTrace per replica.
 
     `step` lists every step at which any replica logged, so `step[-1]` is
-    the last step of the longest-running replica; `replica(k)` is replica
+    the last step of the longest-running replica; `traces[k]` is replica
     k's own trace, whose rows end at its own stop step.
     """
 
     @property
     def step(self):
         return sorted(set().union(*(trace.step for trace in self)))
-
-    def replica(self, k):
-        return self[k]
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +377,6 @@ def mapg_objective(template, model):
 
 # ---------------------------------------------------------------------------
 # value decomposition
-
-def vd_forward(params, s, joint_action):
-    """Mixed joint value at one (state, joint action)."""
-    if not np.isscalar(joint_action):
-        joint_action = joint_code(joint_action, params.n_actions)
-    return float(params.joint_table()[s, int(joint_action)])
-
 
 def uniform_dist(model):
     s, m = model.reward.shape
@@ -500,15 +492,20 @@ def vd_objective(template, model, dist=None):
     return f
 
 
-def igm_consistent(joint_row, local_rows, tol=1e-9):
-    """True when every combination of local argmaxes is a joint argmax."""
+#: values within this of a row's maximum count as argmaxes in `igm_consistent`
+IGM_TOL = 1e-9
+
+
+def igm_consistent(joint_row, local_rows):
+    """True when every combination of local argmaxes (to `IGM_TOL`) is a
+    joint argmax."""
     joint_row = np.asarray(joint_row, dtype=float)
     local_rows = np.asarray(local_rows, dtype=float)
     n, a = local_rows.shape
-    top = np.flatnonzero(joint_row >= joint_row.max() - tol)
+    top = np.flatnonzero(joint_row >= joint_row.max() - IGM_TOL)
     top = set(int(t) for t in top)
     local_sets = [
-        np.flatnonzero(local_rows[i] >= local_rows[i].max() - tol) for i in range(n)
+        np.flatnonzero(local_rows[i] >= local_rows[i].max() - IGM_TOL) for i in range(n)
     ]
     for combo in itertools.product(*local_sets):
         if joint_code(combo, a) not in top:
@@ -526,12 +523,12 @@ def igm_check(params, s):
 
 def _scaled_norms(grad, t):
     """`row_norms` when a sum of squares overflows: a row whose norm is not
-    finite gets m * sqrt(sum((g / m)**2)), m its largest magnitude."""
-    with np.errstate(over="ignore"):
-        norms = row_norms(grad)
-        big = ~np.isfinite(norms)
-        m = np.abs(grad[big]).max(axis=1)
-        norms[big] = m * row_norms(grad[big] / m[:, None])
+    finite gets m * sqrt(sum((g / m)**2)), m its largest magnitude. Its
+    callers, the descent loops, ignore the overflow warning."""
+    norms = row_norms(grad)
+    big = ~np.isfinite(norms)
+    m = np.abs(grad[big]).max(axis=1)
+    norms[big] = m * row_norms(grad[big] / m[:, None])
     if not np.isfinite(norms).all():
         raise GdDivergenceError(f"gradient norm beyond the float range at step {t}")
     return norms
@@ -578,30 +575,33 @@ def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1
     live = np.ones(n_rows, dtype=bool)
     frozen = False
     t = 0
-    while True:
-        loss, grad = loss_and_grad(x)
-        loss = np.asarray(loss, dtype=float).reshape(n_rows)
-        grad = np.asarray(grad, dtype=float).reshape(n_rows, -1)
-        overflow = _check_finite(loss, grad, t, lr)
-        logged = t % log_every == 0
-        if logged or t >= steps or stop_tol > 0:
-            gnorm = _scaled_norms(grad, t) if overflow else row_norms(grad)
-            stop = (gnorm < stop_tol) | (t >= steps)
-            for k in np.flatnonzero(live & (stop | logged)):
-                if monitor is None:
-                    traces[k].append(t, loss[k], gnorm[k])
-                else:
-                    ret, greedy = monitor(x[k] if stacked else x, loss[k])
-                    traces[k].append(t, loss[k], gnorm[k], ret, greedy)
-            live &= ~stop
-            if not live.any():
-                return x, ReplicaTraces(traces) if stacked else traces[0]
-            frozen = not live.all()
-        step = lr * grad
-        if frozen:
-            step[~live] = 0.0
-        rows -= step
-        t += 1
+    # an overflowing step or objective warns before `_check_finite` turns it
+    # into GdDivergenceError; one error state for the run costs no step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            loss, grad = loss_and_grad(x)
+            loss = np.asarray(loss, dtype=float).reshape(n_rows)
+            grad = np.asarray(grad, dtype=float).reshape(n_rows, -1)
+            overflow = _check_finite(loss, grad, t, lr)
+            logged = t % log_every == 0
+            if logged or t >= steps or stop_tol > 0:
+                gnorm = _scaled_norms(grad, t) if overflow else row_norms(grad)
+                stop = (gnorm < stop_tol) | (t >= steps)
+                for k in np.flatnonzero(live & (stop | logged)):
+                    if monitor is None:
+                        traces[k].append(t, loss[k], gnorm[k])
+                    else:
+                        ret, greedy = monitor(x[k] if stacked else x, loss[k])
+                        traces[k].append(t, loss[k], gnorm[k], ret, greedy)
+                live &= ~stop
+                if not live.any():
+                    return x, ReplicaTraces(traces) if stacked else traces[0]
+                frozen = not live.all()
+            step = lr * grad
+            if frozen:
+                step[~live] = 0.0
+            rows -= step
+            t += 1
 
 
 def run_mapg(model, params, lr=0.05, steps=20000, log_every=200):
@@ -634,7 +634,7 @@ def run_vd(model, params, lr=0.1, steps=5000, log_every=200):
 # single-agent solvers for the transformed models
 
 def value_iteration(mdp, tol=1e-10):
-    """Optimal action values and the greedy deterministic policy.
+    """Optimal action values [S, A] and the greedy deterministic policy.
 
     The name is kept; the solver is `optimal_values`: policy iteration to
     advantage tolerance `tol` for infinite horizons (the table is the exact
@@ -642,7 +642,7 @@ def value_iteration(mdp, tol=1e-10):
     tol / (1 - gamma) of the optimum), backward induction otherwise.
     """
     q, _ = optimal_values(mdp, tol=tol)
-    return ValueTable.from_q(q), np.argmax(q, axis=1)
+    return q, np.argmax(q, axis=1)
 
 
 def _final_steps(model):
@@ -655,8 +655,9 @@ def _final_steps(model):
 def q_learning(mdp, sweeps=200, lr=0.5):
     """Synchronous tabular Q-learning on a (possibly layered episodic)
     one-agent model: deterministic full sweeps q += lr * (target - q), in
-    which final-step states do not bootstrap. On a dense transform it is the
-    reference that `layered_q_learning`'s iterates are checked against.
+    which final-step states do not bootstrap. Returns the [S, A] table. On
+    a dense transform it is the reference that `layered_q_learning`'s
+    iterates are checked against.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     q = np.zeros_like(mdp.reward)
@@ -665,13 +666,14 @@ def q_learning(mdp, sweeps=200, lr=0.5):
         target = bellman_backup(q, mdp)
         target[final] = mdp.reward[final]
         q = q + lr * (target - q)
-    return ValueTable.from_q(q)
+    return q
 
 
 def layered_q_learning(model, sweeps=200, lr=0.5):
     """Synchronous Q-learning on the sequential transform of an MMDP, on the
-    MMDP's tensors: one [V, A] table in virtual-state order, whose iterates
-    are those of `q_learning` on the dense transform up to summation order.
+    MMDP's tensors: returns one [V, A] table in virtual-state order, whose
+    iterates are those of `q_learning` on the dense transform up to
+    summation order.
 
     Each sweep moves every row toward gamma' * (max of its layer-k+1 child
     row), or R + gamma' * T @ max(layer 0) in the last layer. By the layout
@@ -696,7 +698,7 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
         target[final] = final_reward
         target[dead] = 0.0
         q += lr * (target - q)
-    return ValueTable.from_q(q)
+    return q
 
 
 def _tad_pg_eval(model, logits):
@@ -748,32 +750,33 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50
     lr, steps, clip, stop_tol, log_every = check_options(
         lr=lr, steps=steps, clip=clip, stop_tol=stop_tol, log_every=log_every)
     trace = TrainTrace()
-    for t in range(steps + 1):
-        pi_old, loss, grad, occ_q = _tad_pg_eval(model, logits)
-        grad = grad.reshape(1, -1)
-        overflow = _check_finite(loss, grad, t, lr)
-        logged = t % log_every == 0
-        if logged or t == steps or stop_tol > 0:
-            gnorm = float((_scaled_norms(grad, t) if overflow else row_norms(grad))[0])
-            stop = gnorm < stop_tol or t == steps
-            if logged or stop:
-                trace.append(t, loss, gnorm, -loss, np.argmax(logits, axis=1))
-            if stop:
-                break
-        for _ in range(PPO_EPOCHS):
-            pi = softmax(logits)
-            # an underflowed probability gives 0/0 = nan, which selects no clip
-            with np.errstate(divide="ignore", invalid="ignore"):
+    # as in `gd_run`, and for the ratio below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(steps + 1):
+            pi_old, loss, grad, occ_q = _tad_pg_eval(model, logits)
+            grad = grad.reshape(1, -1)
+            overflow = _check_finite(loss, grad, t, lr)
+            logged = t % log_every == 0
+            if logged or t == steps or stop_tol > 0:
+                gnorm = float((_scaled_norms(grad, t) if overflow else row_norms(grad))[0])
+                stop = gnorm < stop_tol or t == steps
+                if logged or stop:
+                    trace.append(t, loss, gnorm, -loss, np.argmax(logits, axis=1))
+                if stop:
+                    break
+            for _ in range(PPO_EPOCHS):
+                pi = softmax(logits)
+                # an underflowed probability gives 0/0 = nan, which selects no clip
                 ratio = pi / pi_old
-            surr = np.zeros_like(logits)
-            for d_t, q_t in occ_q:
-                adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)
-                clipped = (((adv > 0) & (ratio > 1.0 + clip))
-                           | ((adv < 0) & (ratio < 1.0 - clip)))
-                dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
-                inner = np.sum(pi * dpi, axis=1, keepdims=True)
-                surr += pi * (dpi - inner)
-            logits = logits + lr * surr
+                surr = np.zeros_like(logits)
+                for d_t, q_t in occ_q:
+                    adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)
+                    clipped = (((adv > 0) & (ratio > 1.0 + clip))
+                               | ((adv < 0) & (ratio < 1.0 - clip)))
+                    dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
+                    inner = np.sum(pi * dpi, axis=1, keepdims=True)
+                    surr += pi * (dpi - inner)
+                logits = logits + lr * surr
     return logits, trace
 
 
@@ -876,7 +879,7 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     if sarl == "vi":
         q, _ = layered_optimal_values(model, **cfg)
     elif sarl == "q_learning":
-        q = layered_q_learning(model, **cfg).q
+        q = layered_q_learning(model, **cfg)
     else:
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)

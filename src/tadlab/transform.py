@@ -60,12 +60,6 @@ def layer_offsets(n_states, n_agents, n_actions):
     return offsets, total
 
 
-def virtual_state_index(k, s, prefix, n_states, n_agents, n_actions):
-    """Index of the layer-k virtual state (s, prefix) in the stacked layout."""
-    offsets, _ = layer_offsets(n_states, n_agents, n_actions)
-    return offsets[k] + s * n_actions**k + prefix
-
-
 def step_discount(model):
     """The transform's per-step discount gamma**(1/n); a gamma of 0 has no
     n-th root to spread over several agents' steps and is refused."""

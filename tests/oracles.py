@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from tadlab.constructions import random_matrix_game
 from tadlab.core import (
     MAX_SWEEPS,
     DecentralizedPolicySet,
+    Mmdp,
     bellman_backup,
     digit_table,
     episode_positions,
@@ -430,3 +432,42 @@ def sequential_transform_oracle(model):
     initial = np.zeros(total)
     initial[:s] = model.initial_dist
     return transition, reward, initial
+
+
+def pure_nash_enumerate(game):
+    """All pure Nash equilibria of a one-step common-payoff matrix game.
+
+    A joint action is an equilibrium when no single agent's unilateral
+    deviation strictly increases the payoff; ties count as equilibria.
+    Returns a set of per-agent action tuples.
+    """
+    if not isinstance(game, Mmdp) or game.n_states != 1 or game.horizon != 1:
+        raise ValueError("pure_nash_enumerate expects a 1-state, 1-step matrix game")
+    n, a = game.n_agents, game.n_actions
+    payoff = game.reward[0]
+    digits = digit_table(n, a)
+    # radix weight of each agent's digit in the joint code
+    weights = a ** np.arange(n - 1, -1, -1)
+    equilibria = set()
+    for code in range(payoff.size):
+        base = payoff[code]
+        stable = True
+        for i in range(n):
+            here = digits[code, i]
+            row = code + (np.arange(a) - here) * weights[i]
+            if np.any(payoff[row] > base):
+                stable = False
+                break
+        if stable:
+            equilibria.add(tuple(int(x) for x in digits[code]))
+    return equilibria
+
+
+def ne_count_bruteforce(k, trials, rng):
+    """Slow oracle for the Monte-Carlo estimate: enumerate equilibria per game."""
+    rng = np.random.default_rng(rng)
+    total = 0
+    for _ in range(trials):
+        game = random_matrix_game(k, 2, rng)
+        total += len(pure_nash_enumerate(game))
+    return total / trials

@@ -13,8 +13,8 @@ from tadlab import (
     stationarity_certificate,
     suboptimality_gap,
 )
-from tadlab.analysis import ne_count_bruteforce
 from tadlab.constructions import builtin_game, random_mmdp
+from oracles import ne_count_bruteforce, pure_nash_enumerate
 
 TABLE1 = builtin_game("table1")
 
@@ -25,11 +25,6 @@ def quadratic(x):
 
 def test_grad_check_quadratic():
     assert grad_check(quadratic, np.array([1.0, -2.0, 3.0])) < 1e-9
-
-
-def test_grad_check_rejects_bad_step():
-    with pytest.raises(ValueError):
-        grad_check(quadratic, np.ones(2), h=0.0)
 
 
 def test_stationarity_random_point_is_not_stationary():
@@ -115,7 +110,6 @@ def test_ne_count_invariant_to_positive_affine_payoffs():
     rng2 = np.random.default_rng(5)
     counts1 = []
     counts2 = []
-    from tadlab import pure_nash_enumerate
     from tadlab.core import matrix_game
 
     for _ in range(200):

@@ -114,7 +114,6 @@ def test_size_guard_exits_3(tmp_path, monkeypatch):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_4(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -127,7 +126,6 @@ def test_divergence_exits_4(tmp_path):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_clipped_pg_divergence_exits_4_with_one_line(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
         "env": "table1", "learner": {"kind": "tad", "sarl": "clipped_pg", "lr": 1e308}})
@@ -135,6 +133,20 @@ def test_clipped_pg_divergence_exits_4_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "non-finite loss or gradient" in err
+    assert not (tmp_path / "out").exists()
+
+
+# the suite turns warnings into errors, so a run that warns before its
+# `error:` line fails here
+@pytest.mark.parametrize("env,learner", [
+    ("table1", {"kind": "tad", "sarl": "softmax_pg", "lr": 1e308}),
+    ("matgame2", {"kind": "vd", "variant": "duplex", "lr": 1e308}),
+], ids=["tad-softmax-pg", "vd-duplex"])
+def test_diverging_run_prints_only_its_error_line(tmp_path, capsys, env, learner):
+    cfg = write_config(tmp_path / "cfg.json", {"env": env, "learner": learner})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -350,8 +362,14 @@ def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     ("vd", {"logits": [[[0.0, 0.0, 0.0]]] * 2}),
     ("vd", {"q_local": [[[0.0, 0.0, 0.0]]] * 3}),
     ("duplex", {"q_local": [[[0.0, 0.0, 0.0]]] * 2, "lam_raw": [[[0.0] * 3]] * 2}),
+    ("mapg", {"logits": [[[True, "2", 0]], [[0, 0, "1e1"]]]}),
+    ("mapg", {"logits": [[[float("nan"), 0, 0]], [[0, 0, 0]]]}),
+    ("mapg", {"logits": [[[float("inf"), 0, 0]], [[0, 0, 0]]]}),
+    ("vd", {"q_local": [[[False, "3", 0]], [[0, 0, 0]]]}),
 ], ids=["mapg-lacks-logits", "mapg-wrong-shape", "mapg-not-numeric", "mapg-not-object",
-        "vd-lacks-q-local", "vd-wrong-shape", "duplex-lam-wrong-shape"])
+        "vd-lacks-q-local", "vd-wrong-shape", "duplex-lam-wrong-shape",
+        "mapg-bools-and-strings", "mapg-nan", "mapg-infinity",
+        "vd-bool-and-string"])
 def test_bad_init_file_contents_exit_2(tmp_path, capsys, kind, contents):
     init_path = tmp_path / "params.json"
     init_path.write_text(json.dumps(contents))

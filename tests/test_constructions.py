@@ -6,7 +6,6 @@ import pytest
 from tadlab import (
     brute_force_optimal,
     evaluate_policy,
-    pure_nash_enumerate,
     validate,
     vd_loss_and_grad,
 )
@@ -17,7 +16,6 @@ from tadlab.constructions import (
     builtin_game,
     builtin_names,
     construct_local_minima,
-    diag_game,
     diag_tensor,
     random_matrix_game,
     random_mmdp,
@@ -89,13 +87,12 @@ def test_multitask_suite_layout():
 
 
 def test_diag_game_values():
-    game = diag_game(3)
+    game = matrix_game(np.diag([1.0, 2.0, 3.0]))
     assert np.array_equal(game.reward.reshape(3, 3), np.diag([1.0, 2.0, 3.0]))
-    game2 = diag_game(2)
+    game2 = matrix_game(np.diag([1.0, 2.0]))
     assert np.array_equal(game2.reward.reshape(2, 2), np.diag([1.0, 2.0]))
-    assert pure_nash_enumerate(diag_game(4)) == {(i, i) for i in range(4)}
-    with pytest.raises(ValueError):
-        diag_game(1)
+    assert pure_nash_enumerate(matrix_game(np.diag([1.0, 2.0, 3.0, 4.0]))) == {
+        (i, i) for i in range(4)}
 
 
 def test_undercut_recurrence_values():
@@ -127,7 +124,7 @@ def test_undercut_diag_payoff_shape():
 # ---------------------------------------------------------------------------
 # restricted minimizer
 
-from oracles import fit_loss, level_scan_oracle
+from oracles import fit_loss, level_scan_oracle, pure_nash_enumerate
 
 
 def test_restricted_minimizer_matgame2():

@@ -20,7 +20,6 @@ from tadlab import (
     matrix_game,
     mmdp_from_dict,
     mmdp_to_dict,
-    pure_nash_enumerate,
     validate,
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
@@ -35,6 +34,7 @@ from oracles import (
     joint_code_oracle,
     joint_digits_oracle,
     joint_one_hot_oracle,
+    pure_nash_enumerate,
     slices_oracle,
     vi_oracle,
 )

@@ -15,6 +15,7 @@ from tadlab import (
     gd_run,
     greedy_distill,
     igm_check,
+    joint_code,
     joint_digits,
     layered_q_learning,
     lower_policy,
@@ -25,7 +26,6 @@ from tadlab import (
     softmax_pg,
     tad_run,
     value_iteration,
-    vd_forward,
     vd_loss_and_grad,
     vd_objective,
 )
@@ -36,7 +36,6 @@ from tadlab.constructions import (
     MATGAME2,
     builtin_game,
     builtin_names,
-    diag_game,
     random_matrix_game,
     random_mmdp,
     undercut_diag_payoff,
@@ -133,7 +132,7 @@ def test_mapg_gradient_matches_finite_differences_multistep():
 
 
 def test_mapg_stationarity_decays_with_concentration():
-    game = diag_game(4)
+    game = matrix_game(np.diag([1.0, 2.0, 3.0, 4.0]))
     for i in range(4):
         norms = []
         for scale in (5.0, 10.0, 20.0):
@@ -149,8 +148,8 @@ def test_mapg_stationarity_decays_with_concentration():
 
 def test_vd_forward_vdn_sums_locals():
     p = VdParams("vdn", np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
-    assert vd_forward(p, 0, (1, 1)) == 6.0
-    assert vd_forward(p, 0, (0, 1)) == 5.0
+    assert p.joint_table()[0, joint_code((1, 1), 2)] == 6.0
+    assert p.joint_table()[0, joint_code((0, 1), 2)] == 5.0
 
 
 def test_vd_forward_duplex_unit_weights_reduce_to_sum():
@@ -160,7 +159,7 @@ def test_vd_forward_duplex_unit_weights_reduce_to_sum():
     for code in range(9):
         a = joint_digits(code, 2, 3)
         expected = q[0, 0, a[0]] + q[1, 0, a[1]]
-        assert vd_forward(p, 0, code) == pytest.approx(expected, abs=1e-12)
+        assert p.joint_table()[0, code] == pytest.approx(expected, abs=1e-12)
 
 
 def test_vd_loss_zero_at_perfect_fit():
@@ -476,15 +475,15 @@ def test_mapg_uniform_run_reaches_global_optimum():
 
 def test_value_iteration_two_layer_root_value():
     mdp = sequential_transform(TABLE1)
-    vt, greedy = value_iteration(mdp)
-    assert vt.v[0] == pytest.approx(0.99**0.5 * 10.0, abs=1e-12)
+    q, greedy = value_iteration(mdp)
+    assert q[0].max() == pytest.approx(0.99**0.5 * 10.0, abs=1e-12)
     assert greedy[0] == 0 and greedy[1] == 0
 
 
 def test_value_iteration_geometric_series():
     mdp = Mdp(1, 1, np.ones((1, 1, 1)), np.ones((1, 1)), 0.5, [1.0])
-    vt, _ = value_iteration(mdp)
-    assert vt.v[0] == pytest.approx(2.0, abs=1e-9)
+    q, _ = value_iteration(mdp)
+    assert q[0].max() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_value_iteration_matches_joint_oracle_after_inverse():
@@ -492,17 +491,17 @@ def test_value_iteration_matches_joint_oracle_after_inverse():
 
     model = random_mmdp(3, 2, 2, gamma=0.9, rng=8)
     mdp = sequential_transform(model)
-    vt, _ = value_iteration(mdp, tol=1e-12)
+    q, _ = value_iteration(mdp, tol=1e-12)
     best, _ = brute_force_optimal(inverse_transform(mdp, 2))
-    j_gamma = float(mdp.initial_dist @ vt.v)
+    j_gamma = float(mdp.initial_dist @ q.max(axis=1))
     assert j_gamma == pytest.approx(model.gamma ** (1 / 2) * best, abs=1e-8)
 
 
 def test_q_learning_synchronous_solves_transformed_game():
     mdp = sequential_transform(M2)
-    vt = q_learning(mdp, sweeps=100, lr=1.0)
+    q = q_learning(mdp, sweeps=100, lr=1.0)
     pol = np.zeros(mdp.reward.shape)
-    pol[np.arange(mdp.n_states), np.argmax(vt.q, axis=1)] = 1.0
+    pol[np.arange(mdp.n_states), np.argmax(q, axis=1)] = 1.0
     dec = greedy_distill(lower_policy(pol, 2), M2)
     assert evaluate_policy(M2, dec) == pytest.approx(10.0, abs=1e-12)
 
@@ -510,8 +509,8 @@ def test_q_learning_synchronous_solves_transformed_game():
 def test_q_learning_one_step_bandit():
     mdp = Mdp(1, 3, np.ones((1, 3, 1)), np.array([[1.0, 2.0, 3.0]]), 0.9,
               [1.0], horizon=1)
-    vt = q_learning(mdp, sweeps=60, lr=0.5)
-    assert np.allclose(vt.q, [[1.0, 2.0, 3.0]], atol=1e-9)
+    q = q_learning(mdp, sweeps=60, lr=0.5)
+    assert np.allclose(q, [[1.0, 2.0, 3.0]], atol=1e-9)
 
 
 def _q_learning_per_sweep_positions(mdp, sweeps, lr):
@@ -543,7 +542,7 @@ def test_q_learning_synchronous_computes_positions_once(model, monkeypatch):
         return episode_positions(m)
 
     monkeypatch.setattr(learners, "episode_positions", counted)
-    got = q_learning(mdp, sweeps=50, lr=0.5).q
+    got = q_learning(mdp, sweeps=50, lr=0.5)
     assert np.array_equal(got, want)
     assert len(calls) == (mdp.horizon is not None)
 
@@ -553,20 +552,20 @@ def test_q_learning_synchronous_computes_positions_once(model, monkeypatch):
 def test_layered_q_learning_bitwise_on_one_step_games(game):
     dense = q_learning(sequential_transform(game), sweeps=200, lr=0.5)
     layered = layered_q_learning(game, sweeps=200, lr=0.5)
-    assert np.array_equal(layered.q, dense.q)
+    assert np.array_equal(layered, dense)
 
 
 def test_layered_q_learning_matches_dense_discounted():
     model = random_mmdp(5, 2, 3, gamma=0.9, rng=42)
     dense = q_learning(sequential_transform(model), sweeps=300, lr=0.7)
     layered = layered_q_learning(model, sweeps=300, lr=0.7)
-    assert np.abs(layered.q - dense.q).max() < 1e-10
+    assert np.abs(layered - dense).max() < 1e-10
 
 
 def test_layered_q_learning_matches_dense_with_unreached_states(partly_reached_models):
     for model in partly_reached_models:
-        dense = q_learning(sequential_transform(model), sweeps=200, lr=0.5).q
-        layered = layered_q_learning(model, sweeps=200, lr=0.5).q
+        dense = q_learning(sequential_transform(model), sweeps=200, lr=0.5)
+        layered = layered_q_learning(model, sweeps=200, lr=0.5)
         assert np.abs(layered - dense).max() < 1e-12
         assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
 
@@ -578,7 +577,7 @@ def test_layered_q_learning_bitwise_on_the_per_layer_oracle(sweeps, partly_reach
               + [random_matrix_game(3, 7, seed) for seed in range(3)]
               + [random_mmdp(4, 1, 3, gamma=0.9, rng=45)])
     for model in models:
-        got = layered_q_learning(model, sweeps=sweeps, lr=0.5).q
+        got = layered_q_learning(model, sweeps=sweeps, lr=0.5)
         want = layered_q_oracle(model, sweeps=sweeps, lr=0.5)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -862,8 +861,8 @@ def test_batched_run_mapg_rows_match_single_replicas(name):
                                     steps=300, log_every=50)
         assert np.array_equal(batch.logits[k], one.logits[0])
         assert np.array_equal(flat.logits, one.logits[0])
-        assert_same_trace(traces.replica(k), trace.replica(0))
-        assert_same_trace(flat_trace, trace.replica(0))
+        assert_same_trace(traces[k], trace[0])
+        assert_same_trace(flat_trace, trace[0])
 
 
 @pytest.mark.parametrize("variant", learners.VD_VARIANTS)
@@ -883,8 +882,8 @@ def test_batched_gd_run_on_vd_rows_match_single_replicas(variant):
         one, trace = gd_run(objective, x0[k:k + 1], lr=0.05, steps=200, log_every=40)
         flat, flat_trace = gd_run(objective, x0[k], lr=0.05, steps=200, log_every=40)
         assert np.array_equal(x[k], one[0]) and np.array_equal(flat, one[0])
-        assert_same_trace(traces.replica(k), trace.replica(0))
-        assert_same_trace(flat_trace, trace.replica(0))
+        assert_same_trace(traces[k], trace[0])
+        assert_same_trace(flat_trace, trace[0])
 
 
 def test_gd_run_freezes_a_stopped_replica_without_touching_the_others():
@@ -893,15 +892,15 @@ def test_gd_run_freezes_a_stopped_replica_without_touching_the_others():
 
     x0 = np.array([[1e-3, 0.0], [1.0, -2.0], [3.0, 1.0]])
     x, traces = gd_run(objective, x0, lr=0.1, steps=400, stop_tol=1e-6, log_every=100)
-    stops = [traces.replica(k).step[-1] for k in range(3)]
+    stops = [traces[k].step[-1] for k in range(3)]
     assert stops[0] < stops[1] < stops[2] < 400
     assert traces.step[-1] == stops[2]
     for k in range(3):
         one, trace = gd_run(objective, x0[k:k + 1], lr=0.1, steps=400,
                             stop_tol=1e-6, log_every=100)
         assert np.array_equal(x[k], one[0])
-        assert_same_trace(traces.replica(k), trace.replica(0))
-        assert traces.replica(k).grad_norm[-1] < 1e-6 <= traces.replica(k).grad_norm[-2]
+        assert_same_trace(traces[k], trace[0])
+        assert traces[k].grad_norm[-1] < 1e-6 <= traces[k].grad_norm[-2]
 
 
 def test_replica_axis_round_trips_through_pack():
@@ -947,17 +946,27 @@ def test_batched_run_vd_rows_match_single_replicas(variant):
     for k, point in enumerate(points):
         one, trace = run_vd(model, point, lr=0.05, steps=200, log_every=40)
         assert np.array_equal(batch.pack()[k], one.pack())
-        assert_same_trace(traces.replica(k), trace)
+        assert_same_trace(traces[k], trace)
 
 
-@pytest.mark.parametrize("variant", learners.VD_VARIANTS)
-def test_run_vd_trace_norm_is_the_stationarity_norm(variant):
+@pytest.mark.parametrize("variant,steps",
+                         [(v, 123) for v in learners.VD_VARIANTS]
+                         + [("mapg", 123), ("mapg", 0), ("duplex", 0)],
+                         ids=[*learners.VD_VARIANTS, "mapg", "mapg-steps0", "duplex-steps0"])
+def test_run_vd_trace_norm_is_the_stationarity_norm(variant, steps):
+    # the CLI's stationarity certificate is the trace's last norm
     from tadlab import stationarity_certificate
 
-    p0 = VdParams.random(variant, 2, 1, 2, rng=57)
-    p, trace = run_vd(M2, p0, lr=0.05, steps=123, log_every=50)
-    _, norm = stationarity_certificate(vd_objective(p, M2), p.pack(), 1e-6)
-    assert trace.step[-1] == 123 and trace.grad_norm[-1] == norm
+    if variant == "mapg":
+        p0 = MapgParams(np.random.default_rng(57).standard_normal((2, 1, 2)))
+        p, trace = run_mapg(M2, p0, lr=0.05, steps=steps, log_every=50)
+        objective = mapg_objective(p, M2)
+    else:
+        p0 = VdParams.random(variant, 2, 1, 2, rng=57)
+        p, trace = run_vd(M2, p0, lr=0.05, steps=steps, log_every=50)
+        objective = vd_objective(p, M2)
+    _, norm = stationarity_certificate(objective, p.pack(), 1e-6)
+    assert trace.step[-1] == steps and trace.grad_norm[-1] == norm
 
 
 # ---------------------------------------------------------------------------
@@ -1100,5 +1109,3 @@ def test_joint_table_has_the_replica_axis(variant):
     for k in range(4):
         point = stack.unpack_like(stack.pack()[k])
         assert np.array_equal(table[k], point.joint_table())
-        for s in range(model.n_states):
-            assert vd_forward(point, s, 5) == table[k, s, 5]

@@ -33,7 +33,7 @@ from tadlab.core import (
 )
 from tadlab.learners import tad_run, value_iteration
 from tadlab.core import policy_slices
-from tadlab.transform import layer_offsets, layered_policy_slices, virtual_state_index
+from tadlab.transform import layer_offsets, layered_policy_slices
 
 from oracles import greedy_distill_oracle, kl_oracle, sequential_transform_oracle, vi_oracle
 
@@ -52,7 +52,6 @@ def test_table1_layout():
 def test_layer_offsets_and_index():
     offsets, total = layer_offsets(2, 3, 3)
     assert offsets == [0, 2, 8] and total == 26
-    assert virtual_state_index(1, 1, 2, 2, 3, 3) == 2 + 1 * 3 + 2
 
 
 def test_intermediate_rows_one_hot_zero_reward():
@@ -445,7 +444,7 @@ def _assert_layered_matches_dense(model):
     dense, _ = vi_oracle(transformed)
     layered, _ = layered_optimal_values(model)
     assert layered.shape == dense.shape
-    assert np.abs(layered - exact.q).max() <= 1e-10
+    assert np.abs(layered - exact).max() <= 1e-10
     assert np.abs(layered - dense).max() <= tol * transformed.gamma / (1 - model.gamma)
     assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
     assert evaluate_policy(model, _greedy_policies(layered, model)) == evaluate_policy(
