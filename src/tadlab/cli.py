@@ -31,6 +31,7 @@ from .claims import CLAIMS
 from .constructions import builtin_game, builtin_names
 from .core import (
     OPTION_BOUNDS,
+    ORACLE_TOL,
     SIZE_GUARD,
     DecentralizedPolicySet,
     DeterministicJointPolicy,
@@ -189,7 +190,7 @@ def _init_arrays(path, shapes):
         try:
             arrays[key] = _floats(data[key])
             ok = arrays[key].shape == shape and np.isfinite(arrays[key]).all()
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise SchemaError(f"init file {path}: {key!r} must be a finite numeric "
@@ -287,7 +288,7 @@ def _execute(config, seed, out_dir):
         "certificates": certificates,
         # oracle_vi_tol is the oracle's advantage tolerance; the key keeps its
         # value-iteration name so that summaries stay byte-identical
-        "tolerances": {"oracle_vi_tol": 1e-10, "stationarity_tol": STATIONARITY_TOL},
+        "tolerances": {"oracle_vi_tol": ORACLE_TOL, "stationarity_tol": STATIONARITY_TOL},
     }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

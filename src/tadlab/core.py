@@ -35,6 +35,8 @@ SIZE_GUARD = 10**7
 #: policy iteration and the test oracle's value iteration give up after this
 #: many iterations (sweeps)
 MAX_SWEEPS = 1_000_000
+#: the oracle's default advantage tolerance, for every exact solver
+ORACLE_TOL = 1e-10
 
 
 class SizeGuardError(RuntimeError):
@@ -500,7 +502,7 @@ def episode_positions(model):
     return tau
 
 
-def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
+def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     """Optimal action values [S, M] plus the solver's per-iteration record.
 
     Infinite horizon: Howard policy iteration over deterministic joint
@@ -547,7 +549,7 @@ def optimal_values(model, tol=1e-10, max_iter=MAX_SWEEPS):
     raise RuntimeError(f"policy iteration did not settle at tol={tol} in {max_iter} iterations")
 
 
-def brute_force_optimal(model, tol=1e-10, size_guard=SIZE_GUARD):
+def brute_force_optimal(model, tol=ORACLE_TOL, size_guard=SIZE_GUARD):
     """Optimal return and a greedy deterministic joint policy.
 
     The table comes from `optimal_values` (policy iteration with advantage
@@ -585,10 +587,10 @@ def mmdp_to_dict(model):
 
 def _field(data, key, cast, default=None):
     """`cast(data[key])` (`default` when absent); ValueError when the value
-    is not numeric."""
+    is not numeric or is an integer beyond the float range."""
     try:
         return cast(data.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key!r} must be numeric: {exc}") from exc
 
 
@@ -614,7 +616,6 @@ OPTION_BOUNDS = {
     "lr": (False, 0, False),
     "tol": (False, 0, False),
     "clip": (False, 0, False),
-    "stop_tol": (False, 0, True),
     "steps": (True, 0, True),
     "log_every": (True, 1, True),
     "sweeps": (True, 1, True),
@@ -644,12 +645,12 @@ def check_options(**options):
 
 
 def _floats(value):
-    """JSON numbers, nested lists allowed, as a float array (no booleans,
-    strings or nulls)."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"expected numbers, got {arr.dtype.kind!r}-kind entries")
-    return arr.astype(float)
+    """JSON numbers, nested lists allowed, as a float array: each entry goes
+    through `_real`, so a boolean is refused even among numbers (numpy
+    alone reads [true, 0] as integers), and so are strings, nulls and
+    ragged lists."""
+    arr = np.asarray(value, dtype=object)
+    return np.array([_real(v) for v in arr.flat], dtype=float).reshape(arr.shape)
 
 
 def mmdp_from_dict(data):

@@ -11,21 +11,22 @@ Two families of multi-agent learners live here:
   strictly positive (duplex), which keeps local and joint argmaxes
   consistent for every parameter setting.
 
-Both families descend through one loop, `gd_run`, on the flat parameter
-vector: `mapg_objective` and `vd_objective` turn a parameter template and a
-model into the `(loss, packed gradient)` function it calls, on views of x,
-and `run_mapg`, `run_vd` and unclipped `softmax_pg` are thin wrappers
-around it. These small-array loops are bound by per-call overhead rather
-than arithmetic, so the kernels carry agents and replicas as array axes.
-One cached index `take`s every agent's table at its digit of each joint
-action into [..., n, S, M], and agent sums and products reduce axis -3 in
-agent order. The kernels, the objectives and `gd_run` take an optional
-leading replica axis (`MapgParams.logits` [K, n, S, A], `VdParams` arrays
-[K, ...], a [K, d] stack of flat vectors), so K points descend in one
-pass. Each replica's numbers come from its own row alone, bit for bit what
-a one-replica run gives (gathers use `take`, whose C-ordered output keeps
-the layout independent of K); a stack-aware objective handed to `gd_run`
-must keep that contract.
+Every learner here that descends runs through one loop, `gd_run`, on the
+flat parameter vector: `mapg_objective` and `vd_objective` turn a parameter
+template and a model into the `(loss, packed gradient)` function it calls,
+on views of x, and `run_mapg`, `run_vd` and `softmax_pg` are thin wrappers
+around it (TAD-PPO swaps the plain step for its clipped epochs through
+`gd_run`'s step hook). These small-array loops are bound by per-call
+overhead rather than arithmetic, so the kernels carry agents and replicas
+as array axes. One cached index `take`s every agent's table at its digit
+of each joint action into [..., n, S, M], and agent sums and products
+reduce axis -3 in agent order. The kernels, the objectives and `gd_run`
+take an optional leading replica axis (`MapgParams.logits` [K, n, S, A],
+`VdParams` arrays [K, ...], a [K, d] stack of flat vectors), so K points
+descend in one pass. Each replica's numbers come from its own row alone,
+bit for bit what a one-replica run gives (gathers use `take`, whose
+C-ordered output keeps the layout independent of K); a stack-aware
+objective handed to `gd_run` must keep that contract.
 
 The single-agent side runs on one-agent models: `value_iteration` (the
 oracle's policy iteration under its old name, returning the table and its
@@ -53,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ORACLE_TOL,
     DecentralizedPolicySet,
     DeterministicJointPolicy,
     bellman_backup,
@@ -281,14 +283,13 @@ class TrainTrace:
 class ReplicaTraces(tuple):
     """The traces of a batched run: one TrainTrace per replica.
 
-    `step` lists every step at which any replica logged, so `step[-1]` is
-    the last step of the longest-running replica; `traces[k]` is replica
-    k's own trace, whose rows end at its own stop step.
+    All replicas log at the same steps, which `step` lists, so `step[-1]` is
+    the run's last step; `traces[k]` is replica k's own trace.
     """
 
     @property
     def step(self):
-        return sorted(set().union(*(trace.step for trace in self)))
+        return list(self[0].step)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +525,7 @@ def igm_check(params, s):
 def _scaled_norms(grad, t):
     """`row_norms` when a sum of squares overflows: a row whose norm is not
     finite gets m * sqrt(sum((g / m)**2)), m its largest magnitude. Its
-    callers, the descent loops, ignore the overflow warning."""
+    caller, `gd_run`, ignores the overflow warning."""
     norms = row_norms(grad)
     big = ~np.isfinite(norms)
     m = np.abs(grad[big]).max(axis=1)
@@ -534,74 +535,59 @@ def _scaled_norms(grad, t):
     return norms
 
 
-def _check_finite(loss, grad, t, lr):
-    """Raise GdDivergenceError unless the losses and gradient rows [K, d] of
-    step t are finite; returns whether a row's sum of squares overflows, so
-    that its norm needs `_scaled_norms`."""
-    # a finite sum of squares proves every entry finite; one that overflows
-    # falls through to the entrywise check (vdot is a BLAS dot that raises no
-    # floating-point warning)
-    overflow = not math.isfinite(np.vdot(grad, grad))
-    if not ((math.isfinite(np.vdot(loss, loss)) and not overflow)
-            or (np.isfinite(loss).all() and np.isfinite(grad).all())):
-        raise GdDivergenceError(f"non-finite loss or gradient at step {t} (lr={lr})")
-    return overflow
-
-
-def gd_run(loss_and_grad, x0, lr, steps, stop_tol=0.0, monitor=None, log_every=1):
+def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None):
     """Constant-step gradient descent on a flat parameter vector, or on a
-    [K, d] stack of K independent replicas.
+    [K, d] stack of K independent replicas, for `steps` steps.
 
     `loss_and_grad(x) -> (loss, grad)` is called on x in the shape of `x0`;
     on a stack it returns K losses and a [K, d] gradient, whose row k must
-    depend on row k of x alone. A replica stops once its gradient norm drops
-    below `stop_tol` and stays frozen from then on; the run ends when every
-    replica has stopped, or after `steps` steps. `monitor(x, loss) ->
-    (return, greedy_codes)` fills the policy columns of a replica's trace at
-    its logged steps, called on that replica's row. The gradient norm is
-    computed only where it is logged or tested against `stop_tol`; a row
-    whose sum of squares overflows gets it by scaling (`_scaled_norms`).
-    Non-finite losses or gradients abort with GdDivergenceError, and options
-    outside their `OPTION_BOUNDS` with ValueError. Returns the final x and a
-    TrainTrace, or ReplicaTraces for a stack.
+    depend on row k of x alone. Every replica logs at the same steps: each
+    multiple of `log_every`, and the last step. `monitor(x, loss) ->
+    (return, greedy_codes)` fills the policy columns of a replica's trace
+    there, called on that replica's row. The gradient norm is computed only
+    where it is logged; a row whose sum of squares overflows gets it by
+    scaling (`_scaled_norms`). The step is x -= lr * grad, unless
+    `update(x) -> next x` is given: it is called right after
+    `loss_and_grad(x)` at every step but the last, and may use what that
+    call saw. Non-finite losses or gradients abort with GdDivergenceError,
+    and options outside their `OPTION_BOUNDS` with ValueError. Returns the
+    final x and a TrainTrace, or ReplicaTraces for a stack.
     """
-    lr, steps, stop_tol, log_every = check_options(
-        lr=lr, steps=steps, stop_tol=stop_tol, log_every=log_every)
+    lr, steps, log_every = check_options(lr=lr, steps=steps, log_every=log_every)
     x = np.array(x0, dtype=float)
     stacked = x.ndim == 2
     n_rows = len(x) if stacked else 1
     rows = x.reshape(n_rows, -1)
     traces = [TrainTrace() for _ in range(n_rows)]
-    live = np.ones(n_rows, dtype=bool)
-    frozen = False
-    t = 0
-    # an overflowing step or objective warns before `_check_finite` turns it
-    # into GdDivergenceError; one error state for the run costs no step
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+    # an overflowing step or objective, or a 0/0 in an update, warns before
+    # the finiteness check below turns it into GdDivergenceError; one error
+    # state for the run costs no step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(steps + 1):
             loss, grad = loss_and_grad(x)
             loss = np.asarray(loss, dtype=float).reshape(n_rows)
             grad = np.asarray(grad, dtype=float).reshape(n_rows, -1)
-            overflow = _check_finite(loss, grad, t, lr)
-            logged = t % log_every == 0
-            if logged or t >= steps or stop_tol > 0:
+            # a finite sum of squares proves every entry finite; one that
+            # overflows falls through to the entrywise check (vdot is a BLAS
+            # dot that raises no floating-point warning)
+            overflow = not math.isfinite(np.vdot(grad, grad))
+            if not ((math.isfinite(np.vdot(loss, loss)) and not overflow)
+                    or (np.isfinite(loss).all() and np.isfinite(grad).all())):
+                raise GdDivergenceError(f"non-finite loss or gradient at step {t} (lr={lr})")
+            if t % log_every == 0 or t == steps:
                 gnorm = _scaled_norms(grad, t) if overflow else row_norms(grad)
-                stop = (gnorm < stop_tol) | (t >= steps)
-                for k in np.flatnonzero(live & (stop | logged)):
+                for k in range(n_rows):
                     if monitor is None:
                         traces[k].append(t, loss[k], gnorm[k])
                     else:
                         ret, greedy = monitor(x[k] if stacked else x, loss[k])
                         traces[k].append(t, loss[k], gnorm[k], ret, greedy)
-                live &= ~stop
-                if not live.any():
-                    return x, ReplicaTraces(traces) if stacked else traces[0]
-                frozen = not live.all()
-            step = lr * grad
-            if frozen:
-                step[~live] = 0.0
-            rows -= step
-            t += 1
+            if t == steps:
+                return x, ReplicaTraces(traces) if stacked else traces[0]
+            if update is None:
+                rows -= lr * grad
+            else:
+                x = update(x)
 
 
 def run_mapg(model, params, lr=0.05, steps=20000, log_every=200):
@@ -633,7 +619,7 @@ def run_vd(model, params, lr=0.1, steps=5000, log_every=200):
 # ---------------------------------------------------------------------------
 # single-agent solvers for the transformed models
 
-def value_iteration(mdp, tol=1e-10):
+def value_iteration(mdp, tol=ORACLE_TOL):
     """Optimal action values [S, A] and the greedy deterministic policy.
 
     The name is kept; the solver is `optimal_values`: policy iteration to
@@ -719,65 +705,57 @@ PPO_EPOCHS = 4
 PPO_CLIP = 0.2
 
 
-def softmax_pg(model, lr=0.05, steps=2000, clip=None, stop_tol=0.0, log_every=50):
+def softmax_pg(model, lr=0.05, steps=2000, clip=None, log_every=50):
     """Exact-gradient softmax policy gradient (TAD-PG) on the sequential
     transform of an MMDP, one logit row per virtual state: [V, A] logits,
     starting from zero (the uniform policy).
 
     The transform is never built: every step reads `layered_policy_slices`,
-    and a one-agent model, its own transform, reads `policy_slices`.
-    Unclipped, `gd_run` descends the negative return. With `clip` set
-    (TAD-PPO), each outer step freezes the current policy, occupancy, and
-    advantages, then takes `PPO_EPOCHS` ascent steps on the clipped ratio
-    surrogate with exact expectations. Both forms stop at the first step
-    whose exact (unclipped) gradient norm is below `stop_tol`, and log it;
-    both check every step and take its norm as `gd_run` does.
+    and a one-agent model, its own transform, reads `policy_slices`. Both
+    forms descend through `gd_run`, which evaluates the negative return and
+    its exact gradient once per step, checks it and logs its norm.
+    Unclipped, the step is plain descent. With `clip` set (TAD-PPO), the
+    step keeps that evaluation's policy, occupancy and advantages, and takes
+    `PPO_EPOCHS` ascent steps on the clipped ratio surrogate with exact
+    expectations.
     """
     step_discount(model)
     shape = (layer_offsets(model.n_states, model.n_agents, model.n_actions)[1],
              model.n_actions)
-    logits = np.zeros(shape)
-    if clip is None:
-        def objective(x):
-            return _tad_pg_eval(model, x.reshape(shape))[1:3]
+    pi_old = occ_q = None
 
-        def monitor(x, loss):
-            # for policy gradient the stochastic return is exactly -loss
-            return -loss, np.argmax(x.reshape(shape), axis=1)
+    def objective(x):
+        nonlocal pi_old, occ_q
+        pi_old, loss, grad, occ_q = _tad_pg_eval(model, x.reshape(shape))
+        return loss, grad
 
-        x, trace = gd_run(objective, logits.ravel(), lr, steps, stop_tol, monitor, log_every)
-        return x.reshape(shape), trace
-    lr, steps, clip, stop_tol, log_every = check_options(
-        lr=lr, steps=steps, clip=clip, stop_tol=stop_tol, log_every=log_every)
-    trace = TrainTrace()
-    # as in `gd_run`, and for the ratio below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for t in range(steps + 1):
-            pi_old, loss, grad, occ_q = _tad_pg_eval(model, logits)
-            grad = grad.reshape(1, -1)
-            overflow = _check_finite(loss, grad, t, lr)
-            logged = t % log_every == 0
-            if logged or t == steps or stop_tol > 0:
-                gnorm = float((_scaled_norms(grad, t) if overflow else row_norms(grad))[0])
-                stop = gnorm < stop_tol or t == steps
-                if logged or stop:
-                    trace.append(t, loss, gnorm, -loss, np.argmax(logits, axis=1))
-                if stop:
-                    break
-            for _ in range(PPO_EPOCHS):
-                pi = softmax(logits)
-                # an underflowed probability gives 0/0 = nan, which selects no clip
-                ratio = pi / pi_old
-                surr = np.zeros_like(logits)
-                for d_t, q_t in occ_q:
-                    adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)
-                    clipped = (((adv > 0) & (ratio > 1.0 + clip))
-                               | ((adv < 0) & (ratio < 1.0 - clip)))
-                    dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
-                    inner = np.sum(pi * dpi, axis=1, keepdims=True)
-                    surr += pi * (dpi - inner)
-                logits = logits + lr * surr
-    return logits, trace
+    def monitor(x, loss):
+        # for policy gradient the stochastic return is exactly -loss
+        return -loss, np.argmax(x.reshape(shape), axis=1)
+
+    def ppo_epochs(x):
+        logits = x.reshape(shape)
+        for _ in range(PPO_EPOCHS):
+            pi = softmax(logits)
+            # an underflowed probability gives 0/0 = nan, which selects no clip
+            ratio = pi / pi_old
+            surr = np.zeros_like(logits)
+            for d_t, q_t in occ_q:
+                adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)
+                clipped = (((adv > 0) & (ratio > 1.0 + clip))
+                           | ((adv < 0) & (ratio < 1.0 - clip)))
+                dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
+                inner = np.sum(pi * dpi, axis=1, keepdims=True)
+                surr += pi * (dpi - inner)
+            logits = logits + lr * surr
+        return logits.ravel()
+
+    if clip is not None:
+        # the refusals name lr, steps, clip, log_every in that order
+        check_options(lr=lr, steps=steps, clip=clip)
+    x, trace = gd_run(objective, np.zeros(shape).ravel(), lr, steps, monitor, log_every,
+                      None if clip is None else ppo_epochs)
+    return x.reshape(shape), trace
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +825,7 @@ def duplex_decompose(target, a_star, n_agents=None):
 #: each single-agent learner of `tad_run`: its options and their defaults,
 #: the only ones it takes (the CLI's `tad` block reads this table too)
 _PG_OPTIONS = {"lr": 0.05, "steps": 2000, "log_every": 50}
-SARL_OPTIONS = {"vi": {"tol": 1e-10}, "q_learning": {"sweeps": 200, "lr": 0.5},
+SARL_OPTIONS = {"vi": {"tol": ORACLE_TOL}, "q_learning": {"sweeps": 200, "lr": 0.5},
                 "softmax_pg": _PG_OPTIONS, "clipped_pg": {**_PG_OPTIONS, "clip": PPO_CLIP}}
 
 

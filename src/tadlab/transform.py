@@ -37,6 +37,7 @@ import functools
 import numpy as np
 
 from .core import (
+    ORACLE_TOL,
     SIZE_GUARD,
     CoordinationPolicy,
     DecentralizedPolicySet,
@@ -178,7 +179,7 @@ def never_reached_rows(model):
     return np.flatnonzero(rows)
 
 
-def layered_optimal_values(model, tol=1e-10):
+def layered_optimal_values(model, tol=ORACLE_TOL):
     """Optimal action values [V, A] of the sequential transform, plus the
     record of `optimal_values`, without building the transform.
 

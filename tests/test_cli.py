@@ -177,6 +177,17 @@ def test_transform_report(capsys):
     assert report == {"bound": True, "original_sa": 9, "transformed_sa": 12}
 
 
+def test_transform_report_refuses_a_boolean_among_numbers(tmp_path, capsys):
+    # numpy reads [true, 0] as integers; the env loader refuses it all the same
+    env_path = tmp_path / "game.json"
+    env_path.write_text('{"matrix": [[true, 0], [0, 1]]}')
+    assert cli.main(["transform", "report", str(env_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "bad environment file" in captured.err
+
+
 def test_verify_claim_3(capsys):
     assert cli.main(["verify", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -343,6 +354,7 @@ def test_q_learning_options_reach_the_learner_and_the_summary(tmp_path, monkeypa
     '{"matrix": [[1, NaN], [0, 1]]}', '{"matrix": 5}',
     '{"matrix": [[1, 2], [3, 4]], "gamma": null}',
     '{"matrix": [[1, 2], [3, 4]], "gamma": [0.9]}',
+    '{"matrix": [[true, 0], [0, 1]]}',
 ])
 def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     env_path = tmp_path / "game.json"
@@ -350,6 +362,22 @@ def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     cfg = write_config(tmp_path / "cfg.json",
                        {"env": str(env_path), "learner": {"kind": "tad"}})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "bad environment file" in err
+
+
+#: an integer literal that JSON reads exactly and float() cannot hold
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text", [
+    '{"matrix": [[%s, 0], [0, 1]]}' % _HUGE,
+    '{"matrix": [[1, 0], [0, 1]], "gamma": %s}' % _HUGE,
+], ids=["matrix", "gamma"])
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, text):
+    env_path = tmp_path / "game.json"
+    env_path.write_text(text)
+    assert cli.main(["transform", "report", str(env_path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "bad environment file" in err
 
@@ -366,10 +394,11 @@ def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     ("mapg", {"logits": [[[float("nan"), 0, 0]], [[0, 0, 0]]]}),
     ("mapg", {"logits": [[[float("inf"), 0, 0]], [[0, 0, 0]]]}),
     ("vd", {"q_local": [[[False, "3", 0]], [[0, 0, 0]]]}),
+    ("mapg", {"logits": [[[True, False, True]], [[0, 0, 0]]]}),
 ], ids=["mapg-lacks-logits", "mapg-wrong-shape", "mapg-not-numeric", "mapg-not-object",
         "vd-lacks-q-local", "vd-wrong-shape", "duplex-lam-wrong-shape",
         "mapg-bools-and-strings", "mapg-nan", "mapg-infinity",
-        "vd-bool-and-string"])
+        "vd-bool-and-string", "mapg-bools-and-numbers"])
 def test_bad_init_file_contents_exit_2(tmp_path, capsys, kind, contents):
     init_path = tmp_path / "params.json"
     init_path.write_text(json.dumps(contents))

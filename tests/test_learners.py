@@ -327,12 +327,25 @@ def test_gd_run_quadratic_bowl_geometric_decay():
     assert np.linalg.norm(x) < 1e-4
 
 
-def test_gd_run_early_stop():
+def test_gd_run_update_hook_matches_the_plain_step():
+    # a hook that takes the plain step by hand retraces the default path bit
+    # for bit, and runs after every evaluation but the last
+    grads, calls = [], []
+
     def bowl(x):
+        grads.append(x.copy())
         return 0.5 * float(x @ x), x
 
-    _, trace = gd_run(bowl, np.full(2, 1.0), lr=0.5, steps=10**6, stop_tol=1e-6)
-    assert trace.step[-1] < 100
+    def update(x):
+        calls.append(len(grads))
+        return x - 0.1 * grads[-1]
+
+    x0 = np.array([2.0, -1.5, 0.3, 7.0])
+    want, want_trace = gd_run(bowl, x0, lr=0.1, steps=50, log_every=7)
+    x, trace = gd_run(bowl, x0, lr=0.1, steps=50, log_every=7, update=update)
+    assert np.array_equal(x, want)
+    assert_same_trace(trace, want_trace)
+    assert calls == list(range(52, 102))
 
 
 def test_gd_run_nan_aborts():
@@ -343,8 +356,7 @@ def test_gd_run_nan_aborts():
         gd_run(bad, np.ones(2), lr=0.1, steps=10)
 
 
-BAD_STEP_SETTINGS = [{"lr": np.nan}, {"lr": np.inf}, {"log_every": 0},
-                     {"stop_tol": np.nan}, {"stop_tol": -1e-3}]
+BAD_STEP_SETTINGS = [{"lr": np.nan}, {"lr": np.inf}, {"log_every": 0}]
 
 
 def test_gd_run_rejects_bad_lr():
@@ -599,16 +611,6 @@ def test_softmax_pg_solves_transformed_table1():
     assert evaluate_policy(TABLE1, dec) == pytest.approx(10.0, abs=1e-12)
 
 
-def test_clipped_pg_stops_at_the_first_step_below_stop_tol():
-    # every gradient norm is below 1e9, so both forms stop at step 0
-    mdp = sequential_transform(TABLE1)
-    for clip in (None, 0.2):
-        logits, trace = softmax_pg(mdp, lr=1.0, steps=300, clip=clip,
-                                   stop_tol=1e9, log_every=150)
-        assert trace.step == [0]
-        assert np.array_equal(logits, np.zeros_like(logits))
-
-
 def test_clipped_pg_matches_unclipped_greedy():
     mdp = sequential_transform(M2)
     plain, _ = softmax_pg(mdp, lr=1.0, steps=300, log_every=150)
@@ -699,9 +701,21 @@ def test_tad_pg_evaluates_the_policy_once_per_outer_step(clip, monkeypatch):
         return layered_policy_slices(model, pol)
 
     monkeypatch.setattr(learners, "layered_policy_slices", counted)
-    _, trace = softmax_pg(TABLE1, lr=1.0, steps=7, clip=clip, stop_tol=1e-12, log_every=3)
+    _, trace = softmax_pg(TABLE1, lr=1.0, steps=7, clip=clip, log_every=3)
     assert trace.step == [0, 3, 6, 7]
     assert len(calls) == 8
+
+
+def test_tad_ppo_descends_through_one_gd_run_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gd_run(*args, **kwargs)
+
+    monkeypatch.setattr(learners, "gd_run", counted)
+    softmax_pg(TABLE1, lr=1.0, steps=7, clip=0.2, log_every=3)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -884,23 +898,6 @@ def test_batched_gd_run_on_vd_rows_match_single_replicas(variant):
         assert np.array_equal(x[k], one[0]) and np.array_equal(flat, one[0])
         assert_same_trace(traces[k], trace[0])
         assert_same_trace(flat_trace, trace[0])
-
-
-def test_gd_run_freezes_a_stopped_replica_without_touching_the_others():
-    def objective(x):
-        return 0.5 * np.sum(x * x, axis=-1), x
-
-    x0 = np.array([[1e-3, 0.0], [1.0, -2.0], [3.0, 1.0]])
-    x, traces = gd_run(objective, x0, lr=0.1, steps=400, stop_tol=1e-6, log_every=100)
-    stops = [traces[k].step[-1] for k in range(3)]
-    assert stops[0] < stops[1] < stops[2] < 400
-    assert traces.step[-1] == stops[2]
-    for k in range(3):
-        one, trace = gd_run(objective, x0[k:k + 1], lr=0.1, steps=400,
-                            stop_tol=1e-6, log_every=100)
-        assert np.array_equal(x[k], one[0])
-        assert_same_trace(traces[k], trace[0])
-        assert traces[k].grad_norm[-1] < 1e-6 <= traces[k].grad_norm[-2]
 
 
 def test_replica_axis_round_trips_through_pack():
