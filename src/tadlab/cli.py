@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 failed verification, 2 config/schema errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .core import (
     DeterministicJointPolicy,
     SizeGuardError,
     _floats,
+    _real,
     brute_force_optimal,
     check_options,
     dump_env_text,
@@ -77,10 +79,16 @@ _LEARNER_KEYS = {
     "mapg": {"kind", "lr", "steps", "log_every"},
     "vd": {"kind", "variant", "lr", "steps", "log_every"},
 }
-_INIT_MODES = ("uniform", "concentrated", "file")
 
 
 def _load_config(path):
+    """The config at `path`, checked against the schema and resolved: the
+    returned copy has every default that needs no model filled in, so
+    `_execute` reads fields, not defaults. That is the top-level `init`
+    (with `mode` "uniform"), `distill` and `outputs`; the learner's `sarl`
+    ("vi") or `variant` ("vdn"); a tad learner's absent options, and a null
+    `clip`, from `SARL_OPTIONS`; and every numeric option as
+    `check_options` normalizes it. Raises SchemaError on the first fault."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -90,8 +98,7 @@ def _load_config(path):
         raise SchemaError(f"cannot read config {path} as JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise SchemaError("config must be a JSON object")
-    allowed = {"env", "learner", "init", "distill", "outputs"}
-    extra = set(config) - allowed
+    extra = set(config) - {"env", "learner", "init", "distill", "outputs"}
     if extra:
         raise SchemaError(f"unknown config keys: {sorted(extra)}")
     if "env" not in config:
@@ -105,28 +112,32 @@ def _load_config(path):
         if not isinstance(name, str) or name not in SARL_OPTIONS:
             raise SchemaError(f"unknown single-agent learner {name!r}")
         keys = {"kind", "sarl", *SARL_OPTIONS[name]}
+        defaults = {"sarl": name, **SARL_OPTIONS[name]}
     elif isinstance(kind, str) and kind in _LEARNER_KEYS:
         keys = _LEARNER_KEYS[kind]
+        defaults = {"variant": "vdn"} if kind == "vd" else {}
     else:
         raise SchemaError(f"unknown learner kind {kind!r}")
     extra = set(learner) - keys
     if extra:
         raise SchemaError(f"unknown learner keys for {name}: {sorted(extra)}")
-    if kind == "vd" and learner.get("variant", "vdn") not in VD_VARIANTS:
-        raise SchemaError(f"unknown vd variant {learner.get('variant')!r}")
+    learner = {**defaults, **{key: value for key, value in learner.items()
+                              if not (key == "clip" and value is None)}}
+    if kind == "vd" and learner["variant"] not in VD_VARIANTS:
+        raise SchemaError(f"unknown vd variant {learner['variant']!r}")
+    options = {key: learner[key] for key in OPTION_BOUNDS if key in learner}
     try:
-        check_options(**{key: learner[key] for key in OPTION_BOUNDS
-                         if key in learner and not (key == "clip" and learner[key] is None)})
+        learner.update(zip(options, check_options(**options)))
     except ValueError as exc:
         raise SchemaError(f"learner {exc}") from exc
     init = config.get("init", {})
     if not isinstance(init, dict):
         raise SchemaError("'init' must be an object")
-    mode = init.get("mode", "uniform")
-    if mode not in _INIT_MODES:
-        raise SchemaError(f"unknown init mode {mode!r}")
-    if mode == "file" and not (isinstance(init.get("file"), str)
-                               and os.path.isfile(init["file"])):
+    init = {"mode": "uniform", **init}
+    if init["mode"] not in ("uniform", "concentrated", "file"):
+        raise SchemaError(f"unknown init mode {init['mode']!r}")
+    if init["mode"] == "file" and not (isinstance(init.get("file"), str)
+                                       and os.path.isfile(init["file"])):
         raise SchemaError(f"init file not found: {init.get('file')!r}")
     outputs = config.get("outputs", ["trace", "summary"])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
@@ -134,9 +145,10 @@ def _load_config(path):
     bad = set(outputs) - {"trace", "summary"}
     if bad:
         raise SchemaError(f"unknown outputs: {sorted(bad)}")
-    if config.get("distill", "greedy") not in ("greedy", "kl"):
-        raise SchemaError(f"unknown distill mode {config.get('distill')!r}")
-    return config
+    distill = config.get("distill", "greedy")
+    if distill not in ("greedy", "kl"):
+        raise SchemaError(f"unknown distill mode {distill!r}")
+    return dict(config, learner=learner, init=init, outputs=outputs, distill=distill)
 
 
 def _resolve_env(spec):
@@ -155,19 +167,6 @@ def _resolve_env(spec):
         except (OSError, ValueError) as exc:
             raise SchemaError(f"bad environment file {spec}: {exc}") from exc
     raise SchemaError(f"env {spec!r} is neither a builtin nor an existing file")
-
-
-def _init_target(init_cfg, model, default_scale):
-    """The per-agent actions and the scale of a concentrated init."""
-    target = init_cfg.get("target_joint_action")
-    if not (isinstance(target, list) and len(target) == model.n_agents and all(
-            type(a) is int and 0 <= a < model.n_actions for a in target)):
-        raise SchemaError(f"concentrated init needs target_joint_action: one action "
-                          f"in [0, {model.n_actions}) per agent, got {target!r}")
-    scale = init_cfg.get("scale", default_scale)
-    if type(scale) not in (int, float) or not math.isfinite(scale):
-        raise SchemaError(f"init 'scale' must be a finite number, got {scale!r}")
-    return target, float(scale)
 
 
 def _init_arrays(path, shapes):
@@ -198,34 +197,43 @@ def _init_arrays(path, shapes):
     return arrays
 
 
-def _init_mapg(init_cfg, model):
-    shape = (model.n_agents, model.n_states, model.n_actions)
-    mode = init_cfg.get("mode", "uniform")
-    if mode == "uniform":
-        return MapgParams.uniform(*shape)
-    if mode == "concentrated":
-        return MapgParams.concentrated(*shape, *_init_target(init_cfg, model, 5.0))
-    return MapgParams(**_init_arrays(init_cfg["file"], {"logits": shape}))
-
-
-def _init_vd(init_cfg, variant, model):
+def _init_params(init, learner, model):
+    """The start point of a mapg or vd run, `MapgParams(logits)` or
+    `VdParams(variant, q_local)`: zero tables for a uniform init; `scale`
+    at each agent's `target_joint_action` slot, zero elsewhere, for a
+    concentrated one (`scale` defaults to 5 for mapg and 1 for vd); for a
+    file init, the file's arrays at the zero point's shapes (`logits`, or
+    `q_local` and the mixer's optional `w_raw`/`lam_raw`)."""
     n, s, a = model.n_agents, model.n_states, model.n_actions
-    mode = init_cfg.get("mode", "uniform")
-    if mode == "uniform":
-        return VdParams.zeros(variant, n, s, a)
-    if mode == "concentrated":
-        target, scale = _init_target(init_cfg, model, 1.0)
-        p = VdParams.zeros(variant, n, s, a)
-        for i, act in enumerate(target):
-            p.q_local[i, :, act] = scale
-        return p
-    mixer = {"monotonic": {"w_raw": (n, s)}, "duplex": {"lam_raw": (n, s, a**n)}}
-    shapes = {"q_local": (n, s, a), **mixer.get(variant, {})}
-    return VdParams(variant, **_init_arrays(init_cfg["file"], shapes))
+    mapg = learner["kind"] == "mapg"
+    table = np.zeros((n, s, a))
+    if init["mode"] == "concentrated":
+        target = init.get("target_joint_action")
+        if not (isinstance(target, list) and len(target) == n and all(
+                type(act) is int and 0 <= act < a for act in target)):
+            raise SchemaError(f"concentrated init needs target_joint_action: one action "
+                              f"in [0, {a}) per agent, got {target!r}")
+        scale = init.get("scale", 5.0 if mapg else 1.0)
+        try:
+            ok = math.isfinite(_real(scale))
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise SchemaError(f"init 'scale' must be a finite number, got {scale!r}")
+        table[np.arange(n), :, target] = scale
+    params = MapgParams(table) if mapg else VdParams(learner["variant"], table)
+    if init["mode"] == "file":
+        shapes = {key: value.shape for key, value in vars(params).items()
+                  if isinstance(value, np.ndarray)}
+        params = dataclasses.replace(params, **_init_arrays(init["file"], shapes))
+    return params
 
 
 def _execute(config, seed, out_dir):
-    """Run one (config, seed) pair; returns the summary dict (also written to disk)."""
+    """Run one config as `_load_config` resolves it at `seed`, write its
+    outputs to `out_dir`, and return the summary dict. Only the mapg and vd
+    defaults that need the model are set here: `lr` (0.05 on a one-step
+    model, else 0.01), `steps` (20000) and `log_every` (max(1, steps // 200))."""
     model, env_name = _resolve_env(config["env"])
     if model.n_states * model.n_joint_actions > SIZE_GUARD:
         raise SizeGuardError(
@@ -233,39 +241,25 @@ def _execute(config, seed, out_dir):
             f"state-action pairs, beyond the oracle guard"
         )
     learner = config["learner"]
-    kind = learner["kind"]
-    init_cfg = config.get("init", {"mode": "uniform"})
-    distill = config.get("distill", "greedy")
-    outputs = config.get("outputs", ["trace", "summary"])
     certificates = {}
-    if kind == "tad":
-        sarl = learner.get("sarl", "vi")
-        # the learner's defaults under the given options, null counting as
-        # absent, each of its default's type
-        options = {key: type(default)(default if learner.get(key) is None else learner[key])
-                   for key, default in SARL_OPTIONS[sarl].items()}
-        resolved = {"kind": kind, "sarl": sarl, "distill": distill, **options}
+    if learner["kind"] == "tad":
+        resolved = {**learner, "distill": config["distill"]}
         try:
             step_discount(model)
         except ValueError as exc:
             raise SchemaError(f"the tad learner cannot run on {env_name}: {exc}") from exc
-        policies, trace = tad_run(model, sarl=sarl, distill=distill, seed=seed, **options)
+        policies, trace = tad_run(model, seed=seed, **{
+            key: value for key, value in resolved.items() if key != "kind"})
     else:
-        lr = float(learner.get("lr", 0.05 if model.horizon == 1 else 0.01))
-        steps = int(learner.get("steps", 20000))
-        log_every = int(learner.get("log_every", max(1, steps // 200)))
-        resolved = {"kind": kind, "lr": lr, "steps": steps, "log_every": log_every}
-        if kind == "mapg":
-            params0 = _init_mapg(init_cfg, model)
-            params, trace = run_mapg(model, params0, lr=lr, steps=steps, log_every=log_every)
-            policies = params.policies()
-        else:
-            variant = learner.get("variant", "vdn")
-            resolved["variant"] = variant
-            params0 = _init_vd(init_cfg, variant, model)
-            params, trace = run_vd(model, params0, lr=lr, steps=steps, log_every=log_every)
-            acts = np.argmax(params.q_local, axis=2)
-            policies = DecentralizedPolicySet.deterministic(acts, model.n_actions)
+        steps = learner.get("steps", 20000)
+        resolved = {"lr": 0.05 if model.horizon == 1 else 0.01,
+                    "log_every": max(1, steps // 200), **learner, "steps": steps}
+        mapg = learner["kind"] == "mapg"
+        params, trace = (run_mapg if mapg else run_vd)(
+            model, _init_params(config["init"], learner, model), lr=resolved["lr"],
+            steps=steps, log_every=resolved["log_every"])
+        policies = params.policies() if mapg else DecentralizedPolicySet.deterministic(
+            np.argmax(params.q_local, axis=2), model.n_actions)
         # the descent logs its last step, at the returned params
         norm = trace.grad_norm[-1]
         certificates["stationarity"] = {"ok": norm < STATIONARITY_TOL, "grad_norm": norm,
@@ -295,9 +289,9 @@ def _execute(config, seed, out_dir):
     with open(out_dir / "policy.json", "w") as fh:
         json.dump(saved, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if "trace" in outputs:
+    if "trace" in config["outputs"]:
         trace.to_csv(out_dir / "trace.csv")
-    if "summary" in outputs:
+    if "summary" in config["outputs"]:
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

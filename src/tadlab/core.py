@@ -623,24 +623,27 @@ OPTION_BOUNDS = {
 
 
 def check_options(**options):
-    """The given options' values in order, an integer-valued one as an int;
-    ValueError names the first that is not a finite number within its
-    `OPTION_BOUNDS` (booleans are refused, and fractions where an integer
-    is due)."""
+    """The given options' values in order, normalized: an int for an
+    integer-valued option (an integral float counts), a float for a
+    real-valued one. ValueError names the first that is not a finite number
+    within its `OPTION_BOUNDS`: booleans and strings are refused, so are
+    fractions where an integer is due, and a real-valued option that a
+    float cannot hold (an integer beyond the float range). An integer count
+    is kept exactly, whatever its size."""
     checked = []
     for key, value in options.items():
         integral, low, closed = OPTION_BOUNDS[key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            ok = False
-        elif isinstance(value, numbers.Integral):
-            ok = True
-        else:
-            ok = math.isfinite(value) and (float(value).is_integer() or not integral)
-        if not (ok and (value >= low if closed else value > low)):
+        exact = integral and isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        try:
+            number = int(value) if exact else _real(value)
+        except (TypeError, OverflowError):
+            number = math.nan
+        ok = exact or (math.isfinite(number) and (number.is_integer() or not integral))
+        if not (ok and (number >= low if closed else number > low)):
             kind = "an integer" if integral else "a number"
             raise ValueError(f"{key!r} must be {kind} {'>=' if closed else '>'} {low}, "
                              f"got {value!r}")
-        checked.append(int(value) if integral else value)
+        checked.append(int(number) if integral else number)
     return checked
 
 

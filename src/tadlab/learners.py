@@ -769,9 +769,8 @@ def duplex_decompose(target, a_star, n_agents=None):
     """Duplex parameters that reproduce a joint table with prescribed local
     argmaxes.
 
-    `target` is [n_states, n_joint] (1-D and rank-3+ payoff tensors are
-    flattened to a single state); `a_star` must be a maximizing joint action
-    in every state. Construction per state: each agent's table holds
+    `target` is [n_states, n_joint]; `a_star` must be a maximizing joint
+    action in every state. Construction per state: each agent's table holds
     target(a*)/n at its a* slot and target(a*)/n - 1 elsewhere, and for every
     joint action the disagreeing agents carry an advantage weight of
     (target(a*) - target(a)) / #disagreeing (floored at `LAM_FLOOR` for
@@ -787,10 +786,6 @@ def duplex_decompose(target, a_star, n_agents=None):
             n_agents = len(a_star)
     if n_agents is None:
         raise ValueError("n_agents is required when a_star is not an action tuple")
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    elif arr.ndim == n_agents and arr.ndim > 2:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"cannot interpret target of shape {np.shape(target)}")
     s_dim, n_joint = arr.shape
@@ -841,13 +836,16 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     its default (`PPO_CLIP` for clipped_pg's `clip`), and any other option
     raises ValueError. Every learner is deterministic: `seed` is accepted
     and unused. Distillation is `greedy_distill` or the closed-form
-    `kl_distill`. Returns the decentralized policies and a trace. Iterative
+    `kl_distill`. An unknown learner, distillation or option is refused
+    before any work. Returns the decentralized policies and a trace. Iterative
     learners contribute their own trace (measured on the transformed
     model); vi and q_learning yield a single summary row whose loss column
     holds the negated final return.
     """
     if sarl not in SARL_OPTIONS:
         raise ValueError(f"unknown single-agent learner {sarl!r}")
+    if distill not in ("greedy", "kl"):
+        raise ValueError(f"unknown distillation {distill!r}")
     unknown = set(cfg) - set(SARL_OPTIONS[sarl])
     if unknown:
         raise ValueError(f"unknown {sarl} options: {sorted(unknown)}")
@@ -866,10 +864,8 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     pc = lower_policy(pol, model.n_agents)
     if distill == "greedy":
         policies = greedy_distill(pc, model)
-    elif distill == "kl":
-        policies, _ = kl_distill(pc, model)
     else:
-        raise ValueError(f"unknown distillation {distill!r}")
+        policies, _ = kl_distill(pc, model)
     final_return = evaluate_policy(model, policies)
     codes = greedy_codes(policies.tables)
     if trace is None:

@@ -224,18 +224,27 @@ def _probe(learner=None, **fields):
     return config
 
 
+#: an integer literal that JSON reads exactly and float() cannot hold
+_HUGE = "1" + "0" * 400
+
 #: (id, config, a fragment of the one error line that names the fault)
 _BAD_FIELDS = [
     ("lr-string", _probe({"lr": "abc"}), "'lr'"),
     ("lr-zero", _probe({"lr": 0}), "'lr'"),
     ("lr-negative", _probe({"lr": -0.5}), "'lr'"),
+    ("lr-huge-int", _probe({"lr": int(_HUGE)}), "'lr'"),
+    ("tad-pg-lr-huge-int", _probe({"kind": "tad", "sarl": "softmax_pg", "lr": int(_HUGE)}),
+     "'lr'"),
     ("steps-negative", _probe({"steps": -3}), "'steps'"),
     ("steps-fraction", _probe({"steps": 2.5}), "'steps'"),
     ("log-every-zero", _probe({"log_every": 0}), "'log_every'"),
     ("vd-steps-negative", _probe({"kind": "vd", "steps": -3}), "'steps'"),
     ("sweeps-zero", _probe({"kind": "tad", "sarl": "q_learning", "sweeps": 0}), "'sweeps'"),
     ("tol-zero", _probe({"kind": "tad", "sarl": "vi", "tol": 0.0}), "'tol'"),
+    ("tol-huge-int", _probe({"kind": "tad", "sarl": "vi", "tol": int(_HUGE)}), "'tol'"),
     ("clip-negative", _probe({"kind": "tad", "sarl": "clipped_pg", "clip": -0.1}), "'clip'"),
+    ("clip-huge-int", _probe({"kind": "tad", "sarl": "clipped_pg", "clip": int(_HUGE)}),
+     "'clip'"),
     ("init-not-object", _probe(init="uniform"), "'init'"),
     ("init-file-missing", _probe(init={"mode": "file", "file": "no/such/params.json"}),
      "init file not found"),
@@ -253,6 +262,10 @@ _BAD_FIELDS = [
     ("scale-string",
      _probe(init={"mode": "concentrated", "target_joint_action": [1, 1], "scale": "big"}),
      "'scale'"),
+    ("scale-huge-int",
+     _probe(init={"mode": "concentrated", "target_joint_action": [1, 1],
+                  "scale": int(_HUGE)}),
+     "'scale'"),
 ]
 
 
@@ -265,6 +278,40 @@ def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config, fragme
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_fills_the_defaults_that_configs_leave_out(tmp_path):
+    from tadlab import (MapgParams, VdParams, load_env_file, mapg_loss_and_grad,
+                        vd_loss_and_grad)
+
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps(_layered_env(np.random.default_rng(0))))
+    out = tmp_path / "out"
+    for env, learner, echoed in (
+            ("table1", {"kind": "mapg", "steps": 10}, {"lr": 0.05, "log_every": 1}),
+            (str(env_path), {"kind": "vd", "steps": 400},
+             {"variant": "vdn", "lr": 0.01, "log_every": 2})):
+        cfg = write_config(tmp_path / "cfg.json", {"env": env, "learner": learner})
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["learner"] == {**learner, **echoed}
+    # a concentrated init without a scale starts mapg at logit 5 and vd at
+    # local value 1 on each agent's target action
+    init = {"mode": "concentrated", "target_joint_action": [1, 0]}
+    for env, model, kind, value in (("table1", builtin_game("table1"), "mapg", 5.0),
+                                    (str(env_path), load_env_file(env_path), "vd", 1.0)):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "env": env, "learner": {"kind": kind, "steps": 0}, "init": init})
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        table = np.zeros((model.n_agents, model.n_states, model.n_actions))
+        table[0, :, 1] = table[1, :, 0] = value
+        if kind == "mapg":
+            loss, grad = mapg_loss_and_grad(MapgParams(table), model)
+        else:
+            loss, grad = vd_loss_and_grad(VdParams("vdn", table), model)
+            grad = grad.pack()
+        row = (out / "trace.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == ["0", repr(float(loss)), repr(float(np.linalg.norm(grad)))]
 
 
 def _unreadable_input(tmp_path, case):
@@ -364,10 +411,6 @@ def test_bad_matrix_shorthand_exits_2(tmp_path, capsys, text):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "bad environment file" in err
-
-
-#: an integer literal that JSON reads exactly and float() cannot hold
-_HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("text", [
@@ -470,7 +513,8 @@ _MUTATIONS = {
     # env files take integers only; learner counts also take integral floats
     "integer": ("negative", "zero", "fraction", "float", "bool", "string", "null", "nan",
                 "inf", "list"),
-    "real": ("nan", "inf", "-inf", "bool", "string", "null", "list", "object", "too-low"),
+    "real": ("nan", "inf", "-inf", "bool", "string", "null", "list", "object", "too-low",
+             "huge-int"),
     "array": ("string", "null", "scalar", "object", "nan-entry", "inf-entry",
               "string-entry", "bool-entries", "ragged", "wrong-shape"),
 }
@@ -484,7 +528,7 @@ def _mutate(kind, how, value, low, rng):
         "negative": -k, "zero": 0, "fraction": k + 0.5, "float": float(k),
         "bool": bool(rng.integers(2)), "string": str(k), "null": None,
         "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "list": [k],
-        "object": {"value": k}, "too-low": low, "scalar": float(k),
+        "object": {"value": k}, "too-low": low, "scalar": float(k), "huge-int": int(_HUGE),
     }
     if how in simple:
         return simple[how]
@@ -523,19 +567,24 @@ def _mutations(base, fields, rng, required):
     return cases
 
 
+def _layered_env(rng):
+    """A layered horizon-2 env dict with two agents of two actions: state 0,
+    then states 1 and 2."""
+    transition = np.zeros((3, 4, 3))
+    transition[0, :, 1:] = rng.dirichlet([1.0, 1.0], size=4)
+    transition[1:, :, 0] = 1.0
+    return {"n_states": 3, "n_agents": 2, "n_actions": 2, "gamma": 0.9, "horizon": 2,
+            "initial_dist": [1.0, 0.0, 0.0], "transition": transition.tolist(),
+            "reward": rng.standard_normal((3, 4)).tolist()}
+
+
 def _fuzz_cases(rng):
     """(label, config, env dict or None) for every mutation of the valid
     env dicts and configs below."""
     from tadlab.constructions import random_mmdp
     from tadlab.core import mmdp_to_dict
 
-    # a layered horizon-2 model: state 0, then states 1 and 2
-    transition = np.zeros((3, 4, 3))
-    transition[0, :, 1:] = rng.dirichlet([1.0, 1.0], size=4)
-    transition[1:, :, 0] = 1.0
-    env = {"n_states": 3, "n_agents": 2, "n_actions": 2, "gamma": 0.9, "horizon": 2,
-           "initial_dist": [1.0, 0.0, 0.0], "transition": transition.tolist(),
-           "reward": rng.standard_normal((3, 4)).tolist()}
+    env = _layered_env(rng)
     env_fields = {(key,): ("integer", 0, key == "horizon")
                   for key in ("n_states", "n_agents", "n_actions", "horizon")}
     env_fields[("gamma",)] = ("real", -0.5, False)

@@ -388,6 +388,11 @@ _BAD_API_OPTIONS = [
                                           log_every=2.5), "log_every"),
     ("steps-bool", lambda: gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1, steps=True),
      "steps"),
+    # integers that float() cannot hold
+    ("lr-huge-int", lambda: gd_run(lambda x: (0.0, x), np.ones(1), lr=10**400, steps=1),
+     "lr"),
+    ("vi-tol-huge-int", lambda: value_iteration(M2, tol=10**400), "tol"),
+    ("clip-huge-int", lambda: tad_run(TABLE1, sarl="clipped_pg", clip=10**400), "clip"),
 ]
 
 
@@ -808,6 +813,17 @@ def test_tad_refuses_unknown_options_for_every_learner():
         with pytest.raises(ValueError, match=rf"^unknown {sarl} options: \[") as info:
             tad_run(TABLE1, sarl=sarl, **bad)
         assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("sarl,solver", [
+    ("vi", "layered_optimal_values"), ("q_learning", "layered_q_learning"),
+    ("softmax_pg", "softmax_pg"), ("clipped_pg", "softmax_pg")])
+def test_tad_refuses_an_unknown_distillation_before_it_solves(monkeypatch, sarl, solver):
+    calls = []
+    monkeypatch.setattr(learners, solver, lambda *args, **options: calls.append(options))
+    with pytest.raises(ValueError, match="^unknown distillation 'bogus'$"):
+        tad_run(TABLE1, sarl=sarl, distill="bogus")
+    assert calls == []
 
 
 def test_clipped_pg_defaults_to_the_ppo_clip():
