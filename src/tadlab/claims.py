@@ -62,14 +62,16 @@ def pg_traps(seed=0):
 
 
 def vd_traps(seed=0):
-    """Claim 2: the constructed VD points are stationary, ball-certified
-    local minima, and descent from the suboptimal ones keeps their greedy
-    action.
+    """Claim 2: semi-gradient TD on the duplex (QPLEX) mixer has local minima
+    whose greedy actions are suboptimal.
 
-    All points are certified in one stacked pass, drawing from the seeded
-    generator as sequential one-point calls would, and the suboptimal ones
-    descend together as one batched run."""
-    tensor, points = construct_local_minima(3, 2, None)
+    The three points of `construct_local_minima(3, 2)` are each certified
+    stationary and a local minimum (no descent direction among seeded
+    samples of a ball), all in one stacked pass that draws from the seeded
+    generator as sequential one-point calls would; the two with suboptimal
+    greedy payoffs then descend together as one batched run, which must keep
+    their greedy actions."""
+    tensor, points = construct_local_minima(3, 2)
     game = matrix_game(tensor)
     best = tensor.max()
     template = points[0]

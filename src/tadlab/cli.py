@@ -79,6 +79,12 @@ _LEARNER_KEYS = {
     "mapg": {"kind", "lr", "steps", "log_every"},
     "vd": {"kind", "variant", "lr", "steps", "log_every"},
 }
+#: the keys each init mode takes
+_INIT_KEYS = {
+    "uniform": {"mode"},
+    "concentrated": {"mode", "target_joint_action", "scale"},
+    "file": {"mode", "file"},
+}
 
 
 def _load_config(path):
@@ -134,8 +140,11 @@ def _load_config(path):
     if not isinstance(init, dict):
         raise SchemaError("'init' must be an object")
     init = {"mode": "uniform", **init}
-    if init["mode"] not in ("uniform", "concentrated", "file"):
+    if not isinstance(init["mode"], str) or init["mode"] not in _INIT_KEYS:
         raise SchemaError(f"unknown init mode {init['mode']!r}")
+    extra = set(init) - _INIT_KEYS[init["mode"]]
+    if extra:
+        raise SchemaError(f"unknown init keys for {init['mode']}: {sorted(extra)}")
     if init["mode"] == "file" and not (isinstance(init.get("file"), str)
                                        and os.path.isfile(init["file"])):
         raise SchemaError(f"init file not found: {init.get('file')!r}")
@@ -152,8 +161,6 @@ def _load_config(path):
 
 
 def _resolve_env(spec):
-    if isinstance(spec, dict):
-        spec = spec.get("file")
     if not isinstance(spec, str):
         raise SchemaError("'env' must be a builtin name or a file path")
     if spec in builtin_names():

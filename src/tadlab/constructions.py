@@ -1,11 +1,13 @@
-"""Concrete games and counterexample constructions.
+"""Concrete games and the claim 2 counterexample.
 
 Built-in payoff tables are stored row-major with rows indexed by agent 0 and
-columns by agent 1. The counterexample side builds diagonal payoff tensors
-whose suffix means strictly undercut the next diagonal entry; fitting such a
-tensor under a prescribed greedy action pins the fit at the pooled suffix
-mean, which is what traps TD learners with decomposed values in suboptimal
-greedy policies.
+columns by agent 1; `builtin_game` looks each up by its one name in
+`builtin_names()`. The counterexample is a diagonal payoff tensor whose
+suffix means strictly undercut the next diagonal entry. Fitting it under
+greedy action (l, ..., l) pins the fit at the mean of the diagonal values
+from l on, and `construct_local_minima` writes down, in closed form, the
+duplex parameters of each such fit: stationary points of semi-gradient TD
+whose greedy policies are suboptimal.
 """
 
 from __future__ import annotations
@@ -124,28 +126,22 @@ def multitask_suite():
     )
 
 
+#: the built-in matrix games by name
+_BUILTIN_PAYOFFS = {"table1": TABLE1, "matgame2": MATGAME2,
+                    **{f"multitask_{i}": m for i, m in MULTITASK_MATRICES.items()}}
+
+
 def builtin_names():
-    return ["table1", "matgame2"] + [f"multitask_{i}" for i in range(1, 11)] + [
-        "multitask_suite"
-    ]
+    return [*_BUILTIN_PAYOFFS, "multitask_suite"]
 
 
 def builtin_game(name):
     """Built-in benchmark game by name (see builtin_names())."""
-    if name == "table1":
-        return matrix_game(TABLE1)
-    if name == "matgame2":
-        return matrix_game(MATGAME2)
     if name == "multitask_suite":
         return multitask_suite()
-    if name.startswith("multitask_"):
-        try:
-            idx = int(name.split("_", 1)[1])
-        except ValueError:
-            idx = None
-        if idx in MULTITASK_MATRICES:
-            return matrix_game(MULTITASK_MATRICES[idx])
-    raise ValueError(f"unknown builtin game {name!r}; known: {builtin_names()}")
+    if name not in _BUILTIN_PAYOFFS:
+        raise ValueError(f"unknown builtin game {name!r}; known: {builtin_names()}")
+    return matrix_game(_BUILTIN_PAYOFFS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -232,55 +228,28 @@ def restricted_minimizer(target, dist, a_star):
 # ---------------------------------------------------------------------------
 # construction of a payoff tensor together with its TD local minima
 
-def _duplex_first_max(target, n_agents, n_actions):
-    return duplex_decompose(target, int(np.argmax(target[0])), n_agents=n_agents)
+def construct_local_minima(k, n):
+    """The payoff tensor `undercut_diag_payoff(k, n)` and its k trap points
+    for semi-gradient TD on the duplex (QPLEX) mixer.
 
-
-def construct_local_minima(k, n, decomposer=None):
-    """Build a diagonal payoff tensor and the k trap points of the TD loss.
-
-    Round l reveals the l-1 diagonal entries fixed so far, masks the rest at
-    the running suffix mean, decomposes the masked table, and places the
-    next value at the cell the decomposition's local argmaxes point to. Each
-    returned parameter point decomposes the restricted minimizer for its own
-    greedy action, so the TD gradient vanishes there; all but the last have
+    With `values = undercut_diag_values(k)`, point l is `duplex_decompose`
+    at greedy action (l, ..., l) of the diagonal table that keeps values[:l]
+    and pools values[l:] at their mean. That table is the restricted
+    minimizer for this greedy action, so the TD gradient vanishes at the
+    point, and every agent has a strict local argmax at l. (l, ..., l) is
+    the pooled table's first maximizer: the values increase, so the kept
+    ones lie below the pooled mean, and the off-diagonal zeros lie below
+    every value (the smallest is 1). All points but the last have
     suboptimal greedy payoffs.
-
-    `decomposer(target_2d, n_agents, n_actions) -> VdParams` may be any
-    argmax-steering decomposition; the default is the duplex construction at
-    the first maximizing joint action.
     """
-    if k < 2 or n < 2:
-        raise ValueError("need k >= 2 actions and n >= 2 agents")
-    if decomposer is None:
-        decomposer = _duplex_first_max
+    tensor = undercut_diag_payoff(k, n)
     values = undercut_diag_values(k)
-    diag = np.zeros(k)
-    filled = np.zeros(k, dtype=bool)
     points = []
     for l in range(k):
-        masked = diag.copy()
-        masked[~filled] = values[l:].mean()
-        f = diag_tensor(masked, n).reshape(1, -1)
-        theta = decomposer(f, n, k)
-        picks = []
-        for i in range(n):
-            row = theta.q_local[i, 0]
-            top = np.flatnonzero(row >= row.max() - 1e-12)
-            if top.size != 1:
-                raise ValueError(
-                    f"decomposer produced {top.size} local argmaxes for agent {i}"
-                )
-            picks.append(int(top[0]))
-        if len(set(picks)) != 1:
-            raise ValueError(f"local argmaxes disagree across agents: {picks}")
-        j = picks[0]
-        if filled[j]:
-            raise ValueError(f"decomposer revisited diagonal cell {j}")
-        diag[j] = values[l]
-        filled[j] = True
-        points.append(theta)
-    return diag_tensor(diag, n), points
+        pooled = values.copy()
+        pooled[l:] = values[l:].mean()
+        points.append(duplex_decompose(diag_tensor(pooled, n).reshape(1, -1), (l,) * n))
+    return tensor, points
 
 
 # ---------------------------------------------------------------------------

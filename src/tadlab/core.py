@@ -32,8 +32,9 @@ import numpy as np
 PROB_TOL = 1e-12
 #: exact solvers refuse models with more state-action pairs than this
 SIZE_GUARD = 10**7
-#: policy iteration and the test oracle's value iteration give up after this
-#: many iterations (sweeps)
+#: the most iterations any loop runs: policy iteration and the test oracle's
+#: value iteration give up after this many, and `check_options` refuses a
+#: larger learner count (`steps`, `sweeps`, `log_every`)
 MAX_SWEEPS = 1_000_000
 #: the oracle's default advantage tolerance, for every exact solver
 ORACLE_TOL = 1e-10
@@ -627,21 +628,22 @@ def check_options(**options):
     integer-valued option (an integral float counts), a float for a
     real-valued one. ValueError names the first that is not a finite number
     within its `OPTION_BOUNDS`: booleans and strings are refused, so are
-    fractions where an integer is due, and a real-valued option that a
-    float cannot hold (an integer beyond the float range). An integer count
-    is kept exactly, whatever its size."""
+    fractions where an integer is due, a count above `MAX_SWEEPS`, and a
+    real-valued option that a float cannot hold (an integer beyond the
+    float range)."""
     checked = []
     for key, value in options.items():
         integral, low, closed = OPTION_BOUNDS[key]
-        exact = integral and isinstance(value, numbers.Integral) and not isinstance(value, bool)
         try:
-            number = int(value) if exact else _real(value)
+            number = _real(value)
         except (TypeError, OverflowError):
             number = math.nan
-        ok = exact or (math.isfinite(number) and (number.is_integer() or not integral))
-        if not (ok and (number >= low if closed else number > low)):
+        ok = math.isfinite(number) and (number.is_integer() or not integral)
+        if not (ok and (number >= low if closed else number > low)
+                and not (integral and number > MAX_SWEEPS)):
             kind = "an integer" if integral else "a number"
-            raise ValueError(f"{key!r} must be {kind} {'>=' if closed else '>'} {low}, "
+            cap = f" and <= {MAX_SWEEPS}" if integral else ""
+            raise ValueError(f"{key!r} must be {kind} {'>=' if closed else '>'} {low}{cap}, "
                              f"got {value!r}")
         checked.append(int(number) if integral else number)
     return checked

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tadlab.constructions import random_matrix_game
+from tadlab.constructions import diag_tensor, random_matrix_game, undercut_diag_values
 from tadlab.core import (
     MAX_SWEEPS,
     DecentralizedPolicySet,
@@ -14,6 +14,7 @@ from tadlab.core import (
     optimal_values,
     policy_slices,
 )
+from tadlab.learners import duplex_decompose
 from tadlab.transform import layer_backup, row_max, step_discount
 
 
@@ -471,3 +472,44 @@ def ne_count_bruteforce(k, trials, rng):
         game = random_matrix_game(k, 2, rng)
         total += len(pure_nash_enumerate(game))
     return total / trials
+
+
+def construct_local_minima_oracle(k, n):
+    """The trap points of `construct_local_minima` by search, one diagonal
+    cell per round.
+
+    Round l reveals the l diagonal values fixed so far, masks the rest at
+    the running suffix mean, decomposes the masked table with the duplex
+    construction at its first maximizing joint action, and places the next
+    value at the cell the decomposition's local argmaxes point to. Refuses
+    local argmaxes that tie, disagree across agents or revisit a cell.
+    """
+    if k < 2 or n < 2:
+        raise ValueError("need k >= 2 actions and n >= 2 agents")
+    values = undercut_diag_values(k)
+    diag = np.zeros(k)
+    filled = np.zeros(k, dtype=bool)
+    points = []
+    for l in range(k):
+        masked = diag.copy()
+        masked[~filled] = values[l:].mean()
+        f = diag_tensor(masked, n).reshape(1, -1)
+        theta = duplex_decompose(f, int(np.argmax(f[0])), n_agents=n)
+        picks = []
+        for i in range(n):
+            row = theta.q_local[i, 0]
+            top = np.flatnonzero(row >= row.max() - 1e-12)
+            if top.size != 1:
+                raise ValueError(
+                    f"decomposer produced {top.size} local argmaxes for agent {i}"
+                )
+            picks.append(int(top[0]))
+        if len(set(picks)) != 1:
+            raise ValueError(f"local argmaxes disagree across agents: {picks}")
+        j = picks[0]
+        if filled[j]:
+            raise ValueError(f"decomposer revisited diagonal cell {j}")
+        diag[j] = values[l]
+        filled[j] = True
+        points.append(theta)
+    return diag_tensor(diag, n), points

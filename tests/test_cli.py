@@ -171,6 +171,20 @@ def test_env_dump_unknown_exits_2():
     assert cli.main(["env", "dump", "mystery"]) == 2
 
 
+@pytest.mark.parametrize("name", ["multitask_01", "multitask_+1", "multitask_1_0",
+                                  "multitask_ 3"])
+def test_env_dump_refuses_other_spellings_of_a_builtin(capsys, name):
+    assert cli.main(["env", "dump", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown builtin game")
+    assert len(captured.err.splitlines()) == 1
+    assert cli.main(["env", "list"]) == 0
+    assert capsys.readouterr().out.split() == (
+        ["table1", "matgame2"] + [f"multitask_{i}" for i in range(1, 11)]
+        + ["multitask_suite"])
+
+
 def test_transform_report(capsys):
     assert cli.main(["transform", "report", "table1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -240,6 +254,11 @@ _BAD_FIELDS = [
     ("log-every-zero", _probe({"log_every": 0}), "'log_every'"),
     ("vd-steps-negative", _probe({"kind": "vd", "steps": -3}), "'steps'"),
     ("sweeps-zero", _probe({"kind": "tad", "sarl": "q_learning", "sweeps": 0}), "'sweeps'"),
+    ("sweeps-huge-int", _probe({"kind": "tad", "sarl": "q_learning", "sweeps": 10**38}),
+     "'sweeps'"),
+    ("steps-huge-int", _probe({"steps": 10**39}), "'steps'"),
+    ("tad-pg-steps-huge-int", _probe({"kind": "tad", "sarl": "softmax_pg", "steps": 10**39}),
+     "'steps'"),
     ("tol-zero", _probe({"kind": "tad", "sarl": "vi", "tol": 0.0}), "'tol'"),
     ("tol-huge-int", _probe({"kind": "tad", "sarl": "vi", "tol": int(_HUGE)}), "'tol'"),
     ("clip-negative", _probe({"kind": "tad", "sarl": "clipped_pg", "clip": -0.1}), "'clip'"),
@@ -278,6 +297,25 @@ def test_bad_config_fields_exit_2_with_one_line(tmp_path, capsys, config, fragme
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def test_each_init_mode_takes_only_its_own_keys(tmp_path, capsys):
+    init_path = tmp_path / "params.json"
+    init_path.write_text(json.dumps({"logits": np.zeros((2, 1, 3)).tolist()}))
+    file_init = {"mode": "file", "file": str(init_path)}
+    for init, stray in (
+            ({"mode": "concentrated", "target_joint_action": [1, 1], "scal": 50.0}, "scal"),
+            ({"mode": "uniform", "scale": 5.0}, "scale"),
+            ({**file_init, "target_joint_action": [1, 1]}, "target_joint_action")):
+        cfg = write_config(tmp_path / "cfg.json", _probe(init=init))
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown init keys") and len(err.splitlines()) == 1
+        assert repr(stray) in err
+        assert not (tmp_path / "out").exists()
+    # without the stray key the file init runs
+    cfg = write_config(tmp_path / "cfg.json", _probe(init=file_init))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_fills_the_defaults_that_configs_leave_out(tmp_path):
@@ -509,7 +547,7 @@ def test_env_with_no_actions_and_negative_agents_exits_2(tmp_path, capsys):
 #: mutations by field type; every one makes the field invalid
 _MUTATIONS = {
     "count": ("negative", "zero", "fraction", "bool", "string", "null", "nan", "inf",
-              "list"),
+              "list", "huge-int"),
     # env files take integers only; learner counts also take integral floats
     "integer": ("negative", "zero", "fraction", "float", "bool", "string", "null", "nan",
                 "inf", "list"),
@@ -632,7 +670,12 @@ def _fuzz_cases(rng):
         for key, values in (("env", ("table2", 5, None, [], {"file": 5})),
                             ("learner", ("mapg", None, {})),
                             ("init", ("uniform", [], {"mode": "random"},
-                                      {"mode": "file", "file": 3}, {"mode": "file"})),
+                                      {"mode": "file", "file": 3}, {"mode": "file"},
+                                      {**concentrated, "scal": 50.0},
+                                      {"mode": "uniform", "scale": 5.0},
+                                      # an existing file: the stray key is refused
+                                      {"mode": "file", "file": __file__,
+                                       "target_joint_action": [1, 1]})),
                             ("outputs", ("trace", ["trace", 1], ["plots"], None)),
                             ("distill", ("soft", ["kl"], None))):
             for value in values:

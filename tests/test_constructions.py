@@ -25,7 +25,6 @@ from tadlab.constructions import (
     undercut_recurrence,
 )
 from tadlab.core import matrix_game
-from tadlab.learners import duplex_decompose
 
 # regression pins on the built-in tables; any edit to the payoffs trips these
 GOLDEN_REWARD_SHA = {
@@ -124,7 +123,12 @@ def test_undercut_diag_payoff_shape():
 # ---------------------------------------------------------------------------
 # restricted minimizer
 
-from oracles import fit_loss, level_scan_oracle, pure_nash_enumerate
+from oracles import (
+    construct_local_minima_oracle,
+    fit_loss,
+    level_scan_oracle,
+    pure_nash_enumerate,
+)
 
 
 def test_restricted_minimizer_matgame2():
@@ -220,27 +224,19 @@ def test_construct_local_minima_three_agents():
         assert np.linalg.norm(grad.pack()) < 1e-8
 
 
-def test_construct_local_minima_custom_decomposer_permutes():
-    def last_max(target, n_agents, n_actions):
-        row = target[0]
-        code = int(np.flatnonzero(row >= row.max() - 1e-12)[-1])
-        return duplex_decompose(target, code, n_agents=n_agents)
-
-    tensor, points = construct_local_minima(3, 2, last_max)
-    diag = np.diagonal(tensor)
-    # last-max tie-break reveals cells from the high end
-    assert np.array_equal(diag, undercut_diag_values(3)[::-1])
-    assert sorted(np.diagonal(tensor)) == sorted(undercut_diag_values(3).tolist())
+#: every (k, n) with 2 <= k <= 6, 2 <= n <= 4 and at most 5000 joint actions
+_TRAP_SIZES = [(k, n) for k in range(2, 7) for n in range(2, 5) if k**n <= 5000]
 
 
-def test_construct_local_minima_rejects_tied_decomposer():
-    from tadlab.learners import VdParams
-
-    def flat_decomposer(target, n_agents, n_actions):
-        return VdParams("duplex", np.zeros((n_agents, 1, n_actions)))
-
-    with pytest.raises(ValueError, match="argmax"):
-        construct_local_minima(3, 2, flat_decomposer)
+@pytest.mark.parametrize("k,n", _TRAP_SIZES)
+def test_construct_local_minima_matches_the_search_bit_for_bit(k, n):
+    tensor, points = construct_local_minima(k, n)
+    want_tensor, want_points = construct_local_minima_oracle(k, n)
+    assert tensor.tobytes() == want_tensor.tobytes()
+    assert len(points) == len(want_points) == k
+    for got, want in zip(points, want_points):
+        assert got.q_local.tobytes() == want.q_local.tobytes()
+        assert got.lam_raw.tobytes() == want.lam_raw.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -120,11 +120,11 @@ def test_greedy_play_through_codes_matches_per_agent_tables():
 
 
 def test_check_options_normalizes_counts_to_int_and_reals_to_float():
-    from tadlab.core import check_options
+    from tadlab.core import MAX_SWEEPS, check_options
 
     got = check_options(lr=2, steps=800.0, clip=np.float64(0.2), log_every=np.int64(3),
-                        sweeps=10**400)
-    assert got == [2.0, 800, 0.2, 3, 10**400]
+                        sweeps=MAX_SWEEPS)
+    assert got == [2.0, 800, 0.2, 3, MAX_SWEEPS]
     assert [type(v) for v in got] == [float, int, float, int, int]
 
 

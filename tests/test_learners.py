@@ -41,6 +41,7 @@ from tadlab.constructions import (
     undercut_diag_payoff,
 )
 from tadlab.core import (
+    MAX_SWEEPS,
     Mdp,
     Mmdp,
     bellman_backup,
@@ -393,6 +394,10 @@ _BAD_API_OPTIONS = [
      "lr"),
     ("vi-tol-huge-int", lambda: value_iteration(M2, tol=10**400), "tol"),
     ("clip-huge-int", lambda: tad_run(TABLE1, sarl="clipped_pg", clip=10**400), "clip"),
+    # counts above MAX_SWEEPS; a 400-digit count would never finish
+    ("sweeps-huge-int", lambda: tad_run(TABLE1, sarl="q_learning", sweeps=10**400), "sweeps"),
+    ("steps-above-cap", lambda: gd_run(lambda x: (0.0, x), np.ones(1), lr=0.1,
+                                       steps=MAX_SWEEPS + 1), "steps"),
 ]
 
 
