@@ -72,6 +72,7 @@ from .constructions import (
     undercut_recurrence,
 )
 from .analysis import (
+    duplex_trap_certificate,
     grad_check,
     local_min_certificate,
     ne_count_exact,

@@ -1,11 +1,14 @@
-"""Executable certificates: gradient checks, stationarity, local minimality,
+"""Executable certificates: gradient checks, stationarity, local minimality
+(exact on one-step value-decomposition points, by ball sampling otherwise),
 suboptimality gaps, and equilibrium statistics for random games."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .constructions import restricted_minimizer
 from .core import brute_force_optimal, evaluate_policy, row_norms
+from .learners import uniform_dist, vd_objective
 
 
 #: central finite-difference step of `grad_check`
@@ -36,10 +39,8 @@ def stationarity_certificate(loss_and_grad, theta, tol):
     return norm < tol, norm
 
 
-#: ball samples evaluated per stacked call; 256 samples of d parameters
-#: take 2 KiB * d, so the stacks stay far below 1 MB at the sizes tested
-_CHUNK = 256
-#: loss drop below which a ball sample does not count as an escape
+#: loss drop below which a ball sample does not count as an escape, and the
+#: excess below which `duplex_trap_certificate` certifies a local minimum
 SLACK = 1e-9
 #: Monte-Carlo games drawn per array in `ne_count_expectation`
 _NE_BATCH = 20000
@@ -51,57 +52,46 @@ def local_min_certificate(loss_and_grad, theta, radius, samples, rng):
     True when no sampled perturbation within `radius` (in raw parameter
     coordinates, where gradient descent moves) drops the loss by more than
     `SLACK`. A False is a certified escape direction; a True is evidence at
-    the stated sample count, not a proof.
-
-    A [K, d] `theta` certifies K points and returns K bools. Then
-    `loss_and_grad` must accept a [m, d] stack and return m losses, each
-    from its own row alone. The points are handled in order; each draws its
-    samples from `rng` in the same calls and order as a flat `theta` would,
-    and stops drawing at its first escaping sample, so K points cost the
-    generator what K sequential calls on it would.
+    the stated sample count, not a proof. The `samples` directions and radii
+    are drawn in one call each; the points are evaluated one by one.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(rng)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 2:
-        def losses(xs):
-            return np.reshape(loss_and_grad(xs)[0], len(xs))
-        points = theta
-    else:
-        def losses(xs):
-            return np.array([loss_and_grad(x)[0] for x in xs])
-        points = theta.ravel()[None]
-    held = [_ball_holds(losses, x, base, radius, samples, rng)
-            for x, base in zip(points, losses(points))]
-    return np.array(held) if theta.ndim == 2 else held[0]
+    theta = np.asarray(theta, dtype=float).ravel()
+    dirs = rng.standard_normal((samples, theta.size))
+    r = radius * rng.random(samples) ** (1.0 / theta.size)
+    xs = theta + (r / row_norms(dirs))[:, None] * dirs
+    base = loss_and_grad(theta)[0]
+    return all(loss_and_grad(x)[0] >= base - SLACK for x in xs)
 
 
-def _ball_holds(losses, theta, base, radius, samples, rng):
-    """No escape among `samples` ball points around one theta; evaluated
-    `_CHUNK` at a time, drawn one sample at a time."""
-    for start in range(0, samples, _CHUNK):
-        state = rng.bit_generator.state
-        xs = _ball_points(theta, radius, min(_CHUNK, samples - start), rng)
-        escaped = np.flatnonzero(losses(xs) < base - SLACK)
-        if escaped.size:
-            # leave the generator where a one-by-one search would stop
-            rng.bit_generator.state = state
-            _ball_points(theta, radius, escaped[0] + 1, rng)
-            return False
-    return True
+def duplex_trap_certificate(params, model):
+    """Exact local-minimality certificate of value-decomposition `params` on
+    a one-step model: (margin, radius, excess).
 
-
-def _ball_points(theta, radius, m, rng):
-    """m uniform points in the radius ball around theta, one
-    standard_normal(d) and one random() draw per point."""
-    d = theta.size
-    dirs = np.empty((m, d))
-    r = np.empty(m)
-    for j in range(m):
-        dirs[j] = rng.standard_normal(d)
-        r[j] = radius * rng.random() ** (1.0 / d)
-    return theta + r[:, None] * (dirs / row_norms(dirs)[:, None])
+    The margin m is the smallest gap between an agent's best and
+    second-best local value. Every point whose local values lie within
+    radius m / 2 of `params`' (sup norm), whatever its mixer parameters,
+    keeps each agent's argmax, so its mixed table has the greedy action a*
+    among its argmaxes: vdn sums the local values, monotonic weights them
+    positively, and each duplex advantage term is <= 0 and 0 at a*. Its
+    uniform-dist TD loss is then at least the least-squares floor of
+    `restricted_minimizer` at a*. `excess` is the loss at `params` minus
+    that floor, so with m > 0 `params` is a local minimum up to `excess` on
+    that whole cylinder.
+    """
+    if model.horizon != 1:
+        raise ValueError(f"the certificate needs a one-step model, not horizon {model.horizon}")
+    top = np.sort(params.q_local, axis=-1)
+    margin = float((top[..., -1] - top[..., -2]).min())
+    fit = np.stack([restricted_minimizer(row, None, code)
+                    for row, code in zip(model.reward, params.greedy_joint())])
+    floor = 0.5 * np.sum(uniform_dist(model) * (fit - model.reward) ** 2)
+    loss = vd_objective(params, model)(params.pack())[0]
+    return margin, margin / 2, float(loss - floor)
 
 
 def suboptimality_gap(model, policy):

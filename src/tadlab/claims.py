@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import local_min_certificate, stationarity_certificate, suboptimality_gap
+from .analysis import SLACK, duplex_trap_certificate, stationarity_certificate, suboptimality_gap
 from .constructions import builtin_game, builtin_names, construct_local_minima, random_mmdp
 from .core import (
     CoordinationPolicy,
@@ -66,19 +66,19 @@ def vd_traps(seed=0):
     whose greedy actions are suboptimal.
 
     The three points of `construct_local_minima(3, 2)` are each certified
-    stationary and a local minimum (no descent direction among seeded
-    samples of a ball), all in one stacked pass that draws from the seeded
-    generator as sequential one-point calls would; the two with suboptimal
-    greedy payoffs then descend together as one batched run, which must keep
-    their greedy actions."""
+    stationary and, by `duplex_trap_certificate`, a local minimum on the
+    cylinder of half their local-value margin, up to an excess loss of at
+    most `SLACK`; the two with suboptimal greedy payoffs then descend
+    together as one batched run, which must keep their greedy actions.
+    Nothing is drawn, so the seed is unused."""
     tensor, points = construct_local_minima(3, 2)
     game = matrix_game(tensor)
     best = tensor.max()
     template = points[0]
     loss_fn = vd_objective(template, game)
     thetas = np.stack([theta.pack() for theta in points])
-    local = local_min_certificate(loss_fn, thetas, radius=0.02, samples=10000,
-                                  rng=np.random.default_rng(seed))
+    margins, radii, excess = np.array([duplex_trap_certificate(p, game) for p in points]).T
+    local = (margins > 0) & (excess <= SLACK)
     greedy = template.unpack_like(thetas).greedy_joint()[:, 0]
     payoffs = tensor.reshape(-1)[greedy]
     trapped = np.flatnonzero(payoffs < best)
@@ -90,13 +90,15 @@ def vd_traps(seed=0):
     for idx, (stat_ok, norm) in enumerate(stationary):
         checks.append((f"point {idx} stationary", stat_ok, f"grad norm {norm:.3e}"))
         checks.append((f"point {idx} local minimum", bool(local[idx]),
-                       "no descent direction in 10^4 ball samples (radius 0.02)"))
+                       f"local-value margin {margins[idx]:.3g}, loss excess "
+                       f"{excess[idx]:.3e} on the cylinder of radius {radii[idx]:.3g}"))
         if idx in retained:
             checks.append((f"point {idx} retains suboptimal greedy", retained[idx],
                            f"greedy payoff {payoffs[idx]} < optimum {best}"))
     return ClaimRecord(tuple(checks), {
         "grad_norms": np.array([norm for _, norm in stationary]),
-        "local_min": local, "trapped": trapped, "kept": kept,
+        "local_min": local, "margins": margins, "excess": excess,
+        "trapped": trapped, "kept": kept,
     })
 
 

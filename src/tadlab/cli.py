@@ -91,7 +91,8 @@ def _load_config(path):
     """The config at `path`, checked against the schema and resolved: the
     returned copy has every default that needs no model filled in, so
     `_execute` reads fields, not defaults. That is the top-level `init`
-    (with `mode` "uniform"), `distill` and `outputs`; the learner's `sarl`
+    (with `mode` "uniform"; refused on a tad learner, which starts from no
+    params), `distill` and `outputs`; the learner's `sarl`
     ("vi") or `variant` ("vdn"); a tad learner's absent options, and a null
     `clip`, from `SARL_OPTIONS`; and every numeric option as
     `check_options` normalizes it. Raises SchemaError on the first fault."""
@@ -136,6 +137,8 @@ def _load_config(path):
         learner.update(zip(options, check_options(**options)))
     except ValueError as exc:
         raise SchemaError(f"learner {exc}") from exc
+    if kind == "tad" and "init" in config:
+        raise SchemaError("a tad learner takes no 'init'")
     init = config.get("init", {})
     if not isinstance(init, dict):
         raise SchemaError("'init' must be an object")

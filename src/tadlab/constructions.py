@@ -204,8 +204,8 @@ def restricted_minimizer(target, dist, a_star):
         w = np.asarray(dist, dtype=float).ravel()
         if w.shape != flat.shape:
             raise ValueError(f"dist shape {np.shape(dist)} != target shape {shape}")
-        if np.any(w <= 0):
-            raise ValueError("dist must have full support")
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            raise ValueError("dist must be finite with full support")
         w = w / w.sum()
     if isinstance(a_star, (tuple, list, np.ndarray)):
         code = joint_code(a_star, shape[-1])

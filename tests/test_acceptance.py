@@ -76,7 +76,7 @@ def test_criterion_2_value_decomposition_traps():
     elapsed = time.perf_counter() - start
     report(
         2, ok,
-        f"3 stationary points (max grad norm {norms.max():.2e}), ball-certified "
+        f"3 stationary points (max grad norm {norms.max():.2e}), cylinder-certified "
         f"minima, {retained}/2 suboptimal points retained",
         elapsed, 30.0,
     )

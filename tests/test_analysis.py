@@ -4,6 +4,9 @@ import pytest
 from tadlab import (
     DeterministicJointPolicy,
     MapgParams,
+    VdParams,
+    duplex_decompose,
+    duplex_trap_certificate,
     evaluate_policy,
     grad_check,
     local_min_certificate,
@@ -12,8 +15,17 @@ from tadlab import (
     ne_count_expectation,
     stationarity_certificate,
     suboptimality_gap,
+    vd_objective,
 )
-from tadlab.constructions import builtin_game, random_mmdp
+from tadlab import claims
+from tadlab.analysis import SLACK
+from tadlab.constructions import (
+    builtin_game,
+    construct_local_minima,
+    random_mmdp,
+    restricted_minimizer,
+)
+from tadlab.core import matrix_game
 from oracles import ne_count_bruteforce, pure_nash_enumerate
 
 TABLE1 = builtin_game("table1")
@@ -62,6 +74,12 @@ def test_local_min_certificate_finds_escape_at_large_radius():
     ok = local_min_certificate(mapg_objective(params, TABLE1), params.pack(),
                                radius=10.0, samples=2000, rng=3)
     assert not ok
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_local_min_certificate_rejects_no_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        local_min_certificate(quadratic, np.zeros(3), radius=1.0, samples=samples, rng=0)
 
 
 def test_suboptimality_gaps_on_builtin_games():
@@ -125,41 +143,109 @@ def test_ne_count_rejects_no_trials():
         ne_count_expectation(3, 0, rng=0)
 
 
-def ring_objective(x):
-    """Flat inside radius 0.019975, falling outside: about one ball sample
-    in 400 escapes a radius-0.02 ball around the origin."""
-    return -np.maximum(0.0, np.linalg.norm(x, axis=-1) - 0.019975), None
+# ---------------------------------------------------------------------------
+# the exact trap certificate of value-decomposition points on one-step games
+
+#: every (k, n) of the trap construction's oracle test
+_TRAP_SIZES = [(k, n) for k in range(2, 7) for n in range(2, 5) if k**n <= 5000]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_stacked_local_min_certificate_matches_sequential_calls(seed):
-    points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    stacked_rng = np.random.default_rng(seed)
-    stacked = local_min_certificate(ring_objective, points, radius=0.02,
-                                    samples=1000, rng=stacked_rng)
-    rng = np.random.default_rng(seed)
-    sequential = [local_min_certificate(ring_objective, p, radius=0.02,
-                                        samples=1000, rng=rng) for p in points]
-    assert stacked.tolist() == sequential
-    assert not sequential[2]
-    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+@pytest.mark.parametrize("k,n", _TRAP_SIZES)
+def test_trap_certificate_holds_at_every_constructed_point(k, n):
+    tensor, points = construct_local_minima(k, n)
+    game = matrix_game(tensor)
+    for params in points:
+        margin, radius, excess = duplex_trap_certificate(params, game)
+        assert margin == 1.0 and radius == 0.5
+        assert abs(excess) <= (1e-12 if (k, n) == (3, 2) else 1e-11)
 
 
-def test_stacked_certificate_finds_escapes_past_the_first_chunk():
-    # seeds whose first escape lands after sample 256 exercise the rewind
-    late = 0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        held = local_min_certificate(ring_objective, np.zeros((1, 2)), radius=0.02,
-                                     samples=1000, rng=rng)
-        ref = np.random.default_rng(seed)
-        for drawn in range(1, 1001):
-            ref.standard_normal(2)  # the direction
-            r = 0.02 * ref.random() ** 0.5
-            if r > 0.019975 + 1e-9:
-                break
-        assert held[0] == (r <= 0.019975 + 1e-9)
-        if not held[0]:
-            assert rng.bit_generator.state == ref.bit_generator.state
-            late += drawn > 256
-    assert late > 0
+def _tie_first_agent(params):
+    """`params` with agent 0's runner-up local value raised to its best."""
+    q = params.q_local.copy()
+    best = q[0, 0].argmax()
+    q[0, 0, (best + 1) % q.shape[-1]] = q[0, 0, best]
+    return VdParams("duplex", q, lam_raw=params.lam_raw)
+
+
+def test_trap_certificate_fails_when_an_agent_ties(monkeypatch):
+    tensor, points = construct_local_minima(3, 2)
+    tied = [_tie_first_agent(points[0])] + points[1:]
+    margin, radius, excess = duplex_trap_certificate(tied[0], matrix_game(tensor))
+    assert margin == 0.0 and radius == 0.0 and excess > 0.4
+    monkeypatch.setattr(claims, "construct_local_minima", lambda k, n: (tensor, tied))
+    record = claims.vd_traps()
+    assert not record.ok
+    assert dict((label, ok) for label, ok, _ in record.checks)["point 0 local minimum"] is False
+    assert record.numbers["local_min"].tolist() == [False, True, True]
+
+
+def _cylinder_points(params, radius, count, rng):
+    """`count` packed points whose local values lie within `radius` of
+    `params`' (sup norm), each with a fresh N(0, 25) mixer array."""
+    q = params.q_local + radius * rng.uniform(-1.0, 1.0, (count,) + params.q_local.shape)
+    mix = None if params.mix is None else 5.0 * rng.standard_normal((count,) + params.mix.shape)
+    return VdParams(params.variant, q, w_raw=mix if params.variant == "monotonic" else None,
+                    lam_raw=mix if params.variant == "duplex" else None).pack()
+
+
+#: a three-state one-step model and one greedy joint code per state
+_ONE_STEP = random_mmdp(3, 2, 3, gamma=0.9, rng=5, horizon=1)
+_CODES = np.array([4, 0, 7])
+
+
+def _decomposed_point():
+    """Duplex params whose table is each state's restricted minimizer of
+    `_ONE_STEP` at its code in `_CODES`."""
+    fit = np.stack([restricted_minimizer(row, None, code)
+                    for row, code in zip(_ONE_STEP.reward, _CODES)])
+    return duplex_decompose(fit, _CODES, 2)
+
+
+def test_trap_certificate_floors_each_state_on_its_own():
+    params = _decomposed_point()
+    assert params.greedy_joint().tolist() == _CODES.tolist()
+    margin, radius, excess = duplex_trap_certificate(params, _ONE_STEP)
+    assert margin == 1.0 and radius == 0.5 and abs(excess) <= 1e-12
+
+
+def _sampled_models():
+    """(params, one-step model): claim 2's points, the decomposed
+    three-state point, then a random point of each mixer."""
+    tensor, points = construct_local_minima(3, 2)
+    for params in points:
+        yield params, matrix_game(tensor)
+    yield _decomposed_point(), _ONE_STEP
+    for i, variant in enumerate(("vdn", "monotonic", "duplex")):
+        yield VdParams.random(variant, 2, 3, 3, rng=i, scale=2.0), _ONE_STEP
+
+
+def test_no_point_inside_the_cylinder_beats_the_floor():
+    # the certificate's theorem, sampled: any local values within the radius
+    # and any mixer parameters give a loss at least the point's loss less
+    # the excess
+    rng = np.random.default_rng(11)
+    for params, model in _sampled_models():
+        margin, radius, excess = duplex_trap_certificate(params, model)
+        assert margin > 0
+        f = vd_objective(params, model)
+        floor = f(params.pack())[0] - excess
+        losses = f(_cylinder_points(params, radius, 2000, rng))[0]
+        assert losses.min() >= floor - 1e-12
+
+
+def test_ball_sampler_agrees_at_each_claim_point():
+    tensor, points = construct_local_minima(3, 2)
+    game = matrix_game(tensor)
+    for seed, params in enumerate(points):
+        margin, _, excess = duplex_trap_certificate(params, game)
+        assert margin > 0 and excess <= SLACK
+        assert local_min_certificate(vd_objective(params, game), params.pack(),
+                                     radius=0.02, samples=2000, rng=seed)
+
+
+def test_trap_certificate_refuses_episodic_models(partly_reached_models):
+    layered = partly_reached_models[0]
+    params = VdParams.zeros("duplex", 2, layered.n_states, 2)
+    with pytest.raises(ValueError, match="one-step"):
+        duplex_trap_certificate(params, layered)

@@ -16,7 +16,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 VERIFY_STDOUT_SHA256 = {
     "1": "93d39c57bb5c101ee83aae3d7d7e676b08f4bbb6e3f88a5ab9db36aa803a5479",
-    "2": "d8f3db0f0fdf6cca8996b3736903718890370c7906e7c21219e905abbd90ad1f",
+    "2": "960ad9c270660a77e2995987fb9a6001707457f4bde64838f7ff124c5a024207",
     "3": "1575ec840fe80c69256d09ccdb5074a41d91c9745c2dfd36c653d29c9e4e8d08",
     "4": "777302d70558751218b93d56d215ad7ab203d032b052f1ef6cab38607c947332",
 }

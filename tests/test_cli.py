@@ -268,6 +268,13 @@ _BAD_FIELDS = [
     ("init-file-missing", _probe(init={"mode": "file", "file": "no/such/params.json"}),
      "init file not found"),
     ("init-file-absent", _probe(init={"mode": "file"}), "init file not found"),
+    ("tad-init-concentrated",
+     _probe({"kind": "tad"}, init={"mode": "concentrated", "target_joint_action": [9, 9],
+                                   "scale": "big"}),
+     "takes no 'init'"),
+    # an existing file that holds no params: the init is refused before it is read
+    ("tad-init-file", _probe({"kind": "tad"}, init={"mode": "file", "file": __file__}),
+     "takes no 'init'"),
     ("outputs-string", _probe(outputs="trace"), "'outputs'"),
     ("kind-list", _probe({"kind": ["mapg"]}), "learner kind"),
     ("target-out-of-range",

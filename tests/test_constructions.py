@@ -188,6 +188,12 @@ def test_restricted_minimizer_rejects_bad_dist():
         restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 0, 1, 1]), (1, 1))
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_restricted_minimizer_rejects_non_finite_dist(weight):
+    with pytest.raises(ValueError, match="finite"):
+        restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 1, 1, weight]), (1, 1))
+
+
 # ---------------------------------------------------------------------------
 # trap construction
 
