@@ -243,7 +243,10 @@ def _execute(config, seed, out_dir):
     """Run one config as `_load_config` resolves it at `seed`, write its
     outputs to `out_dir`, and return the summary dict. Only the mapg and vd
     defaults that need the model are set here: `lr` (0.05 on a one-step
-    model, else 0.01), `steps` (20000) and `log_every` (max(1, steps // 200))."""
+    model, else 0.01), `steps` (20000) and `log_every` (max(1, steps // 200)).
+    `out_dir` and its missing parents are made once the config is checked,
+    before the learner runs (an OSError there is a SchemaError), and removed
+    again if the learner fails."""
     model, env_name = _resolve_env(config["env"])
     if model.n_states * model.n_joint_actions > SIZE_GUARD:
         raise SizeGuardError(
@@ -253,27 +256,40 @@ def _execute(config, seed, out_dir):
     learner = config["learner"]
     certificates = {}
     if learner["kind"] == "tad":
-        resolved = {**learner, "distill": config["distill"]}
         try:
             step_discount(model)
         except ValueError as exc:
             raise SchemaError(f"the tad learner cannot run on {env_name}: {exc}") from exc
-        policies, trace = tad_run(model, seed=seed, **{
-            key: value for key, value in resolved.items() if key != "kind"})
     else:
-        steps = learner.get("steps", 20000)
-        resolved = {"lr": 0.05 if model.horizon == 1 else 0.01,
-                    "log_every": max(1, steps // 200), **learner, "steps": steps}
-        mapg = learner["kind"] == "mapg"
-        params, trace = (run_mapg if mapg else run_vd)(
-            model, _init_params(config["init"], learner, model), lr=resolved["lr"],
-            steps=steps, log_every=resolved["log_every"])
-        policies = params.policies() if mapg else DecentralizedPolicySet.deterministic(
-            np.argmax(params.q_local, axis=2), model.n_actions)
-        # the descent logs its last step, at the returned params
-        norm = trace.grad_norm[-1]
-        certificates["stationarity"] = {"ok": norm < STATIONARITY_TOL, "grad_norm": norm,
-                                        "tol": STATIONARITY_TOL}
+        init = _init_params(config["init"], learner, model)
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot create the output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+    try:
+        if learner["kind"] == "tad":
+            resolved = {**learner, "distill": config["distill"]}
+            policies, trace = tad_run(model, seed=seed, **{
+                key: value for key, value in resolved.items() if key != "kind"})
+        else:
+            steps = learner.get("steps", 20000)
+            resolved = {"lr": 0.05 if model.horizon == 1 else 0.01,
+                        "log_every": max(1, steps // 200), **learner, "steps": steps}
+            mapg = learner["kind"] == "mapg"
+            params, trace = (run_mapg if mapg else run_vd)(
+                model, init, lr=resolved["lr"], steps=steps, log_every=resolved["log_every"])
+            policies = params.policies() if mapg else DecentralizedPolicySet.deterministic(
+                np.argmax(params.q_local, axis=2), model.n_actions)
+            # the descent logs its last step, at the returned params
+            norm = trace.grad_norm[-1]
+            certificates["stationarity"] = {"ok": norm < STATIONARITY_TOL, "grad_norm": norm,
+                                            "tol": STATIONARITY_TOL}
+    except BaseException:
+        for path in created:
+            path.rmdir()
+        raise
 
     final_return = evaluate_policy(model, policies)
     saved = {"type": "decentralized", "tables": policies.tables.tolist()}
@@ -294,8 +310,6 @@ def _execute(config, seed, out_dir):
         # value-iteration name so that summaries stay byte-identical
         "tolerances": {"oracle_vi_tol": ORACLE_TOL, "stationarity_tol": STATIONARITY_TOL},
     }
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "policy.json", "w") as fh:
         json.dump(saved, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -310,7 +324,7 @@ def _execute(config, seed, out_dir):
 
 def cmd_run(args):
     try:
-        summary = _execute(_load_config(args.config), args.seed, args.out)
+        summary = _execute(_load_config(args.config), args.seed, Path(args.out))
     except (SchemaError, SizeGuardError, GdDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
@@ -322,10 +336,6 @@ def cmd_run(args):
 # claim verification
 
 def cmd_verify(args):
-    if args.seed < 0:
-        print(f"error: --seed must be a non-negative integer, got {args.seed}",
-              file=sys.stderr)
-        return 2
     title, claim = CLAIMS[args.claim]
     print(f"claim {args.claim}: {title}")
     record = claim(seed=args.seed)
@@ -398,6 +408,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}",
+              file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

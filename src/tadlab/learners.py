@@ -88,9 +88,9 @@ class GdDivergenceError(RuntimeError):
 
 
 def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -202,7 +202,9 @@ class VdParams:
 
     def joint_table(self):
         """Mixed joint values [..., n_states, n_actions**n_agents]."""
-        return _vd_mix(self.variant, self.q_local, self.mix)[0]
+        picked = _picked(self.q_local, _agent_axis(*self.q_local.shape[-3:])[0])
+        mix = self.w_raw[..., None] if self.variant == "monotonic" else self.lam_raw
+        return _vd_mix(self.variant, self.q_local, picked, mix)[0]
 
     def greedy_joint(self):
         """Per-state joint code composed from local argmaxes (ties: lowest index)."""
@@ -226,7 +228,9 @@ class VdParams:
 
     def unpack_like(self, vec):
         """Params of this point's shape from a flat [d] vector or a [K, d] stack."""
-        q_local, mix = _vd_views(np.asarray(vec, dtype=float), *self.point_shapes())
+        vec = np.asarray(vec, dtype=float)
+        batch, (point, mix) = vec.shape[:-1], self.point_shapes()
+        q_local, mix = _vd_views(vec, math.prod(point), batch + point, mix and batch + mix)
         return VdParams(self.variant, q_local,
                         *((mix, None) if self.variant == "monotonic" else (None, mix)))
 
@@ -318,16 +322,15 @@ def _agent_axis(n_agents, n_states, n_actions):
     return flat, masks, others
 
 
-def _picked(tables):
+def _picked(tables, flat):
     """Every agent's table read at its digit of each joint action, in one
-    gather: [..., n, S, M] from [..., n, S, A].
+    gather through `_agent_axis`'s `flat`: [..., n, S, M] from [..., n, S, A].
 
     `take` returns a C-ordered array whatever the strides of `tables`
     (fancy indexing need not), so the agent reductions downstream run along
     the same memory layout for every replica and batch size, which keeps a
     replica's bits independent of the batch.
     """
-    flat = _agent_axis(*tables.shape[-3:])[0]
     return tables.reshape(tables.shape[:-3] + (-1,)).take(flat, axis=-1)
 
 
@@ -339,15 +342,15 @@ def product_policy_value_and_grad(model, tables):
     occupancy-weighted action value of agent i playing b while the others
     follow their tables.
     """
-    _, masks, index = _agent_axis(*tables.shape[-3:])
-    picked = _picked(tables)
-    value, slices = policy_slices(model, picked.prod(axis=-3))
+    flat, masks, index = _agent_axis(*tables.shape[-3:])
+    picked = _picked(tables, flat)
+    value, slices = policy_slices(model, np.multiply.reduce(picked, axis=-3))
     # products over axis -3 multiply the agents left to right; `take` gives
     # the other agents' factors as a C-ordered copy, so the matmul below
     # reads the same layout at every K
     others = picked.take(index, axis=-3)
     if index.ndim == 2:
-        others = others.prod(axis=-3)
+        others = np.multiply.reduce(others, axis=-3)
     # 0.0 + first term: the bits (signed zeros too) of a zeros buffer += term
     grad = 0.0
     for d_t, q_t in slices:
@@ -370,7 +373,7 @@ def mapg_objective(template, model):
     def f(x):
         tables = softmax(x.reshape(x.shape[:-1] + shape))
         value, pol_grad = product_policy_value_and_grad(model, tables)
-        inner = (tables * pol_grad).sum(axis=-1, keepdims=True)
+        inner = np.add.reduce(tables * pol_grad, axis=-1, keepdims=True)
         return -value, -(tables * (pol_grad - inner)).reshape(x.shape)
 
     return f
@@ -397,35 +400,33 @@ def _check_dist(dist, model):
     return dist
 
 
-def _vd_views(vec, point, mix_shape):
-    """(q_local, mixer array) views of a flat [d] vector or a [K, d] stack,
-    in per-replica shapes `point` and `mix_shape` (None for vdn). Each is a
-    last-axis slice split into axes, which needs no copy in either layout."""
-    batch, nq = vec.shape[:-1], math.prod(point)
-    q_local = vec[..., :nq].reshape(batch + point)
-    if mix_shape is None:
-        return q_local, None
-    return q_local, vec[..., nq:].reshape(batch + mix_shape)
+def _vd_views(vec, nq, q_shape, mix_shape):
+    """(q_local, mixer array) views of a flat [d] vector or a [K, d] stack:
+    its first `nq` entries in `q_shape`, the rest in `mix_shape` (None for
+    vdn), leading axes included. Each is a last-axis slice split into axes,
+    which needs no copy in either layout."""
+    return vec[..., :nq].reshape(q_shape), mix_shape and vec[..., nq:].reshape(mix_shape)
 
 
-def _vd_mix(variant, q_local, mix):
-    """Mixed joint table [..., S, M] from local tables [..., n, S, A] and the
-    mixer's raw parameters (None, w_raw or lam_raw), plus the per-agent
-    terms its gradient reuses: the picked tables and, for monotonic, the
-    weights exp(w_raw) [..., n, S, 1]; for duplex the advantages and their
-    weights exp(lam_raw). Agents are summed over axis -3, in agent order."""
-    picked = _picked(q_local)
+def _vd_mix(variant, q_local, picked, mix):
+    """Mixed joint table [..., S, M] from local tables [..., n, S, A], their
+    picked values [..., n, S, M] and the mixer's raw parameters (None,
+    w_raw[..., None] or lam_raw), plus the per-agent terms its gradient
+    reuses: the picked values and, for monotonic, the weights exp(w_raw)
+    [..., n, S, 1]; for duplex the advantages and their weights exp(lam_raw).
+    Agents are summed over axis -3, in agent order."""
     if variant == "vdn":
-        return picked.sum(axis=-3), picked, None
+        return np.add.reduce(picked, axis=-3), picked, None
+    weights = np.exp(mix)
     if variant == "monotonic":
-        weights = np.exp(mix)[..., None]
-        return (weights * picked).sum(axis=-3), picked, weights
-    lam = np.exp(mix)
-    maxes = q_local.max(axis=-1, keepdims=True)
+        return np.add.reduce(weights * picked, axis=-3), picked, weights
+    # a reduction, not a read at the argmax: on a tie of +0.0 and -0.0 the
+    # maximum is the later zero and the argmax the first
+    maxes = np.maximum.reduce(q_local, axis=-1, keepdims=True)
     adv = picked - maxes
-    q = (lam * adv).sum(axis=-3)
-    q += maxes.sum(axis=-3)
-    return q, adv, lam
+    q = np.add.reduce(weights * adv, axis=-3)
+    q += np.add.reduce(maxes, axis=-3)
+    return q, adv, weights
 
 
 def vd_loss_and_grad(params, model, dist=None):
@@ -447,19 +448,31 @@ def vd_objective(template, model, dist=None):
     """`f(x) -> (loss, packed gradient)` of the semi-gradient TD loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them.
 
-    `dist` is checked, and the view shapes and the final-step mask are
-    computed, once here; each call runs on views of x and joins the packed
-    gradient with one concatenate, so a long descent pays no per-step checks
-    or repacking."""
+    `dist` is checked and the final-step mask computed once here, and the
+    layout of each stack shape once, on its first call: the view shapes of
+    x and the argmax row starts in the flat local-table gradient. A call
+    then gathers the picked local values straight from x (its first entries
+    are the local tables, flat), runs on views of x and joins the packed
+    gradient with one concatenate, so a long descent pays no per-step
+    checks, shape arithmetic or repacking."""
     dist = _check_dist(dist, model)
     final = np.flatnonzero(_final_steps(model))
-    variant, shapes = template.variant, template.point_shapes()
-    masks = _agent_axis(*shapes[0])[1]
-    row_starts = {}
+    variant, (point, mix_point) = template.variant, template.point_shapes()
+    flat, masks, _ = _agent_axis(*point)
+    nq, n_agents, n_actions = math.prod(point), point[0], point[-1]
+    if variant == "monotonic":
+        mix_point += (1,)
+
+    @functools.cache
+    def layout(shape):
+        batch = shape[:-1]
+        starts = np.arange(0, math.prod(batch) * nq, n_actions).reshape(batch + point[:-1])
+        return batch + point, mix_point and batch + mix_point, batch + (-1,), starts
 
     def f(x):
-        q_local, mix = _vd_views(x, *shapes)
-        q, terms, weights = _vd_mix(variant, q_local, mix)
+        q_shape, mix_shape, rows, starts = layout(x.shape)
+        q_local, mix = _vd_views(x, nq, q_shape, mix_shape)
+        q, terms, weights = _vd_mix(variant, q_local, x.take(flat, axis=-1), mix)
         if model.horizon == 1:
             target = model.reward
         else:
@@ -468,27 +481,24 @@ def vd_objective(template, model, dist=None):
                 target[..., final, :] = model.reward[final]
         resid = q - target
         w = dist * resid
-        loss = 0.5 * (w * resid).reshape(resid.shape[:-2] + (-1,)).sum(-1)
+        loss = 0.5 * np.add.reduce((w * resid).reshape(rows), axis=-1)
         w = w[..., None, :, :]
         if variant == "vdn":
             return loss, (w @ masks).reshape(x.shape)
         if variant == "monotonic":
-            gq, g_mix = weights * (w @ masks), weights[..., 0] * (w * terms).sum(-1)
+            gq = weights * (w @ masks)
+            g_mix = weights * np.add.reduce(w * terms, axis=-1, keepdims=True)
         else:
             # one copy of w per agent, so the products below need no broadcast
-            w = w.repeat(len(masks), axis=-3)
+            w = w.repeat(n_agents, axis=-3)
             wlam = w * weights
             gq = wlam @ masks
             # d q / d max_i = 1 - lam_i, routed to agent i's local argmax; gq
             # is a fresh C-ordered array, so its flat reshape is a view and
             # the update lands
-            g_flat = gq.reshape(-1)
-            if g_flat.size not in row_starts:
-                row_starts[g_flat.size] = np.arange(0, g_flat.size, gq.shape[-1])
-            g_flat[row_starts[g_flat.size] + q_local.argmax(-1).ravel()] += (w - wlam).sum(-1).ravel()
+            gq.reshape(-1)[starts + q_local.argmax(-1)] += np.add.reduce(w - wlam, axis=-1)
             g_mix = wlam * terms
-        flat = x.shape[:-1] + (-1,)
-        return loss, np.concatenate((gq.reshape(flat), g_mix.reshape(flat)), axis=-1)
+        return loss, np.concatenate((gq.reshape(rows), g_mix.reshape(rows)), axis=-1)
 
     return f
 
@@ -539,9 +549,11 @@ def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None)
     """Constant-step gradient descent on a flat parameter vector, or on a
     [K, d] stack of K independent replicas, for `steps` steps.
 
-    `loss_and_grad(x) -> (loss, grad)` is called on x in the shape of `x0`;
-    on a stack it returns K losses and a [K, d] gradient, whose row k must
-    depend on row k of x alone. Every replica logs at the same steps: each
+    `loss_and_grad(x) -> (loss, grad)` is called on x in the shape of `x0`
+    and returns the gradient in that shape: with a scalar loss for a flat x,
+    and with an array of K losses for a stack, whose gradient row k must
+    depend on row k of x alone. Loss and gradient are taken as they come,
+    with no copy or conversion, except at logged steps. Every replica logs at the same steps: each
     multiple of `log_every`, and the last step. `monitor(x, loss) ->
     (return, greedy_codes)` fills the policy columns of a replica's trace
     there, called on that replica's row. The gradient norm is computed only
@@ -557,7 +569,6 @@ def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None)
     x = np.array(x0, dtype=float)
     stacked = x.ndim == 2
     n_rows = len(x) if stacked else 1
-    rows = x.reshape(n_rows, -1)
     traces = [TrainTrace() for _ in range(n_rows)]
     # an overflowing step or objective, or a 0/0 in an update, warns before
     # the finiteness check below turns it into GdDivergenceError; one error
@@ -565,17 +576,18 @@ def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(steps + 1):
             loss, grad = loss_and_grad(x)
-            loss = np.asarray(loss, dtype=float).reshape(n_rows)
-            grad = np.asarray(grad, dtype=float).reshape(n_rows, -1)
-            # a finite sum of squares proves every entry finite; one that
-            # overflows falls through to the entrywise check (vdot is a BLAS
-            # dot that raises no floating-point warning)
-            overflow = not math.isfinite(np.vdot(grad, grad))
-            if not ((math.isfinite(np.vdot(loss, loss)) and not overflow)
+            # a finite sum of the gradient's squares and the losses proves
+            # every entry finite; one that overflows falls through to the
+            # entrywise check (vdot is a BLAS dot that raises no
+            # floating-point warning)
+            squares = np.vdot(grad, grad)
+            if not (math.isfinite(squares + (sum(loss.tolist()) if stacked else loss))
                     or (np.isfinite(loss).all() and np.isfinite(grad).all())):
                 raise GdDivergenceError(f"non-finite loss or gradient at step {t} (lr={lr})")
             if t % log_every == 0 or t == steps:
-                gnorm = _scaled_norms(grad, t) if overflow else row_norms(grad)
+                loss = np.asarray(loss, dtype=float).reshape(n_rows)
+                grads = np.asarray(grad, dtype=float).reshape(n_rows, -1)
+                gnorm = row_norms(grads) if math.isfinite(squares) else _scaled_norms(grads, t)
                 for k in range(n_rows):
                     if monitor is None:
                         traces[k].append(t, loss[k], gnorm[k])
@@ -585,7 +597,7 @@ def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None)
             if t == steps:
                 return x, ReplicaTraces(traces) if stacked else traces[0]
             if update is None:
-                rows -= lr * grad
+                x -= lr * grad
             else:
                 x = update(x)
 
@@ -727,7 +739,7 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, log_every=50):
     def objective(x):
         nonlocal pi_old, occ_q
         pi_old, loss, grad, occ_q = _tad_pg_eval(model, x.reshape(shape))
-        return loss, grad
+        return loss, grad.ravel()
 
     def monitor(x, loss):
         # for policy gradient the stochastic return is exactly -loss

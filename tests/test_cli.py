@@ -228,6 +228,47 @@ def test_verify_negative_seed_exits_2_before_any_work(capsys, monkeypatch, claim
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+def _refuse_to_learn(*args, **kwargs):
+    raise AssertionError("the learner ran")
+
+
+def test_run_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_config", _refuse_to_learn)
+    cfg = write_config(tmp_path / "cfg.json", MAPG_TRAP)
+    assert cli.main(["run", cfg, "--seed", "-3", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got -3\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["existing-file", "under-a-file"])
+def test_run_out_that_cannot_be_a_directory_exits_2_before_the_learner(
+        tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "run_mapg", _refuse_to_learn)
+    cfg = write_config(tmp_path / "cfg.json", MAPG_TRAP)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = blocker if case == "existing-file" else blocker / "out" / "deeper"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot create the output directory ")
+    assert len(captured.err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+    assert blocker.read_text() == "kept"
+
+
+def test_a_failed_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": "matgame2", "learner": {"kind": "vd", "variant": "duplex", "lr": 1e308}})
+    (tmp_path / "kept").mkdir()
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "kept" / "a" / "b")]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
 def _probe(learner=None, **fields):
     """A table1 config with a 10-step mapg learner updated by `learner`; a
     tad learner holds only the keys given, so it takes each of them."""

@@ -936,9 +936,13 @@ def test_vd_views_of_flat_and_stacked_vectors_are_views():
     # every step, so neither layout may copy
     for variant in learners.VD_VARIANTS:
         template = VdParams.zeros(variant, 2, 3, 2)
+        point, mix = template.point_shapes()
         d = template.pack().size
         for vec in (np.empty(d), np.empty((4, d))):
-            for view in learners._vd_views(vec, *template.point_shapes()):
+            batch = vec.shape[:-1]
+            views = learners._vd_views(vec, template.q_local.size, batch + point,
+                                       mix and batch + mix)
+            for view in views:
                 assert view is None or np.shares_memory(view, vec)
 
 
@@ -1127,3 +1131,45 @@ def test_joint_table_has_the_replica_axis(variant):
     for k in range(4):
         point = stack.unpack_like(stack.pack()[k])
         assert np.array_equal(table[k], point.joint_table())
+
+
+# ---------------------------------------------------------------------------
+# the objective's per-shape layout: one objective, many stack shapes
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _edge_case_points(variant, model, rng):
+    """Five points of `model`'s VD shape whose local tables have, in turn,
+    tied maxima, a +0.0/-0.0 tie at the maximum in each order, a NaN entry,
+    and no special entry (twice)."""
+    points = _random_vd_params(variant, (5,), model, rng)
+    q = points.q_local
+    q[0, :, :, :2] = 0.75
+    q[1, :, :, :] = -1.0
+    q[1, 0, :, :2] = (0.0, -0.0)
+    q[1, 1, :, :2] = (-0.0, 0.0)
+    q[2, 1, 0, -1] = np.nan
+    return points.pack()
+
+
+@pytest.mark.parametrize("variant", learners.VD_VARIANTS)
+@pytest.mark.parametrize("name", ["matgame2", "discounted", "layered_h3"])
+def test_one_objective_keeps_each_stack_shapes_layout(name, variant):
+    # a point, then stacks of one, two and five replicas, then two again; a
+    # layout cached by size alone would hand the [1, d] stack the point's
+    # shapes. The duplex maximum must be the reduction's, which keeps the
+    # later of a +0.0/-0.0 tie, not the value at the first argmax.
+    model = KERNEL_MODELS[name]
+    stack = _edge_case_points(variant, model, np.random.default_rng(66))
+    template = _random_vd_params(variant, (), model, np.random.default_rng(67))
+    f = vd_objective(template, model)
+    oracle = vd_oracle_objective(template, model)
+    for x in (stack[1], stack[2:3], stack[:2], stack, stack[:2]):
+        x = x.copy()
+        got = f(x)
+        for want in (vd_objective(template, model)(x), oracle(x)):
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert np.isnan(f(stack)[0][2])
