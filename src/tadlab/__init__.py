@@ -10,7 +10,6 @@ checks in `claims`, and the experiment runner and claim verifier in `cli`.
 from .core import (
     CoordinationPolicy,
     DecentralizedPolicySet,
-    DeterministicJointPolicy,
     Mdp,
     Mmdp,
     SizeGuardError,

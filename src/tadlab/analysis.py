@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constructions import restricted_minimizer
-from .core import brute_force_optimal, evaluate_policy, row_norms
+from .core import brute_force_optimal, evaluate_policy, greedy_codes, row_norms
 from .learners import uniform_dist, vd_objective
 
 
@@ -53,10 +53,11 @@ def local_min_certificate(loss_and_grad, theta, radius, samples, rng):
     coordinates, where gradient descent moves) drops the loss by more than
     `SLACK`. A False is a certified escape direction; a True is evidence at
     the stated sample count, not a proof. The `samples` directions and radii
-    are drawn in one call each; the points are evaluated one by one.
+    are drawn in one call each; the points are evaluated one by one. A
+    radius that is not positive, NaN included, raises ValueError.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(rng)
@@ -88,7 +89,7 @@ def duplex_trap_certificate(params, model):
     top = np.sort(params.q_local, axis=-1)
     margin = float((top[..., -1] - top[..., -2]).min())
     fit = np.stack([restricted_minimizer(row, None, code)
-                    for row, code in zip(model.reward, params.greedy_joint())])
+                    for row, code in zip(model.reward, greedy_codes(params.q_local))])
     floor = 0.5 * np.sum(uniform_dist(model) * (fit - model.reward) ** 2)
     loss = vd_objective(params, model)(params.pack())[0]
     return margin, margin / 2, float(loss - floor)

@@ -15,8 +15,8 @@ from .analysis import SLACK, duplex_trap_certificate, stationarity_certificate, 
 from .constructions import builtin_game, builtin_names, construct_local_minima, random_mmdp
 from .core import (
     CoordinationPolicy,
-    DeterministicJointPolicy,
     evaluate_policy,
+    greedy_codes,
     matrix_game,
 )
 from .learners import MapgParams, gd_run, run_mapg, tad_run, vd_objective
@@ -47,8 +47,8 @@ def pg_traps(seed=0):
     starts.append(MapgParams.uniform(2, 1, 3).logits)
     params, _ = run_mapg(model, MapgParams(np.stack(starts)), lr=0.05,
                          steps=20000, log_every=5000)
-    greedy = params.greedy_joint()
-    returns = np.array([evaluate_policy(model, DeterministicJointPolicy(c)) for c in greedy])
+    greedy = greedy_codes(params.logits)
+    returns = np.array([evaluate_policy(model, c) for c in greedy])
     codes = greedy[:, 0]
     checks = [
         (f"concentrated init at {target}",
@@ -79,11 +79,11 @@ def vd_traps(seed=0):
     thetas = np.stack([theta.pack() for theta in points])
     margins, radii, excess = np.array([duplex_trap_certificate(p, game) for p in points]).T
     local = (margins > 0) & (excess <= SLACK)
-    greedy = template.unpack_like(thetas).greedy_joint()[:, 0]
+    greedy = greedy_codes(template.unpack_like(thetas).q_local)[:, 0]
     payoffs = tensor.reshape(-1)[greedy]
     trapped = np.flatnonzero(payoffs < best)
     x, _ = gd_run(loss_fn, thetas[trapped], lr=0.05, steps=10000, log_every=10000)
-    kept = template.unpack_like(x).greedy_joint()[:, 0] == greedy[trapped]
+    kept = greedy_codes(template.unpack_like(x).q_local)[:, 0] == greedy[trapped]
     retained = dict(zip(trapped.tolist(), kept.tolist()))
     stationary = [stationarity_certificate(loss_fn, theta, 1e-8) for theta in thetas]
     checks = []

@@ -35,7 +35,6 @@ from .core import (
     ORACLE_TOL,
     SIZE_GUARD,
     DecentralizedPolicySet,
-    DeterministicJointPolicy,
     SizeGuardError,
     _floats,
     _real,
@@ -230,7 +229,7 @@ def _init_params(init, learner, model):
             ok = False
         if not ok:
             raise SchemaError(f"init 'scale' must be a finite number, got {scale!r}")
-        table[np.arange(n), :, target] = scale
+        table = MapgParams.concentrated(n, s, a, target, scale).logits
     params = MapgParams(table) if mapg else VdParams(learner["variant"], table)
     if init["mode"] == "file":
         shapes = {key: value.shape for key, value in vars(params).items()
@@ -294,7 +293,7 @@ def _execute(config, seed, out_dir):
     final_return = evaluate_policy(model, policies)
     saved = {"type": "decentralized", "tables": policies.tables.tolist()}
     codes = greedy_codes(policies.tables)
-    greedy_return = evaluate_policy(model, DeterministicJointPolicy(codes))
+    greedy_return = evaluate_policy(model, codes)
     optimal_return, _ = brute_force_optimal(model)
     summary = {
         "env": env_name,
@@ -310,15 +309,17 @@ def _execute(config, seed, out_dir):
         # value-iteration name so that summaries stay byte-identical
         "tolerances": {"oracle_vi_tol": ORACLE_TOL, "stationarity_tol": STATIONARITY_TOL},
     }
-    with open(out_dir / "policy.json", "w") as fh:
-        json.dump(saved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if "trace" in config["outputs"]:
-        trace.to_csv(out_dir / "trace.csv")
-    if "summary" in config["outputs"]:
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    for name, data in (("policy.json", saved), ("trace.csv", trace), ("summary.json", summary)):
+        path = out_dir / name
+        if path.stem not in ("policy", *config["outputs"]):
+            continue
+        try:
+            if name == "trace.csv":
+                data.to_csv(path)
+            else:
+                path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return summary
 
 

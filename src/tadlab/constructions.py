@@ -12,6 +12,8 @@ whose greedy policies are suboptimal.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .core import Mmdp, joint_code, matrix_game
@@ -186,14 +188,15 @@ def undercut_diag_payoff(k, n):
 # ---------------------------------------------------------------------------
 # restricted TD minimizer
 
-def restricted_minimizer(target, dist, a_star):
-    """Least-squares fit of `target` among tables whose argmax contains a_star.
+def restricted_minimizer(target, dist, code):
+    """Least-squares fit of `target` among tables whose argmax contains the
+    entry at flat index `code` (a joint code a* of a one-state table).
 
-    Pools a_star with every entry exceeding the running pooled weighted mean
+    Pools a* with every entry exceeding the running pooled weighted mean
     until the pool is stable; pooled entries sit at the final level, the rest
     copy `target`. The pooled level is the unique weighted-least-squares
     optimum because the one-dimensional objective in the level is strictly
-    convex.
+    convex. ValueError for a code outside [0, target.size).
     """
     arr = np.asarray(target, dtype=float)
     shape = arr.shape
@@ -207,10 +210,9 @@ def restricted_minimizer(target, dist, a_star):
         if not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("dist must be finite with full support")
         w = w / w.sum()
-    if isinstance(a_star, (tuple, list, np.ndarray)):
-        code = joint_code(a_star, shape[-1])
-    else:
-        code = int(a_star)
+    code = operator.index(code)
+    if not 0 <= code < flat.size:
+        raise ValueError(f"joint code must lie in [0, {flat.size}), got {code}")
     level = flat[code]
     pool = None
     while True:
@@ -248,7 +250,8 @@ def construct_local_minima(k, n):
     for l in range(k):
         pooled = values.copy()
         pooled[l:] = values[l:].mean()
-        points.append(duplex_decompose(diag_tensor(pooled, n).reshape(1, -1), (l,) * n))
+        points.append(duplex_decompose(diag_tensor(pooled, n).reshape(1, -1),
+                                       joint_code((l,) * n, k), n))
     return tensor, points
 
 

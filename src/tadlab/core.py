@@ -44,8 +44,8 @@ class SizeGuardError(RuntimeError):
     """Raised when a model is too large for exact enumeration."""
 
 
-def _frozen(a, dtype=float):
-    arr = np.array(a, dtype=dtype)
+def _frozen(a):
+    arr = np.array(a, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -77,8 +77,11 @@ def digit_table(n_agents, n_actions):
 
 def one_hot(codes, width):
     """Float array [..., width] holding 1.0 at each entry's code and 0.0
-    elsewhere, from an int array `codes` [...]."""
+    elsewhere, from an int array `codes` [...]; ValueError for a code
+    outside [0, width)."""
     codes = np.asarray(codes, dtype=np.intp)
+    if ((codes < 0) | (codes >= width)).any():
+        raise ValueError(f"codes must lie in [0, {width}), got {codes.tolist()}")
     out = np.zeros(codes.shape + (width,))
     out.reshape(-1, width)[np.arange(codes.size), codes.ravel()] = 1.0
     return out
@@ -272,19 +275,6 @@ class CoordinationPolicy:
         return self.reach()[-1]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DeterministicJointPolicy:
-    """One joint-action code per state."""
-
-    actions: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "actions", _frozen(self.actions, dtype=np.intp))
-
-    def joint(self, n_joint_actions):
-        return one_hot(self.actions, n_joint_actions)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -356,20 +346,24 @@ def require_valid(model):
 # exact policy evaluation
 
 def joint_policy_matrix(model, policy):
-    """Normalize any supported policy object into a C-ordered [S, M]
-    stochastic matrix (the evaluator's bits must not depend on memory order)."""
+    """Normalize a policy into a C-ordered [S, M] stochastic matrix (the
+    evaluator's bits must not depend on memory order). A policy is a
+    `DecentralizedPolicySet`, a `CoordinationPolicy`, an [S, M] matrix, or
+    greedy play: a 1-D integer array of per-state joint codes, read as
+    `one_hot(codes, M)`. ValueError for a code outside [0, M) and for rows
+    that are not probability vectors (NaN entries included)."""
     m = model.n_joint_actions
     if isinstance(policy, (DecentralizedPolicySet, CoordinationPolicy)):
         mat = policy.joint()
-    elif isinstance(policy, DeterministicJointPolicy):
-        mat = policy.joint(m)
     else:
-        mat = np.asarray(policy, dtype=float)
+        mat = np.asarray(policy)
+        if mat.ndim == 1 and mat.dtype.kind in "iu":
+            mat = one_hot(mat, m)
     if mat.shape != (model.n_states, m):
         raise ValueError(f"policy shape {mat.shape} does not match model {(model.n_states, m)}")
-    if np.any(mat < -PROB_TOL) or np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-9:
+    if not (np.all(mat >= -PROB_TOL) and np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-9):
         raise ValueError("policy rows are not probability vectors")
-    return np.ascontiguousarray(mat)
+    return np.ascontiguousarray(mat, dtype=float)
 
 
 def _next_values(model, v):
@@ -551,7 +545,8 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
 
 
 def brute_force_optimal(model, tol=ORACLE_TOL, size_guard=SIZE_GUARD):
-    """Optimal return and a greedy deterministic joint policy.
+    """Optimal return and its greedy play: (value, int codes [S]), the
+    per-state joint code of the first argmax of the optimal table.
 
     The table comes from `optimal_values` (policy iteration with advantage
     tolerance `tol` for infinite horizons, backward induction otherwise);
@@ -565,8 +560,8 @@ def brute_force_optimal(model, tol=ORACLE_TOL, size_guard=SIZE_GUARD):
             f"exceeds the enumeration guard ({size_guard})"
         )
     q, _ = optimal_values(model, tol=tol)
-    mu = DeterministicJointPolicy(np.argmax(q, axis=1))
-    return evaluate_policy(model, mu), mu
+    codes = np.argmax(q, axis=1)
+    return evaluate_policy(model, codes), codes
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ import numpy as np
 from .core import (
     ORACLE_TOL,
     DecentralizedPolicySet,
-    DeterministicJointPolicy,
     bellman_backup,
     check_options,
     digit_table,
@@ -116,18 +115,14 @@ class MapgParams:
 
     @classmethod
     def concentrated(cls, n_agents, n_states, n_actions, joint_action, scale):
-        """Logit `scale` on each agent's slot of `joint_action`, zero elsewhere."""
+        """Logit `scale` on each agent's slot of `joint_action`, zero elsewhere;
+        ValueError unless `joint_action` holds one action per agent."""
         logits = np.zeros((n_agents, n_states, n_actions))
-        for i, a in enumerate(joint_action):
-            logits[i, :, int(a)] = scale
+        logits[np.arange(n_agents), :, np.reshape(joint_action, n_agents)] = scale
         return cls(logits)
 
     def policies(self):
         return DecentralizedPolicySet(softmax(self.logits))
-
-    def greedy_joint(self):
-        """Per-state joint code of the per-agent argmax actions."""
-        return greedy_codes(self.logits)
 
     def pack(self):
         return self.logits.reshape(self.logits.shape[:-3] + (-1,)).copy()
@@ -205,10 +200,6 @@ class VdParams:
         picked = _picked(self.q_local, _agent_axis(*self.q_local.shape[-3:])[0])
         mix = self.w_raw[..., None] if self.variant == "monotonic" else self.lam_raw
         return _vd_mix(self.variant, self.q_local, picked, mix)[0]
-
-    def greedy_joint(self):
-        """Per-state joint code composed from local argmaxes (ties: lowest index)."""
-        return greedy_codes(self.q_local)
 
     @property
     def mix(self):
@@ -607,7 +598,7 @@ def run_mapg(model, params, lr=0.05, steps=20000, log_every=200):
     or from a [K, ...] stack of K points run as one batched descent."""
     def monitor(x, loss):
         # for policy gradient the stochastic return is exactly -loss
-        return -loss, params.unpack_like(x).greedy_joint()
+        return -loss, greedy_codes(params.unpack_like(x).logits)
 
     x, trace = gd_run(mapg_objective(params, model), params.pack(), lr, steps,
                       monitor=monitor, log_every=log_every)
@@ -620,8 +611,8 @@ def run_vd(model, params, lr=0.1, steps=5000, log_every=200):
     under the uniform sampling distribution. The trace's return column is
     the exact return of the greedy policy."""
     def monitor(x, loss):
-        codes = params.unpack_like(x).greedy_joint()
-        return evaluate_policy(model, DeterministicJointPolicy(codes)), codes
+        codes = greedy_codes(params.unpack_like(x).q_local)
+        return evaluate_policy(model, codes), codes
 
     x, trace = gd_run(vd_objective(params, model), params.pack(), lr, steps,
                       monitor=monitor, log_every=log_every)
@@ -777,53 +768,46 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, log_every=50):
 LAM_FLOOR = 1e-12
 
 
-def duplex_decompose(target, a_star, n_agents=None):
+def duplex_decompose(target, codes, n_agents):
     """Duplex parameters that reproduce a joint table with prescribed local
     argmaxes.
 
-    `target` is [n_states, n_joint]; `a_star` must be a maximizing joint
-    action in every state. Construction per state: each agent's table holds
+    `target` is [n_states, n_joint]; `codes` is the greedy joint code a* of
+    each state, or one code for every state, and a* must maximize `target`
+    in its state. Construction per state: each agent's table holds
     target(a*)/n at its a* slot and target(a*)/n - 1 elsewhere, and for every
     joint action the disagreeing agents carry an advantage weight of
     (target(a*) - target(a)) / #disagreeing (floored at `LAM_FLOOR` for
     ties). The mixed table then matches `target` up to n * LAM_FLOOR, with
-    strict local argmaxes at a*.
+    strict local argmaxes at a*. ValueError for a code outside [0, n_joint)
+    or one that does not maximize.
     """
     arr = np.asarray(target, dtype=float)
-    # a_star: tuple/list = one per-agent action tuple; int = one joint code;
-    # ndarray = per-state joint codes
-    if isinstance(a_star, (tuple, list)):
-        a_star = tuple(int(x) for x in a_star)
-        if n_agents is None:
-            n_agents = len(a_star)
-    if n_agents is None:
-        raise ValueError("n_agents is required when a_star is not an action tuple")
     if arr.ndim != 2:
         raise ValueError(f"cannot interpret target of shape {np.shape(target)}")
     s_dim, n_joint = arr.shape
     a_dim = round(n_joint ** (1.0 / n_agents))
     if a_dim**n_agents != n_joint:
         raise ValueError(f"{n_joint} joint actions is not a power of a common action count")
-    if isinstance(a_star, tuple):
-        codes = np.full(s_dim, joint_code(a_star, a_dim), dtype=np.intp)
-    else:
-        codes = np.broadcast_to(np.asarray(a_star, dtype=np.intp), (s_dim,)).copy()
+    codes = np.broadcast_to(np.asarray(codes, dtype=np.intp), (s_dim,))
+    if ((codes < 0) | (codes >= n_joint)).any():
+        raise ValueError(f"joint codes must lie in [0, {n_joint}), got {codes.tolist()}")
+    states = np.arange(s_dim)
+    v = arr[states, codes]
+    bad = np.flatnonzero(arr.max(axis=1) > v + 1e-12)
+    if bad.size:
+        raise ValueError(f"code {codes[bad[0]]} is not a maximizer at state {bad[0]}")
     digits = digit_table(n_agents, a_dim)
-    params = VdParams("duplex", np.zeros((n_agents, s_dim, a_dim)))
-    for s in range(s_dim):
-        code = int(codes[s])
-        v = arr[s, code]
-        if arr[s].max() > v + 1e-12:
-            raise ValueError(f"a_star is not a maximizer at state {s}")
-        star = digits[code]
-        params.q_local[:, s, :] = v / n_agents - 1.0
-        params.q_local[np.arange(n_agents), s, star] = v / n_agents
-        disagree = digits != star[None, :]
-        k = disagree.sum(axis=1)
-        for ja in np.flatnonzero(k):
-            lam = max((v - arr[s, ja]) / k[ja], LAM_FLOOR)
-            params.lam_raw[disagree[ja], s, ja] = np.log(lam)
-    return params
+    star = digits[codes].T
+    q_local = np.broadcast_to((v / n_agents - 1.0)[:, None], (n_agents, s_dim, a_dim)).copy()
+    q_local[np.arange(n_agents)[:, None], states, star] = v / n_agents
+    # disagree[i, s, a]: agent i's action in joint action a differs from a*'s
+    disagree = digits.T[:, None, :] != star[:, :, None]
+    lam_raw = np.zeros(disagree.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a* itself
+        lam = np.log(np.maximum((v[:, None] - arr) / disagree.sum(axis=0), LAM_FLOOR))
+    np.copyto(lam_raw, lam, where=disagree)
+    return VdParams("duplex", q_local, lam_raw=lam_raw)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from tadlab.core import (
     optimal_values,
     policy_slices,
 )
-from tadlab.learners import duplex_decompose
+from tadlab.learners import LAM_FLOOR, VdParams, duplex_decompose
 from tadlab.transform import layer_backup, row_max, step_discount
 
 
@@ -513,3 +513,28 @@ def construct_local_minima_oracle(k, n):
         filled[j] = True
         points.append(theta)
     return diag_tensor(diag, n), points
+
+
+def duplex_decompose_oracle(target, codes, n_agents):
+    """The duplex decomposition built state by state and joint action by
+    joint action: the reference for the array form of `duplex_decompose`."""
+    arr = np.asarray(target, dtype=float)
+    s_dim, n_joint = arr.shape
+    a_dim = round(n_joint ** (1.0 / n_agents))
+    codes = np.broadcast_to(np.asarray(codes, dtype=np.intp), (s_dim,)).copy()
+    digits = digit_table(n_agents, a_dim)
+    params = VdParams("duplex", np.zeros((n_agents, s_dim, a_dim)))
+    for s in range(s_dim):
+        code = int(codes[s])
+        v = arr[s, code]
+        if arr[s].max() > v + 1e-12:
+            raise ValueError(f"a_star is not a maximizer at state {s}")
+        star = digits[code]
+        params.q_local[:, s, :] = v / n_agents - 1.0
+        params.q_local[np.arange(n_agents), s, star] = v / n_agents
+        disagree = digits != star[None, :]
+        k = disagree.sum(axis=1)
+        for ja in np.flatnonzero(k):
+            lam = max((v - arr[s, ja]) / k[ja], LAM_FLOOR)
+            params.lam_raw[disagree[ja], s, ja] = np.log(lam)
+    return params

@@ -17,9 +17,11 @@ from tadlab import (
     claims,
     evaluate_policy,
     grad_check,
+    greedy_codes,
     greedy_distill,
     igm_check,
     inverse_transform,
+    joint_code,
     joint_digits,
     lift_policy,
     lower_policy,
@@ -89,7 +91,7 @@ def test_criterion_3_duplex_counterexample():
     p, _ = run_vd(M2, p0, lr=0.015, steps=80000, log_every=80000)
     limit = np.array([[-20.0, 29 / 3], [29 / 3, 29 / 3]])
     sup_err = np.abs(p.joint_table().reshape(2, 2) - limit).max()
-    code = int(p.greedy_joint()[0])
+    code = int(greedy_codes(p.q_local)[0])
     pol = DecentralizedPolicySet.deterministic(
         np.argmax(p.q_local, axis=2), 2
     )
@@ -140,7 +142,7 @@ def test_criterion_6_vdn_incompleteness():
     p, _ = run_vd(M2, p0, lr=1.0, steps=300, log_every=300)
     worst_fit = np.abs(p.joint_table().reshape(20, 2, 2) - fit).max()
     ok = worst_fit < 1e-8
-    ok &= all(joint_digits(c, 2, 2) == (1, 1) for c in p.greedy_joint()[:, 0])
+    ok &= all(joint_digits(c, 2, 2) == (1, 1) for c in greedy_codes(p.q_local)[:, 0])
     best = brute_force_optimal(M2)[0]
     for q_local in p.q_local:
         pol = DecentralizedPolicySet.deterministic(np.argmax(q_local, axis=2), 2)
@@ -236,7 +238,7 @@ def test_criterion_10_restricted_minimizer_oracle():
         tensor = undercut_diag_payoff(k, 2)
         values = undercut_diag_values(k)
         for l in range(k):
-            out = restricted_minimizer(tensor, None, (l, l))
+            out = restricted_minimizer(tensor, None, joint_code((l, l), k))
             diag = np.diagonal(out)
             closed_ok &= np.allclose(diag[:l], values[:l], atol=1e-12)
             closed_ok &= np.allclose(diag[l:], values[l:].mean(), atol=1e-12)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from tadlab import (
-    DeterministicJointPolicy,
     MapgParams,
     VdParams,
     duplex_decompose,
     duplex_trap_certificate,
     evaluate_policy,
     grad_check,
+    greedy_codes,
     local_min_certificate,
     mapg_objective,
     ne_count_exact,
@@ -83,14 +83,14 @@ def test_local_min_certificate_rejects_no_samples(samples):
 
 
 def test_suboptimality_gaps_on_builtin_games():
-    assert suboptimality_gap(TABLE1, DeterministicJointPolicy([0])) == pytest.approx(
+    assert suboptimality_gap(TABLE1, np.array([0])) == pytest.approx(
         0.0, abs=1e-10
     )
-    assert suboptimality_gap(TABLE1, DeterministicJointPolicy([4])) == pytest.approx(
+    assert suboptimality_gap(TABLE1, np.array([4])) == pytest.approx(
         5.0, abs=1e-10
     )
     m2 = builtin_game("matgame2")
-    assert suboptimality_gap(m2, DeterministicJointPolicy([3])) == pytest.approx(
+    assert suboptimality_gap(m2, np.array([3])) == pytest.approx(
         1.0, abs=1e-10
     )
 
@@ -100,7 +100,7 @@ def test_suboptimality_gap_non_negative_on_random_models():
     for seed in range(10):
         model = random_mmdp(3, 2, 2, gamma=0.9, rng=seed)
         actions = rng.integers(4, size=3)
-        gap = suboptimality_gap(model, DeterministicJointPolicy(actions))
+        gap = suboptimality_gap(model, actions)
         assert gap >= -1e-9
 
 
@@ -204,7 +204,7 @@ def _decomposed_point():
 
 def test_trap_certificate_floors_each_state_on_its_own():
     params = _decomposed_point()
-    assert params.greedy_joint().tolist() == _CODES.tolist()
+    assert greedy_codes(params.q_local).tolist() == _CODES.tolist()
     margin, radius, excess = duplex_trap_certificate(params, _ONE_STEP)
     assert margin == 1.0 and radius == 0.5 and abs(excess) <= 1e-12
 
@@ -249,3 +249,8 @@ def test_trap_certificate_refuses_episodic_models(partly_reached_models):
     params = VdParams.zeros("duplex", 2, layered.n_states, 2)
     with pytest.raises(ValueError, match="one-step"):
         duplex_trap_certificate(params, layered)
+
+
+def test_local_min_certificate_refuses_a_nan_radius():
+    with pytest.raises(ValueError, match="radius must be positive"):
+        local_min_certificate(quadratic, np.zeros(3), radius=float("nan"), samples=5, rng=0)

@@ -758,3 +758,15 @@ def test_fuzzed_env_and_config_dicts_exit_2_with_one_line(tmp_path, capsys):
                 or "Traceback" in err or out.exists():
             failures.append(f"{label}: exit {rc}, stderr {err!r}")
     assert not failures, f"{len(failures)} of {len(cases)} cases:\n" + "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", ["policy.json", "trace.csv"])
+def test_an_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys, name):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": "matgame2", "learner": {"kind": "vd", "variant": "vdn", "steps": 10}})
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path / 'out' / name}: ")
+    assert len(captured.err.splitlines()) == 1

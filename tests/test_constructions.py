@@ -6,6 +6,8 @@ import pytest
 from tadlab import (
     brute_force_optimal,
     evaluate_policy,
+    greedy_codes,
+    joint_code,
     validate,
     vd_loss_and_grad,
 )
@@ -132,14 +134,14 @@ from oracles import (
 
 
 def test_restricted_minimizer_matgame2():
-    out = restricted_minimizer(np.asarray(MATGAME2), None, (1, 1))
+    out = restricted_minimizer(np.asarray(MATGAME2), None, joint_code((1, 1), 2))
     expected = np.array([[-20.0, 29 / 3], [29 / 3, 29 / 3]])
     assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_restricted_minimizer_identity_when_already_max():
     payoff = np.asarray(MATGAME2)
-    out = restricted_minimizer(payoff, None, (0, 1))
+    out = restricted_minimizer(payoff, None, joint_code((0, 1), 2))
     assert np.array_equal(out, payoff)
 
 
@@ -175,7 +177,7 @@ def test_restricted_minimizer_closed_form_on_undercut_diagonals():
         tensor = undercut_diag_payoff(k, 2)
         c = undercut_diag_values(k)
         for l in range(k):
-            out = restricted_minimizer(tensor, None, (l, l))
+            out = restricted_minimizer(tensor, None, joint_code((l, l), k))
             diag = np.diagonal(out).copy()
             level = c[l:].mean()
             assert np.allclose(diag[:l], c[:l], atol=1e-12)
@@ -185,13 +187,13 @@ def test_restricted_minimizer_closed_form_on_undercut_diagonals():
 
 def test_restricted_minimizer_rejects_bad_dist():
     with pytest.raises(ValueError, match="support"):
-        restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 0, 1, 1]), (1, 1))
+        restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 0, 1, 1]), 3)
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf])
 def test_restricted_minimizer_rejects_non_finite_dist(weight):
     with pytest.raises(ValueError, match="finite"):
-        restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 1, 1, weight]), (1, 1))
+        restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 1, 1, weight]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_construct_local_minima_counts_and_permutation():
     diag = np.diagonal(tensor)
     assert sorted(diag) == sorted(undercut_diag_values(3).tolist())
     flat = tensor.reshape(-1)
-    suboptimal = [p for p in points if flat[int(p.greedy_joint()[0])] < flat.max()]
+    suboptimal = [p for p in points if flat[greedy_codes(p.q_local)[0]] < flat.max()]
     assert len(suboptimal) == 2
 
 
@@ -262,3 +264,9 @@ def test_random_mmdp_valid_and_reproducible():
     assert validate(a) == []
     assert np.array_equal(a.transition, b.transition)
     assert np.array_equal(a.reward, b.reward)
+
+
+@pytest.mark.parametrize("code", [-1, 4])
+def test_restricted_minimizer_refuses_codes_out_of_range(code):
+    with pytest.raises(ValueError, match="joint code must lie in"):
+        restricted_minimizer(np.asarray(MATGAME2), None, code)

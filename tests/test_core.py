@@ -8,7 +8,6 @@ import pytest
 from tadlab import (
     CoordinationPolicy,
     DecentralizedPolicySet,
-    DeterministicJointPolicy,
     Mmdp,
     SizeGuardError,
     bellman_backup,
@@ -24,7 +23,8 @@ from tadlab import (
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 import tadlab
-from tadlab.core import Mdp, digit_table, one_hot, optimal_values, policy_slices
+from tadlab.core import (Mdp, digit_table, joint_policy_matrix, one_hot, optimal_values,
+                         policy_slices)
 
 from oracles import (
     coordination_joint_oracle,
@@ -91,7 +91,8 @@ def test_one_hot_matches_the_scatters():
     codes = rng.integers(0, 27, size=7)
     want = joint_one_hot_oracle(codes, 27)
     assert np.array_equal(one_hot(codes, 27), want)
-    assert np.array_equal(DeterministicJointPolicy(codes).joint(27), want)
+    assert np.array_equal(joint_policy_matrix(random_mmdp(7, 3, 3, gamma=0.9, rng=18), codes),
+                          want)
 
 
 @pytest.mark.parametrize("n,s,a", [(1, 3, 4), (2, 4, 3), (3, 2, 2), (4, 2, 3)])
@@ -115,7 +116,7 @@ def test_greedy_play_through_codes_matches_per_agent_tables():
                                               model.n_actions)).astype(float)
             per_agent = DecentralizedPolicySet.deterministic(
                 DecentralizedPolicySet(tables).greedy_actions(), model.n_actions)
-            codes = DeterministicJointPolicy(greedy_codes(tables))
+            codes = greedy_codes(tables)
             assert evaluate_policy(model, codes) == evaluate_policy(model, per_agent)
 
 
@@ -195,7 +196,7 @@ def test_models_are_immutable():
 
 def test_evaluate_deterministic_optimum():
     g = builtin_game("table1")
-    assert evaluate_policy(g, DeterministicJointPolicy([0])) == 10.0
+    assert evaluate_policy(g, np.array([0])) == 10.0
 
 
 def test_evaluate_uniform_is_mean_payoff():
@@ -281,13 +282,13 @@ def test_bellman_backup_is_contraction():
 def test_brute_force_table1():
     best, mu = brute_force_optimal(builtin_game("table1"))
     assert best == pytest.approx(10.0, abs=1e-10)
-    assert joint_digits(mu.actions[0], 2, 3) == (0, 0)
+    assert joint_digits(mu[0], 2, 3) == (0, 0)
 
 
 def test_brute_force_matgame2():
     best, mu = brute_force_optimal(builtin_game("matgame2"))
     assert best == pytest.approx(10.0, abs=1e-10)
-    assert joint_digits(mu.actions[0], 2, 2) in {(0, 1), (1, 0)}
+    assert joint_digits(mu[0], 2, 2) in {(0, 1), (1, 0)}
 
 
 def test_brute_force_matches_policy_enumeration():
@@ -297,7 +298,7 @@ def test_brute_force_matches_policy_enumeration():
     top = -np.inf
     for code in range(9**4):
         actions = [(code // 9**s) % 9 for s in range(4)]
-        top = max(top, evaluate_policy(model, DeterministicJointPolicy(actions)))
+        top = max(top, evaluate_policy(model, np.array(actions)))
     assert best == pytest.approx(top, abs=1e-10)
     assert evaluate_policy(model, mu) == pytest.approx(top, abs=1e-10)
 
@@ -321,8 +322,8 @@ def _tie_random(delta, seed, gamma=0.99):
     exactly delta worse than the optimal one (the optimum is unchanged)."""
     base = random_mmdp(3, 2, 2, gamma=gamma, rng=seed)
     best = max(itertools.product(range(4), repeat=3),
-               key=lambda c: evaluate_policy(base, DeterministicJointPolicy(c)))
-    _, [(_, q)] = policy_slices(base, DeterministicJointPolicy(best).joint(4))
+               key=lambda c: evaluate_policy(base, np.array(c)))
+    _, [(_, q)] = policy_slices(base, one_hot(best, 4))
     runner_up = max((a for a in range(4) if a != best[0]), key=lambda a: q[0, a])
     reward = base.reward.copy()
     reward[0, runner_up] += q[0, best[0]] - q[0, runner_up] - delta
@@ -340,7 +341,7 @@ def test_brute_force_certificate_matches_enumeration(model):
     tol = 1e-10
     best, mu = brute_force_optimal(model, tol=tol)
     _, margins = optimal_values(model, tol=tol)
-    top = max(evaluate_policy(model, DeterministicJointPolicy(c))
+    top = max(evaluate_policy(model, np.array(c))
               for c in itertools.product(range(4), repeat=3))
     assert margins[-1] <= tol
     # the certificate bound, plus a few ulp of rounding in the evaluations
@@ -358,8 +359,8 @@ def test_policy_iteration_ranks_near_tied_actions(delta, iterations):
     # table does.
     _, margins = optimal_values(_tie_chain(delta))
     assert delta > 1e-8 or np.argmax(vi_oracle(_tie_chain(delta))[0][0]) == 1
-    assert brute_force_optimal(_tie_chain(delta))[1].actions[0] == 0
-    assert brute_force_optimal(_tie_chain(-delta))[1].actions[0] == 1
+    assert brute_force_optimal(_tie_chain(delta))[1][0] == 0
+    assert brute_force_optimal(_tie_chain(-delta))[1][0] == 1
     assert iterations is None or len(margins) == iterations
 
 
@@ -479,7 +480,7 @@ def test_env_dict_round_trip():
 def test_env_matrix_shorthand():
     model = mmdp_from_dict({"matrix": [[1, 2], [3, 4]]})
     assert model.n_agents == 2 and model.n_actions == 2 and model.horizon == 1
-    assert evaluate_policy(model, DeterministicJointPolicy([3])) == 4.0
+    assert evaluate_policy(model, np.array([3])) == 4.0
 
 
 def test_env_missing_fields_rejected():
@@ -612,3 +613,31 @@ def test_policy_slices_match_the_backward_pass_oracle(partly_reached_models):
                 assert_same_bits(q_t, want_q)
             if (model.reward == 0).any():
                 assert not np.signbit(slices[-1][1]).any()
+
+
+def test_evaluate_policy_reads_codes_as_their_one_hot_matrix():
+    rng = np.random.default_rng(30)
+    for model in (builtin_game("table1"), random_mmdp(4, 2, 3, gamma=0.9, rng=31),
+                  random_mmdp(3, 3, 2, gamma=0.8, rng=32, horizon=3)):
+        for _ in range(5):
+            codes = rng.integers(model.n_joint_actions, size=model.n_states)
+            matrix = one_hot(codes, model.n_joint_actions)
+            assert_same_bits(evaluate_policy(model, codes), evaluate_policy(model, matrix))
+
+
+@pytest.mark.parametrize("code", [-1, 9])
+def test_joint_codes_outside_the_range_are_refused(code):
+    with pytest.raises(ValueError, match="codes must lie in"):
+        evaluate_policy(builtin_game("table1"), np.array([code]))
+
+
+def test_a_nan_policy_matrix_is_refused():
+    with pytest.raises(ValueError, match="probability vectors"):
+        evaluate_policy(builtin_game("table1"), np.full((1, 9), np.nan))
+
+
+def test_brute_force_optimal_returns_int_codes():
+    for model in (builtin_game("table1"), random_mmdp(4, 2, 3, gamma=0.9, rng=17)):
+        best, codes = brute_force_optimal(model)
+        assert codes.dtype.kind == "i" and codes.shape == (model.n_states,)
+        assert evaluate_policy(model, codes) == best

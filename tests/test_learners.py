@@ -13,6 +13,7 @@ from tadlab import (
     duplex_decompose,
     evaluate_policy,
     gd_run,
+    greedy_codes,
     greedy_distill,
     igm_check,
     joint_code,
@@ -60,6 +61,7 @@ from tadlab.learners import (
 from tadlab.transform import layered_policy_slices
 from oracles import (
     clipped_pg_oracle,
+    duplex_decompose_oracle,
     layered_q_oracle,
     mapg_kernel_oracle,
     mapg_loss_oracle,
@@ -226,7 +228,7 @@ def test_vdn_converges_to_additive_least_squares_fit():
     p0 = VdParams("vdn", rng.standard_normal((2, 1, 2)))
     p, _ = run_vd(M2, p0, lr=0.5, steps=3000, log_every=3000)
     assert np.abs(p.joint_table().reshape(2, 2) - fit).max() < 1e-8
-    assert joint_digits(p.greedy_joint()[0], 2, 2) == (1, 1)
+    assert joint_digits(greedy_codes(p.q_local)[0], 2, 2) == (1, 1)
 
 
 def test_monotonic_mixer_has_nonnegative_sensitivities():
@@ -246,7 +248,7 @@ def test_monotonic_mixer_has_nonnegative_sensitivities():
 
 def test_duplex_stuck_region_is_stationary():
     f = np.array([[-20.0, 29 / 3], [29 / 3, 29 / 3]])
-    p = duplex_decompose(f.reshape(1, 4), (1, 1))
+    p = duplex_decompose(f.reshape(1, 4), joint_code((1, 1), 2), 2)
     assert np.abs(p.joint_table().reshape(2, 2) - f).max() < 1e-10
     loss, grad = vd_loss_and_grad(p, M2)
     assert np.linalg.norm(grad.pack()) < 1e-6
@@ -286,11 +288,11 @@ def test_duplex_decompose_round_trip_and_argmax():
 
 def test_duplex_decompose_requires_maximizer():
     with pytest.raises(ValueError, match="maximizer"):
-        duplex_decompose(np.array(MATGAME2).reshape(1, 4), (0, 0))
+        duplex_decompose(np.array(MATGAME2).reshape(1, 4), joint_code((0, 0), 2), 2)
 
 
 def test_duplex_decompose_constant_target_all_floor():
-    p = duplex_decompose(np.zeros((1, 4)), (1, 0))
+    p = duplex_decompose(np.zeros((1, 4)), joint_code((1, 0), 2), 2)
     assert np.abs(p.joint_table()).max() < 1e-10
     lam = np.exp(p.lam_raw)
     digits = [joint_digits(c, 2, 2) for c in range(4)]
@@ -308,9 +310,9 @@ def test_duplex_decompose_trap_points_are_stationary():
     tensor = undercut_diag_payoff(3, 2)
     game = matrix_game(tensor)
     for l in range(3):
-        a_star = (l, l)
+        a_star = joint_code((l, l), 3)
         f = restricted_minimizer(tensor, None, a_star)
-        p = duplex_decompose(f.reshape(1, -1), a_star)
+        p = duplex_decompose(f.reshape(1, -1), a_star, 2)
         _, grad = vd_loss_and_grad(p, game)
         assert np.linalg.norm(grad.pack()) < 1e-8
 
@@ -477,7 +479,7 @@ def test_mapg_concentrated_runs_stay_on_their_diagonal():
     for target, value in (((1, 1), 5.0), ((2, 2), 1.0)):
         p0 = MapgParams.concentrated(2, 1, 3, target, 5.0)
         p, trace = run_mapg(TABLE1, p0, lr=0.05, steps=4000, log_every=1000)
-        assert joint_digits(p.greedy_joint()[0], 2, 3) == target
+        assert joint_digits(greedy_codes(p.logits)[0], 2, 3) == target
         greedy = DecentralizedPolicySet.deterministic(
             np.argmax(p.logits, axis=2), 3
         )
@@ -489,7 +491,7 @@ def test_mapg_concentrated_runs_stay_on_their_diagonal():
 def test_mapg_uniform_run_reaches_global_optimum():
     p, _ = run_mapg(TABLE1, MapgParams.uniform(2, 1, 3), lr=0.05, steps=4000,
                     log_every=1000)
-    assert joint_digits(p.greedy_joint()[0], 2, 3) == (0, 0)
+    assert joint_digits(greedy_codes(p.logits)[0], 2, 3) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +930,7 @@ def test_replica_axis_round_trips_through_pack():
         stack = points[0].unpack_like(np.stack([p.pack() for p in points]))
         assert stack.n_agents == 2 and stack.q_local.shape == (4, 2, 3, 2)
         assert np.array_equal(stack.pack()[2], points[2].pack())
-        assert np.array_equal(stack.greedy_joint()[1], points[1].greedy_joint())
+        assert np.array_equal(greedy_codes(stack.q_local)[1], greedy_codes(points[1].q_local))
 
 
 def test_vd_views_of_flat_and_stacked_vectors_are_views():
@@ -1173,3 +1175,33 @@ def test_one_objective_keeps_each_stack_shapes_layout(name, variant):
         for want in (vd_objective(template, model)(x), oracle(x)):
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     assert np.isnan(f(stack)[0][2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_duplex_decompose_matches_its_loop_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for trial in range(30):
+        a, s = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        target = rng.uniform(-5, 5, size=(s, a**n))
+        if trial % 3 == 0:
+            target = np.round(target)  # cells tied with the max take LAM_FLOOR
+        # any maximizing code of each state, tied ones included
+        codes = np.array([rng.choice(np.flatnonzero(row == row.max())) for row in target])
+        want = duplex_decompose_oracle(target, codes, n)
+        # a one-state table also takes its code as a plain int
+        for given in ([codes, int(codes[0])] if s == 1 else [codes]):
+            got = duplex_decompose(target, given, n)
+            assert got.q_local.tobytes() == want.q_local.tobytes()
+            assert got.lam_raw.tobytes() == want.lam_raw.tobytes()
+
+
+@pytest.mark.parametrize("code", [-1, 4])
+def test_duplex_decompose_refuses_codes_out_of_range(code):
+    with pytest.raises(ValueError, match="joint codes must lie in"):
+        duplex_decompose(np.zeros((1, 4)), code, 2)
+
+
+@pytest.mark.parametrize("joint_action", [(1,), (1, 1, 1)])
+def test_concentrated_needs_one_action_per_agent(joint_action):
+    with pytest.raises(ValueError):
+        MapgParams.concentrated(2, 1, 3, joint_action, 5.0)

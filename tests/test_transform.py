@@ -23,7 +23,6 @@ from tadlab.claims import composition_models
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 from tadlab.core import (
     SIZE_GUARD,
-    DeterministicJointPolicy,
     Mdp,
     SizeGuardError,
     brute_force_optimal,
@@ -464,8 +463,8 @@ def test_policy_iteration_oracle_agrees_with_vi_oracle():
     for model in claim4 + solve:
         greedy = np.argmax(vi_oracle(model)[0], axis=1)
         best, mu = brute_force_optimal(model)
-        assert np.array_equal(mu.actions, greedy)
-        assert best == evaluate_policy(model, DeterministicJointPolicy(greedy))
+        assert np.array_equal(mu, greedy)
+        assert best == evaluate_policy(model, greedy)
     assert all(len(optimal_values(model)[1]) <= 2 for model in solve)
 
 
@@ -552,7 +551,7 @@ def test_tad_vi_plays_the_oracle_policy():
     for model in claim4 + solve:
         policies, _ = tad_run(model, sarl="vi")
         _, mu = brute_force_optimal(model)
-        assert np.array_equal(greedy_codes(policies.tables), mu.actions)
+        assert np.array_equal(greedy_codes(policies.tables), mu)
 
 
 def test_tad_vi_plays_the_oracle_policy_on_reached_states(partly_reached_models):
@@ -561,5 +560,5 @@ def test_tad_vi_plays_the_oracle_policy_on_reached_states(partly_reached_models)
         policies, _ = tad_run(model, sarl="vi")
         best, mu = brute_force_optimal(model)
         reached = first_visit_times(model) >= 0
-        assert np.array_equal(greedy_codes(policies.tables)[reached], mu.actions[reached])
+        assert np.array_equal(greedy_codes(policies.tables)[reached], mu[reached])
         assert evaluate_policy(model, policies) == best
