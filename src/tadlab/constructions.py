@@ -196,9 +196,12 @@ def restricted_minimizer(target, dist, code):
     until the pool is stable; pooled entries sit at the final level, the rest
     copy `target`. The pooled level is the unique weighted-least-squares
     optimum because the one-dimensional objective in the level is strictly
-    convex. ValueError for a code outside [0, target.size).
+    convex. ValueError for a non-finite target or a code outside
+    [0, target.size).
     """
     arr = np.asarray(target, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("target must be finite")
     shape = arr.shape
     flat = arr.ravel()
     if dist is None:

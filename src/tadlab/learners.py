@@ -83,7 +83,8 @@ from .transform import (
 
 
 class GdDivergenceError(RuntimeError):
-    """Gradient descent produced a non-finite loss or gradient."""
+    """A learner's iterates left the float range: gradient descent met a
+    non-finite loss or gradient, or Q-learning a non-finite table."""
 
 
 def softmax(logits):
@@ -670,23 +671,38 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     order, so those rows' maxima, as rows of A, are their targets.
     Final-step rows do not bootstrap; never-reached rows target zero, as in
     the dense transform.
+
+    Only targets that depend on the table are written per sweep. The
+    final-step states' last-layer rows hold their reward rows, written once;
+    each sweep writes layers 0..n-2, re-zeroes the never-reached rows, and
+    backs up the joint step into the bootstrapping states' last-layer rows
+    only if there are any (none on a one-step game). A table that turns
+    non-finite raises GdDivergenceError after the last sweep.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     gamma_step = step_discount(model)
     s, a, n = model.n_states, model.n_actions, model.n_agents
     offsets, total = layer_offsets(s, n, a)
-    final = np.flatnonzero(np.repeat(_final_steps(model), a ** (n - 1)))
-    final_reward = model.reward.reshape(-1, a)[final]
-    final += offsets[-1]
+    inner = offsets[-1]
+    final = np.repeat(_final_steps(model), a ** (n - 1))
+    boot = ~final[:, None]
+    bootstraps = boot.any()
     dead = never_reached_rows(model)
     q = np.zeros((total, a))
-    for _ in range(sweeps):
-        v = row_max(q)
-        target = np.concatenate((gamma_step * v[s:].reshape(-1, a),
-                                 layer_backup(model, n - 1, v[:s], gamma_step)))
-        target[final] = final_reward
-        target[dead] = 0.0
-        q += lr * (target - q)
+    target = np.zeros((total, a))
+    target[inner:][final] = model.reward.reshape(-1, a)[final]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(sweeps):
+            v = row_max(q)
+            np.multiply(gamma_step, v[s:].reshape(-1, a), out=target[:inner])
+            if dead.size:
+                target[dead] = 0.0
+            if bootstraps:
+                np.copyto(target[inner:], layer_backup(model, n - 1, v[:s], gamma_step),
+                          where=boot)
+            q += lr * (target - q)
+    if not np.isfinite(q).all():
+        raise GdDivergenceError(f"Q-learning diverged within {sweeps} sweeps (lr={lr})")
     return q
 
 
@@ -779,12 +795,14 @@ def duplex_decompose(target, codes, n_agents):
     joint action the disagreeing agents carry an advantage weight of
     (target(a*) - target(a)) / #disagreeing (floored at `LAM_FLOOR` for
     ties). The mixed table then matches `target` up to n * LAM_FLOOR, with
-    strict local argmaxes at a*. ValueError for a code outside [0, n_joint)
-    or one that does not maximize.
+    strict local argmaxes at a*. ValueError for a non-finite target, a code
+    outside [0, n_joint) or one that does not maximize.
     """
     arr = np.asarray(target, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"cannot interpret target of shape {np.shape(target)}")
+    if not np.isfinite(arr).all():
+        raise ValueError("target must be finite")
     s_dim, n_joint = arr.shape
     a_dim = round(n_joint ** (1.0 / n_agents))
     if a_dim**n_agents != n_joint:

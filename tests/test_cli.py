@@ -141,7 +141,8 @@ def test_clipped_pg_divergence_exits_4_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("env,learner", [
     ("table1", {"kind": "tad", "sarl": "softmax_pg", "lr": 1e308}),
     ("matgame2", {"kind": "vd", "variant": "duplex", "lr": 1e308}),
-], ids=["tad-softmax-pg", "vd-duplex"])
+    ("table1", {"kind": "tad", "sarl": "q_learning", "lr": 5.0, "sweeps": 2000}),
+], ids=["tad-softmax-pg", "vd-duplex", "tad-q-learning"])
 def test_diverging_run_prints_only_its_error_line(tmp_path, capsys, env, learner):
     cfg = write_config(tmp_path / "cfg.json", {"env": env, "learner": learner})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4

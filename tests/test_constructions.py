@@ -196,6 +196,12 @@ def test_restricted_minimizer_rejects_non_finite_dist(weight):
         restricted_minimizer(np.asarray(MATGAME2), np.array([1.0, 1, 1, weight]), 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_restricted_minimizer_refuses_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="target must be finite"):
+        restricted_minimizer([[bad, 1.0], [0.0, 3.0]], None, 1)
+
+
 # ---------------------------------------------------------------------------
 # trap construction
 

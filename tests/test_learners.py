@@ -291,6 +291,12 @@ def test_duplex_decompose_requires_maximizer():
         duplex_decompose(np.array(MATGAME2).reshape(1, 4), joint_code((0, 0), 2), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_duplex_decompose_refuses_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="target must be finite"):
+        duplex_decompose(np.array([[bad, 1.0, 0.0, 0.0]]), 1, 2)
+
+
 def test_duplex_decompose_constant_target_all_floor():
     p = duplex_decompose(np.zeros((1, 4)), joint_code((1, 0), 2), 2)
     assert np.abs(p.joint_table()).max() < 1e-10
@@ -599,12 +605,36 @@ def test_layered_q_learning_bitwise_on_the_per_layer_oracle(sweeps, partly_reach
     # one flat table against one table per layer: every bit, signed zeros too
     models = ([model for _, model in composition_models(0)] + partly_reached_models
               + [random_matrix_game(3, 7, seed) for seed in range(3)]
-              + [random_mmdp(4, 1, 3, gamma=0.9, rng=45)])
+              + [random_mmdp(4, 1, 3, gamma=0.9, rng=45)]
+              # bootstrapping and final-step states in one model
+              + [layered_mmdp((1, 2, 2), 2, 3, rng=66), layered_mmdp((2, 1, 3, 2), 3, 2, rng=68)])
     for model in models:
         got = layered_q_learning(model, sweeps=sweeps, lr=0.5)
         want = layered_q_oracle(model, sweeps=sweeps, lr=0.5)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name,backups", [("matgame2", 0), ("discounted", 7), ("layered_h3", 7)])
+def test_layered_q_learning_backs_up_the_joint_step_only_where_states_bootstrap(
+        name, backups, monkeypatch):
+    # one-step, infinite-horizon, and mixed final-step and bootstrapping states
+    model = KERNEL_MODELS[name]
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1])
+        return transform.layer_backup(*args)
+
+    monkeypatch.setattr(learners, "layer_backup", spy)
+    layered_q_learning(model, sweeps=7, lr=0.5)
+    assert calls == [model.n_agents - 1] * backups
+
+
+def test_layered_q_learning_divergence_raises_without_warnings():
+    # the suite turns warnings into errors
+    with pytest.raises(GdDivergenceError, match="2000 sweeps"):
+        layered_q_learning(TABLE1, sweeps=2000, lr=5.0)
 
 
 def test_softmax_pg_two_action_bandit_monotone():
