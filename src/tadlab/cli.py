@@ -93,7 +93,8 @@ def _load_config(path):
     (with `mode` "uniform"; refused on a tad learner, which starts from no
     params), `distill` and `outputs`; the learner's `sarl`
     ("vi") or `variant` ("vdn"); a tad learner's absent options, and a null
-    `clip`, from `SARL_OPTIONS`; and every numeric option as
+    `clip`, from `SARL_OPTIONS`; a mapg or vd learner's `steps` (20000) and
+    `log_every` (max(1, steps // 200)); and every numeric option as
     `check_options` normalizes it. Raises SchemaError on the first fault."""
     try:
         with open(path) as fh:
@@ -121,7 +122,7 @@ def _load_config(path):
         defaults = {"sarl": name, **SARL_OPTIONS[name]}
     elif isinstance(kind, str) and kind in _LEARNER_KEYS:
         keys = _LEARNER_KEYS[kind]
-        defaults = {"variant": "vdn"} if kind == "vd" else {}
+        defaults = {"variant": "vdn", "steps": 20000} if kind == "vd" else {"steps": 20000}
     else:
         raise SchemaError(f"unknown learner kind {kind!r}")
     extra = set(learner) - keys
@@ -136,6 +137,8 @@ def _load_config(path):
         learner.update(zip(options, check_options(**options)))
     except ValueError as exc:
         raise SchemaError(f"learner {exc}") from exc
+    if kind != "tad":
+        learner.setdefault("log_every", max(1, learner["steps"] // 200))
     if kind == "tad" and "init" in config:
         raise SchemaError("a tad learner takes no 'init'")
     init = config.get("init", {})
@@ -240,9 +243,9 @@ def _init_params(init, learner, model):
 
 def _execute(config, seed, out_dir):
     """Run one config as `_load_config` resolves it at `seed`, write its
-    outputs to `out_dir`, and return the summary dict. Only the mapg and vd
-    defaults that need the model are set here: `lr` (0.05 on a one-step
-    model, else 0.01), `steps` (20000) and `log_every` (max(1, steps // 200)).
+    outputs to `out_dir`, and return the summary dict. The one mapg and vd
+    default that needs the model is set here: `lr` (0.05 on a one-step
+    model, else 0.01).
     `out_dir` and its missing parents are made once the config is checked,
     before the learner runs (an OSError there is a SchemaError), and removed
     again if the learner fails."""
@@ -273,12 +276,11 @@ def _execute(config, seed, out_dir):
             policies, trace = tad_run(model, seed=seed, **{
                 key: value for key, value in resolved.items() if key != "kind"})
         else:
-            steps = learner.get("steps", 20000)
-            resolved = {"lr": 0.05 if model.horizon == 1 else 0.01,
-                        "log_every": max(1, steps // 200), **learner, "steps": steps}
+            resolved = {"lr": 0.05 if model.horizon == 1 else 0.01, **learner}
             mapg = learner["kind"] == "mapg"
             params, trace = (run_mapg if mapg else run_vd)(
-                model, init, lr=resolved["lr"], steps=steps, log_every=resolved["log_every"])
+                model, init, lr=resolved["lr"], steps=resolved["steps"],
+                log_every=resolved["log_every"])
             policies = params.policies() if mapg else DecentralizedPolicySet.deterministic(
                 np.argmax(params.q_local, axis=2), model.n_actions)
             # the descent logs its last step, at the returned params
@@ -324,11 +326,7 @@ def _execute(config, seed, out_dir):
 
 
 def cmd_run(args):
-    try:
-        summary = _execute(_load_config(args.config), args.seed, Path(args.out))
-    except (SchemaError, SizeGuardError, GdDivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES[type(exc)]
+    summary = _execute(_load_config(args.config), args.seed, Path(args.out))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -357,20 +355,14 @@ def cmd_env(args):
     try:
         model = builtin_game(args.name)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SchemaError(str(exc)) from exc
     print(dump_env_text(model))
     return 0
 
 
 def cmd_transform(args):
-    try:
-        model, _ = _resolve_env(args.env)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = size_report(model)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    model, _ = _resolve_env(args.env)
+    print(json.dumps(size_report(model), indent=2, sort_keys=True))
     return 0
 
 
@@ -408,12 +400,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a SchemaError, SizeGuardError or
+    GdDivergenceError prints one `error:` line and exits with its
+    `_EXIT_CODES` code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) < 0:
-        print(f"error: --seed must be a non-negative integer, got {args.seed}",
-              file=sys.stderr)
-        return 2
-    return args.fn(args)
+    try:
+        if getattr(args, "seed", 0) < 0:
+            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
+        return args.fn(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

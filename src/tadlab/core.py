@@ -164,6 +164,16 @@ def matrix_game(payoff, gamma=0.99):
 # ---------------------------------------------------------------------------
 # policy types
 
+def _prefix_reach(tables):
+    """The coordination chain over per-agent tables [S, A**k or 1, A]:
+    P_0 = 1 and P_{k+1}[s, p*A + a] = P_k[s, p] * tables[k][s, p, a], where
+    a table with one prefix row ignores the earlier agents' actions."""
+    out = [np.ones((len(tables[0]), 1))]
+    for table in tables:
+        out.append((out[-1][:, :, None] * table).reshape(len(table), -1))
+    return out
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class DecentralizedPolicySet:
     """Per-agent stochastic tables [n_agents, n_states, n_actions]."""
@@ -172,18 +182,6 @@ class DecentralizedPolicySet:
 
     def __post_init__(self):
         object.__setattr__(self, "tables", _frozen(self.tables))
-
-    @property
-    def n_agents(self):
-        return self.tables.shape[0]
-
-    @property
-    def n_states(self):
-        return self.tables.shape[1]
-
-    @property
-    def n_actions(self):
-        return self.tables.shape[2]
 
     @classmethod
     def deterministic(cls, actions, n_actions):
@@ -195,13 +193,10 @@ class DecentralizedPolicySet:
         return cls(np.full((n_agents, n_states, n_actions), 1.0 / n_actions))
 
     def joint(self):
-        """Product joint policy [n_states, n_actions**n_agents]."""
-        n, s, a = self.tables.shape
-        digits = digit_table(n, a)
-        out = np.ones((s, a**n))
-        for i in range(n):
-            out *= self.tables[i][:, digits[:, i]]
-        return out
+        """Product joint policy [n_states, n_actions**n_agents]: the
+        coordination chain of `_prefix_reach` on prefix-independent
+        [S, 1, A] views of the tables, agents multiplied in order."""
+        return _prefix_reach(self.tables[:, :, None, :])[-1]
 
     def greedy_actions(self):
         """Per-agent argmax actions [n_agents, n_states] (lowest index on ties)."""
@@ -265,10 +260,7 @@ class CoordinationPolicy:
         """Prefix probabilities [P_0, ..., P_n]: P_k [n_states, n_actions**k]
         is the chance that agents 0..k-1 play each prefix code, with P_0 = 1
         and P_{k+1}[s, p*A + a] = P_k[s, p] * tables[k][s, p, a]."""
-        out = [np.ones((self.n_states, 1))]
-        for table in self.tables:
-            out.append((out[-1][:, :, None] * table).reshape(self.n_states, -1))
-        return out
+        return _prefix_reach(self.tables)
 
     def joint(self):
         """Chain-product joint policy [n_states, n_actions**n_agents]: P_n."""

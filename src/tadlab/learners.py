@@ -94,6 +94,12 @@ def softmax(logits):
     return z
 
 
+def _softmax_chain(pi, g):
+    """The softmax chain rule: the logit gradient pi * (g - sum(pi * g)) of
+    a policy-space gradient g at softmax policies pi, along the last axis."""
+    return pi * (g - np.add.reduce(pi * g, axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -171,10 +177,6 @@ class VdParams:
     @property
     def n_agents(self):
         return self.q_local.shape[-3]
-
-    @property
-    def n_states(self):
-        return self.q_local.shape[-2]
 
     @property
     def n_actions(self):
@@ -365,8 +367,7 @@ def mapg_objective(template, model):
     def f(x):
         tables = softmax(x.reshape(x.shape[:-1] + shape))
         value, pol_grad = product_policy_value_and_grad(model, tables)
-        inner = np.add.reduce(tables * pol_grad, axis=-1, keepdims=True)
-        return -value, -(tables * (pol_grad - inner)).reshape(x.shape)
+        return -value, -_softmax_chain(tables, pol_grad).reshape(x.shape)
 
     return f
 
@@ -645,17 +646,21 @@ def _final_steps(model):
 def q_learning(mdp, sweeps=200, lr=0.5):
     """Synchronous tabular Q-learning on a (possibly layered episodic)
     one-agent model: deterministic full sweeps q += lr * (target - q), in
-    which final-step states do not bootstrap. Returns the [S, A] table. On
+    which final-step states do not bootstrap. Returns the [S, A] table; one
+    that turns non-finite raises GdDivergenceError after the last sweep. On
     a dense transform it is the reference that `layered_q_learning`'s
     iterates are checked against.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     q = np.zeros_like(mdp.reward)
     final = _final_steps(mdp)
-    for _ in range(sweeps):
-        target = bellman_backup(q, mdp)
-        target[final] = mdp.reward[final]
-        q = q + lr * (target - q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(sweeps):
+            target = bellman_backup(q, mdp)
+            target[final] = mdp.reward[final]
+            q = q + lr * (target - q)
+    if not np.isfinite(q).all():
+        raise GdDivergenceError(f"Q-learning diverged within {sweeps} sweeps (lr={lr})")
     return q
 
 
@@ -706,18 +711,6 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     return q
 
 
-def _tad_pg_eval(model, logits):
-    """Softmax policy of [V, A] transform logits, its negative return on the
-    transform, the exact logit gradient and the `layered_policy_slices`."""
-    pi = softmax(logits)
-    value, slices = layered_policy_slices(model, pi)
-    pol_grad = 0.0
-    for d_t, q_t in slices:
-        pol_grad = pol_grad + d_t[:, None] * q_t
-    inner = (pi * pol_grad).sum(axis=-1, keepdims=True)
-    return pi, -value, -(pi * (pol_grad - inner)), slices
-
-
 #: TAD-PPO: ascent steps on the clipped surrogate per outer step, and the
 #: clip range `tad_run(sarl="clipped_pg")` uses when none is given
 PPO_EPOCHS = 4
@@ -734,19 +727,23 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, log_every=50):
     forms descend through `gd_run`, which evaluates the negative return and
     its exact gradient once per step, checks it and logs its norm.
     Unclipped, the step is plain descent. With `clip` set (TAD-PPO), the
-    step keeps that evaluation's policy, occupancy and advantages, and takes
-    `PPO_EPOCHS` ascent steps on the clipped ratio surrogate with exact
-    expectations.
+    step keeps that evaluation's policy, occupancy and advantages (taken
+    once per step), and takes `PPO_EPOCHS` ascent steps on the clipped ratio
+    surrogate with exact expectations.
     """
     step_discount(model)
     shape = (layer_offsets(model.n_states, model.n_agents, model.n_actions)[1],
              model.n_actions)
-    pi_old = occ_q = None
+    pi_old = slices = None
 
     def objective(x):
-        nonlocal pi_old, occ_q
-        pi_old, loss, grad, occ_q = _tad_pg_eval(model, x.reshape(shape))
-        return loss, grad.ravel()
+        nonlocal pi_old, slices
+        pi_old = softmax(x.reshape(shape))
+        value, slices = layered_policy_slices(model, pi_old)
+        pol_grad = 0.0
+        for d_t, q_t in slices:
+            pol_grad = pol_grad + d_t[:, None] * q_t
+        return -value, -_softmax_chain(pi_old, pol_grad).ravel()
 
     def monitor(x, loss):
         # for policy gradient the stochastic return is exactly -loss
@@ -754,18 +751,17 @@ def softmax_pg(model, lr=0.05, steps=2000, clip=None, log_every=50):
 
     def ppo_epochs(x):
         logits = x.reshape(shape)
+        advantages = [(d_t[:, None], q_t - np.sum(pi_old * q_t, axis=1, keepdims=True))
+                      for d_t, q_t in slices]
         for _ in range(PPO_EPOCHS):
             pi = softmax(logits)
             # an underflowed probability gives 0/0 = nan, which selects no clip
             ratio = pi / pi_old
             surr = np.zeros_like(logits)
-            for d_t, q_t in occ_q:
-                adv = q_t - np.sum(pi_old * q_t, axis=1, keepdims=True)
+            for d_t, adv in advantages:
                 clipped = (((adv > 0) & (ratio > 1.0 + clip))
                            | ((adv < 0) & (ratio < 1.0 - clip)))
-                dpi = np.where(clipped, 0.0, d_t[:, None] * adv)
-                inner = np.sum(pi * dpi, axis=1, keepdims=True)
-                surr += pi * (dpi - inner)
+                surr += _softmax_chain(pi, np.where(clipped, 0.0, d_t * adv))
             logits = logits + lr * surr
         return logits.ravel()
 

@@ -333,9 +333,10 @@ def greedy_distill_oracle(pc):
 
 
 # ---------------------------------------------------------------------------
-# the hand-written joint-action codec, one-hot scatters and prefix-reach
-# chain that numpy's ravel/unravel, `core.one_hot` and
-# `CoordinationPolicy.reach` replaced; each must match bit for bit
+# the hand-written joint-action codec, one-hot scatters, prefix-reach
+# chain and product-joint gather that numpy's ravel/unravel, `core.one_hot`,
+# `CoordinationPolicy.reach` and `DecentralizedPolicySet.joint`'s chain
+# replaced; each must match bit for bit
 
 def joint_code_oracle(actions, n_actions):
     """Mixed-radix code of an action tuple, agent 0 most significant."""
@@ -390,6 +391,18 @@ def joint_one_hot_oracle(codes, n_joint_actions):
     """One-hot joint policy matrix [S, M] from per-state codes [S]."""
     out = np.zeros((codes.shape[0], n_joint_actions))
     out[np.arange(codes.shape[0]), codes] = 1.0
+    return out
+
+
+def product_joint_oracle(tables):
+    """Product joint policy [S, A**n] of per-agent tables [n, S, A]: a ones
+    matrix multiplied in place by each agent's table read at its digit of
+    every joint action, agent 0 first."""
+    n, s, a = tables.shape
+    digits = digit_table(n, a)
+    out = np.ones((s, a**n))
+    for i in range(n):
+        out *= tables[i][:, digits[:, i]]
     return out
 
 

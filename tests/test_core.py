@@ -34,6 +34,7 @@ from oracles import (
     joint_code_oracle,
     joint_digits_oracle,
     joint_one_hot_oracle,
+    product_joint_oracle,
     pure_nash_enumerate,
     slices_oracle,
     vi_oracle,
@@ -103,6 +104,25 @@ def test_reach_ends_at_the_prefix_loop_joint(n, s, a):
     assert np.array_equal(reach[-1], coordination_joint_oracle(pc))
     assert np.array_equal(pc.joint(), reach[-1])
     assert np.allclose([p.sum(axis=1) for p in reach], 1.0)
+
+
+@pytest.mark.parametrize("n,s,a", [(1, 3, 2), (2, 1, 3), (3, 50, 4), (7, 1, 3)])
+def test_product_joint_matches_the_digit_gather_bit_for_bit(n, s, a):
+    # exact zeros, negative zeros and one-hot rows test the signed zeros of
+    # the products, as well as their values
+    rng = np.random.default_rng(n * 100 + s * 10 + a)
+    tables = rng.dirichlet(np.ones(a), size=(n, s))
+    tables[rng.random((n, s, a)) < 0.2] = 0.0
+    tables[rng.random((n, s, a)) < 0.2] = -0.0
+    hot = rng.random((n, s)) < 0.3
+    tables[hot] = one_hot(rng.integers(0, a, size=hot.sum()), a)
+    tables[0, 0, -1] = -0.0
+    got = DecentralizedPolicySet(tables).joint()
+    want = product_joint_oracle(tables)
+    assert got.shape == (s, a**n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(want).any()
 
 
 def test_greedy_play_through_codes_matches_per_agent_tables():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -637,6 +638,13 @@ def test_layered_q_learning_divergence_raises_without_warnings():
         layered_q_learning(TABLE1, sweeps=2000, lr=5.0)
 
 
+def test_q_learning_divergence_raises_without_warnings():
+    # the dense reference diverges as the layered sweep does; the suite turns
+    # warnings into errors
+    with pytest.raises(GdDivergenceError, match="2000 sweeps"):
+        q_learning(sequential_transform(TABLE1), sweeps=2000, lr=5.0)
+
+
 def test_softmax_pg_two_action_bandit_monotone():
     mdp = Mdp(1, 2, np.ones((1, 2, 1)), np.array([[0.0, 1.0]]), 0.9, [1.0],
               horizon=1)
@@ -712,6 +720,27 @@ def test_tad_pg_on_a_one_agent_model_is_the_plain_policy_gradient(name):
     want_logits, rows = clipped_pg_oracle(model, lr=0.5, steps=200, clip=0.2, log_every=20)
     assert np.array_equal(logits, want_logits)
     assert list(zip(trace.step, trace.loss, trace.grad_norm)) == rows
+
+
+#: sha256 of the distilled tables' bytes and of the repr of the trace rows
+#: of two-agent TAD-PPO on table1 (lr 2.0, 800 steps), as the per-step
+#: advantage loop computed them before the advantages were taken once per
+#: outer step
+TAD_PPO_TABLE1_SHA256 = {
+    "greedy": ("4787a52766c2d47c0d1ba11d22ddb34a2beee258c82364eb9a6fbb8754c63d20",
+               "b72c5ef948c9cae9749237a4bcdad1ae4dc59101da975f83809ee9b1da4ee59e"),
+    "kl": ("eef119802ef0f1805487f36cc2898b07b37ff93d12314b41c491586bbf6f6ab9",
+           "b5f5d74acb5913f556110d698cde076bbc109a0eb4e0dbb4ab13123304004ee0"),
+}
+
+
+@pytest.mark.parametrize("distill", sorted(TAD_PPO_TABLE1_SHA256))
+def test_multi_agent_tad_ppo_bits_are_pinned(distill):
+    policies, trace = tad_run(TABLE1, sarl="clipped_pg", distill=distill, lr=2.0, steps=800)
+    rows = list(zip(trace.step, trace.loss, trace.grad_norm, trace.ret, trace.greedy))
+    assert len(rows) == 18
+    assert (hashlib.sha256(policies.tables.tobytes()).hexdigest(),
+            hashlib.sha256(repr(rows).encode()).hexdigest()) == TAD_PPO_TABLE1_SHA256[distill]
 
 
 @pytest.mark.parametrize("name", builtin_names())
