@@ -34,7 +34,6 @@ from .core import (
     OPTION_BOUNDS,
     ORACLE_TOL,
     SIZE_GUARD,
-    DecentralizedPolicySet,
     SizeGuardError,
     _floats,
     _real,
@@ -48,6 +47,7 @@ from .core import (
 )
 from .learners import (
     SARL_OPTIONS,
+    STATIONARITY_TOL,
     VD_VARIANTS,
     GdDivergenceError,
     MapgParams,
@@ -57,9 +57,6 @@ from .learners import (
     tad_run,
 )
 from .transform import size_report, step_discount
-
-#: gradient-norm threshold echoed into summaries
-STATIONARITY_TOL = 1e-6
 
 
 class SchemaError(ValueError):
@@ -245,7 +242,9 @@ def _execute(config, seed, out_dir):
     """Run one config as `_load_config` resolves it at `seed`, write its
     outputs to `out_dir`, and return the summary dict. The one mapg and vd
     default that needs the model is set here: `lr` (0.05 on a one-step
-    model, else 0.01).
+    model, else 0.01). Once the learner returns its policies and trace,
+    every kind takes one path: the summary's `certificates` is the trace's
+    `record`, as the learner filled it.
     `out_dir` and its missing parents are made once the config is checked,
     before the learner runs (an OSError there is a SchemaError), and removed
     again if the learner fails."""
@@ -256,7 +255,6 @@ def _execute(config, seed, out_dir):
             f"state-action pairs, beyond the oracle guard"
         )
     learner = config["learner"]
-    certificates = {}
     if learner["kind"] == "tad":
         try:
             step_discount(model)
@@ -277,16 +275,10 @@ def _execute(config, seed, out_dir):
                 key: value for key, value in resolved.items() if key != "kind"})
         else:
             resolved = {"lr": 0.05 if model.horizon == 1 else 0.01, **learner}
-            mapg = learner["kind"] == "mapg"
-            params, trace = (run_mapg if mapg else run_vd)(
+            params, trace = (run_mapg if learner["kind"] == "mapg" else run_vd)(
                 model, init, lr=resolved["lr"], steps=resolved["steps"],
                 log_every=resolved["log_every"])
-            policies = params.policies() if mapg else DecentralizedPolicySet.deterministic(
-                np.argmax(params.q_local, axis=2), model.n_actions)
-            # the descent logs its last step, at the returned params
-            norm = trace.grad_norm[-1]
-            certificates["stationarity"] = {"ok": norm < STATIONARITY_TOL, "grad_norm": norm,
-                                            "tol": STATIONARITY_TOL}
+            policies = params.policies()
     except BaseException:
         for path in created:
             path.rmdir()
@@ -306,7 +298,7 @@ def _execute(config, seed, out_dir):
         "optimal_return": optimal_return,
         "suboptimality_gap": optimal_return - greedy_return,
         "greedy_policy": [int(c) for c in codes],
-        "certificates": certificates,
+        "certificates": trace.record,
         # oracle_vi_tol is the oracle's advantage tolerance; the key keeps its
         # value-iteration name so that summaries stay byte-identical
         "tolerances": {"oracle_vi_tol": ORACLE_TOL, "stationarity_tol": STATIONARITY_TOL},

@@ -176,12 +176,17 @@ def _prefix_reach(tables):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DecentralizedPolicySet:
-    """Per-agent stochastic tables [n_agents, n_states, n_actions]."""
+    """Per-agent stochastic tables [n_agents, n_states, n_actions];
+    ValueError for tables of any other rank or with no agent."""
 
     tables: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", _frozen(self.tables))
+        tables = _frozen(self.tables)
+        if tables.ndim != 3 or not len(tables):
+            raise ValueError(f"policy tables must be [n_agents >= 1, n_states, n_actions], "
+                             f"got shape {tables.shape}")
+        object.__setattr__(self, "tables", tables)
 
     @classmethod
     def deterministic(cls, actions, n_actions):
@@ -245,15 +250,6 @@ class CoordinationPolicy:
         for i in range(n_agents):
             t = rng.random((n_states, n_actions**i, n_actions)) + 1e-3
             tabs.append(t / t.sum(axis=2, keepdims=True))
-        return cls(tuple(tabs))
-
-    @classmethod
-    def from_product(cls, policies):
-        """Embed a DecentralizedPolicySet as a (prefix-independent) coordination policy."""
-        tabs = []
-        n, s, a = policies.tables.shape
-        for i in range(n):
-            tabs.append(np.broadcast_to(policies.tables[i][:, None, :], (s, a**i, a)).copy())
         return cls(tuple(tabs))
 
     def reach(self):

@@ -209,6 +209,12 @@ class VdParams:
         """The mixer's raw array: w_raw, lam_raw, or None for vdn."""
         return self.lam_raw if self.variant == "duplex" else self.w_raw
 
+    def policies(self):
+        """The greedy one-hot policy set: each agent's argmax action of its
+        local table (the lowest on ties)."""
+        return DecentralizedPolicySet.deterministic(np.argmax(self.q_local, axis=-1),
+                                                    self.n_actions)
+
     def pack(self):
         batch = self.q_local.shape[:-3]
         return np.concatenate([arr.reshape(batch + (-1,))
@@ -231,12 +237,16 @@ class VdParams:
 
 @dataclass
 class TrainTrace:
-    """Per-logged-step record of a training run.
+    """Per-logged-step record of a training run, plus the run's diagnostics.
 
     `ret` is the exact expected return of the policy the learner would act
     with (greedy for value learners, stochastic for policy gradient), and
     `greedy` holds the per-state greedy action codes. Learners that do not
-    track a policy leave those columns empty.
+    track a policy leave those columns empty. `record` holds the learner's
+    deterministic diagnostics, ready for JSON, which `to_csv` does not
+    write: `run_mapg` and `run_vd` put their stationarity certificate there,
+    and `tad_run` leaves it empty. The CLI writes it as the summary's
+    `certificates`.
     """
 
     step: list = field(default_factory=list)
@@ -244,6 +254,7 @@ class TrainTrace:
     grad_norm: list = field(default_factory=list)
     ret: list = field(default_factory=list)
     greedy: list = field(default_factory=list)
+    record: dict = field(default_factory=dict)
 
     def append(self, step, loss, grad_norm, ret=None, greedy=None):
         self.step.append(int(step))
@@ -595,30 +606,45 @@ def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None)
                 x = update(x)
 
 
+#: gradient-norm threshold of the stationarity certificate in a descent's record
+STATIONARITY_TOL = 1e-6
+
+
+def _descend(objective, params, lr, steps, monitor, log_every):
+    """`gd_run` from `params`, whose point it returns, with each replica
+    trace's record holding the stationarity certificate: the descent logs
+    its last step, at the returned point, so that row's gradient norm is
+    checked against `STATIONARITY_TOL`."""
+    x, trace = gd_run(objective, params.pack(), lr, steps, monitor, log_every)
+    for replica in trace if isinstance(trace, ReplicaTraces) else (trace,):
+        norm = replica.grad_norm[-1]
+        replica.record["stationarity"] = {"ok": norm < STATIONARITY_TOL, "grad_norm": norm,
+                                          "tol": STATIONARITY_TOL}
+    return params.unpack_like(x), trace
+
+
 def run_mapg(model, params, lr=0.05, steps=20000, log_every=200):
     """Gradient descent on the product-policy loss from a given logit point,
-    or from a [K, ...] stack of K points run as one batched descent."""
+    or from a [K, ...] stack of K points run as one batched descent; each
+    trace records its stationarity certificate."""
     def monitor(x, loss):
         # for policy gradient the stochastic return is exactly -loss
         return -loss, greedy_codes(params.unpack_like(x).logits)
 
-    x, trace = gd_run(mapg_objective(params, model), params.pack(), lr, steps,
-                      monitor=monitor, log_every=log_every)
-    return params.unpack_like(x), trace
+    return _descend(mapg_objective(params, model), params, lr, steps, monitor, log_every)
 
 
 def run_vd(model, params, lr=0.1, steps=5000, log_every=200):
     """Semi-gradient TD descent for any mixer variant from a given parameter
     point, or from a [K, ...] stack of K points run as one batched descent,
     under the uniform sampling distribution. The trace's return column is
-    the exact return of the greedy policy."""
+    the exact return of the greedy policy; each trace records its
+    stationarity certificate."""
     def monitor(x, loss):
         codes = greedy_codes(params.unpack_like(x).q_local)
         return evaluate_policy(model, codes), codes
 
-    x, trace = gd_run(vd_objective(params, model), params.pack(), lr, steps,
-                      monitor=monitor, log_every=log_every)
-    return params.unpack_like(x), trace
+    return _descend(vd_objective(params, model), params, lr, steps, monitor, log_every)
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +873,12 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     raises ValueError. Every learner is deterministic: `seed` is accepted
     and unused. Distillation is `greedy_distill` or the closed-form
     `kl_distill`. An unknown learner, distillation or option is refused
-    before any work. Returns the decentralized policies and a trace. Iterative
-    learners contribute their own trace (measured on the transformed
-    model); vi and q_learning yield a single summary row whose loss column
-    holds the negated final return.
+    before any work. Returns the decentralized policies and a trace whose
+    record is empty. The trace starts empty for vi and q_learning, and as
+    the PG learner's own trace (measured on the transformed model) for
+    softmax_pg and clipped_pg; one row for the distilled policies then
+    ends it: its loss is the negated final return, at step 0 with norm 0.0
+    after a solve, or at the PG trace's last step + 1 with its last norm.
     """
     if sarl not in SARL_OPTIONS:
         raise ValueError(f"unknown single-agent learner {sarl!r}")
@@ -860,28 +888,20 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     if unknown:
         raise ValueError(f"unknown {sarl} options: {sorted(unknown)}")
     cfg = {**SARL_OPTIONS[sarl], **{k: v for k, v in cfg.items() if v is not None}}
-    trace = None
-    q = None
-    if sarl == "vi":
-        q, _ = layered_optimal_values(model, **cfg)
-    elif sarl == "q_learning":
-        q = layered_q_learning(model, **cfg)
+    trace = TrainTrace()
+    if sarl in ("vi", "q_learning"):
+        q = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
+             else layered_q_learning(model, **cfg))
+        pol = one_hot(np.argmax(q, axis=1), q.shape[1])
     else:
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
-    if q is not None:
-        pol = one_hot(np.argmax(q, axis=1), q.shape[1])
     pc = lower_policy(pol, model.n_agents)
     if distill == "greedy":
         policies = greedy_distill(pc, model)
     else:
         policies, _ = kl_distill(pc, model)
     final_return = evaluate_policy(model, policies)
-    codes = greedy_codes(policies.tables)
-    if trace is None:
-        trace = TrainTrace()
-        trace.append(0, -final_return, 0.0, final_return, codes)
-    else:
-        trace.append(trace.step[-1] + 1, -final_return,
-                     trace.grad_norm[-1], final_return, codes)
+    step, norm = (trace.step[-1] + 1, trace.grad_norm[-1]) if trace.step else (0, 0.0)
+    trace.append(step, -final_return, norm, final_return, greedy_codes(policies.tables))
     return policies, trace

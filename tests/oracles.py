@@ -5,6 +5,7 @@ import numpy as np
 from tadlab.constructions import diag_tensor, random_matrix_game, undercut_diag_values
 from tadlab.core import (
     MAX_SWEEPS,
+    CoordinationPolicy,
     DecentralizedPolicySet,
     Mmdp,
     bellman_backup,
@@ -417,6 +418,16 @@ def coordination_joint_oracle(pc):
         out *= pc.tables[i][:, prefix, digits[:, i]]
         prefix = prefix * a + digits[:, i]
     return out
+
+
+def coordination_from_product(policies):
+    """A DecentralizedPolicySet embedded as a (prefix-independent)
+    coordination policy: agent i's table repeated over every prefix code."""
+    tabs = []
+    n, s, a = policies.tables.shape
+    for i in range(n):
+        tabs.append(np.broadcast_to(policies.tables[i][:, None, :], (s, a**i, a)).copy())
+    return CoordinationPolicy(tuple(tabs))
 
 
 # ---------------------------------------------------------------------------

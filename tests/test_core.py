@@ -169,6 +169,14 @@ def test_validate_flags_negative_probability():
         Mmdp(1, 2, 3, trans, g.reward, g.gamma, g.initial_dist, horizon=1)
 
 
+def test_validate_refuses_an_initial_dist_just_over_one():
+    # the sum tolerance is PROB_TOL (1e-12), so 1e-10 over is a fault
+    g = builtin_game("table1")
+    with pytest.raises(ValueError,
+                       match=r"^invalid model: initial_dist sums to 1\.0000000001"):
+        Mmdp(1, 2, 3, g.transition, g.reward, g.gamma, [1.0 + 1e-10], horizon=1)
+
+
 def test_validate_rejects_gamma_one():
     g = builtin_game("table1")
     with pytest.raises(ValueError, match=r"^invalid model: .*gamma"):
@@ -654,6 +662,22 @@ def test_joint_codes_outside_the_range_are_refused(code):
 def test_a_nan_policy_matrix_is_refused():
     with pytest.raises(ValueError, match="probability vectors"):
         evaluate_policy(builtin_game("table1"), np.full((1, 9), np.nan))
+
+
+def test_a_policy_row_just_over_one_is_refused():
+    # the row-sum tolerance is 1e-9, so 1e-8 over is no distribution
+    row = one_hot(np.array([4]), 9)
+    row[0, 4] += 1e-8
+    with pytest.raises(ValueError, match="probability vectors"):
+        joint_policy_matrix(builtin_game("table1"), row)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 1, 3), (0, 1, 3)])
+def test_decentralized_policy_set_refuses_tables_not_of_rank_three(shape):
+    want = r"must be \[n_agents >= 1, n_states, n_actions\]"
+    with pytest.raises(ValueError, match=want) as info:
+        DecentralizedPolicySet(np.full(shape, 0.5))
+    assert str(info.value).endswith(f"got shape {shape}")
 
 
 def test_brute_force_optimal_returns_int_codes():

@@ -222,6 +222,14 @@ def test_vd_rejects_zero_support_dist():
             vd_loss_and_grad(p, M2, dist=dist)
 
 
+def test_vd_refuses_a_dist_summing_just_over_one():
+    # the sum tolerance is 1e-9, so 1e-8 over is no distribution
+    dist = uniform_dist(M2)
+    dist[0, 0] += 1e-8
+    with pytest.raises(ValueError, match="must sum to 1"):
+        vd_loss_and_grad(VdParams.zeros("vdn", 2, 1, 2), M2, dist=dist)
+
+
 def test_vdn_converges_to_additive_least_squares_fit():
     # closed form: row mean + column mean - grand mean
     fit = np.array([[-12.25, 2.25], [2.25, 16.75]])
@@ -290,6 +298,9 @@ def test_duplex_decompose_round_trip_and_argmax():
 def test_duplex_decompose_requires_maximizer():
     with pytest.raises(ValueError, match="maximizer"):
         duplex_decompose(np.array(MATGAME2).reshape(1, 4), joint_code((0, 0), 2), 2)
+    # the maximizer tolerance is 1e-12, so a value 1e-6 short is no maximizer
+    with pytest.raises(ValueError, match="code 1 is not a maximizer at state 0"):
+        duplex_decompose(np.array([[0.0, 1.0 - 1e-6, 0.0, 1.0]]), 1, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -858,10 +869,11 @@ def test_tad_learners_never_build_the_transform(monkeypatch):
                        {"sarl": "q_learning", "sweeps": 3000, "lr": 1.0},
                        {"sarl": "softmax_pg", "lr": 2.0, "steps": 800},
                        {"sarl": "clipped_pg", "lr": 1.0, "steps": 300}):
-            policies, _ = tad_run(model, **kwargs)
+            policies, trace = tad_run(model, **kwargs)
             greedy = DecentralizedPolicySet.deterministic(
                 policies.greedy_actions(), model.n_actions)
             assert evaluate_policy(model, greedy) == pytest.approx(best, abs=1e-9)
+            assert trace.record == {}
     assert not hasattr(learners, "sequential_transform")
 
 
@@ -959,6 +971,8 @@ def test_batched_run_mapg_rows_match_single_replicas(name):
         assert np.array_equal(flat.logits, one.logits[0])
         assert_same_trace(traces[k], trace[0])
         assert_same_trace(flat_trace, trace[0])
+        # each replica certifies its own last norm, as its single run does
+        assert traces[k].record == trace[0].record == flat_trace.record != {}
 
 
 @pytest.mark.parametrize("variant", learners.VD_VARIANTS)
@@ -1030,6 +1044,7 @@ def test_batched_run_vd_rows_match_single_replicas(variant):
         one, trace = run_vd(model, point, lr=0.05, steps=200, log_every=40)
         assert np.array_equal(batch.pack()[k], one.pack())
         assert_same_trace(traces[k], trace)
+        assert traces[k].record == trace.record != {}
 
 
 @pytest.mark.parametrize("variant,steps",
@@ -1037,7 +1052,7 @@ def test_batched_run_vd_rows_match_single_replicas(variant):
                          + [("mapg", 123), ("mapg", 0), ("duplex", 0)],
                          ids=[*learners.VD_VARIANTS, "mapg", "mapg-steps0", "duplex-steps0"])
 def test_run_vd_trace_norm_is_the_stationarity_norm(variant, steps):
-    # the CLI's stationarity certificate is the trace's last norm
+    # the stationarity certificate in the trace's record is its last norm
     from tadlab import stationarity_certificate
 
     if variant == "mapg":
@@ -1048,8 +1063,10 @@ def test_run_vd_trace_norm_is_the_stationarity_norm(variant, steps):
         p0 = VdParams.random(variant, 2, 1, 2, rng=57)
         p, trace = run_vd(M2, p0, lr=0.05, steps=steps, log_every=50)
         objective = vd_objective(p, M2)
-    _, norm = stationarity_certificate(objective, p.pack(), 1e-6)
+    ok, norm = stationarity_certificate(objective, p.pack(), 1e-6)
     assert trace.step[-1] == steps and trace.grad_norm[-1] == norm
+    assert trace.record == {"stationarity": {"ok": ok, "grad_norm": trace.grad_norm[-1],
+                                             "tol": 1e-6}}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,13 @@ from tadlab.learners import tad_run, value_iteration
 from tadlab.core import policy_slices
 from tadlab.transform import layer_offsets, layered_policy_slices
 
-from oracles import greedy_distill_oracle, kl_oracle, sequential_transform_oracle, vi_oracle
+from oracles import (
+    coordination_from_product,
+    greedy_distill_oracle,
+    kl_oracle,
+    sequential_transform_oracle,
+    vi_oracle,
+)
 
 
 def test_table1_layout():
@@ -294,7 +300,7 @@ def test_value_relation_rejects_gamma_zero():
 
 def test_greedy_distill_fixed_point_on_products():
     dec = DecentralizedPolicySet.deterministic(np.array([[1, 0], [2, 1]]), 3)
-    pc = CoordinationPolicy.from_product(dec)
+    pc = coordination_from_product(dec)
     model = random_mmdp(2, 2, 3, gamma=0.9, rng=14)
     out = greedy_distill(pc, model)
     assert np.array_equal(out.tables, dec.tables)
@@ -341,7 +347,7 @@ def test_greedy_distill_value_equals_determinized_coordination_policy():
 def test_kl_distill_recovers_product_marginals():
     marg = np.array([[[0.7, 0.3]], [[0.2, 0.8]]])
     dec = DecentralizedPolicySet(marg)
-    pc = CoordinationPolicy.from_product(dec)
+    pc = coordination_from_product(dec)
     model = random_mmdp(1, 2, 2, gamma=0.9, rng=17, horizon=1)
     out, losses = kl_distill(pc, model)
     assert np.abs(out.tables - marg).max() < 1e-4
@@ -370,7 +376,7 @@ def test_kl_distill_correlated_policy_has_entropy_gap():
 def test_kl_distill_deterministic_matches_greedy_first_stage():
     model = random_mmdp(2, 2, 3, gamma=0.9, rng=18)
     dec = DecentralizedPolicySet.deterministic(np.array([[2, 0], [1, 1]]), 3)
-    pc = CoordinationPolicy.from_product(dec)
+    pc = coordination_from_product(dec)
     out, _ = kl_distill(pc, model)
     greedy = greedy_distill(pc, model)
     assert np.array_equal(
