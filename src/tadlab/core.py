@@ -75,13 +75,20 @@ def digit_table(n_agents, n_actions):
     return digits
 
 
+def _checked_codes(codes, width):
+    """An int array of codes as intp; ValueError for a code outside
+    [0, width) (a fancy index would wrap -1 to the last entry)."""
+    codes = np.asarray(codes, dtype=np.intp)
+    if ((codes < 0) | (codes >= width)).any():
+        raise ValueError(f"codes must lie in [0, {width}), got {codes.tolist()}")
+    return codes
+
+
 def one_hot(codes, width):
     """Float array [..., width] holding 1.0 at each entry's code and 0.0
     elsewhere, from an int array `codes` [...]; ValueError for a code
     outside [0, width)."""
-    codes = np.asarray(codes, dtype=np.intp)
-    if ((codes < 0) | (codes >= width)).any():
-        raise ValueError(f"codes must lie in [0, {width}), got {codes.tolist()}")
+    codes = _checked_codes(codes, width)
     out = np.zeros(codes.shape + (width,))
     out.reshape(-1, width)[np.arange(codes.size), codes.ravel()] = 1.0
     return out
@@ -361,14 +368,27 @@ def _next_values(model, v):
 
 
 def _solve_values(model, pol):
-    """Infinite-horizon evaluation of a [..., S, M] policy matrix by one
-    linear solve: the system matrix I - gamma * P_pi, the state values v
-    [..., S] and the action values q [..., S, M]."""
-    r_pi = np.einsum("...sa,sa->...s", pol, model.reward)
-    p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
+    """Infinite-horizon evaluation by one linear solve: the system matrix
+    I - gamma * P_pi and the state values v [..., S] of a [..., S, M]
+    policy matrix, or of deterministic play given as int joint codes [S]
+    (in range, see `_checked_codes`).
+
+    Codes are read by index: P_pi and r_pi are the [S, S] and [S] rows
+    they pick, in place of the one-hot contraction, with the same bits.
+    That contraction adds one nonzero product per entry to +0.0 terms, so
+    the picked reward gets `+ 0.0` (a picked -0.0 reads +0.0), and a picked
+    -0.0 transition gives the same system matrix, as 0.0 - gamma * -0.0 is
+    +0.0.
+    """
+    if pol.dtype.kind in "iu":
+        states = np.arange(model.n_states)
+        r_pi = model.reward[states, pol] + 0.0
+        p_pi = model.transition[states, pol]
+    else:
+        r_pi = np.einsum("...sa,sa->...s", pol, model.reward)
+        p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
     a = np.eye(model.n_states) - model.gamma * p_pi
-    v = np.linalg.solve(a, r_pi[..., None])[..., 0]
-    return a, v, model.reward + model.gamma * _next_values(model, v)
+    return a, np.linalg.solve(a, r_pi[..., None])[..., 0]
 
 
 def policy_slices(model, pol):
@@ -390,7 +410,8 @@ def policy_slices(model, pol):
     """
     batch = pol.shape[:-2]
     if model.horizon is None:
-        a, v, q = _solve_values(model, pol)
+        a, v = _solve_values(model, pol)
+        q = model.reward + model.gamma * _next_values(model, v)
         d = np.linalg.solve(a.swapaxes(-1, -2), model.initial_dist[:, None])[..., 0]
         slices = [(d, q)]
     else:
@@ -414,9 +435,39 @@ def policy_slices(model, pol):
     return (value if batch else float(value)), slices
 
 
+def _play_codes(model, policy):
+    """Per-state joint codes [S] of deterministic play: range-checked int
+    codes of the model's shape, or a `DecentralizedPolicySet` of the
+    model's shape whose tables are exactly one-hot (every entry 0.0 or
+    1.0, one 1.0 a row), read as its `greedy_codes`. None for any other
+    policy."""
+    if isinstance(policy, DecentralizedPolicySet):
+        tables = policy.tables
+        if (tables.shape == (model.n_agents, model.n_states, model.n_actions)
+                and np.array_equal(tables, one_hot(tables.argmax(axis=2), model.n_actions))):
+            return greedy_codes(tables)
+    else:
+        codes = np.asarray(policy)
+        if codes.shape == (model.n_states,) and codes.dtype.kind in "iu":
+            return _checked_codes(codes, model.n_joint_actions)
+    return None
+
+
 def evaluate_policy(model, policy):
-    """Exact expected discounted return from the initial distribution."""
-    return policy_slices(model, joint_policy_matrix(model, policy))[0]
+    """Exact expected discounted return from the initial distribution.
+
+    On an infinite-horizon model, deterministic play (int joint codes, or
+    a policy set with exactly one-hot tables; see `_play_codes`) is read
+    by index and needs one linear solve for its values, with no occupancy
+    and no q table; its bits are those of the one-hot matrix. Stochastic
+    play, and every policy on an episodic model, goes through
+    `policy_slices`.
+    """
+    codes = _play_codes(model, policy) if model.horizon is None else None
+    if codes is None:
+        return policy_slices(model, joint_policy_matrix(model, policy))[0]
+    _, v = _solve_values(model, codes)
+    return float((model.initial_dist @ v[:, None])[0])
 
 
 def occupancy(model, policy):
@@ -489,12 +540,13 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     """Optimal action values [S, M] plus the solver's per-iteration record.
 
     Infinite horizon: Howard policy iteration over deterministic joint
-    policies, starting from the greedy-on-reward policy. Each iteration
-    evaluates the current policy mu exactly (one linear solve for its
-    values, as in `policy_slices`, without the occupancy), records its
-    largest advantage max_s [max_a q_mu(s, a) - q_mu(s, mu(s))], and
-    switches a state to its best action only where that advantage exceeds
-    `tol`. It stops when no state switches and returns q_mu; the last
+    policies, held as int joint codes [S] and starting from the
+    greedy-on-reward codes. Each iteration evaluates the current policy mu
+    exactly (one linear solve for its values, reading P_mu and r_mu by
+    index as `_solve_values` does, with no one-hot matrix and no
+    occupancy), records its largest advantage max_s [max_a q_mu(s, a) -
+    q_mu(s, mu(s))], and switches a state to its best action only where
+    that advantage exceeds `tol`. It stops when no state switches and returns q_mu; the last
     record entry is then the certificate margin: no action improves on mu
     by more than it, so every state's value is within margin/(1 - gamma)
     of the optimum, and so is the greedy policy of the returned table.
@@ -521,7 +573,7 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     codes = np.argmax(model.reward, axis=1)
     margins = []
     for _ in range(max_iter):
-        _, _, q = _solve_values(model, one_hot(codes, m))
+        q = model.reward + model.gamma * _next_values(model, _solve_values(model, codes)[1])
         best = np.argmax(q, axis=1)
         advantage = q[states, best] - q[states, codes]
         margins.append(float(advantage.max()))

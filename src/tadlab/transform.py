@@ -169,12 +169,15 @@ def never_reached_rows(model):
     """Rows of layers 0..n-2, in virtual-state order, at the base states an
     episodic model never reaches. The dense transform pins them to its last
     step, so they are zero and do not bootstrap; the layered solvers zero
-    the same rows. Infinite-horizon models have none.
+    the same rows. Infinite-horizon models, and episodic models that reach
+    every base state, have none.
     """
-    if model.horizon is None:
+    unreached = (np.zeros(0, dtype=bool) if model.horizon is None
+                 else first_visit_times(model) < 0)
+    if not unreached.any():
         return np.zeros(0, dtype=np.intp)
     a, n = model.n_actions, model.n_agents
-    rows = np.concatenate([np.repeat(first_visit_times(model) < 0, a**k) for k in range(n)])
+    rows = np.concatenate([np.repeat(unreached, a**k) for k in range(n)])
     rows[-model.n_states * a ** (n - 1):] = False
     return np.flatnonzero(rows)
 

@@ -17,7 +17,7 @@ from tadlab import (
     suboptimality_gap,
     vd_objective,
 )
-from tadlab import claims
+from tadlab import analysis, claims
 from tadlab.analysis import SLACK
 from tadlab.constructions import (
     builtin_game,
@@ -178,6 +178,21 @@ def test_trap_certificate_fails_when_an_agent_ties(monkeypatch):
     assert not record.ok
     assert dict((label, ok) for label, ok, _ in record.checks)["point 0 local minimum"] is False
     assert record.numbers["local_min"].tolist() == [False, True, True]
+
+
+def test_trap_certificate_excess_keeps_its_sign(monkeypatch):
+    # the floor bounds every feasible loss, so only a loss shifted below it
+    # can show the sign: the excess must read about -1, not its absolute value
+    tensor, points = construct_local_minima(3, 2)
+    objective = analysis.vd_objective
+
+    def shifted(params, model):
+        f = objective(params, model)
+        return lambda x: (f(x)[0] - 1.0,) + f(x)[1:]
+
+    monkeypatch.setattr(analysis, "vd_objective", shifted)
+    _, _, excess = duplex_trap_certificate(points[0], matrix_game(tensor))
+    assert -1.0 <= excess < -1.0 + 1e-11
 
 
 def _cylinder_points(params, radius, count, rng):

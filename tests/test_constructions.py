@@ -145,6 +145,14 @@ def test_restricted_minimizer_identity_when_already_max():
     assert np.array_equal(out, payoff)
 
 
+def test_restricted_minimizer_pools_an_entry_just_above_the_level():
+    # 1.0001 lies 1e-4 above a*'s 1.0, so a table that keeps it lacks a* among
+    # its argmaxes; the fit pools both at their mean
+    out = restricted_minimizer(np.array([1.0, 1.0001, 0.0]), None, 0)
+    assert out[0] == out[1] == pytest.approx(1.00005, abs=1e-15)
+    assert out[2] == 0.0
+
+
 def test_restricted_minimizer_matches_level_scan_oracle():
     rng = np.random.default_rng(0)
     for trial in range(20):

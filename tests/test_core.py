@@ -23,8 +23,8 @@ from tadlab import (
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 import tadlab
-from tadlab.core import (Mdp, digit_table, joint_policy_matrix, one_hot, optimal_values,
-                         policy_slices)
+from tadlab.core import (Mdp, _solve_values, digit_table, joint_policy_matrix, one_hot,
+                         optimal_values, policy_slices)
 
 from oracles import (
     coordination_joint_oracle,
@@ -645,18 +645,72 @@ def test_policy_slices_match_the_backward_pass_oracle(partly_reached_models):
 
 def test_evaluate_policy_reads_codes_as_their_one_hot_matrix():
     rng = np.random.default_rng(30)
-    for model in (builtin_game("table1"), random_mmdp(4, 2, 3, gamma=0.9, rng=31),
+    discounted = random_mmdp(4, 2, 3, gamma=0.9, rng=31)
+    # -0.0 beside negative rewards: every product of the one-hot contraction
+    # is a signed zero, which it sums to +0.0
+    negative = dataclasses.replace(discounted, reward=np.where(
+        discounted.reward < 0.5, -0.0, -discounted.reward))
+    for model in (builtin_game("table1"), discounted, negative,
                   random_mmdp(3, 3, 2, gamma=0.8, rng=32, horizon=3)):
         for _ in range(5):
             codes = rng.integers(model.n_joint_actions, size=model.n_states)
             matrix = one_hot(codes, model.n_joint_actions)
             assert_same_bits(evaluate_policy(model, codes), evaluate_policy(model, matrix))
+    picks_zero = np.argmax(negative.reward, axis=1)
+    assert_same_bits(negative.reward[np.arange(4), picks_zero], np.full(4, -0.0))
+    assert_same_bits(evaluate_policy(negative, picks_zero),
+                     evaluate_policy(negative, one_hot(picks_zero, 9)))
+    # the return's dot product drops the sign of zero values; the solve keeps it
+    for got, want in zip(_solve_values(negative, picks_zero),
+                         _solve_values(negative, one_hot(picks_zero, 9))):
+        assert_same_bits(got, want)
+    # policy sets: exactly one-hot tables are read as their greedy codes, and
+    # 1e-13 off one-hot keeps the product's own bits
+    actions = rng.integers(3, size=(2, 4))
+    one_hot_set = DecentralizedPolicySet.deterministic(actions, 3)
+    tables = one_hot_set.tables.copy()
+    tables[0, 0] = tables[0, 0] * (1 - 1e-13) + 1e-13 / 3
+    near = DecentralizedPolicySet(tables)
+    for model in (discounted, negative):
+        for policy in (one_hot_set, near):
+            assert_same_bits(evaluate_policy(model, policy),
+                             evaluate_policy(model, policy.joint()))
+    assert evaluate_policy(discounted, near) != evaluate_policy(discounted, one_hot_set)
+
+
+def test_deterministic_play_on_a_discounted_model_skips_the_one_hot_matrix(monkeypatch):
+    model = random_mmdp(6, 2, 3, gamma=0.95, rng=34)
+    codes = np.arange(6) % 9
+    want = evaluate_policy(model, one_hot(codes, 9))
+    one_hots, solves = [], []
+    solve = np.linalg.solve
+
+    def one_hot_spy(*args):
+        one_hots.append(args)
+        return one_hot(*args)
+
+    def solve_spy(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(tadlab.core, "one_hot", one_hot_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    _, record = optimal_values(model)
+    assert one_hots == [] and len(solves) == len(record)
+    solves.clear()
+    assert evaluate_policy(model, codes) == want
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("code", [-1, 9])
 def test_joint_codes_outside_the_range_are_refused(code):
-    with pytest.raises(ValueError, match="codes must lie in"):
-        evaluate_policy(builtin_game("table1"), np.array([code]))
+    # both models have 9 joint actions; the discounted one reads codes by
+    # index, where -1 would wrap to the last joint action
+    for model in (builtin_game("table1"), random_mmdp(4, 2, 3, gamma=0.9, rng=31)):
+        codes = np.zeros(model.n_states, dtype=int)
+        codes[-1] = code
+        with pytest.raises(ValueError, match="codes must lie in"):
+            evaluate_policy(model, codes)
 
 
 def test_a_nan_policy_matrix_is_refused():
