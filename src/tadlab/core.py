@@ -456,17 +456,27 @@ def _play_codes(model, policy):
 def evaluate_policy(model, policy):
     """Exact expected discounted return from the initial distribution.
 
-    On an infinite-horizon model, deterministic play (int joint codes, or
-    a policy set with exactly one-hot tables; see `_play_codes`) is read
-    by index and needs one linear solve for its values, with no occupancy
-    and no q table; its bits are those of the one-hot matrix. Stochastic
-    play, and every policy on an episodic model, goes through
-    `policy_slices`.
+    Deterministic play (int joint codes, or a policy set with exactly
+    one-hot tables; see `_play_codes`) is read by index on every horizon,
+    with no joint matrix and no occupancy, and its bits are those of the
+    one-hot matrix. On an infinite-horizon model its values take one
+    linear solve. On an episodic model they come by backward induction:
+    the last step's values are the picked rewards, and each earlier
+    step's are the picked entries of `reward + gamma * E[v(s')]`, as
+    `policy_slices` builds its tables. The contraction there sums each
+    row from +0.0, so a picked -0.0 reads +0.0, and the picks get
+    `+ 0.0`. Stochastic play goes through `policy_slices`.
     """
-    codes = _play_codes(model, policy) if model.horizon is None else None
+    codes = _play_codes(model, policy)
     if codes is None:
         return policy_slices(model, joint_policy_matrix(model, policy))[0]
-    _, v = _solve_values(model, codes)
+    if model.horizon is None:
+        _, v = _solve_values(model, codes)
+    else:
+        states = np.arange(model.n_states)
+        v = model.reward[states, codes] + 0.0
+        for _ in range(model.horizon - 1):
+            v = (model.reward + model.gamma * _next_values(model, v))[states, codes] + 0.0
     return float((model.initial_dist @ v[:, None])[0])
 
 

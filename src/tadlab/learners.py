@@ -672,10 +672,13 @@ def _final_steps(model):
 def q_learning(mdp, sweeps=200, lr=0.5):
     """Synchronous tabular Q-learning on a (possibly layered episodic)
     one-agent model: deterministic full sweeps q += lr * (target - q), in
-    which final-step states do not bootstrap. Returns the [S, A] table; one
-    that turns non-finite raises GdDivergenceError after the last sweep. On
-    a dense transform it is the reference that `layered_q_learning`'s
-    iterates are checked against.
+    which final-step states do not bootstrap, at most `sweeps` of them.
+    A sweep is a function of the table alone, so the loop stops at the
+    first sweep that changes no bit (compared as bytes: np.array_equal
+    takes -0.0 for +0.0), as every later sweep would return the same bits.
+    Returns the [S, A] table; one that turns non-finite raises
+    GdDivergenceError after the loop. On a dense transform it is the
+    reference that `layered_q_learning`'s iterates are checked against.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     q = np.zeros_like(mdp.reward)
@@ -684,7 +687,10 @@ def q_learning(mdp, sweeps=200, lr=0.5):
         for _ in range(sweeps):
             target = bellman_backup(q, mdp)
             target[final] = mdp.reward[final]
-            q = q + lr * (target - q)
+            nxt = q + lr * (target - q)
+            if nxt.tobytes() == q.tobytes():
+                break
+            q = nxt
     if not np.isfinite(q).all():
         raise GdDivergenceError(f"Q-learning diverged within {sweeps} sweeps (lr={lr})")
     return q
@@ -707,8 +713,11 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     final-step states' last-layer rows hold their reward rows, written once;
     each sweep writes layers 0..n-2, re-zeroes the never-reached rows, and
     backs up the joint step into the bootstrapping states' last-layer rows
-    only if there are any (none on a one-step game). A table that turns
-    non-finite raises GdDivergenceError after the last sweep.
+    only if there are any (none on a one-step game). So every target row
+    is a constant or a function of the table, and the loop stops at the
+    first sweep that changes no bit of it, after at most `sweeps` sweeps:
+    every later sweep would return the same bits. A table that turns
+    non-finite raises GdDivergenceError after the loop.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     gamma_step = step_discount(model)
@@ -731,7 +740,10 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
             if bootstraps:
                 np.copyto(target[inner:], layer_backup(model, n - 1, v[:s], gamma_step),
                           where=boot)
-            q += lr * (target - q)
+            nxt = q + lr * (target - q)
+            if nxt.tobytes() == q.tobytes():
+                break
+            q = nxt
     if not np.isfinite(q).all():
         raise GdDivergenceError(f"Q-learning diverged within {sweeps} sweeps (lr={lr})")
     return q

@@ -262,6 +262,27 @@ def kl_oracle(pc, steps=4000, lr=None):
     return DecentralizedPolicySet(pi), losses
 
 
+def layered_mmdp(layers, n_agents, n_actions, rng, gamma=0.9):
+    """Episodic MMDP with one episode step per entry of `layers`, each the
+    state count of its layer: every step moves at random into the next
+    layer, the last one back into layer 0, where episodes start uniformly.
+    Transitions, then rewards U(0, 1), are drawn from `default_rng(rng)`."""
+    rng = np.random.default_rng(rng)
+    bounds = np.cumsum((0,) + tuple(layers))
+    n_joint = n_actions**n_agents
+    transition = np.zeros((bounds[-1], n_joint, bounds[-1]))
+    for t, size in enumerate(layers):
+        nxt = (t + 1) % len(layers)
+        block = rng.random((size, n_joint, layers[nxt]))
+        transition[bounds[t]:bounds[t + 1], :, bounds[nxt]:bounds[nxt + 1]] = (
+            block / block.sum(axis=2, keepdims=True))
+    initial = np.zeros(bounds[-1])
+    initial[:layers[0]] = 1.0 / layers[0]
+    return Mmdp(bounds[-1], n_agents, n_actions, transition,
+                rng.uniform(0.0, 1.0, (bounds[-1], n_joint)), gamma, initial,
+                horizon=len(layers))
+
+
 def layered_q_oracle(model, sweeps=200, lr=0.5):
     """Synchronous Q-learning on the sequential transform with one table per
     layer: each sweep backs every layer up from the previous iterate, then

@@ -34,6 +34,7 @@ from oracles import (
     joint_code_oracle,
     joint_digits_oracle,
     joint_one_hot_oracle,
+    layered_mmdp,
     product_joint_oracle,
     pure_nash_enumerate,
     slices_oracle,
@@ -676,6 +677,40 @@ def test_evaluate_policy_reads_codes_as_their_one_hot_matrix():
             assert_same_bits(evaluate_policy(model, policy),
                              evaluate_policy(model, policy.joint()))
     assert evaluate_policy(discounted, near) != evaluate_policy(discounted, one_hot_set)
+    # episodic models read by index too: a one-step game whose codes pick
+    # -0.0 beside negative payoffs, and a layered horizon-3 model
+    game = random_matrix_game(3, 2, 35)
+    signed = dataclasses.replace(game, reward=np.where(game.reward < -5, -0.0, -np.abs(game.reward)))
+    picks_zero = np.argmax(signed.reward, axis=1)
+    assert_same_bits(signed.reward[0, picks_zero], [-0.0])
+    assert_same_bits(evaluate_policy(signed, picks_zero),
+                     evaluate_policy(signed, one_hot(picks_zero, 9)))
+    layered = layered_mmdp((1, 2, 2), 2, 3, rng=66)
+    for model in (signed, layered):
+        for _ in range(5):
+            codes = rng.integers(model.n_joint_actions, size=model.n_states)
+            assert_same_bits(evaluate_policy(model, codes),
+                             evaluate_policy(model, one_hot(codes, model.n_joint_actions)))
+            policy = DecentralizedPolicySet.deterministic(
+                rng.integers(3, size=(2, model.n_states)), 3)
+            assert_same_bits(evaluate_policy(model, policy),
+                             evaluate_policy(model, policy.joint()))
+
+
+def test_episodic_one_hot_play_skips_the_coordination_chain(monkeypatch):
+    game = random_matrix_game(3, 7, 0)
+    policy = DecentralizedPolicySet.deterministic(np.arange(7)[:, None] % 3, 3)
+    want = evaluate_policy(game, policy.joint())
+    calls = []
+    prefix_reach = tadlab.core._prefix_reach
+
+    def spy(*args):
+        calls.append(args)
+        return prefix_reach(*args)
+
+    monkeypatch.setattr(tadlab.core, "_prefix_reach", spy)
+    assert_same_bits(evaluate_policy(game, policy), want)
+    assert calls == []
 
 
 def test_deterministic_play_on_a_discounted_model_skips_the_one_hot_matrix(monkeypatch):

@@ -45,7 +45,6 @@ from tadlab.constructions import (
 from tadlab.core import (
     MAX_SWEEPS,
     Mdp,
-    Mmdp,
     bellman_backup,
     episode_positions,
     matrix_game,
@@ -63,6 +62,7 @@ from tadlab.transform import layered_policy_slices
 from oracles import (
     clipped_pg_oracle,
     duplex_decompose_oracle,
+    layered_mmdp,
     layered_q_oracle,
     mapg_kernel_oracle,
     mapg_loss_oracle,
@@ -643,6 +643,51 @@ def test_layered_q_learning_backs_up_the_joint_step_only_where_states_bootstrap(
     assert calls == [model.n_agents - 1] * backups
 
 
+def _count_calls(monkeypatch, name, fn):
+    """Monkeypatch `learners.<name>` with a spy that counts its calls."""
+    calls = []
+
+    def spy(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(learners, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("model,sweeps,ran", [
+    (random_matrix_game(3, 7, 0), 200, 81),
+    (random_mmdp(10, 3, 3, gamma=0.9, rng=0), 200, 200),
+], ids=["game_exits", "mmdp_runs_out"])
+def test_layered_q_learning_stops_at_its_bitwise_fixed_point(model, sweeps, ran, monkeypatch):
+    # one row_max per sweep; the game's table stops changing at sweep 80
+    calls = _count_calls(monkeypatch, "row_max", transform.row_max)
+    layered_q_learning(model, sweeps=sweeps, lr=0.5)
+    assert len(calls) == ran
+
+
+@pytest.mark.parametrize("model,sweeps", [
+    *((random_matrix_game(3, 7, 0), sweeps) for sweeps in (79, 80, 81, 200)),
+    (random_mmdp(10, 3, 3, gamma=0.9, rng=0), 2000),
+], ids=["game_79", "game_80", "game_81", "game_200", "mmdp_2000"])
+def test_layered_q_learning_exit_keeps_the_oracle_bits(model, sweeps):
+    # the oracle runs every sweep; around the exit and past it the bits agree
+    got = layered_q_learning(model, sweeps=sweeps, lr=0.5)
+    want = layered_q_oracle(model, sweeps=sweeps, lr=0.5)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_q_learning_stops_at_its_bitwise_fixed_point(monkeypatch):
+    # against the dense sweep with no exit, all 200 sweeps run
+    mdp = sequential_transform(M2)
+    want = _q_learning_per_sweep_positions(mdp, 200, 0.5)
+    calls = _count_calls(monkeypatch, "bellman_backup", bellman_backup)
+    got = q_learning(mdp, sweeps=200, lr=0.5)
+    assert len(calls) < 200
+    assert got.tobytes() == want.tobytes()
+
+
 def test_layered_q_learning_divergence_raises_without_warnings():
     # the suite turns warnings into errors
     with pytest.raises(GdDivergenceError, match="2000 sweeps"):
@@ -1071,27 +1116,6 @@ def test_run_vd_trace_norm_is_the_stationarity_norm(variant, steps):
 
 # ---------------------------------------------------------------------------
 # the agent-stacked kernels against the per-agent-loop oracles, bit for bit
-
-def layered_mmdp(layers, n_agents, n_actions, rng, gamma=0.9):
-    """Episodic MMDP with one episode step per entry of `layers`, each the
-    state count of its layer: every step moves at random into the next
-    layer, the last one back into layer 0, where episodes start uniformly.
-    Transitions, then rewards U(0, 1), are drawn from `default_rng(rng)`."""
-    rng = np.random.default_rng(rng)
-    bounds = np.cumsum((0,) + tuple(layers))
-    n_joint = n_actions**n_agents
-    transition = np.zeros((bounds[-1], n_joint, bounds[-1]))
-    for t, size in enumerate(layers):
-        nxt = (t + 1) % len(layers)
-        block = rng.random((size, n_joint, layers[nxt]))
-        transition[bounds[t]:bounds[t + 1], :, bounds[nxt]:bounds[nxt + 1]] = (
-            block / block.sum(axis=2, keepdims=True))
-    initial = np.zeros(bounds[-1])
-    initial[:layers[0]] = 1.0 / layers[0]
-    return Mmdp(bounds[-1], n_agents, n_actions, transition,
-                rng.uniform(0.0, 1.0, (bounds[-1], n_joint)), gamma, initial,
-                horizon=len(layers))
-
 
 KERNEL_MODELS = {
     "matgame2": M2,
