@@ -1204,6 +1204,55 @@ def test_policy_gradient_kernel_keeps_the_oracles_signed_zeros(partly_reached_mo
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+_ONE_STEP = random_mmdp(3, 2, 2, gamma=0.9, rng=41, horizon=1)
+ONE_STEP_GAMES = {
+    "table1": TABLE1,
+    "matgame2": M2,
+    # initial_dist 0.1 on each of 10 states: the d_0 weighting is not 1.0
+    "multitask_suite": builtin_game("multitask_suite"),
+    # three agents: each agent's others are a product of two tables
+    "random_k3_n3": random_matrix_game(3, 3, 68),
+    # d_0 = 0 at two states and negative rewards: -0.0 gradient terms
+    "unreached": dataclasses.replace(_ONE_STEP, reward=_ONE_STEP.reward - 10.0,
+                                     initial_dist=np.array([1.0, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_STEP_GAMES))
+def test_one_step_objective_matches_the_kernel_through_policy_slices_bitwise(name):
+    # the objective binds a one-step model's only slice once; the kernel
+    # called without it evaluates through `policy_slices`
+    model = ONE_STEP_GAMES[name]
+    shape = (model.n_agents, model.n_states, model.n_actions)
+    rng = np.random.default_rng(69)
+    for batch in ((), (3,)):
+        for logits in (np.zeros(batch + shape), 2.0 * rng.standard_normal(batch + shape)):
+            params = MapgParams(logits)
+            loss, grad = mapg_objective(params, model)(params.pack())
+            tables = softmax(logits)
+            value, pol_grad = learners.product_policy_value_and_grad(model, tables)
+            assert type(loss) is type(value)
+            assert np.asarray(loss).tobytes() == np.asarray(-value).tobytes()
+            want = -learners._softmax_chain(tables, pol_grad).reshape(grad.shape)
+            assert grad.tobytes() == want.tobytes()
+
+
+def test_one_step_mapg_objective_does_not_call_policy_slices(monkeypatch):
+    def refused(model, pol):
+        raise RuntimeError("policy_slices called")
+
+    monkeypatch.setattr(learners, "policy_slices", refused)
+    params = MapgParams.uniform(2, 1, 3)
+    loss, _ = mapg_objective(params, TABLE1)(params.pack())
+    assert loss == pytest.approx(-evaluate_policy(TABLE1, params.policies()))
+    run_mapg(TABLE1, params, lr=0.1, steps=5, log_every=5)
+    # every other horizon still evaluates through `policy_slices`
+    model = random_mmdp(3, 2, 2, gamma=0.9, rng=60, horizon=3)
+    params = MapgParams.uniform(2, 3, 2)
+    with pytest.raises(RuntimeError, match="policy_slices called"):
+        mapg_objective(params, model)(params.pack())
+
+
 @pytest.mark.parametrize("name", ["table1", "discounted_n3", "horizon2_n3", "layered_h2_n3"])
 def test_descents_retrace_the_loop_oracles(name):
     model = KERNEL_MODELS[name]
