@@ -431,8 +431,15 @@ def policy_slices(model, pol):
                 rho = (rho[..., None, :] @ p_pi)[..., 0, :]
                 scale *= model.gamma
                 slices.append((scale * rho, q_t))
+    return initial_return(model, v), slices
+
+
+def initial_return(model, v):
+    """J = initial_dist . v of state values [..., S]: a float for one
+    policy's [S] values, K returns for a [K, S] stack. The matmul sums from
+    +0.0, so a -0.0 value reads +0.0."""
     value = (model.initial_dist @ v[..., None])[..., 0]
-    return (value if batch else float(value)), slices
+    return value if v.ndim > 1 else float(value)
 
 
 def _play_codes(model, policy):
@@ -477,7 +484,7 @@ def evaluate_policy(model, policy):
         v = model.reward[states, codes] + 0.0
         for _ in range(model.horizon - 1):
             v = (model.reward + model.gamma * _next_values(model, v))[states, codes] + 0.0
-    return float((model.initial_dist @ v[:, None])[0])
+    return initial_return(model, v)
 
 
 def occupancy(model, policy):

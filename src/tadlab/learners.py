@@ -4,9 +4,9 @@ Two families of multi-agent learners live here:
 
 - product-policy gradient descent on the negative expected return, with the
   gradient sum_t d_t * q_t read from the exact slices of
-  `core.policy_slices`; a one-step model has one slice, (initial_dist,
-  reward + 0.0), the same for every policy, so `mapg_objective` builds it
-  once and its steps never call `policy_slices`;
+  `core.policy_slices`; a one-step model's only slice is (initial_dist,
+  reward) for every policy, so the kernel reads it off the model and never
+  calls `policy_slices` there;
 - value decomposition trained by semi-gradient TD (the bootstrap target is
   frozen per step), with three mixers: additive (vdn), positive linear
   mixing (monotonic), and a dueling mixer whose advantage weights are
@@ -64,6 +64,7 @@ from .core import (
     episode_positions,
     evaluate_policy,
     greedy_codes,
+    initial_return,
     joint_code,
     one_hot,
     optimal_values,
@@ -341,26 +342,26 @@ def _picked(tables, flat):
     return tables.reshape(tables.shape[:-3] + (-1,)).take(flat, axis=-1)
 
 
-def product_policy_value_and_grad(model, tables, first=None):
+def product_policy_value_and_grad(model, tables):
     """Expected return of a product policy and its policy-space gradient.
 
     `tables` is [n_agents, n_states, n_actions], or a [K, ...] stack of K
     replicas; the gradient entry g[i, s, b] is d J / d pi_i(b|s): the
     occupancy-weighted action value of agent i playing b while the others
-    follow their tables. `first` is a one-step model's only slice,
-    (initial_dist, reward + 0.0), which no policy changes: given it, the
-    value is read off it as `policy_slices` reads it, and `policy_slices`
-    is not called.
+    follow their tables. A one-step model's only slice is (initial_dist,
+    reward), whatever the policy, so it is read off the model with no call
+    to `policy_slices`. The `+ 0.0` that `policy_slices` adds to that
+    reward changes no bit here: the `einsum` sums from +0.0 and the
+    gradient is `0.0 + term`, so neither keeps a zero's sign.
     """
     flat, masks, index = _agent_axis(*tables.shape[-3:])
     picked = _picked(tables, flat)
     pol = np.multiply.reduce(picked, axis=-3)
-    if first is None:
-        value, slices = policy_slices(model, pol)
+    if model.horizon == 1:
+        slices = ((model.initial_dist, model.reward),)
+        value = initial_return(model, np.einsum("...sa,...sa->...s", pol, model.reward))
     else:
-        v = np.einsum("...sa,...sa->...s", pol, first[1])
-        value = (model.initial_dist @ v[..., None])[..., 0]
-        value, slices = (value if v.ndim > 1 else float(value)), (first,)
+        value, slices = policy_slices(model, pol)
     # products over axis -3 multiply the agents left to right; `take` gives
     # the other agents' factors as a C-ordered copy, so the matmul below
     # reads the same layout at every K
@@ -385,12 +386,10 @@ def mapg_objective(template, model):
     """`f(x) -> (loss, packed gradient)` of the product-policy loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them."""
     shape = template.logits.shape[-3:]
-    # a one-step model's only slice is the same for every policy: built once
-    first = (model.initial_dist, model.reward + 0.0) if model.horizon == 1 else None
 
     def f(x):
         tables = softmax(x.reshape(x.shape[:-1] + shape))
-        value, pol_grad = product_policy_value_and_grad(model, tables, first)
+        value, pol_grad = product_policy_value_and_grad(model, tables)
         return -value, -_softmax_chain(tables, pol_grad).reshape(x.shape)
 
     return f

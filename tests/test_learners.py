@@ -1215,25 +1215,31 @@ ONE_STEP_GAMES = {
     # d_0 = 0 at two states and negative rewards: -0.0 gradient terms
     "unreached": dataclasses.replace(_ONE_STEP, reward=_ONE_STEP.reward - 10.0,
                                      initial_dist=np.array([1.0, 0.0, 0.0])),
+    # -0.0 rewards, which `policy_slices` turns into +0.0 with its `+ 0.0`:
+    # agent 0's first action has a zero gradient
+    "signed_zero_rewards": matrix_game(np.array([[-0.0, -0.0], [10.0, 9.0]])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ONE_STEP_GAMES))
 def test_one_step_objective_matches_the_kernel_through_policy_slices_bitwise(name):
-    # the objective binds a one-step model's only slice once; the kernel
-    # called without it evaluates through `policy_slices`
+    # the kernel reads a one-step model's only slice off the model; the loop
+    # oracle evaluates through `core.policy_slices`
     model = ONE_STEP_GAMES[name]
     shape = (model.n_agents, model.n_states, model.n_actions)
     rng = np.random.default_rng(69)
     for batch in ((), (3,)):
         for logits in (np.zeros(batch + shape), 2.0 * rng.standard_normal(batch + shape)):
+            tables = softmax(logits)
+            want_value, want_grad = mapg_kernel_oracle(model, tables)
+            value, pol_grad = learners.product_policy_value_and_grad(model, tables)
+            assert type(value) is type(want_value) is (np.ndarray if batch else float)
+            assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+            assert pol_grad.tobytes() == want_grad.tobytes()
             params = MapgParams(logits)
             loss, grad = mapg_objective(params, model)(params.pack())
-            tables = softmax(logits)
-            value, pol_grad = learners.product_policy_value_and_grad(model, tables)
-            assert type(loss) is type(value)
-            assert np.asarray(loss).tobytes() == np.asarray(-value).tobytes()
-            want = -learners._softmax_chain(tables, pol_grad).reshape(grad.shape)
+            assert np.asarray(loss).tobytes() == np.asarray(-want_value).tobytes()
+            want = -learners._softmax_chain(tables, want_grad).reshape(grad.shape)
             assert grad.tobytes() == want.tobytes()
 
 
