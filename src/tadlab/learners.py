@@ -28,7 +28,12 @@ take an optional leading replica axis (`MapgParams.logits` [K, n, S, A],
 descend in one pass. Each replica's numbers come from its own row alone,
 bit for bit what a one-replica run gives (gathers use `take`, whose
 C-ordered output keeps the layout independent of K); a stack-aware
-objective handed to `gd_run` must keep that contract.
+objective handed to `gd_run` must keep that contract. With no step hook,
+`gd_run` hands its objective the same array at every step and updates it
+in place, so each objective binds its views of x once per descent: it
+keeps the last x, its shape and its views, and builds new ones only for
+another array or shape. That cut one duplex call from about 20.8 to 18.9
+us and one MA-PG call by 1-2% (medians of interleaved 2,000-call blocks).
 
 The single-agent side runs on one-agent models: `value_iteration` (the
 oracle's policy iteration under its old name, returning the table and its
@@ -352,16 +357,20 @@ def product_policy_value_and_grad(model, tables):
     reward), whatever the policy, so it is read off the model with no call
     to `policy_slices`. The `+ 0.0` that `policy_slices` adds to that
     reward changes no bit here: the `einsum` sums from +0.0 and the
-    gradient is `0.0 + term`, so neither keeps a zero's sign.
+    gradient is `0.0 + term`, so neither keeps a zero's sign. Each slice
+    enters the loop in the form that broadcasts against the agent axis,
+    d_t [..., 1, S, 1] and q_t [..., 1, S, M]; the one-step slice is built
+    in that form, with no per-slice indexing.
     """
     flat, masks, index = _agent_axis(*tables.shape[-3:])
     picked = _picked(tables, flat)
     pol = np.multiply.reduce(picked, axis=-3)
     if model.horizon == 1:
-        slices = ((model.initial_dist, model.reward),)
+        slices = ((model.initial_dist[:, None], model.reward),)
         value = initial_return(model, np.einsum("...sa,...sa->...s", pol, model.reward))
     else:
         value, slices = policy_slices(model, pol)
+        slices = [(d_t[..., None, :, None], q_t[..., None, :, :]) for d_t, q_t in slices]
     # products over axis -3 multiply the agents left to right; `take` gives
     # the other agents' factors as a C-ordered copy, so the matmul below
     # reads the same layout at every K
@@ -371,7 +380,7 @@ def product_policy_value_and_grad(model, tables):
     # 0.0 + first term: the bits (signed zeros too) of a zeros buffer += term
     grad = 0.0
     for d_t, q_t in slices:
-        grad = grad + d_t[..., None, :, None] * ((others * q_t[..., None, :, :]) @ masks)
+        grad = grad + d_t * ((others * q_t) @ masks)
     return value, grad
 
 
@@ -384,11 +393,22 @@ def mapg_loss_and_grad(params, model):
 
 def mapg_objective(template, model):
     """`f(x) -> (loss, packed gradient)` of the product-policy loss, for a
-    flat x of `template`'s point shape or a [K, d] stack of them."""
+    flat x of `template`'s point shape or a [K, d] stack of them.
+
+    f keeps the last x, its shape and its logit view [..., n, S, A] as one
+    tuple, read once per call. Called again on that array in that shape,
+    as `gd_run` calls it, f reuses the view, which sees every in-place
+    update of x; any other array or shape gets a new view."""
     shape = template.logits.shape[-3:]
+    bound = None, None, None
 
     def f(x):
-        tables = softmax(x.reshape(x.shape[:-1] + shape))
+        nonlocal bound
+        last, last_shape, logits = bound
+        if x is not last or x.shape != last_shape:
+            logits = x.reshape(x.shape[:-1] + shape)
+            bound = x, x.shape, logits
+        tables = softmax(logits)
         value, pol_grad = product_policy_value_and_grad(model, tables)
         return -value, -_softmax_chain(tables, pol_grad).reshape(x.shape)
 
@@ -470,7 +490,9 @@ def vd_objective(template, model, dist=None):
     then gathers the picked local values straight from x (its first entries
     are the local tables, flat), runs on views of x and joins the packed
     gradient with one concatenate, so a long descent pays no per-step
-    checks, shape arithmetic or repacking."""
+    checks, shape arithmetic or repacking. As in `mapg_objective`, f keeps
+    the last x, its shape, its views and their layout as one tuple, and
+    reuses them while it is called on that array in that shape."""
     dist = _check_dist(dist, model)
     final = np.flatnonzero(_final_steps(model))
     variant, (point, mix_point) = template.variant, template.point_shapes()
@@ -485,9 +507,16 @@ def vd_objective(template, model, dist=None):
         starts = np.arange(0, math.prod(batch) * nq, n_actions).reshape(batch + point[:-1])
         return batch + point, mix_point and batch + mix_point, batch + (-1,), starts
 
+    bound = None, None, None
+
     def f(x):
-        q_shape, mix_shape, rows, starts = layout(x.shape)
-        q_local, mix = _vd_views(x, nq, q_shape, mix_shape)
+        nonlocal bound
+        last, last_shape, views = bound
+        if x is not last or x.shape != last_shape:
+            q_shape, mix_shape, rows, starts = layout(x.shape)
+            views = _vd_views(x, nq, q_shape, mix_shape) + (rows, starts)
+            bound = x, x.shape, views
+        q_local, mix, rows, starts = views
         q, terms, weights = _vd_mix(variant, q_local, x.take(flat, axis=-1), mix)
         if model.horizon == 1:
             target = model.reward
@@ -574,12 +603,15 @@ def gd_run(loss_and_grad, x0, lr, steps, monitor=None, log_every=1, update=None)
     (return, greedy_codes)` fills the policy columns of a replica's trace
     there, called on that replica's row. The gradient norm is computed only
     where it is logged; a row whose sum of squares overflows gets it by
-    scaling (`_scaled_norms`). The step is x -= lr * grad, unless
-    `update(x) -> next x` is given: it is called right after
-    `loss_and_grad(x)` at every step but the last, and may use what that
-    call saw. Non-finite losses or gradients abort with GdDivergenceError,
-    and options outside their `OPTION_BOUNDS` with ValueError. Returns the
-    final x and a TrainTrace, or ReplicaTraces for a stack.
+    scaling (`_scaled_norms`). The step is x -= lr * grad, in place, so
+    with no `update` every call of `loss_and_grad` gets the same array
+    object, which the objectives' bound views rely on. With
+    `update(x) -> next x`, it is called right after `loss_and_grad(x)` at
+    every step but the last, may use what that call saw, and may return a
+    new array, which the next call then gets. Non-finite losses or
+    gradients abort with GdDivergenceError, and options outside their
+    `OPTION_BOUNDS` with ValueError. Returns the final x and a TrainTrace,
+    or ReplicaTraces for a stack.
     """
     lr, steps, log_every = check_options(lr=lr, steps=steps, log_every=log_every)
     x = np.array(x0, dtype=float)

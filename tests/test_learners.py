@@ -369,6 +369,25 @@ def test_gd_run_update_hook_matches_the_plain_step():
     assert calls == list(range(52, 102))
 
 
+@pytest.mark.parametrize("x0", [np.full(4, 2.0), np.full((3, 4), 2.0)])
+def test_gd_run_hands_the_objective_one_array_unless_a_hook_steps(x0):
+    # the objectives keep their views of x while they see the same array;
+    # with no hook every call gets the array gd_run returns, updated in place
+    seen = []
+
+    def bowl(x):
+        seen.append(x)
+        return 0.5 * np.add.reduce(x * x, axis=-1), x.copy()
+
+    x, _ = gd_run(bowl, x0, lr=0.1, steps=20, log_every=5)
+    assert len(seen) == 21 and all(arg is x for arg in seen)
+    assert not np.shares_memory(x, x0)
+    # a hook may return a new array, which the next call then gets
+    seen.clear()
+    x, _ = gd_run(bowl, x0, lr=0.1, steps=20, log_every=5, update=lambda x: 0.9 * x)
+    assert len({id(arg) for arg in seen}) == 21 and seen[-1] is x
+
+
 def test_gd_run_nan_aborts():
     def bad(x):
         return float("nan"), x
@@ -1330,6 +1349,47 @@ def test_one_objective_keeps_each_stack_shapes_layout(name, variant):
         for want in (vd_objective(template, model)(x), oracle(x)):
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     assert np.isnan(f(stack)[0][2])
+
+
+STALE_VIEW_MODELS = {
+    "table1": TABLE1,
+    "multitask_suite": builtin_game("multitask_suite"),
+    "layered_h3": KERNEL_MODELS["layered_h3"],
+}
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("name", sorted(STALE_VIEW_MODELS))
+def test_objectives_rebuild_their_views_for_another_array_or_shape(name, batch):
+    # each objective reuses the views it built of x while it is called on
+    # that array in that shape; every call must give the bits of a fresh
+    # objective on a copy: after x is stepped in place, after a call on
+    # another array, and after x is reshaped in place
+    model = STALE_VIEW_MODELS[name]
+    rng = np.random.default_rng(71)
+    shape = batch + (model.n_agents, model.n_states, model.n_actions)
+    logits = MapgParams(rng.standard_normal(shape))
+    objectives = [(lambda: mapg_objective(logits, model), logits.pack())]
+    for variant in learners.VD_VARIANTS:
+        p = _random_vd_params(variant, batch, model, rng)
+        objectives.append((lambda p=p: vd_objective(p, model), p.pack()))
+    for make, x in objectives:
+        f = make()
+
+        def check(arg):
+            got, want = f(arg), make()(arg.copy())
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+        check(x)
+        x -= 0.1 * f(x)[1]
+        check(x)
+        check(x + 1.0)
+        check(x)
+        if not batch:
+            # the same array read as a one-replica stack; a [3, d] stack
+            # has no other shape an objective takes
+            x.shape = (1, x.size)
+            check(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

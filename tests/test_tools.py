@@ -1,10 +1,13 @@
 """The rulers in tools/ that ROADMAP and CHANGES quote: the code-line
-counter and the reach probe."""
+counter, the reach probe and the benchmark pair runner."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -18,6 +21,7 @@ def _load(name):
 
 code_lines = _load("code_lines")
 reach = _load("reach")
+bench_pairs = _load("bench_pairs")
 
 #: a module whose code lines are the ones marked `# code`: docstrings,
 #: comment-only lines and blank lines do not count
@@ -85,3 +89,59 @@ def test_profile_reach_lists_the_function_that_no_call_entered(tmp_path, monkeyp
     assert [(path.name, line, name) for path, line, _, name in functions] == [
         ("mod.py", 1, "called"), ("mod.py", 5, "never")]
     assert [name for *_, name in unreached] == ["never"]
+
+
+def _result(**values):
+    """A canned `perfbench/run.py` result line with the given metric values."""
+    units = {"wall_s": "s", "pass_rate": "ratio"}
+    return {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()}}
+
+
+def test_bench_pairs_summary_counts_strict_wins_in_each_metrics_direction():
+    walls = [(3.0, 2.0), (4.0, 4.0), (5.0, 6.0), (6.0, 3.0), (2.0, 1.0)]
+    rates = [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (0.5, 1.0)]
+    runs = [{"parent": _result(wall_s=pw, pass_rate=pr),
+             "change": _result(wall_s=cw, pass_rate=cr)}
+            for (pw, cw), (pr, cr) in zip(walls, rates)]
+    summary = bench_pairs.summarize(runs, {"wall_s": "lower", "pass_rate": "higher"})
+    wall = summary["wall_s"]
+    # parent 2, 3, 4, 5, 6 and change 1, 2, 3, 4, 6: inclusive quartiles
+    assert wall["parent"] == {"median": 4.0, "q1": 3.0, "q3": 5.0}
+    assert wall["change"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    # the tie at 4.0 counts for neither side
+    assert (wall["change_wins"], wall["pairs"], wall["unit"]) == (3, 5, "s")
+    assert wall["median_change_rel"] == -0.25 and wall["parent_iqr"] == 2.0
+    rate = summary["pass_rate"]
+    assert rate["change_wins"] == 2 and rate["median_change_rel"] == 0.0
+
+
+def test_bench_pairs_summary_reproduces_a_committed_bench_file():
+    doc = json.loads((TOOLS.parent / "BENCH_29.json").read_text())
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for workload in doc["workloads"].values():
+        assert bench_pairs.summarize(workload["runs"], better) == workload["summary"]
+
+
+def test_bench_pairs_runs_one_tree_at_a_time_parent_first_on_even_pairs(monkeypatch):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        calls.append(tree)
+        env = {"environment": {"seed": seed}, "raw_medians": {"passes": len(calls)}}
+        return env, _result(wall_s=float(len(calls)))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    runs, env = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "claims", 1, 40.0, 3)
+    assert calls == ["P", "C", "C", "P", "P", "C"]
+    assert [r["first"] for r in runs] == ["parent", "change", "parent"]
+    assert runs[1]["change"]["metrics"]["wall_s"]["value"] == 3.0
+    assert runs[1]["raw_medians"] == {"change": {"passes": 3}, "parent": {"passes": 4}}
+    assert env == {"seed": 1}
+
+
+@pytest.mark.parametrize("spec, want", [("configs=10", ("configs", "configs", 0, 10)),
+                                        ("claims@1=4", ("claims_seed1", "claims", 1, 4))])
+def test_bench_pairs_reads_workload_seed_and_pair_count(spec, want):
+    assert bench_pairs.parse_pairs([spec]) == [want]
