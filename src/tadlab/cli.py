@@ -247,7 +247,8 @@ def _execute(config, seed, out_dir):
     `record`, as the learner filled it.
     `out_dir` and its missing parents are made once the config is checked,
     before the learner runs (an OSError there is a SchemaError), and removed
-    again if the learner fails."""
+    again if the learner, or the evaluation of its policies and the oracle
+    (a return that overflows, say), fails."""
     model, env_name = _resolve_env(config["env"])
     if model.n_states * model.n_joint_actions > SIZE_GUARD:
         raise SizeGuardError(
@@ -279,16 +280,16 @@ def _execute(config, seed, out_dir):
                 model, init, lr=resolved["lr"], steps=resolved["steps"],
                 log_every=resolved["log_every"])
             policies = params.policies()
+        final_return = evaluate_policy(model, policies)
+        codes = greedy_codes(policies.tables)
+        greedy_return = evaluate_policy(model, codes)
+        optimal_return, _ = brute_force_optimal(model)
     except BaseException:
         for path in created:
             path.rmdir()
         raise
 
-    final_return = evaluate_policy(model, policies)
     saved = {"type": "decentralized", "tables": policies.tables.tolist()}
-    codes = greedy_codes(policies.tables)
-    greedy_return = evaluate_policy(model, codes)
-    optimal_return, _ = brute_force_optimal(model)
     summary = {
         "env": env_name,
         "seed": seed,

@@ -44,6 +44,20 @@ class SizeGuardError(RuntimeError):
     """Raised when a model is too large for exact enumeration."""
 
 
+class GdDivergenceError(RuntimeError):
+    """Values left the float range: gradient descent met a non-finite loss
+    or gradient, Q-learning a non-finite table, or an exact solve or
+    evaluation a non-finite table or return."""
+
+
+def _finite(x, what):
+    """`x` itself, or GdDivergenceError naming `what` when an entry of `x`
+    is not finite."""
+    if not np.isfinite(x).all():
+        raise GdDivergenceError(f"{what} overflowed the float range")
+    return x
+
+
 def _frozen(a):
     arr = np.array(a, dtype=float)
     arr.flags.writeable = False
@@ -446,13 +460,13 @@ def _play_codes(model, policy):
     """Per-state joint codes [S] of deterministic play: range-checked int
     codes of the model's shape, or a `DecentralizedPolicySet` of the
     model's shape whose tables are exactly one-hot (every entry 0.0 or
-    1.0, one 1.0 a row), read as its `greedy_codes`. None for any other
-    policy."""
+    1.0, one 1.0 a row), read as the joint codes of its one argmax (the
+    `greedy_codes` bits). None for any other policy."""
     if isinstance(policy, DecentralizedPolicySet):
-        tables = policy.tables
+        tables, actions = policy.tables, policy.tables.argmax(axis=2)
         if (tables.shape == (model.n_agents, model.n_states, model.n_actions)
-                and np.array_equal(tables, one_hot(tables.argmax(axis=2), model.n_actions))):
-            return greedy_codes(tables)
+                and np.array_equal(tables, one_hot(actions, model.n_actions))):
+            return joint_code(actions, model.n_actions)
     else:
         codes = np.asarray(policy)
         if codes.shape == (model.n_states,) and codes.dtype.kind in "iu":
@@ -460,6 +474,7 @@ def _play_codes(model, policy):
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_policy(model, policy):
     """Exact expected discounted return from the initial distribution.
 
@@ -472,11 +487,13 @@ def evaluate_policy(model, policy):
     step's are the picked entries of `reward + gamma * E[v(s')]`, as
     `policy_slices` builds its tables. The contraction there sums each
     row from +0.0, so a picked -0.0 reads +0.0, and the picks get
-    `+ 0.0`. Stochastic play goes through `policy_slices`.
+    `+ 0.0`. Stochastic play goes through `policy_slices`. A return that
+    is not finite, on any path, raises GdDivergenceError with no numpy
+    warning.
     """
     codes = _play_codes(model, policy)
     if codes is None:
-        return policy_slices(model, joint_policy_matrix(model, policy))[0]
+        return _finite(policy_slices(model, joint_policy_matrix(model, policy))[0], "the return")
     if model.horizon is None:
         _, v = _solve_values(model, codes)
     else:
@@ -484,7 +501,7 @@ def evaluate_policy(model, policy):
         v = model.reward[states, codes] + 0.0
         for _ in range(model.horizon - 1):
             v = (model.reward + model.gamma * _next_values(model, v))[states, codes] + 0.0
-    return initial_return(model, v)
+    return _finite(initial_return(model, v), "the return")
 
 
 def occupancy(model, policy):
@@ -553,6 +570,7 @@ def episode_positions(model):
     return tau
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     """Optimal action values [S, M] plus the solver's per-iteration record.
 
@@ -573,6 +591,9 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     Episodic: exact backward induction, reading each state's table at its
     episode step (models must be layered; one-step games trivially are);
     the record is [0.0].
+
+    A table that is not finite raises GdDivergenceError, with no numpy
+    warning.
     """
     check_options(tol=tol)
     s, m = model.reward.shape
@@ -585,13 +606,13 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
         for t in reversed(range(model.horizon)):
             tables[t] = model.reward + model.gamma * (model.transition @ v_next)
             v_next = tables[t].max(axis=1)
-        return tables[pos, np.arange(s), :], [0.0]
+        return _finite(tables[pos, np.arange(s), :], "the optimal table"), [0.0]
     states = np.arange(s)
     codes = np.argmax(model.reward, axis=1)
     margins = []
     for _ in range(max_iter):
         q = model.reward + model.gamma * _next_values(model, _solve_values(model, codes)[1])
-        best = np.argmax(q, axis=1)
+        best = np.argmax(_finite(q, "the policy's action values"), axis=1)
         advantage = q[states, best] - q[states, codes]
         margins.append(float(advantage.max()))
         switch = advantage > tol

@@ -47,8 +47,8 @@ unrolls the oracle's optimal joint table into the layers,
 `layered_q_learning` backs up one flat [V, A] table per sweep, and
 `softmax_pg` (TAD-PG, or TAD-PPO with the clipped surrogate) descends [V, A]
 transform logits on the exact slices of `layered_policy_slices`. Greedy
-distillation then yields decentralized policies with the solver's
-optimality carried over.
+distillation then reads the solver's own table and yields decentralized
+policies with the solver's optimality carried over.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ import numpy as np
 from .core import (
     ORACLE_TOL,
     DecentralizedPolicySet,
+    GdDivergenceError,
     bellman_backup,
     check_options,
     digit_table,
@@ -88,11 +89,6 @@ from .transform import (
     row_max,
     step_discount,
 )
-
-
-class GdDivergenceError(RuntimeError):
-    """A learner's iterates left the float range: gradient descent met a
-    non-finite loss or gradient, or Q-learning a non-finite table."""
 
 
 def softmax(logits):
@@ -927,9 +923,13 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     with their defaults in `SARL_OPTIONS`; an option given as None takes
     its default (`PPO_CLIP` for clipped_pg's `clip`), and any other option
     raises ValueError. Every learner is deterministic: `seed` is accepted
-    and unused. Distillation is `greedy_distill` or the closed-form
-    `kl_distill`. An unknown learner, distillation or option is refused
-    before any work. Returns the decentralized policies and a trace whose
+    and unused. Distillation is `greedy_distill`, which reads the solver's
+    own [V, A] table (the vi or Q table, or the PG softmax: no one-hot copy,
+    no `lower_policy`), and its play is evaluated by its joint codes; or the
+    closed-form `kl_distill` of the lowered policy (one-hot for vi and
+    q_learning). An unknown learner, distillation or option is refused
+    before any work; a solve or return that overflows raises
+    GdDivergenceError. Returns the decentralized policies and a trace whose
     record is empty. The trace starts empty for vi and q_learning, and as
     the PG learner's own trace (measured on the transformed model) for
     softmax_pg and clipped_pg; one row for the distilled policies then
@@ -948,16 +948,14 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     if sarl in ("vi", "q_learning"):
         q = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
              else layered_q_learning(model, **cfg))
-        pol = one_hot(np.argmax(q, axis=1), q.shape[1])
+        pol = q if distill == "greedy" else one_hot(np.argmax(q, axis=1), q.shape[1])
     else:
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
-    pc = lower_policy(pol, model.n_agents)
-    if distill == "greedy":
-        policies = greedy_distill(pc, model)
-    else:
-        policies, _ = kl_distill(pc, model)
-    final_return = evaluate_policy(model, policies)
+    policies = (greedy_distill(pol, model) if distill == "greedy"
+                else kl_distill(lower_policy(pol, model.n_agents), model)[0])
+    codes = greedy_codes(policies.tables)
+    final_return = evaluate_policy(model, codes if distill == "greedy" else policies)
     step, norm = (trace.step[-1] + 1, trace.grad_norm[-1]) if trace.step else (0, 0.0)
-    trace.append(step, -final_return, norm, final_return, greedy_codes(policies.tables))
+    trace.append(step, -final_return, norm, final_return, codes)
     return policies, trace

@@ -22,12 +22,13 @@ sequential transformation. The optimal solve unrolls the MMDP's optimal joint
 table from ``core.optimal_values`` into the earlier layers; Q-learning sweeps
 one flat [V, A] table; policy gradient reads the transform's exact (d_t,
 q_t) slices from one MMDP evaluation (``layered_policy_slices``).
-Closed-form ``kl_distill`` and ``greedy_distill`` read product policies off
-the lowered coordination policy. The dense model from
-``sequential_transform``, a [V, A, V] tensor over V = S*(A**n - 1)/(A - 1)
-virtual states, serves only the claim-3 value relation check (the
-independent oracle for the transform itself), the inverse transform and the
-tests' cross-checks.
+``layer_tables`` splits a [V, A] table into its layers' [S, A**k, A] views;
+``greedy_distill`` reads product policies off those views of the solver's
+own table, ``kl_distill`` off the lowered coordination policy. The dense
+model from ``sequential_transform``, a [V, A, V] tensor over V =
+S*(A**n - 1)/(A - 1) virtual states, serves only the claim-3 value relation
+check (the independent oracle for the transform itself), the inverse
+transform and the tests' cross-checks.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .core import (
     Mdp,
     Mmdp,
     SizeGuardError,
+    _prefix_reach,
     evaluate_policy,
     first_visit_times,
     optimal_values,
@@ -140,24 +142,25 @@ def layered_policy_slices(model, pol):
     virtual step n*t + k (which visits layer k only); an infinite horizon
     gives the one summed slice.
 
-    With pi = `lower_policy(pol)`, the prefix reach P_k =
-    `pi.reach()[k]` [S, A**k] gives the joint policy matrix P_n that the
-    MMDP evaluates. As gamma'**n = gamma, the last layer's action values are
-    the MMDP's q_t and the return is gamma'**(n-1) * J_M; layer k's action
+    With pi_k the `layer_tables` views of `pol`, the prefix reach P_k
+    [S, A**k] (`core._prefix_reach`, with no `CoordinationPolicy` copy)
+    gives the joint policy matrix P_n that the MMDP evaluates. As
+    gamma'**n = gamma, the last layer's action values are the MMDP's q_t
+    and the return is gamma'**(n-1) * J_M; layer k's action
     values are a `layer_backup` of layer k+1's policy-weighted values, and
     its visit weights are gamma'**k * d_t(s) * P_k[s, p]. A one-agent model
     is its own transform, and its slices are `policy_slices`' own.
     """
     n, a = model.n_agents, model.n_actions
     gamma_step = model.gamma ** (1.0 / n)
-    pi = lower_policy(pol, n)
-    reach = pi.reach()
+    pi = layer_tables(pol, n)
+    reach = _prefix_reach(pi)
     value, slices = policy_slices(model, reach[-1])
     layered = []
     for d_t, q_t in slices:
         tables = [q_t.reshape(-1, a)]
         for k in reversed(range(n - 1)):
-            v_next = (pi.tables[k + 1].reshape(-1, a) * tables[0]).sum(axis=1)
+            v_next = (pi[k + 1].reshape(-1, a) * tables[0]).sum(axis=1)
             tables.insert(0, layer_backup(model, k, v_next, gamma_step))
         d = np.concatenate([(gamma_step**k * d_t[:, None] * p).ravel()
                             for k, p in enumerate(reach[:-1])])
@@ -263,13 +266,21 @@ def lift_policy(pc):
     return np.concatenate([tab.reshape(-1, pc.n_actions) for tab in pc.tables])
 
 
-def lower_policy(policy, n_agents):
-    """Stochastic policy on the layered MDP -> coordination policy (exact copy)."""
-    policy = np.asarray(policy, dtype=float)
-    total, a = policy.shape
+def layer_tables(table, n_agents):
+    """The per-layer views [S, A**k, A], k = 0..n-1, of a [V, A] table on
+    the layered MDP in virtual-state order (a policy or action values);
+    ValueError when V is no n-layer state count."""
+    table = np.asarray(table, dtype=float)
+    total, a = table.shape
     s = _infer_base_states(total, n_agents, a)
-    blocks = np.split(policy, layer_offsets(s, n_agents, a)[0][1:])
-    return CoordinationPolicy(tuple(block.reshape(s, -1, a) for block in blocks))
+    offsets = layer_offsets(s, n_agents, a)[0]
+    return tuple(table[o:o + s * a**k].reshape(s, -1, a) for k, o in enumerate(offsets))
+
+
+def lower_policy(policy, n_agents):
+    """Stochastic policy on the layered MDP -> coordination policy (an
+    exact copy of its `layer_tables`)."""
+    return CoordinationPolicy(layer_tables(policy, n_agents))
 
 
 def value_relation_check(model, pc):
@@ -290,23 +301,27 @@ def value_relation_check(model, pc):
 # ---------------------------------------------------------------------------
 # distillation
 
-def greedy_distill(pc, model):
-    """Determinize a coordination policy and unroll it into one-hot policies.
+def greedy_distill(policy, model):
+    """Determinize a coordination policy, or a [V, A] table on the layered
+    MDP (a policy or the solver's action values, read through
+    `layer_tables` with `model.n_agents` layers), and unroll it into
+    one-hot policies.
 
     Each conditional row is replaced by its argmax (lowest action index on
     ties), then agent k's action at every state is read off under the
     earlier agents' chosen actions, whose mixed-radix code per state is
-    carried from agent to agent. The product of the outputs plays exactly
-    the determinized coordination policy, so their values coincide.
+    carried from agent to agent, so only S rows per layer are read; the
+    actions are the digits of the last code. The product of the outputs
+    plays exactly the determinized coordination policy, so their values
+    coincide.
     """
-    s, a = pc.n_states, pc.n_actions
-    states = np.arange(s)
-    chosen = np.zeros((pc.n_agents, s), dtype=np.intp)
-    prefix = np.zeros(s, dtype=np.intp)
-    for k, tab in enumerate(pc.tables):
-        chosen[k] = tab[states, prefix].argmax(axis=1)
-        prefix = prefix * a + chosen[k]
-    return DecentralizedPolicySet.deterministic(chosen, a)
+    tables = (policy.tables if isinstance(policy, CoordinationPolicy)
+              else layer_tables(policy, model.n_agents))
+    s, _, a = tables[0].shape
+    states, codes = np.arange(s), np.zeros(s, dtype=np.intp)
+    for tab in tables:
+        codes = codes * a + tab[states, codes].argmax(axis=1)
+    return DecentralizedPolicySet.deterministic(np.unravel_index(codes, (a,) * len(tables)), a)
 
 
 def kl_distill(pc, model):

@@ -11,12 +11,28 @@ from tadlab.core import (
     bellman_backup,
     digit_table,
     episode_positions,
+    evaluate_policy,
     first_visit_times,
     optimal_values,
     policy_slices,
 )
-from tadlab.learners import LAM_FLOOR, VdParams, duplex_decompose
-from tadlab.transform import layer_backup, row_max, step_discount
+from tadlab.learners import (
+    LAM_FLOOR,
+    SARL_OPTIONS,
+    TrainTrace,
+    VdParams,
+    duplex_decompose,
+    layered_q_learning,
+    softmax,
+    softmax_pg,
+)
+from tadlab.transform import (
+    kl_distill,
+    layer_backup,
+    layered_optimal_values,
+    row_max,
+    step_discount,
+)
 
 
 def level_scan_oracle(target, weights, code, grid=200001):
@@ -352,6 +368,46 @@ def greedy_distill_oracle(pc):
             chosen[k, state] = np.argmax(tab[state, prefix])
             prefix = prefix * pc.n_actions + chosen[k, state]
     return chosen
+
+
+def layer_tables_oracle(table, n_agents, n_states):
+    """The per-layer [S, A**k, A] tables of a [V, A] transform table, copied
+    row by row in virtual-state order: layer by layer, s-major, prefixes
+    in code order."""
+    rows = iter(np.asarray(table, dtype=float))
+    a = np.shape(table)[1]
+    tables = tuple(np.array([[next(rows) for _ in range(a**k)] for _ in range(n_states)])
+                   for k in range(n_agents))
+    assert next(rows, None) is None, "the table has more rows than the layers"
+    return tables
+
+
+def tad_run_oracle(model, sarl="vi", distill="greedy", **cfg):
+    """`tad_run` as the one-hot round trip it replaced, from the same
+    solvers: the vi or Q table made one-hot (the PG logits softmaxed),
+    lowered into a `CoordinationPolicy` row by row, distilled (the
+    state-by-state greedy walk into one-hot tables, or `kl_distill`),
+    evaluated as the policy set, and its greedy codes folded agent by
+    agent into the trace's last row."""
+    cfg = {**SARL_OPTIONS[sarl], **cfg}
+    trace = TrainTrace()
+    if sarl in ("vi", "q_learning"):
+        q = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
+             else layered_q_learning(model, **cfg))
+        pol = joint_one_hot_oracle(np.argmax(q, axis=1), model.n_actions)
+    else:
+        logits, trace = softmax_pg(model, **cfg)
+        pol = softmax(logits)
+    pc = CoordinationPolicy(layer_tables_oracle(pol, model.n_agents, model.n_states))
+    if distill == "greedy":
+        policies = DecentralizedPolicySet(
+            deterministic_tables_oracle(greedy_distill_oracle(pc), model.n_actions))
+    else:
+        policies = kl_distill(pc, model)[0]
+    final_return = evaluate_policy(model, policies)
+    step, norm = (trace.step[-1] + 1, trace.grad_norm[-1]) if trace.step else (0, 0.0)
+    trace.append(step, -final_return, norm, final_return, greedy_codes_oracle(policies.tables))
+    return policies, trace
 
 
 # ---------------------------------------------------------------------------

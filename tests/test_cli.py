@@ -771,3 +771,46 @@ def test_an_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {tmp_path / 'out' / name}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("learner, distill", [
+    ({"kind": "tad", "sarl": "vi"}, "greedy"),
+    ({"kind": "tad", "sarl": "vi"}, "kl"),
+    ({"kind": "tad", "sarl": "q_learning"}, "greedy"),
+    ({"kind": "tad", "sarl": "softmax_pg", "steps": 5}, "greedy"),
+    ({"kind": "tad", "sarl": "clipped_pg", "steps": 5}, "kl"),
+    ({"kind": "mapg", "steps": 5}, "greedy"),
+    ({"kind": "vd", "variant": "duplex", "steps": 5}, "greedy"),
+], ids=["tad-vi", "tad-vi-kl", "tad-q-learning", "tad-softmax-pg", "tad-clipped-pg-kl",
+        "mapg", "vd-duplex"])
+def test_a_model_whose_values_overflow_exits_4_with_one_error_line(tmp_path, capsys,
+                                                                    learner, distill):
+    from tadlab.constructions import random_mmdp
+    from tadlab.core import mmdp_to_dict
+
+    data = mmdp_to_dict(random_mmdp(2, 2, 2, gamma=0.99, rng=0))
+    data["reward"] = np.full((2, 4), 1e308).tolist()
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps(data))
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"env": str(env), "learner": learner, "distill": distill})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_greedy_return_after_a_finite_run_leaves_no_directory(tmp_path, capsys):
+    # the uniform MA-PG point (steps 0) has a finite return, but its greedy
+    # play, joint action 0, pays 1e308 / (1 - 0.5), as does the optimum
+    data = {"n_states": 1, "n_agents": 2, "n_actions": 2, "gamma": 0.5,
+            "initial_dist": [1.0], "transition": [[[1.0]] * 4],
+            "reward": [[1e308, 0.0, 0.0, 0.0]]}
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps(data))
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"env": str(env), "learner": {"kind": "mapg", "steps": 0}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: the return overflowed the float range\n"
+    assert not (tmp_path / "out").exists()

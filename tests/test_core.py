@@ -774,3 +774,37 @@ def test_brute_force_optimal_returns_int_codes():
         best, codes = brute_force_optimal(model)
         assert codes.dtype.kind == "i" and codes.shape == (model.n_states,)
         assert evaluate_policy(model, codes) == best
+
+
+# ---------------------------------------------------------------------------
+# a return or an optimal table beyond the float range is refused, not
+# returned (the suite turns numpy warnings into errors, so these also show
+# that none is raised first)
+
+def _overflowing(model):
+    return dataclasses.replace(model, reward=np.full(model.reward.shape, 1e308))
+
+
+@pytest.mark.parametrize("model", [
+    _overflowing(random_mmdp(2, 2, 2, gamma=0.99, rng=0)),
+    _overflowing(layered_mmdp((2, 2), 2, 2, rng=80)),
+], ids=["discounted", "layered-episodic"])
+def test_non_finite_returns_and_tables_raise_divergence(model):
+    codes = np.zeros(model.n_states, dtype=np.intp)
+    actions = np.zeros((model.n_agents, model.n_states), dtype=np.intp)
+    plays = {"codes": codes, "one-hot set": DecentralizedPolicySet.deterministic(actions, 2),
+             "one-hot matrix": one_hot(codes, model.n_joint_actions),
+             "stochastic set": DecentralizedPolicySet.uniform(2, model.n_states, 2)}
+    for label, policy in plays.items():
+        with pytest.raises(tadlab.GdDivergenceError, match="the return overflowed"):
+            evaluate_policy(model, policy)
+    with pytest.raises(tadlab.GdDivergenceError, match="overflowed the float range"):
+        optimal_values(model)
+    with pytest.raises(tadlab.GdDivergenceError):
+        brute_force_optimal(model)
+
+
+def test_the_divergence_error_is_one_class_everywhere():
+    from tadlab import core, learners
+
+    assert learners.GdDivergenceError is core.GdDivergenceError is tadlab.GdDivergenceError

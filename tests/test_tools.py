@@ -145,3 +145,42 @@ def test_bench_pairs_runs_one_tree_at_a_time_parent_first_on_even_pairs(monkeypa
                                         ("claims@1=4", ("claims_seed1", "claims", 1, 4))])
 def test_bench_pairs_reads_workload_seed_and_pair_count(spec, want):
     assert bench_pairs.parse_pairs([spec]) == [want]
+
+
+def test_bench_pairs_refuses_a_tree_with_a_bytecode_cache(tmp_path, monkeypatch, capsys):
+    trees = [tmp_path / side for side in ("parent", "change")]
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+    (trees[1] / "src" / "pkg" / "__pycache__").mkdir()
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args: pytest.fail("a run started"))
+    code = bench_pairs.main([str(trees[0]), str(trees[1]), str(tmp_path / "out.json"),
+                             "--pairs", "solve=1"])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {trees[1] / 'src' / 'pkg' / '__pycache__'} is a bytecode cache")
+    assert not (tmp_path / "out.json").exists()
+    assert bench_pairs.bytecode_caches(trees[:1]) == []
+
+
+def test_bench_pairs_runs_each_child_without_writing_bytecode(monkeypatch):
+    seen = []
+
+    class Done:
+        returncode, stderr = 0, ""
+        stdout = '{"environment": {}}\n{"metrics": {}}\n'
+
+    def run(cmd, **kwargs):
+        seen.append(kwargs["env"].get("PYTHONDONTWRITEBYTECODE"))
+        return Done()
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once("tree", "solve", 0, 1.0) == ({"environment": {}}, {"metrics": {}})
+    assert seen == ["1"]
+
+
+def test_reach_runs_a_layered_episodic_env_file():
+    from tadlab.core import episode_positions, mmdp_from_dict
+
+    model = mmdp_from_dict(reach.LAYERED_ENV)
+    assert model.horizon == 2 and episode_positions(model).tolist() == [0, 1]

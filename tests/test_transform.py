@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -30,15 +31,21 @@ from tadlab.core import (
     greedy_codes,
     optimal_values,
 )
-from tadlab.learners import tad_run, value_iteration
+from tadlab.learners import softmax_pg, tad_run, value_iteration
 from tadlab.core import policy_slices
-from tadlab.transform import layer_offsets, layered_policy_slices
+from tadlab.transform import layer_offsets, layer_tables, layered_policy_slices
+import tadlab.core as core
+import tadlab.learners as learners
+import tadlab.transform as transform
 
 from oracles import (
     coordination_from_product,
     greedy_distill_oracle,
     kl_oracle,
+    layer_tables_oracle,
+    layered_mmdp,
     sequential_transform_oracle,
+    tad_run_oracle,
     vi_oracle,
 )
 
@@ -568,3 +575,131 @@ def test_tad_vi_plays_the_oracle_policy_on_reached_states(partly_reached_models)
         reached = first_visit_times(model) >= 0
         assert np.array_equal(greedy_codes(policies.tables)[reached], mu[reached])
         assert evaluate_policy(model, policies) == best
+
+
+# ---------------------------------------------------------------------------
+# greedy distillation reads the solver's own table: no one-hot round trip
+
+#: short PG runs: the composition after the solve is under test
+TAD_CFG = {"vi": {}, "q_learning": {}, "softmax_pg": {"steps": 12, "log_every": 5},
+           "clipped_pg": {"steps": 12, "log_every": 5}}
+
+
+def _tad_models(partly_reached_models):
+    """The claim-4 models (the 13 built-ins, then 50 random MMDPs), the
+    partly reached ones, a layered episodic model and the same model
+    started in state 0 only (its other layer-0 states are never reached),
+    a discounted MMDP and a one-step game of four agents."""
+    layered = layered_mmdp((3, 2), 2, 2, rng=70)
+    unreached = dataclasses.replace(layered, initial_dist=np.eye(5)[0])
+    return ([model for _, model in composition_models(0)] + partly_reached_models
+            + [layered, unreached, random_mmdp(5, 3, 2, gamma=0.95, rng=71),
+               random_matrix_game(3, 4, 72)])
+
+
+def _rows(trace):
+    return list(zip(trace.step, trace.loss, trace.grad_norm, trace.ret, trace.greedy))
+
+
+@pytest.mark.parametrize("distill", ["greedy", "kl"])
+@pytest.mark.parametrize("sarl", list(TAD_CFG))
+def test_tad_run_has_the_bits_of_the_one_hot_composition(sarl, distill,
+                                                         partly_reached_models):
+    for model in _tad_models(partly_reached_models):
+        got, got_trace = tad_run(model, sarl=sarl, distill=distill, **TAD_CFG[sarl])
+        want, want_trace = tad_run_oracle(model, sarl, distill, **TAD_CFG[sarl])
+        assert got.tables.tobytes() == want.tables.tobytes()
+        assert repr(_rows(got_trace)) == repr(_rows(want_trace))
+
+
+def test_layer_tables_are_views_of_each_layer():
+    rng = np.random.default_rng(73)
+    for s, n, a in ((1, 2, 3), (4, 3, 2), (2, 1, 3), (3, 2, 1)):
+        table = rng.random((layer_offsets(s, n, a)[1], a))
+        views = layer_tables(table, n)
+        assert [v.shape for v in views] == [(s, a**k, a) for k in range(n)]
+        assert all(np.shares_memory(v, table) for v in views)
+        for view, want in zip(views, layer_tables_oracle(table, n, s), strict=True):
+            assert view.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="cannot be a 2-layer stack"):
+        layer_tables(np.zeros((5, 2)), 2)
+
+
+def test_greedy_distill_reads_a_layered_table_as_its_lowered_policy():
+    rng = np.random.default_rng(74)
+    for s, n, a in ((1, 2, 3), (4, 3, 2), (5, 2, 4), (3, 4, 3), (2, 1, 3), (1, 7, 3)):
+        model = random_mmdp(s, n, a, gamma=0.9, rng=rng)
+        total = layer_offsets(s, n, a)[1]
+        # small integers tie often, and ties break toward the lowest action
+        for table in (rng.integers(0, 3, (total, a)).astype(float), rng.random((total, a))):
+            got = greedy_distill(table, model)
+            assert got.tables.tobytes() == greedy_distill(lower_policy(table, n), model).tables.tobytes()
+            walked = greedy_distill_oracle(CoordinationPolicy(layer_tables_oracle(table, n, s)))
+            assert got.tables.tobytes() == np.eye(a)[walked].tobytes()
+
+
+def _spy(monkeypatch):
+    """Record every `one_hot` call's code shape, every `CoordinationPolicy`
+    built and every `lower_policy` call, in each module that binds them."""
+    seen = {"one_hot": [], "CoordinationPolicy": [], "lower_policy": []}
+    one_hot, lower, init = core.one_hot, transform.lower_policy, CoordinationPolicy.__post_init__
+
+    def spied_one_hot(codes, width):
+        seen["one_hot"].append(np.shape(codes))
+        return one_hot(codes, width)
+
+    def spied_lower(policy, n_agents):
+        seen["lower_policy"].append(np.shape(policy))
+        return lower(policy, n_agents)
+
+    def spied_init(self):
+        seen["CoordinationPolicy"].append(len(self.tables))
+        init(self)
+
+    for module in (core, learners):
+        monkeypatch.setattr(module, "one_hot", spied_one_hot)
+    for module in (transform, learners):
+        monkeypatch.setattr(module, "lower_policy", spied_lower)
+    monkeypatch.setattr(CoordinationPolicy, "__post_init__", spied_init)
+    return seen
+
+
+@pytest.mark.parametrize("sarl", list(TAD_CFG))
+def test_greedy_tad_run_makes_no_one_hot_copy_and_no_coordination_policy(sarl, monkeypatch):
+    model = random_mmdp(4, 3, 2, gamma=0.9, rng=75)
+    seen = _spy(monkeypatch)
+    policies, trace = tad_run(model, sarl=sarl, **TAD_CFG[sarl])
+    # the one one-hot build is the distilled tables themselves; the play is
+    # evaluated by its codes, with no one-hot check
+    assert seen == {"one_hot": [(3, 4)], "CoordinationPolicy": [], "lower_policy": []}
+    assert trace.greedy[-1] == tuple(greedy_codes(policies.tables))
+    # the kl path still lowers its (one-hot) table, and the spy sees it
+    seen["one_hot"].clear()
+    tad_run(model, sarl=sarl, distill="kl", **TAD_CFG[sarl])
+    v = layer_offsets(4, 3, 2)[1]
+    assert seen["lower_policy"] == [(v, 2)] and seen["CoordinationPolicy"] == [3]
+    # one-hot for vi and q_learning; then the one-hot check of the policy set
+    assert seen["one_hot"] == ([] if sarl.endswith("pg") else [(v,)]) + [(3, 4)]
+
+
+def test_a_tad_pg_step_builds_no_coordination_policy(monkeypatch):
+    seen = _spy(monkeypatch)
+    for model in (random_mmdp(4, 3, 2, gamma=0.9, rng=76), builtin_game("table1")):
+        for clip in (None, 0.2):
+            softmax_pg(model, lr=0.5, steps=5, clip=clip, log_every=5)
+    assert seen == {"one_hot": [], "CoordinationPolicy": [], "lower_policy": []}
+
+
+def test_evaluate_policy_reads_a_one_hot_set_with_one_argmax(monkeypatch):
+    model = random_mmdp(4, 3, 2, gamma=0.9, rng=77)
+    policies = DecentralizedPolicySet.deterministic(np.array([[0, 1, 1, 0], [1, 1, 0, 0],
+                                                              [0, 0, 1, 1]]), 2)
+    codes = greedy_codes(policies.tables)
+    want = evaluate_policy(model, codes)
+
+    def refused(*args):
+        raise AssertionError("greedy_codes re-argmaxes the tables")
+
+    monkeypatch.setattr(core, "greedy_codes", refused)
+    assert repr(evaluate_policy(model, policies)) == repr(want)
+    assert np.array_equal(core._play_codes(model, policies), codes)

@@ -5,7 +5,11 @@
 
 PARENT and CHANGE are checkouts of the two commits (for example `git
 archive` copies), each with its own `perfbench/run.py`, which must be the
-same file. A pair runs
+same file. Neither may hold a bytecode cache (a `__pycache__` under
+`src/`): `setup_s` times the source compilation of fresh imports, which a
+cache skips, so one stray cache makes the other tree read several times
+slower. The script refuses such trees with one line, and runs every child
+with PYTHONDONTWRITEBYTECODE=1 so that it leaves none. A pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,11 +47,17 @@ def run_once(tree, workload, seed, seconds, trace=0):
     """One benchmark run in `tree`: (environment line, result line), as dicts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr}")
     env, result = out.stdout.strip().splitlines()[-2:]
     return json.loads(env), json.loads(result)
+
+
+def bytecode_caches(trees):
+    """The `__pycache__` directories under each tree's `src/`, in order."""
+    return [path for tree in trees for path in sorted(Path(tree, "src").rglob("__pycache__"))]
 
 
 def run_pairs(trees, workload, seed, seconds, pairs):
@@ -118,6 +129,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = bytecode_caches(trees.values())
+    if cached:
+        print(f"error: {cached[0]} is a bytecode cache, which skips the source compilation "
+              f"that setup_s times; remove every __pycache__ under src/ of both trees",
+              file=sys.stderr)
+        return 2
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     doc = {"description": (

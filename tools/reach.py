@@ -4,6 +4,8 @@ Runs these inputs in one process under `sys.setprofile`:
 
 - `tadlab verify 1..4 --seed 0`;
 - `tadlab run` on each `configs/*.json`, into a temporary directory;
+- `tadlab run` of a `vd` learner on a layered episodic env file, and of
+  a `mapg` learner from a `file` init, both written to that directory;
 - `tadlab env list`, `env dump table1` and `transform report table1`;
 - one pass of the benchmark's `solve` workload (`perfbench/workloads.py`,
   loaded by path and only read).
@@ -20,12 +22,19 @@ import ast
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: a two-step layered model: state 0 at step 0 moves to state 1 at step 1
+LAYERED_ENV = {"n_states": 2, "n_agents": 2, "n_actions": 2, "gamma": 0.9, "horizon": 2,
+               "initial_dist": [1.0, 0.0],
+               "transition": [[[0.0, 1.0]] * 4, [[1.0, 0.0]] * 4],
+               "reward": [[1.0, 0.0, 0.0, 2.0], [0.5, 0.0, 0.0, 1.0]]}
 
 
 def defined_functions(package):
@@ -86,9 +95,20 @@ def run_inputs(out_dir):
     import tadlab
     import tadlab.cli
 
+    out = Path(out_dir)
     argvs = [["verify", str(claim), "--seed", "0"] for claim in range(1, 5)]
-    argvs += [["run", str(path), "--seed", "0", "--out", str(Path(out_dir) / path.stem)]
+    argvs += [["run", str(path), "--seed", "0", "--out", str(out / path.stem)]
               for path in sorted((ROOT / "configs").glob("*.json"))]
+    env, init = out / "layered_env.json", out / "init.json"
+    env.write_text(json.dumps(LAYERED_ENV))
+    init.write_text(json.dumps({"logits": [[[0.0, 0.0, 0.0]]] * 2}))
+    short = {"steps": 20, "log_every": 10}
+    file_runs = {"layered_vd": {"env": str(env), "learner": {"kind": "vd", **short}},
+                 "file_init": {"env": "table1", "learner": {"kind": "mapg", **short},
+                               "init": {"mode": "file", "file": str(init)}}}
+    for name, config in file_runs.items():
+        (out / f"{name}.json").write_text(json.dumps(config))
+        argvs.append(["run", str(out / f"{name}.json"), "--seed", "0", "--out", str(out / name)])
     argvs += [["env", "list"], ["env", "dump", "table1"], ["transform", "report", "table1"]]
     failed = []
     for argv in argvs:
