@@ -235,13 +235,19 @@ class CoordinationPolicy:
 
     ``tables[i]`` has shape [n_states, n_actions**i, n_actions]: agent i's
     action distribution given the state and the mixed-radix code of the
-    earlier agents' actions.
+    earlier agents' actions. ValueError unless there is at least one table
+    and table i has shape [S, A**i, A] with S >= 1 and A >= 1.
     """
 
     tables: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(_frozen(t) for t in self.tables))
+        tables = tuple(_frozen(t) for t in self.tables)
+        shapes = [t.shape for t in tables]
+        s, a = (shapes[0][0], shapes[0][-1]) if shapes and shapes[0] else (0, 0)
+        if not (s >= 1 and a >= 1 and shapes == [(s, a**i, a) for i in range(len(shapes))]):
+            raise ValueError(f"coordination tables must be [S >= 1, A**i, A >= 1], got {shapes}")
+        object.__setattr__(self, "tables", tables)
 
     @property
     def n_agents(self):
@@ -381,28 +387,58 @@ def _next_values(model, v):
     return (model.transition @ v[..., None, :, None])[..., 0]
 
 
+def _picked_values(pol, q):
+    """The one rule that reads state values [..., S] off action values
+    [..., S, M]: the row maximum for `pol` None (the optimum), the entries
+    that int joint codes [S] pick, or the contraction with a [..., S, M]
+    policy matrix.
+
+    Codes give the bits of their one-hot matrix: the contraction sums each
+    row from +0.0, adding one nonzero product to +0.0 terms, so a picked
+    -0.0 reads +0.0, and the picks get `+ 0.0`.
+    """
+    if pol is None:
+        return q.max(axis=-1)
+    if pol.dtype.kind in "iu":
+        return q[np.arange(len(pol)), pol] + 0.0
+    return np.einsum("...sa,...sa->...s", pol, q)
+
+
 def _solve_values(model, pol):
     """Infinite-horizon evaluation by one linear solve: the system matrix
     I - gamma * P_pi and the state values v [..., S] of a [..., S, M]
     policy matrix, or of deterministic play given as int joint codes [S]
     (in range, see `_checked_codes`).
 
-    Codes are read by index: P_pi and r_pi are the [S, S] and [S] rows
-    they pick, in place of the one-hot contraction, with the same bits.
-    That contraction adds one nonzero product per entry to +0.0 terms, so
-    the picked reward gets `+ 0.0` (a picked -0.0 reads +0.0), and a picked
-    -0.0 transition gives the same system matrix, as 0.0 - gamma * -0.0 is
-    +0.0.
+    r_pi is the reward read by `_picked_values`. Codes read P_pi as the
+    [S, S] rows they pick, in place of the one-hot contraction, with the
+    same bits: a picked -0.0 transition gives the same system matrix, as
+    0.0 - gamma * -0.0 is +0.0.
     """
     if pol.dtype.kind in "iu":
-        states = np.arange(model.n_states)
-        r_pi = model.reward[states, pol] + 0.0
-        p_pi = model.transition[states, pol]
+        p_pi = model.transition[np.arange(model.n_states), pol]
     else:
-        r_pi = np.einsum("...sa,sa->...s", pol, model.reward)
         p_pi = np.einsum("...sa,sat->...st", pol, model.transition)
     a = np.eye(model.n_states) - model.gamma * p_pi
-    return a, np.linalg.solve(a, r_pi[..., None])[..., 0]
+    return a, np.linalg.solve(a, _picked_values(pol, model.reward)[..., None])[..., 0]
+
+
+def _backward(model, pol):
+    """The episodic backward recursion: action values q_by_t
+    [horizon, ..., S, M] of play `pol` (None for the optimum, int joint
+    codes or a [..., S, M] policy matrix, as `_picked_values` reads them)
+    and the state values v_0 [..., S] at step 0.
+
+    The last step's table is the reward itself, as its next values are
+    zero (`+ 0.0` keeps the signed zeros of `reward + gamma * T @ 0`); each
+    earlier step's is `reward + gamma * E[v(s')]` of the next step's values.
+    """
+    batch = () if pol is None or pol.ndim == 1 else pol.shape[:-2]
+    q_by_t = np.empty((model.horizon,) + batch + model.reward.shape)
+    v = _picked_values(pol, np.add(model.reward, 0.0, out=q_by_t[-1]))
+    for q in q_by_t[-2::-1]:
+        v = _picked_values(pol, np.add(model.reward, model.gamma * _next_values(model, v), out=q))
+    return q_by_t, v
 
 
 def policy_slices(model, pol):
@@ -411,30 +447,22 @@ def policy_slices(model, pol):
     d_t[s] is the discounted visit weight gamma^t Pr(s_t = s) and q_t[s, a]
     the action value at episode step t. Infinite horizon yields one slice
     summed over all steps (two linear solves); episodic models yield one
-    slice per step by backward induction, which starts from the last step's
-    table: the reward itself, as its next values are zero (`+ 0.0` keeps the
-    signed zeros of `reward + gamma * T @ 0`). Every exact quantity reads off
-    these: J = sum_t d_t . r_pi, the occupancy sum_t d_t, and the policy
-    gradient sum_t d_t * q_t.
+    slice per step from `_backward`. Every exact quantity reads off these:
+    J = sum_t d_t . r_pi, the occupancy sum_t d_t, and the policy gradient
+    sum_t d_t * q_t.
 
     A stack of policies [K, S, M] gives K returns and slices with the same
     leading axis. Each replica's numbers are computed from its own row only
     (stacked solves and per-row products), so for a C-ordered stack they are
     bit-identical to an unstacked call on that row.
     """
-    batch = pol.shape[:-2]
     if model.horizon is None:
         a, v = _solve_values(model, pol)
         q = model.reward + model.gamma * _next_values(model, v)
         d = np.linalg.solve(a.swapaxes(-1, -2), model.initial_dist[:, None])[..., 0]
         slices = [(d, q)]
     else:
-        q_by_t = np.empty((model.horizon,) + batch + model.reward.shape)
-        np.add(model.reward, 0.0, out=q_by_t[-1])
-        for t in reversed(range(model.horizon)):
-            v = np.einsum("...sa,...sa->...s", pol, q_by_t[t])
-            if t:
-                q_by_t[t - 1] = model.reward + model.gamma * _next_values(model, v)
+        q_by_t, v = _backward(model, pol)
         rho = np.empty_like(v)
         rho[...] = model.initial_dist
         slices = [(rho, q_by_t[0])]
@@ -478,29 +506,20 @@ def _play_codes(model, policy):
 def evaluate_policy(model, policy):
     """Exact expected discounted return from the initial distribution.
 
-    Deterministic play (int joint codes, or a policy set with exactly
-    one-hot tables; see `_play_codes`) is read by index on every horizon,
-    with no joint matrix and no occupancy, and its bits are those of the
-    one-hot matrix. On an infinite-horizon model its values take one
-    linear solve. On an episodic model they come by backward induction:
-    the last step's values are the picked rewards, and each earlier
-    step's are the picked entries of `reward + gamma * E[v(s')]`, as
-    `policy_slices` builds its tables. The contraction there sums each
-    row from +0.0, so a picked -0.0 reads +0.0, and the picks get
-    `+ 0.0`. Stochastic play goes through `policy_slices`. A return that
-    is not finite, on any path, raises GdDivergenceError with no numpy
-    warning.
+    The policy is normalized to deterministic play's int joint codes (int
+    codes, or a policy set with exactly one-hot tables; see `_play_codes`)
+    or else to a C-ordered joint matrix (`joint_policy_matrix`). Its state
+    values then take one linear solve (`_solve_values`) on an infinite
+    horizon, or the backward recursion (`_backward`) on an episodic model,
+    and the return reads off them (`initial_return`). Codes are read by
+    index, with no joint matrix, and give the bits of their one-hot
+    matrix; no path computes an occupancy. A return that is not finite
+    raises GdDivergenceError with no numpy warning.
     """
-    codes = _play_codes(model, policy)
-    if codes is None:
-        return _finite(policy_slices(model, joint_policy_matrix(model, policy))[0], "the return")
-    if model.horizon is None:
-        _, v = _solve_values(model, codes)
-    else:
-        states = np.arange(model.n_states)
-        v = model.reward[states, codes] + 0.0
-        for _ in range(model.horizon - 1):
-            v = (model.reward + model.gamma * _next_values(model, v))[states, codes] + 0.0
+    pol = _play_codes(model, policy)
+    if pol is None:
+        pol = joint_policy_matrix(model, policy)
+    v = _solve_values(model, pol)[1] if model.horizon is None else _backward(model, pol)[1]
     return _finite(initial_return(model, v), "the return")
 
 
@@ -524,7 +543,7 @@ def bellman_backup(q, model):
         raise ValueError(f"q shape {q.shape} != {model.reward.shape}")
     if model.horizon == 1:
         return np.broadcast_to(model.reward, q.shape).copy()
-    return model.reward + model.gamma * _next_values(model, q.max(axis=-1))
+    return model.reward + model.gamma * _next_values(model, _picked_values(None, q))
 
 
 def first_visit_times(model):
@@ -588,26 +607,21 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     `tol` must be a finite number > 0 (`check_options`), and `max_iter`
     caps the iterations.
 
-    Episodic: exact backward induction, reading each state's table at its
-    episode step (models must be layered; one-step games trivially are);
-    the record is [0.0].
+    Episodic: the backward recursion `_backward` on row maxima, reading
+    each state's table at its episode step (models must be layered;
+    one-step games trivially are, and return the reward table itself); the
+    record is [0.0].
 
     A table that is not finite raises GdDivergenceError, with no numpy
     warning.
     """
     check_options(tol=tol)
-    s, m = model.reward.shape
+    states = np.arange(model.n_states)
     if model.horizon is not None:
         if model.horizon == 1:
             return model.reward.copy(), [0.0]
-        pos = episode_positions(model)
-        tables = np.empty((model.horizon, s, m))
-        v_next = np.zeros(s)
-        for t in reversed(range(model.horizon)):
-            tables[t] = model.reward + model.gamma * (model.transition @ v_next)
-            v_next = tables[t].max(axis=1)
-        return _finite(tables[pos, np.arange(s), :], "the optimal table"), [0.0]
-    states = np.arange(s)
+        tables = _backward(model, None)[0]
+        return _finite(tables[episode_positions(model), states, :], "the optimal table"), [0.0]
     codes = np.argmax(model.reward, axis=1)
     margins = []
     for _ in range(max_iter):

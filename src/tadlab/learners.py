@@ -84,7 +84,6 @@ from .transform import (
     layer_offsets,
     layered_optimal_values,
     layered_policy_slices,
-    lower_policy,
     never_reached_rows,
     row_max,
     step_discount,
@@ -297,7 +296,9 @@ class ReplicaTraces(tuple):
     """The traces of a batched run: one TrainTrace per replica.
 
     All replicas log at the same steps, which `step` lists, so `step[-1]` is
-    the run's last step; `traces[k]` is replica k's own trace.
+    the run's last step; `traces[k]` is replica k's own trace. The
+    benchmark's tracer reads `step[-1]` of every stacked `run_mapg` and
+    `gd_run` result as the run's step count.
     """
 
     @property
@@ -923,11 +924,13 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     with their defaults in `SARL_OPTIONS`; an option given as None takes
     its default (`PPO_CLIP` for clipped_pg's `clip`), and any other option
     raises ValueError. Every learner is deterministic: `seed` is accepted
-    and unused. Distillation is `greedy_distill`, which reads the solver's
-    own [V, A] table (the vi or Q table, or the PG softmax: no one-hot copy,
-    no `lower_policy`), and its play is evaluated by its joint codes; or the
-    closed-form `kl_distill` of the lowered policy (one-hot for vi and
-    q_learning). An unknown learner, distillation or option is refused
+    and unused. Distillation reads the solver's own [V, A] table (the vi
+    or Q table, or the PG softmax), with no one-hot copy, no
+    `lower_policy` and no `CoordinationPolicy`: `greedy_distill`, whose
+    play is evaluated by its joint codes, or the closed-form `kl_distill`.
+    vi and q_learning distill greedily for either value of `distill`, as
+    kl of their deterministic chain is greedy_distill's one-hot tables,
+    bit for bit. An unknown learner, distillation or option is refused
     before any work; a solve or return that overflows raises
     GdDivergenceError. Returns the decentralized policies and a trace whose
     record is empty. The trace starts empty for vi and q_learning, and as
@@ -946,14 +949,14 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     cfg = {**SARL_OPTIONS[sarl], **{k: v for k, v in cfg.items() if v is not None}}
     trace = TrainTrace()
     if sarl in ("vi", "q_learning"):
-        q = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
-             else layered_q_learning(model, **cfg))
-        pol = q if distill == "greedy" else one_hot(np.argmax(q, axis=1), q.shape[1])
+        pol = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
+               else layered_q_learning(model, **cfg))
+        # kl of a deterministic chain is greedy_distill, bit for bit
+        distill = "greedy"
     else:
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
-    policies = (greedy_distill(pol, model) if distill == "greedy"
-                else kl_distill(lower_policy(pol, model.n_agents), model)[0])
+    policies = greedy_distill(pol, model) if distill == "greedy" else kl_distill(pol, model)[0]
     codes = greedy_codes(policies.tables)
     final_return = evaluate_policy(model, codes if distill == "greedy" else policies)
     step, norm = (trace.step[-1] + 1, trace.grad_norm[-1]) if trace.step else (0, 0.0)

@@ -23,8 +23,8 @@ table from ``core.optimal_values`` into the earlier layers; Q-learning sweeps
 one flat [V, A] table; policy gradient reads the transform's exact (d_t,
 q_t) slices from one MMDP evaluation (``layered_policy_slices``).
 ``layer_tables`` splits a [V, A] table into its layers' [S, A**k, A] views;
-``greedy_distill`` reads product policies off those views of the solver's
-own table, ``kl_distill`` off the lowered coordination policy. The dense
+``greedy_distill`` and ``kl_distill`` read product policies off those
+views of the solver's own table, with no coordination-policy copy. The dense
 model from ``sequential_transform``, a [V, A, V] tensor over V =
 S*(A**n - 1)/(A - 1) virtual states, serves only the claim-3 value relation
 check (the independent oracle for the transform itself), the inverse
@@ -301,6 +301,13 @@ def value_relation_check(model, pc):
 # ---------------------------------------------------------------------------
 # distillation
 
+def _conditional_tables(policy, model):
+    """A coordination policy's tables, or the `layer_tables` views of a
+    [V, A] table on the layered MDP with `model.n_agents` layers."""
+    return (policy.tables if isinstance(policy, CoordinationPolicy)
+            else layer_tables(policy, model.n_agents))
+
+
 def greedy_distill(policy, model):
     """Determinize a coordination policy, or a [V, A] table on the layered
     MDP (a policy or the solver's action values, read through
@@ -315,8 +322,7 @@ def greedy_distill(policy, model):
     plays exactly the determinized coordination policy, so their values
     coincide.
     """
-    tables = (policy.tables if isinstance(policy, CoordinationPolicy)
-              else layer_tables(policy, model.n_agents))
+    tables = _conditional_tables(policy, model)
     s, _, a = tables[0].shape
     states, codes = np.arange(s), np.zeros(s, dtype=np.intp)
     for tab in tables:
@@ -324,16 +330,21 @@ def greedy_distill(policy, model):
     return DecentralizedPolicySet.deterministic(np.unravel_index(codes, (a,) * len(tables)), a)
 
 
-def kl_distill(pc, model):
+def kl_distill(policy, model):
     """The product policy closest to a coordination policy in cross-entropy,
     averaged over states: by Gibbs' inequality, each agent's per-state action
     marginal of the joint, i.e. the joint as [S, A, ..., A] (agent i on axis
-    i+1) summed over the other agents' axes. It is one-hot, and equal to
-    `greedy_distill`, for a deterministic coordination policy. Returns the
-    policies and a one-entry array of the minimal loss (0 log 0 = 0).
+    i+1) summed over the other agents' axes. The policy is a
+    `CoordinationPolicy` (`model` unused) or, as for `greedy_distill`, a
+    [V, A] policy on the layered MDP, whose joint is the coordination chain
+    (`core._prefix_reach`) of its `layer_tables` views, with no copy. It is
+    one-hot, and equal to `greedy_distill`, for a deterministic policy.
+    Returns the policies and a one-entry array of the minimal loss
+    (0 log 0 = 0).
     """
-    n, s, a = pc.n_agents, pc.n_states, pc.n_actions
-    joint = pc.joint().reshape((s,) + (a,) * n)
+    tables = _conditional_tables(policy, model)
+    n, (s, _, a) = len(tables), tables[0].shape
+    joint = _prefix_reach(tables)[-1].reshape((s,) + (a,) * n)
     marginals = np.stack([joint.sum(axis=tuple(j + 1 for j in range(n) if j != i))
                           for i in range(n)])
     log_m = np.log(marginals, out=np.zeros_like(marginals), where=marginals > 0)

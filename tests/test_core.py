@@ -808,3 +808,46 @@ def test_the_divergence_error_is_one_class_everywhere():
     from tadlab import core, learners
 
     assert learners.GdDivergenceError is core.GdDivergenceError is tadlab.GdDivergenceError
+
+
+def test_evaluate_policy_never_runs_policy_slices(monkeypatch, partly_reached_models):
+    rng = np.random.default_rng(36)
+    models = [random_mmdp(4, 2, 3, gamma=0.9, rng=37), layered_mmdp((2, 3, 1), 2, 2, rng=38),
+              random_matrix_game(3, 3, 39)] + partly_reached_models
+    cases = []
+    for model in models:
+        n, s, a = model.n_agents, model.n_states, model.n_actions
+        tables = rng.random((n, s, a))
+        for policy in (DecentralizedPolicySet(tables / tables.sum(axis=2, keepdims=True)),
+                       CoordinationPolicy.random(n, s, a, rng),
+                       rng.integers(a**n, size=s)):
+            # the stochastic return's bits are those policy_slices gives
+            want = policy_slices(model, joint_policy_matrix(model, policy))[0]
+            cases.append((model, policy, want))
+
+    def refused(*args):
+        raise AssertionError("evaluate_policy ran policy_slices")
+
+    monkeypatch.setattr(tadlab.core, "policy_slices", refused)
+    for model, policy, want in cases:
+        assert_same_bits(evaluate_policy(model, policy), want)
+
+
+@pytest.mark.parametrize("tables", [
+    (np.array([[[0.1, 0.8, 0.1]]]), np.full((1, 1, 3), 1 / 3)),
+    (np.full((1, 3), 1 / 3), np.full((1, 3, 3), 1 / 3)),
+    (),
+    (np.full((0, 1, 3), 1 / 3),),
+    (np.full((2, 1, 0), 1.0),),
+    (np.full((2, 1, 2), 0.5), np.full((3, 2, 2), 0.5)),
+], ids=["second-table-without-prefixes", "2-D-first-table", "no-table", "no-state",
+        "no-action", "state-counts-differ"])
+def test_coordination_policy_refuses_malformed_tables(tables):
+    with pytest.raises(ValueError, match=r"coordination tables must be \[S >= 1, A\*\*i, A >= 1\]"):
+        CoordinationPolicy(tables)
+
+
+def test_coordination_policy_takes_well_formed_tables():
+    for n, s, a in ((1, 1, 1), (3, 2, 1), (2, 1, 3), (3, 4, 2)):
+        policy = CoordinationPolicy.uniform(n, s, a)
+        assert (policy.n_agents, policy.n_states, policy.n_actions) == (n, s, a)

@@ -638,6 +638,18 @@ def test_greedy_distill_reads_a_layered_table_as_its_lowered_policy():
             assert got.tables.tobytes() == np.eye(a)[walked].tobytes()
 
 
+def test_kl_distill_reads_a_layered_table_as_its_lowered_policy():
+    rng = np.random.default_rng(78)
+    for s, n, a in ((1, 2, 3), (4, 3, 2), (5, 2, 4), (2, 1, 3), (3, 2, 1)):
+        model = random_mmdp(s, n, a, gamma=0.9, rng=rng)
+        table = rng.random((layer_offsets(s, n, a)[1], a))
+        table /= table.sum(axis=1, keepdims=True)
+        got, got_loss = kl_distill(table, model)
+        want, want_loss = kl_distill(lower_policy(table, n), model)
+        assert got.tables.tobytes() == want.tables.tobytes()
+        assert got_loss.tobytes() == want_loss.tobytes()
+
+
 def _spy(monkeypatch):
     """Record every `one_hot` call's code shape, every `CoordinationPolicy`
     built and every `lower_policy` call, in each module that binds them."""
@@ -658,8 +670,7 @@ def _spy(monkeypatch):
 
     for module in (core, learners):
         monkeypatch.setattr(module, "one_hot", spied_one_hot)
-    for module in (transform, learners):
-        monkeypatch.setattr(module, "lower_policy", spied_lower)
+    monkeypatch.setattr(transform, "lower_policy", spied_lower)
     monkeypatch.setattr(CoordinationPolicy, "__post_init__", spied_init)
     return seen
 
@@ -673,13 +684,15 @@ def test_greedy_tad_run_makes_no_one_hot_copy_and_no_coordination_policy(sarl, m
     # evaluated by its codes, with no one-hot check
     assert seen == {"one_hot": [(3, 4)], "CoordinationPolicy": [], "lower_policy": []}
     assert trace.greedy[-1] == tuple(greedy_codes(policies.tables))
-    # the kl path still lowers its (one-hot) table, and the spy sees it
+    # kl reads the solver's table too: vi and q_learning distill greedily,
+    # and the PG policy set's one one-hot build is the evaluator's check
     seen["one_hot"].clear()
     tad_run(model, sarl=sarl, distill="kl", **TAD_CFG[sarl])
+    assert seen == {"one_hot": [(3, 4)], "CoordinationPolicy": [], "lower_policy": []}
+    # the spy sees a lowering, as a control
     v = layer_offsets(4, 3, 2)[1]
+    transform.lower_policy(np.full((v, 2), 0.5), 3)
     assert seen["lower_policy"] == [(v, 2)] and seen["CoordinationPolicy"] == [3]
-    # one-hot for vi and q_learning; then the one-hot check of the policy set
-    assert seen["one_hot"] == ([] if sarl.endswith("pg") else [(v,)]) + [(3, 4)]
 
 
 def test_a_tad_pg_step_builds_no_coordination_policy(monkeypatch):
