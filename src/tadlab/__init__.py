@@ -23,7 +23,6 @@ from .core import (
     matrix_game,
     mmdp_from_dict,
     mmdp_to_dict,
-    occupancy,
     policy_slices,
     validate,
 )

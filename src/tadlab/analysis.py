@@ -1,6 +1,8 @@
-"""Executable certificates: gradient checks, stationarity, local minimality
-(exact on one-step value-decomposition points, by ball sampling otherwise),
-suboptimality gaps, and equilibrium statistics for random games."""
+"""Executable certificates: gradient checks, stationarity, exact local
+minimality on one-step value-decomposition points, suboptimality gaps, and
+equilibrium statistics for random games. `local_min_certificate`, a ball
+sampler that proves nothing, stays only because the benchmark's tracer
+names it."""
 
 from __future__ import annotations
 

@@ -214,10 +214,6 @@ class DecentralizedPolicySet:
         """One-hot policy set from an int array [n_agents, n_states]."""
         return cls(one_hot(actions, n_actions))
 
-    @classmethod
-    def uniform(cls, n_agents, n_states, n_actions):
-        return cls(np.full((n_agents, n_states, n_actions), 1.0 / n_actions))
-
     def joint(self):
         """Product joint policy [n_states, n_actions**n_agents]: the
         coordination chain of `_prefix_reach` on prefix-independent
@@ -250,25 +246,8 @@ class CoordinationPolicy:
         object.__setattr__(self, "tables", tables)
 
     @property
-    def n_agents(self):
-        return len(self.tables)
-
-    @property
-    def n_states(self):
-        return self.tables[0].shape[0]
-
-    @property
     def n_actions(self):
         return self.tables[0].shape[2]
-
-    @classmethod
-    def uniform(cls, n_agents, n_states, n_actions):
-        return cls(
-            tuple(
-                np.full((n_states, n_actions**i, n_actions), 1.0 / n_actions)
-                for i in range(n_agents)
-            )
-        )
 
     @classmethod
     def random(cls, n_agents, n_states, n_actions, rng):
@@ -523,12 +502,6 @@ def evaluate_policy(model, policy):
     return _finite(initial_return(model, v), "the return")
 
 
-def occupancy(model, policy):
-    """Discounted state-visit weights d[s] = sum_t gamma^t Pr(s_t = s)."""
-    _, slices = policy_slices(model, joint_policy_matrix(model, policy))
-    return sum(d_t for d_t, _ in slices)
-
-
 # ---------------------------------------------------------------------------
 # Bellman operator and optimal solvers
 
@@ -590,7 +563,7 @@ def episode_positions(model):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
+def optimal_values(model, tol=ORACLE_TOL):
     """Optimal action values [S, M] plus the solver's per-iteration record.
 
     Infinite horizon: Howard policy iteration over deterministic joint
@@ -604,8 +577,8 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
     record entry is then the certificate margin: no action improves on mu
     by more than it, so every state's value is within margin/(1 - gamma)
     of the optimum, and so is the greedy policy of the returned table.
-    `tol` must be a finite number > 0 (`check_options`), and `max_iter`
-    caps the iterations.
+    `tol` must be a finite number > 0 (`check_options`), and `MAX_SWEEPS`,
+    read at each call, caps the iterations.
 
     Episodic: the backward recursion `_backward` on row maxima, reading
     each state's table at its episode step (models must be layered;
@@ -624,7 +597,7 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
         return _finite(tables[episode_positions(model), states, :], "the optimal table"), [0.0]
     codes = np.argmax(model.reward, axis=1)
     margins = []
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         q = model.reward + model.gamma * _next_values(model, _solve_values(model, codes)[1])
         best = np.argmax(_finite(q, "the policy's action values"), axis=1)
         advantage = q[states, best] - q[states, codes]
@@ -633,10 +606,10 @@ def optimal_values(model, tol=ORACLE_TOL, max_iter=MAX_SWEEPS):
         if not switch.any():
             return q, margins
         codes = np.where(switch, best, codes)
-    raise RuntimeError(f"policy iteration did not settle at tol={tol} in {max_iter} iterations")
+    raise RuntimeError(f"policy iteration did not settle at tol={tol} in {MAX_SWEEPS} iterations")
 
 
-def brute_force_optimal(model, tol=ORACLE_TOL, size_guard=SIZE_GUARD):
+def brute_force_optimal(model, tol=ORACLE_TOL):
     """Optimal return and its greedy play: (value, int codes [S]), the
     per-state joint code of the first argmax of the optimal table.
 
@@ -644,12 +617,13 @@ def brute_force_optimal(model, tol=ORACLE_TOL, size_guard=SIZE_GUARD):
     tolerance `tol` for infinite horizons, backward induction otherwise);
     its greedy policy is evaluated exactly, and its return is within
     margin/(1 - gamma) of the optimum, where margin (<= tol) is the
-    certificate `optimal_values` stopped at.
+    certificate `optimal_values` stopped at. SizeGuardError when S*M
+    exceeds `SIZE_GUARD`, read at each call.
     """
-    if model.n_states * model.n_joint_actions > size_guard:
+    if model.n_states * model.n_joint_actions > SIZE_GUARD:
         raise SizeGuardError(
             f"{model.n_states} states x {model.n_joint_actions} joint actions "
-            f"exceeds the enumeration guard ({size_guard})"
+            f"exceeds the enumeration guard ({SIZE_GUARD})"
         )
     q, _ = optimal_values(model, tol=tol)
     codes = np.argmax(q, axis=1)

@@ -44,9 +44,11 @@ because the benchmark's tracer wraps them by name. The transform-and-distill
 composition, `tad_run`, solves the sequential transform of an MMDP on the MMDP's own
 tensors and never builds the dense transform: `layered_optimal_values`
 unrolls the oracle's optimal joint table into the layers,
-`layered_q_learning` backs up one flat [V, A] table per sweep, and
-`softmax_pg` (TAD-PG, or TAD-PPO with the clipped surrogate) descends [V, A]
-transform logits on the exact slices of `layered_policy_slices`. Greedy
+`layered_q_learning` backs up one flat [V, A] table per sweep (it and
+`q_learning` run one sweep loop, `_q_sweeps`, each with its own target
+function), and `softmax_pg` (TAD-PG, or TAD-PPO with the clipped
+surrogate) descends [V, A] transform logits on the exact slices of
+`layered_policy_slices`. Greedy
 distillation then reads the solver's own table and yields decentralized
 policies with the solver's optimality carried over.
 """
@@ -710,25 +712,16 @@ def _final_steps(model):
     return episode_positions(model) == model.horizon - 1
 
 
-def q_learning(mdp, sweeps=200, lr=0.5):
-    """Synchronous tabular Q-learning on a (possibly layered episodic)
-    one-agent model: deterministic full sweeps q += lr * (target - q), in
-    which final-step states do not bootstrap, at most `sweeps` of them.
-    A sweep is a function of the table alone, so the loop stops at the
-    first sweep that changes no bit (compared as bytes: np.array_equal
-    takes -0.0 for +0.0), as every later sweep would return the same bits.
-    Returns the [S, A] table; one that turns non-finite raises
-    GdDivergenceError after the loop. On a dense transform it is the
-    reference that `layered_q_learning`'s iterates are checked against.
-    """
-    sweeps, lr = check_options(sweeps=sweeps, lr=lr)
-    q = np.zeros_like(mdp.reward)
-    final = _final_steps(mdp)
+def _q_sweeps(target, q, sweeps, lr):
+    """Synchronous Q-learning's loop: at most `sweeps` full sweeps
+    q += lr * (target(q) - q) from the table `q`. `target` must be a
+    function of the table alone, so the loop stops at the first sweep that
+    changes no bit (compared as bytes: np.array_equal takes -0.0 for +0.0),
+    as every later sweep would return the same bits. Returns the table; one
+    that turns non-finite raises GdDivergenceError after the loop."""
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(sweeps):
-            target = bellman_backup(q, mdp)
-            target[final] = mdp.reward[final]
-            nxt = q + lr * (target - q)
+            nxt = q + lr * (target(q) - q)
             if nxt.tobytes() == q.tobytes():
                 break
             q = nxt
@@ -737,11 +730,29 @@ def q_learning(mdp, sweeps=200, lr=0.5):
     return q
 
 
+def q_learning(mdp, sweeps=200, lr=0.5):
+    """Synchronous tabular Q-learning on a (possibly layered episodic)
+    one-agent model, by `_q_sweeps`: its target is the optimality backup,
+    in which final-step states do not bootstrap. Returns the [S, A] table.
+    On a dense transform it is the reference that `layered_q_learning`'s
+    iterates are checked against.
+    """
+    sweeps, lr = check_options(sweeps=sweeps, lr=lr)
+    final = _final_steps(mdp)
+
+    def target(q):
+        backup = bellman_backup(q, mdp)
+        backup[final] = mdp.reward[final]
+        return backup
+
+    return _q_sweeps(target, np.zeros_like(mdp.reward), sweeps, lr)
+
+
 def layered_q_learning(model, sweeps=200, lr=0.5):
     """Synchronous Q-learning on the sequential transform of an MMDP, on the
-    MMDP's tensors: returns one [V, A] table in virtual-state order, whose
-    iterates are those of `q_learning` on the dense transform up to
-    summation order.
+    MMDP's tensors, by `_q_sweeps`: returns one [V, A] table in
+    virtual-state order, whose iterates are those of `q_learning` on the
+    dense transform up to summation order.
 
     Each sweep moves every row toward gamma' * (max of its layer-k+1 child
     row), or R + gamma' * T @ max(layer 0) in the last layer. By the layout
@@ -755,10 +766,7 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     each sweep writes layers 0..n-2, re-zeroes the never-reached rows, and
     backs up the joint step into the bootstrapping states' last-layer rows
     only if there are any (none on a one-step game). So every target row
-    is a constant or a function of the table, and the loop stops at the
-    first sweep that changes no bit of it, after at most `sweeps` sweeps:
-    every later sweep would return the same bits. A table that turns
-    non-finite raises GdDivergenceError after the loop.
+    is a constant or a function of the table, as `_q_sweeps` requires.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
     gamma_step = step_discount(model)
@@ -769,25 +777,19 @@ def layered_q_learning(model, sweeps=200, lr=0.5):
     boot = ~final[:, None]
     bootstraps = boot.any()
     dead = never_reached_rows(model)
-    q = np.zeros((total, a))
-    target = np.zeros((total, a))
-    target[inner:][final] = model.reward.reshape(-1, a)[final]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(sweeps):
-            v = row_max(q)
-            np.multiply(gamma_step, v[s:].reshape(-1, a), out=target[:inner])
-            if dead.size:
-                target[dead] = 0.0
-            if bootstraps:
-                np.copyto(target[inner:], layer_backup(model, n - 1, v[:s], gamma_step),
-                          where=boot)
-            nxt = q + lr * (target - q)
-            if nxt.tobytes() == q.tobytes():
-                break
-            q = nxt
-    if not np.isfinite(q).all():
-        raise GdDivergenceError(f"Q-learning diverged within {sweeps} sweeps (lr={lr})")
-    return q
+    out = np.zeros((total, a))
+    out[inner:][final] = model.reward.reshape(-1, a)[final]
+
+    def target(q):
+        v = row_max(q)
+        np.multiply(gamma_step, v[s:].reshape(-1, a), out=out[:inner])
+        if dead.size:
+            out[dead] = 0.0
+        if bootstraps:
+            np.copyto(out[inner:], layer_backup(model, n - 1, v[:s], gamma_step), where=boot)
+        return out
+
+    return _q_sweeps(target, np.zeros((total, a)), sweeps, lr)
 
 
 #: TAD-PPO: ascent steps on the clipped surrogate per outer step, and the

@@ -71,21 +71,22 @@ def step_discount(model):
     return model.gamma ** (1.0 / model.n_agents)
 
 
-def sequential_transform(model, size_guard=SIZE_GUARD):
+def sequential_transform(model):
     """Rewrite an MMDP as the layered one-agent-per-step MDP.
 
     The result is dense: its transition tensor alone holds V*A*V floats.
-    `size_guard` bounds the float64 entries of all its tensors together.
+    `SIZE_GUARD`, read at each call, bounds the float64 entries of all its
+    tensors together.
     """
     gamma_step = step_discount(model)
     s, n, a = model.n_states, model.n_agents, model.n_actions
     offsets, total = layer_offsets(s, n, a)
     entries = total * a * total + total * a + total
-    if entries > size_guard:
+    if entries > SIZE_GUARD:
         raise SizeGuardError(
             f"transformed model has {total} states x {a} actions; its dense "
             f"tensors would take {8 * entries} bytes ({entries} float64 "
-            f"entries), exceeding the guard ({size_guard} entries)"
+            f"entries), exceeding the guard ({SIZE_GUARD} entries)"
         )
     inner = offsets[-1]
     transition = np.zeros((total, a, total))
@@ -145,14 +146,15 @@ def layered_policy_slices(model, pol):
     With pi_k the `layer_tables` views of `pol`, the prefix reach P_k
     [S, A**k] (`core._prefix_reach`, with no `CoordinationPolicy` copy)
     gives the joint policy matrix P_n that the MMDP evaluates. As
-    gamma'**n = gamma, the last layer's action values are the MMDP's q_t
-    and the return is gamma'**(n-1) * J_M; layer k's action
-    values are a `layer_backup` of layer k+1's policy-weighted values, and
-    its visit weights are gamma'**k * d_t(s) * P_k[s, p]. A one-agent model
-    is its own transform, and its slices are `policy_slices`' own.
+    gamma'**n = gamma (gamma' is `step_discount`), the last layer's action
+    values are the MMDP's q_t and the return is gamma'**(n-1) * J_M; layer
+    k's action values are a `layer_backup` of layer k+1's policy-weighted
+    values, and its visit weights are gamma'**k * d_t(s) * P_k[s, p]. A
+    one-agent model is its own transform, and its slices are
+    `policy_slices`' own.
     """
     n, a = model.n_agents, model.n_actions
-    gamma_step = model.gamma ** (1.0 / n)
+    gamma_step = step_discount(model)
     pi = layer_tables(pol, n)
     reach = _prefix_reach(pi)
     value, slices = policy_slices(model, reach[-1])

@@ -86,7 +86,7 @@ def vi_oracle(model, tol=1e-10, max_iter=MAX_SWEEPS):
     `optimal_values`.
     """
     if model.horizon is not None:
-        return optimal_values(model, tol, max_iter)
+        return optimal_values(model, tol)
     s = model.n_states
     v = np.zeros(s)
     residuals = []
@@ -125,6 +125,22 @@ def slices_oracle(model, pol):
             slices.append((scale * rho, q_t))
     value = (model.initial_dist @ v[..., None])[..., 0]
     return (value if batch else float(value)), slices
+
+
+def occupancy_oracle(model, pol):
+    """Discounted state-visit weights sum_t gamma^t Pr(s_t = s) of an
+    [S, M] policy matrix, from the state chain P_pi alone: one solve of
+    (I - gamma P_pi)^T d = rho on an infinite horizon, else the forward
+    sum of gamma^t rho P_pi^t over the horizon."""
+    p_pi = np.einsum("sa,sat->st", pol, model.transition)
+    if model.horizon is None:
+        return np.linalg.solve((np.eye(model.n_states) - model.gamma * p_pi).T,
+                               model.initial_dist)
+    d, rho = np.zeros(model.n_states), model.initial_dist
+    for t in range(model.horizon):
+        d = d + model.gamma**t * rho
+        rho = rho @ p_pi
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +270,7 @@ def kl_oracle(pc, steps=4000, lr=None):
     softmax descent of the exact cross-entropy, averaged over states, from
     zero logits; returns the fitted policies and the per-step loss trace.
     The closed-form `kl_distill` must match its limit."""
-    n, s, a = pc.n_agents, pc.n_states, pc.n_actions
+    n, s, a = len(pc.tables), len(pc.tables[0]), pc.n_actions
     if lr is None:
         lr = float(s)
     joint = pc.joint()
@@ -361,8 +377,8 @@ def clipped_pg_oracle(mdp, lr, steps, clip, inner_epochs=4, log_every=50):
 def greedy_distill_oracle(pc):
     """Greedy distillation state by state: each agent's argmax row under the
     earlier agents' chosen actions at that state, as [n, S] actions."""
-    chosen = np.zeros((pc.n_agents, pc.n_states), dtype=np.intp)
-    for state in range(pc.n_states):
+    chosen = np.zeros((len(pc.tables), len(pc.tables[0])), dtype=np.intp)
+    for state in range(len(pc.tables[0])):
         prefix = 0
         for k, tab in enumerate(pc.tables):
             chosen[k, state] = np.argmax(tab[state, prefix])
@@ -487,7 +503,7 @@ def product_joint_oracle(tables):
 def coordination_joint_oracle(pc):
     """Chain-product joint policy [S, A**n] of a coordination policy, one
     agent's factor per step, read at each joint action's running prefix."""
-    n, s, a = pc.n_agents, pc.n_states, pc.n_actions
+    n, s, a = len(pc.tables), len(pc.tables[0]), pc.n_actions
     digits = digit_table_oracle(n, a)
     out = np.ones((s, a**n))
     prefix = np.zeros(a**n, dtype=np.intp)

@@ -35,6 +35,7 @@ from oracles import (
     joint_digits_oracle,
     joint_one_hot_oracle,
     layered_mmdp,
+    occupancy_oracle,
     product_joint_oracle,
     pure_nash_enumerate,
     slices_oracle,
@@ -230,7 +231,7 @@ def test_evaluate_deterministic_optimum():
 
 def test_evaluate_uniform_is_mean_payoff():
     g = builtin_game("table1")
-    uniform = DecentralizedPolicySet.uniform(2, 1, 3)
+    uniform = DecentralizedPolicySet(np.full((2, 1, 3), 1 / 3))
     assert evaluate_policy(g, uniform) == pytest.approx(-164 / 9, abs=1e-12)
 
 
@@ -393,9 +394,10 @@ def test_policy_iteration_ranks_near_tied_actions(delta, iterations):
     assert iterations is None or len(margins) == iterations
 
 
-def test_policy_iteration_cap_raises():
+def test_policy_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(tadlab.core, "MAX_SWEEPS", 1)
     with pytest.raises(RuntimeError, match="policy iteration"):
-        optimal_values(_tie_chain(0.5), max_iter=1)
+        optimal_values(_tie_chain(0.5))
 
 
 def _pi_through_policy_slices(model, tol=1e-10):
@@ -438,10 +440,11 @@ def test_policy_iteration_solves_values_only(model, monkeypatch):
     assert np.array_equal(q, want_q) and margins == want_margins
 
 
-def test_brute_force_size_guard():
+def test_brute_force_size_guard(monkeypatch):
     model = random_mmdp(2, 2, 3, gamma=0.9, rng=19)
+    monkeypatch.setattr(tadlab.core, "SIZE_GUARD", 10)
     with pytest.raises(SizeGuardError):
-        brute_force_optimal(model, size_guard=10)
+        brute_force_optimal(model)
 
 
 def test_pure_nash_table1():
@@ -480,20 +483,23 @@ def test_pure_nash_rejects_multi_step():
         pure_nash_enumerate(model)
 
 
-def test_occupancy_one_step_is_initial_dist():
-    from tadlab import occupancy
+def _visit_weights(model, policy):
+    """Discounted state-visit weights sum_t d_t: the summed visit weights
+    of `policy_slices` on the policy's joint matrix."""
+    _, slices = policy_slices(model, joint_policy_matrix(model, policy))
+    return sum(d_t for d_t, _ in slices)
 
+
+def test_occupancy_one_step_is_initial_dist():
     suite = builtin_game("multitask_suite")
-    d = occupancy(suite, DecentralizedPolicySet.uniform(2, 10, 5))
+    d = _visit_weights(suite, DecentralizedPolicySet(np.full((2, 10, 5), 1 / 5)))
     assert np.allclose(d, suite.initial_dist, atol=1e-15)
 
 
 def test_occupancy_mass_is_discounted_horizon():
-    from tadlab import occupancy
-
     model = random_mmdp(3, 2, 2, gamma=0.9, rng=31)
-    pol = DecentralizedPolicySet.uniform(2, 3, 2)
-    d = occupancy(model, pol)
+    pol = DecentralizedPolicySet(np.full((2, 3, 2), 1 / 2))
+    d = _visit_weights(model, pol)
     assert d.sum() == pytest.approx(1.0 / (1.0 - 0.9), abs=1e-9)
     assert np.all(d >= 0)
 
@@ -568,8 +574,6 @@ def test_greedy_codes_match_joint_code_of_lowest_argmax():
 
 @pytest.mark.parametrize("horizon", [None, 3, 1])
 def test_policy_slices_sum_to_return_and_occupancy(horizon):
-    from tadlab import occupancy, policy_slices
-
     rng = np.random.default_rng(23)
     model = random_mmdp(4, 2, 3, gamma=0.9, rng=37, horizon=horizon)
     pol = DecentralizedPolicySet(rng.dirichlet(np.ones(3), size=(2, 4))).joint()
@@ -577,10 +581,10 @@ def test_policy_slices_sum_to_return_and_occupancy(horizon):
     assert len(slices) == (1 if horizon is None else horizon)
     r_pi = np.sum(pol * model.reward, axis=1)
     assert sum(d_t @ r_pi for d_t, _ in slices) == pytest.approx(value, rel=1e-12)
-    np.testing.assert_allclose(sum(d_t for d_t, _ in slices), occupancy(model, pol),
-                               rtol=1e-12)
+    visits = sum(d_t for d_t, _ in slices)
+    np.testing.assert_allclose(visits, occupancy_oracle(model, pol), rtol=1e-12)
     steps = 1 / (1 - 0.9) if horizon is None else (1 - 0.9**horizon) / (1 - 0.9)
-    assert occupancy(model, pol).sum() == pytest.approx(steps, rel=1e-12)
+    assert visits.sum() == pytest.approx(steps, rel=1e-12)
     assert value == pytest.approx(evaluate_policy(model, pol), rel=1e-12)
 
 
@@ -589,16 +593,14 @@ def test_array_holding_objects_compare_and_hash_by_identity():
 
     first, second = builtin_game("table1"), builtin_game("table1")
     assert first == first and first != second and len({first, second}) == 2
-    policies = DecentralizedPolicySet.uniform(2, 1, 3)
-    assert policies != DecentralizedPolicySet.uniform(2, 1, 3)
+    policies = DecentralizedPolicySet(np.full((2, 1, 3), 1 / 3))
+    assert policies != DecentralizedPolicySet(np.full((2, 1, 3), 1 / 3))
     for make in (lambda: MapgParams.uniform(2, 1, 3), lambda: VdParams.zeros("duplex", 2, 1, 3)):
         params = make()
         assert params == params and params != make()
 
 
 def test_evaluation_bits_do_not_depend_on_memory_order():
-    from tadlab import occupancy
-
     model = random_mmdp(6, 2, 3, gamma=0.9, rng=1, horizon=3)
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -606,7 +608,7 @@ def test_evaluation_bits_do_not_depend_on_memory_order():
         pol /= pol.sum(axis=1, keepdims=True)
         fortran = np.asfortranarray(pol)
         assert evaluate_policy(model, pol) == evaluate_policy(model, fortran)
-        assert np.array_equal(occupancy(model, pol), occupancy(model, fortran))
+        assert np.array_equal(_visit_weights(model, pol), _visit_weights(model, fortran))
 
 
 def assert_same_bits(got, want):
@@ -794,7 +796,7 @@ def test_non_finite_returns_and_tables_raise_divergence(model):
     actions = np.zeros((model.n_agents, model.n_states), dtype=np.intp)
     plays = {"codes": codes, "one-hot set": DecentralizedPolicySet.deterministic(actions, 2),
              "one-hot matrix": one_hot(codes, model.n_joint_actions),
-             "stochastic set": DecentralizedPolicySet.uniform(2, model.n_states, 2)}
+             "stochastic set": DecentralizedPolicySet(np.full((2, model.n_states, 2), 1 / 2))}
     for label, policy in plays.items():
         with pytest.raises(tadlab.GdDivergenceError, match="the return overflowed"):
             evaluate_policy(model, policy)
@@ -849,5 +851,5 @@ def test_coordination_policy_refuses_malformed_tables(tables):
 
 def test_coordination_policy_takes_well_formed_tables():
     for n, s, a in ((1, 1, 1), (3, 2, 1), (2, 1, 3), (3, 4, 2)):
-        policy = CoordinationPolicy.uniform(n, s, a)
-        assert (policy.n_agents, policy.n_states, policy.n_actions) == (n, s, a)
+        policy = CoordinationPolicy(tuple(np.full((s, a**i, a), 1 / a) for i in range(n)))
+        assert (len(policy.tables), len(policy.tables[0]), policy.n_actions) == (n, s, a)

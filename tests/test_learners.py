@@ -45,6 +45,7 @@ from tadlab.constructions import (
 from tadlab.core import (
     MAX_SWEEPS,
     Mdp,
+    Mmdp,
     bellman_backup,
     episode_positions,
     matrix_game,
@@ -705,6 +706,69 @@ def test_q_learning_stops_at_its_bitwise_fixed_point(monkeypatch):
     got = q_learning(mdp, sweeps=200, lr=0.5)
     assert len(calls) < 200
     assert got.tobytes() == want.tobytes()
+
+
+def _counted_target(step):
+    """A fake Q-learning target `step(q)` that records each call."""
+    calls = []
+
+    def target(q):
+        calls.append(q.copy())
+        return step(q)
+
+    return target, calls
+
+
+def test_q_sweeps_stop_at_the_first_sweep_that_changes_no_bit():
+    goal = np.array([[1.5, 0.0], [2.0, 3.0]])
+    target, calls = _counted_target(lambda q: goal.copy())
+    got = learners._q_sweeps(target, np.zeros((2, 2)), 10, 1.0)
+    # sweep 1 lands on the goal, sweep 2 leaves every bit where it is
+    assert len(calls) == 2 and got.tobytes() == goal.tobytes()
+    # -0.0 == +0.0, but a sweep that only flips a zero's sign still counts
+    start = np.array([[1.5, -0.0], [2.0, 3.0]])
+    target, calls = _counted_target(lambda q: goal.copy())
+    got = learners._q_sweeps(target, start, 10, 1.0)
+    assert len(calls) == 2 and got.tobytes() == goal.tobytes()
+
+
+def test_q_sweeps_call_the_target_at_most_sweeps_times():
+    target, calls = _counted_target(lambda q: q + 1.0)
+    got = learners._q_sweeps(target, np.zeros((1, 2)), 5, 1.0)
+    assert len(calls) == 5 and np.array_equal(got, np.full((1, 2), 5.0))
+    # each sweep moves lr of the way to the target
+    target, calls = _counted_target(lambda q: q + 1.0)
+    assert np.array_equal(learners._q_sweeps(target, np.zeros((1, 2)), 3, 0.5),
+                          np.full((1, 2), 1.5))
+
+
+def test_q_sweeps_raise_divergence_after_the_loop():
+    # the table turns infinite at sweep 3 and the loop still runs all 4
+    # sweeps before it raises; the suite turns warnings into errors
+    target, calls = _counted_target(lambda q: q * 1e200 + 1.0)
+    with pytest.raises(GdDivergenceError, match="within 4 sweeps"):
+        learners._q_sweeps(target, np.zeros((1, 1)), 4, 1.0)
+    assert len(calls) == 4 and np.isinf(calls[3]).all()
+
+
+def _non_layered_episodic(n_agents):
+    """A two-state, horizon-2 model whose step-0 state moves to itself."""
+    m = 2**n_agents
+    transition = np.zeros((2, m, 2))
+    transition[:, :, 0] = 1.0
+    return Mmdp(2, n_agents, 2, transition, np.ones((2, m)), 0.9, [1.0, 0.0], horizon=2)
+
+
+@pytest.mark.parametrize("learn,model,refusal", [
+    (q_learning, _non_layered_episodic(1), "not layered"),
+    (layered_q_learning, _non_layered_episodic(2), "not layered"),
+    (layered_q_learning, dataclasses.replace(M2, gamma=0.0), "gamma = 0"),
+], ids=["dense-non-layered", "layered-non-layered", "layered-gamma-zero"])
+def test_q_learning_refuses_bad_sweeps_before_reading_the_model(learn, model, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        learn(model, sweeps=3)
+    with pytest.raises(ValueError, match="'sweeps' must be an integer"):
+        learn(model, sweeps=0)
 
 
 def test_layered_q_learning_divergence_raises_without_warnings():

@@ -75,20 +75,54 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
                                        "    11  total\n")
 
 
-def test_profile_reach_lists_the_function_that_no_call_entered(tmp_path, monkeypatch):
+@pytest.fixture
+def probe_package(tmp_path, monkeypatch):
+    """A package `reach_probe_pkg` on sys.path whose `mod` defines
+    `called`, `never` and `never.nested`."""
     package = tmp_path / "reach_probe_pkg"
     package.mkdir()
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text("def called():\n    return 1\n\n\n"
-                                    "def never():\n    return 2\n")
+                                    "def never():\n    def nested():\n        return 2\n"
+                                    "    return nested()\n")
     monkeypatch.syspath_prepend(str(tmp_path))
     monkeypatch.delitem(sys.modules, "reach_probe_pkg", raising=False)
     monkeypatch.delitem(sys.modules, "reach_probe_pkg.mod", raising=False)
-    functions, unreached = reach.profile_reach(
-        package, lambda: importlib.import_module("reach_probe_pkg.mod").called())
+    return package
+
+
+def _call_probe():
+    importlib.import_module("reach_probe_pkg.mod").called()
+
+
+def test_profile_reach_lists_the_function_that_no_call_entered(probe_package):
+    functions, unreached = reach.profile_reach(probe_package, _call_probe)
     assert [(path.name, line, name) for path, line, _, name in functions] == [
-        ("mod.py", 1, "called"), ("mod.py", 5, "never")]
-    assert [name for *_, name in unreached] == ["never"]
+        ("mod.py", 1, "called"), ("mod.py", 5, "never"), ("mod.py", 6, "never.nested")]
+    assert [name for *_, name in unreached] == ["never", "never.nested"]
+
+
+@pytest.mark.parametrize("keep, unkept", [
+    ({"mod.never": "a reason"}, []),
+    ({}, ["mod.py:5 never", "mod.py:6 never.nested"]),
+    ({"mod.never.nested": "a reason"}, ["mod.py:5 never"]),
+], ids=["kept-with-nested", "not-kept", "only-nested-kept"])
+def test_reach_fails_on_a_never_called_function_outside_keep(probe_package, monkeypatch,
+                                                            capsys, keep, unkept):
+    monkeypatch.setattr(reach, "PACKAGE", probe_package)
+    monkeypatch.setattr(reach, "KEEP", keep)
+    monkeypatch.setattr(reach, "run_inputs", lambda out_dir: _call_probe() or [])
+    assert reach.main() == (1 if unkept else 0)
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "3 functions in reach_probe_pkg, 2 never called:"
+    assert err.splitlines() == [f"never called and not in KEEP: {label}" for label in unkept]
+
+
+def test_reach_keeps_only_functions_defined_in_the_package():
+    package = Path(reach.PACKAGE)
+    defined = {f"{path.relative_to(package).with_suffix('')}.{name}".replace("/", ".")
+               for path, _, _, name in reach.defined_functions(package)}
+    assert set(reach.KEEP) <= defined
 
 
 def _result(**values):

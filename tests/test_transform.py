@@ -200,10 +200,11 @@ def test_inverse_rejects_a_broken_layout(case):
         inverse_transform(_corrupt(mdp, case), model.n_agents)
 
 
-def test_transform_size_guard():
+def test_transform_size_guard(monkeypatch):
     model = random_mmdp(2, 3, 3, gamma=0.9, rng=7)
+    monkeypatch.setattr(transform, "SIZE_GUARD", 10)
     with pytest.raises(SizeGuardError):
-        sequential_transform(model, size_guard=10)
+        sequential_transform(model)
 
 
 def test_transform_size_guard_bounds_allocated_entries():
@@ -250,8 +251,13 @@ def test_policy_conversion_round_trip_exact():
         assert np.array_equal(a, b)
 
 
+def _uniform_coordination(n, s, a):
+    """The coordination policy whose every row is uniform over A actions."""
+    return CoordinationPolicy(tuple(np.full((s, a**i, a), 1 / a) for i in range(n)))
+
+
 def test_uniform_policy_lifts_to_uniform():
-    pc = CoordinationPolicy.uniform(2, 1, 3)
+    pc = _uniform_coordination(2, 1, 3)
     assert np.all(lift_policy(pc) == 1 / 3)
 
 
@@ -300,7 +306,7 @@ def test_value_relation_rejects_gamma_zero():
     model = random_mmdp(2, 2, 2, gamma=0.9, rng=13)
     bad = Mmdp(2, 2, 2, model.transition, model.reward, 0.0,
                model.initial_dist, horizon=1)
-    pc = CoordinationPolicy.uniform(2, 2, 2)
+    pc = _uniform_coordination(2, 2, 2)
     with pytest.raises(ValueError, match="gamma"):
         value_relation_check(bad, pc)
 
@@ -324,7 +330,7 @@ def test_greedy_distill_reaches_optimum_on_table1():
 
 
 def test_greedy_distill_tie_break_lowest_index():
-    pc = CoordinationPolicy.uniform(2, 1, 3)
+    pc = _uniform_coordination(2, 1, 3)
     out = greedy_distill(pc, builtin_game("table1"))
     assert np.argmax(out.tables[0], axis=1)[0] == 0
     assert np.argmax(out.tables[1], axis=1)[0] == 0
