@@ -737,8 +737,7 @@ def test_q_sweeps_call_the_target_at_most_sweeps_times():
     got = learners._q_sweeps(target, np.zeros((1, 2)), 5, 1.0)
     assert len(calls) == 5 and np.array_equal(got, np.full((1, 2), 5.0))
     # each sweep moves lr of the way to the target
-    target, calls = _counted_target(lambda q: q + 1.0)
-    assert np.array_equal(learners._q_sweeps(target, np.zeros((1, 2)), 3, 0.5),
+    assert np.array_equal(learners._q_sweeps(lambda q: q + 1.0, np.zeros((1, 2)), 3, 0.5),
                           np.full((1, 2), 1.5))
 
 
