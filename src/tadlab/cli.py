@@ -33,7 +33,6 @@ from .constructions import builtin_game, builtin_names
 from .core import (
     OPTION_BOUNDS,
     ORACLE_TOL,
-    SIZE_GUARD,
     SizeGuardError,
     _floats,
     _real,
@@ -44,6 +43,7 @@ from .core import (
     evaluate_policy,
     greedy_codes,
     load_env_file,
+    require_enumerable,
 )
 from .learners import (
     SARL_OPTIONS,
@@ -69,18 +69,33 @@ _EXIT_CODES = {SchemaError: 2, SizeGuardError: 3, GdDivergenceError: 4}
 # ---------------------------------------------------------------------------
 # config plumbing
 
-#: keys of the mapg and vd learners; a tad learner takes `sarl` and that
-#: learner's `SARL_OPTIONS`
-_LEARNER_KEYS = {
-    "mapg": {"kind", "lr", "steps", "log_every"},
-    "vd": {"kind", "variant", "lr", "steps", "log_every"},
-}
+#: the keys of the mapg and vd learners besides `kind`, each with its
+#: default, or None where the default needs the steps (`log_every`) or the
+#: model (`lr`); a tad learner takes `sarl` and that learner's `SARL_OPTIONS`
+_DESCENT_OPTIONS = {"mapg": {"lr": None, "steps": 20000, "log_every": None},
+                    "vd": {"variant": "vdn", "lr": None, "steps": 20000, "log_every": None}}
 #: the keys each init mode takes
 _INIT_KEYS = {
     "uniform": {"mode"},
     "concentrated": {"mode", "target_joint_action", "scale"},
     "file": {"mode", "file"},
 }
+
+
+def _read_json(path, what):
+    """The JSON object in the file at `path`, the run's `what` file (config
+    or init); SchemaError naming both when the file is missing, unreadable,
+    not JSON or not an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError as exc:
+        raise SchemaError(f"{what} file not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read {what} file {path} as JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} file {path} must hold a JSON object")
+    return data
 
 
 def _load_config(path):
@@ -93,15 +108,7 @@ def _load_config(path):
     `clip`, from `SARL_OPTIONS`; a mapg or vd learner's `steps` (20000) and
     `log_every` (max(1, steps // 200)); and every numeric option as
     `check_options` normalizes it. Raises SchemaError on the first fault."""
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"config file not found: {path}") from exc
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read config {path} as JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise SchemaError("config must be a JSON object")
+    config = _read_json(path, "config")
     extra = set(config) - {"env", "learner", "init", "distill", "outputs"}
     if extra:
         raise SchemaError(f"unknown config keys: {sorted(extra)}")
@@ -115,18 +122,17 @@ def _load_config(path):
         name = learner.get("sarl", "vi")
         if not isinstance(name, str) or name not in SARL_OPTIONS:
             raise SchemaError(f"unknown single-agent learner {name!r}")
-        keys = {"kind", "sarl", *SARL_OPTIONS[name]}
-        defaults = {"sarl": name, **SARL_OPTIONS[name]}
-    elif isinstance(kind, str) and kind in _LEARNER_KEYS:
-        keys = _LEARNER_KEYS[kind]
-        defaults = {"variant": "vdn", "steps": 20000} if kind == "vd" else {"steps": 20000}
+        known = {"sarl": name, **SARL_OPTIONS[name]}
+    elif isinstance(kind, str) and kind in _DESCENT_OPTIONS:
+        known = _DESCENT_OPTIONS[kind]
     else:
         raise SchemaError(f"unknown learner kind {kind!r}")
-    extra = set(learner) - keys
+    extra = set(learner) - {"kind", *known}
     if extra:
         raise SchemaError(f"unknown learner keys for {name}: {sorted(extra)}")
-    learner = {**defaults, **{key: value for key, value in learner.items()
-                              if not (key == "clip" and value is None)}}
+    learner = {**{key: value for key, value in known.items() if value is not None},
+               **{key: value for key, value in learner.items()
+                  if not (key == "clip" and value is None)}}
     if kind == "vd" and learner["variant"] not in VD_VARIANTS:
         raise SchemaError(f"unknown vd variant {learner['variant']!r}")
     options = {key: learner[key] for key in OPTION_BOUNDS if key in learner}
@@ -181,13 +187,7 @@ def _resolve_env(spec):
 def _init_arrays(path, shapes):
     """Arrays of a `file` init by name, each checked against its entry in
     `shapes`; the first is required, the others are None when absent or null."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read init file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"init file {path} must hold a JSON object")
+    data = _read_json(path, "init")
     arrays = {}
     for i, (key, shape) in enumerate(shapes.items()):
         if data.get(key) is None:
@@ -250,11 +250,7 @@ def _execute(config, seed, out_dir):
     again if the learner, or the evaluation of its policies and the oracle
     (a return that overflows, say), fails."""
     model, env_name = _resolve_env(config["env"])
-    if model.n_states * model.n_joint_actions > SIZE_GUARD:
-        raise SizeGuardError(
-            f"environment has {model.n_states * model.n_joint_actions} "
-            f"state-action pairs, beyond the oracle guard"
-        )
+    require_enumerable(model)
     learner = config["learner"]
     if learner["kind"] == "tad":
         try:

@@ -506,16 +506,15 @@ def evaluate_policy(model, policy):
 # Bellman operator and optimal solvers
 
 def bellman_backup(q, model):
-    """One synchronous optimality backup of a [..., S, M] action-value table.
+    """One synchronous optimality backup of a [..., S, M] action-value table:
+    the plain operator r + gamma * E[max q'] on every model, as a new array.
 
-    One-step games (horizon 1) have no bootstrap: the backup is the reward
-    table itself.
+    It knows no horizon. The TD learners' cutoff, the reward with no
+    bootstrap at the last episode step, is `learners._td_target`'s.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-2:] != model.reward.shape:
         raise ValueError(f"q shape {q.shape} != {model.reward.shape}")
-    if model.horizon == 1:
-        return np.broadcast_to(model.reward, q.shape).copy()
     return model.reward + model.gamma * _next_values(model, _picked_values(None, q))
 
 
@@ -609,6 +608,15 @@ def optimal_values(model, tol=ORACLE_TOL):
     raise RuntimeError(f"policy iteration did not settle at tol={tol} in {MAX_SWEEPS} iterations")
 
 
+def require_enumerable(model):
+    """SizeGuardError when the model's S*M state-action pairs exceed
+    `SIZE_GUARD`, read at each call: the one guard of the oracle, which
+    `brute_force_optimal` and the CLI's `run` both apply."""
+    if model.n_states * model.n_joint_actions > SIZE_GUARD:
+        raise SizeGuardError(f"{model.n_states} states x {model.n_joint_actions} joint "
+                             f"actions exceeds the enumeration guard ({SIZE_GUARD})")
+
+
 def brute_force_optimal(model, tol=ORACLE_TOL):
     """Optimal return and its greedy play: (value, int codes [S]), the
     per-state joint code of the first argmax of the optimal table.
@@ -617,14 +625,10 @@ def brute_force_optimal(model, tol=ORACLE_TOL):
     tolerance `tol` for infinite horizons, backward induction otherwise);
     its greedy policy is evaluated exactly, and its return is within
     margin/(1 - gamma) of the optimum, where margin (<= tol) is the
-    certificate `optimal_values` stopped at. SizeGuardError when S*M
-    exceeds `SIZE_GUARD`, read at each call.
+    certificate `optimal_values` stopped at. `require_enumerable` refuses
+    a model beyond the size guard first.
     """
-    if model.n_states * model.n_joint_actions > SIZE_GUARD:
-        raise SizeGuardError(
-            f"{model.n_states} states x {model.n_joint_actions} joint actions "
-            f"exceeds the enumeration guard ({SIZE_GUARD})"
-        )
+    require_enumerable(model)
     q, _ = optimal_values(model, tol=tol)
     codes = np.argmax(q, axis=1)
     return evaluate_policy(model, codes), codes

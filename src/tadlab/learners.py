@@ -13,6 +13,11 @@ Two families of multi-agent learners live here:
   strictly positive (duplex), which keeps local and joint argmaxes
   consistent for every parameter setting.
 
+Both TD learners, that semi-gradient TD and the Q-learning of TAD's solve,
+apply one target, `_td_target`: the optimality backup
+(`core.bellman_backup`) with no bootstrap past the end of the episode, so
+the reward on a one-step model and at each state's last episode step.
+
 Every learner here that descends runs through one loop, `gd_run`, on the
 flat parameter vector: `mapg_objective` and `vd_objective` turn a parameter
 template and a model into the `(loss, packed gradient)` function it calls,
@@ -32,25 +37,25 @@ objective handed to `gd_run` must keep that contract. With no step hook,
 `gd_run` hands its objective the same array at every step and updates it
 in place, so each objective binds its views of x once per descent: it
 keeps the last x, its shape and its views, and builds new ones only for
-another array or shape. That cut one duplex call from about 20.8 to 18.9
-us and one MA-PG call by 1-2% (medians of interleaved 2,000-call blocks).
+another array or shape.
 
 The single-agent side runs on one-agent models: `value_iteration` (the
 oracle's policy iteration under its old name, returning the table and its
 greedy policy) and synchronous `q_learning` (returning the table), the
 dense references in the tests. They, and `mapg_loss_and_grad` and
 `vd_loss_and_grad`, the objectives' one-point forms, stay in the package
-because the benchmark's tracer wraps them by name. The transform-and-distill
-composition, `tad_run`, solves the sequential transform of an MMDP on the MMDP's own
-tensors and never builds the dense transform: `layered_optimal_values`
-unrolls the oracle's optimal joint table into the layers,
-`layered_q_learning` backs up one flat [V, A] table per sweep (it and
-`q_learning` run one sweep loop, `_q_sweeps`, each with its own target
-function), and `softmax_pg` (TAD-PG, or TAD-PPO with the clipped
+because the benchmark's tracer wraps them by name. The
+transform-and-distill composition, `tad_run`, solves the sequential
+transform of an MMDP on the MMDP's own tensors and never builds the dense
+transform: `layered_optimal_values` unrolls the oracle's optimal joint
+table into the layers, `layered_q_learning` backs up one flat [V, A] table
+per sweep, and `softmax_pg` (TAD-PG, or TAD-PPO with the clipped
 surrogate) descends [V, A] transform logits on the exact slices of
-`layered_policy_slices`. Greedy
-distillation then reads the solver's own table and yields decentralized
-policies with the solver's optimality carried over.
+`layered_policy_slices`. The two Q-learning functions run one sweep loop,
+`_q_sweeps`: `q_learning` toward `_td_target`, the layered form toward the
+transform's own layer targets, which cut off at the same final steps.
+Greedy distillation then reads the solver's own table and yields
+decentralized policies with the solver's optimality carried over.
 """
 
 from __future__ import annotations
@@ -465,15 +470,14 @@ def _vd_mix(variant, q_local, picked, mix):
 
 
 def vd_loss_and_grad(params, model, dist=None):
-    """Semi-gradient TD loss 0.5 E_dist[(Q - TQ)^2] and its parameter gradient.
+    """Semi-gradient TD loss 0.5 E_dist[(Q - TQ)^2] and its parameter gradient,
+    `vd_objective` at the params' own point.
 
-    The bootstrap target is treated as a constant. On one-step games the
-    target is the payoff table, so the loss is plain least-squares regression
-    and the semi-gradient is the exact gradient; in other episodic models
-    (which must be layered) states at the last episode step do not
-    bootstrap either, as in `q_learning`. Params with a leading
-    replica axis give one loss per replica and stacked gradients, each
-    replica's from its own row only.
+    The target TQ is `_td_target`'s, treated as a constant. On one-step
+    games it is the payoff table, so the loss is plain least-squares
+    regression and the semi-gradient is the exact gradient. Params with a
+    leading replica axis give one loss per replica and stacked gradients,
+    each replica's from its own row only.
     """
     loss, grad = vd_objective(params, model, dist)(params.pack())
     return loss, params.unpack_like(grad)
@@ -483,7 +487,10 @@ def vd_objective(template, model, dist=None):
     """`f(x) -> (loss, packed gradient)` of the semi-gradient TD loss, for a
     flat x of `template`'s point shape or a [K, d] stack of them.
 
-    `dist` is checked and the final-step mask computed once here, and the
+    The TD target is `_td_target(model)`, the one both TD learners apply:
+    the reward on a one-step model, else the optimality backup with no
+    bootstrap at the last episode step (episodic models must be layered).
+    `dist` is checked and the target function built once here, and the
     layout of each stack shape once, on its first call: the view shapes of
     x and the argmax row starts in the flat local-table gradient. A call
     then gathers the picked local values straight from x (its first entries
@@ -493,7 +500,7 @@ def vd_objective(template, model, dist=None):
     the last x, its shape, its views and their layout as one tuple, and
     reuses them while it is called on that array in that shape."""
     dist = _check_dist(dist, model)
-    final = np.flatnonzero(_final_steps(model))
+    td_target = _td_target(model)
     variant, (point, mix_point) = template.variant, template.point_shapes()
     flat, masks, _ = _agent_axis(*point)
     nq, n_agents, n_actions = math.prod(point), point[0], point[-1]
@@ -517,13 +524,7 @@ def vd_objective(template, model, dist=None):
             bound = x, x.shape, views
         q_local, mix, rows, starts = views
         q, terms, weights = _vd_mix(variant, q_local, x.take(flat, axis=-1), mix)
-        if model.horizon == 1:
-            target = model.reward
-        else:
-            target = bellman_backup(q, model)
-            if final.size:
-                target[..., final, :] = model.reward[final]
-        resid = q - target
+        resid = q - td_target(q)
         w = dist * resid
         loss = 0.5 * np.add.reduce((w * resid).reshape(rows), axis=-1)
         w = w[..., None, :, :]
@@ -712,6 +713,28 @@ def _final_steps(model):
     return episode_positions(model) == model.horizon - 1
 
 
+def _td_target(model):
+    """The one TD target of `vd_objective` and `q_learning`, as a function
+    of a [..., S, M] table: the model's own read-only reward table on a
+    one-step model, and otherwise `bellman_backup` with the final-step rows
+    (`_final_steps`, found once here; episodic models must be layered) set
+    to their reward, or `bellman_backup` itself where there are none (an
+    infinite horizon)."""
+    if model.horizon == 1:
+        return lambda q: model.reward
+    final = np.flatnonzero(_final_steps(model))
+    if not final.size:
+        return functools.partial(bellman_backup, model=model)
+    final_reward = model.reward[final]
+
+    def target(q):
+        backup = bellman_backup(q, model)
+        backup[..., final, :] = final_reward
+        return backup
+
+    return target
+
+
 def _q_sweeps(target, q, sweeps, lr):
     """Synchronous Q-learning's loop: at most `sweeps` full sweeps
     q += lr * (target(q) - q) from the table `q`. `target` must be a
@@ -732,20 +755,14 @@ def _q_sweeps(target, q, sweeps, lr):
 
 def q_learning(mdp, sweeps=200, lr=0.5):
     """Synchronous tabular Q-learning on a (possibly layered episodic)
-    one-agent model, by `_q_sweeps`: its target is the optimality backup,
-    in which final-step states do not bootstrap. Returns the [S, A] table.
-    On a dense transform it is the reference that `layered_q_learning`'s
-    iterates are checked against.
+    one-agent model, by `_q_sweeps` from a zero table, toward
+    `_td_target(mdp)`: the optimality backup in which final-step states do
+    not bootstrap, or the reward on a one-step model. Returns the [S, A]
+    table. On a dense transform it is the reference that
+    `layered_q_learning`'s iterates are checked against.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
-    final = _final_steps(mdp)
-
-    def target(q):
-        backup = bellman_backup(q, mdp)
-        backup[final] = mdp.reward[final]
-        return backup
-
-    return _q_sweeps(target, np.zeros_like(mdp.reward), sweeps, lr)
+    return _q_sweeps(_td_target(mdp), np.zeros_like(mdp.reward), sweeps, lr)
 
 
 def layered_q_learning(model, sweeps=200, lr=0.5):

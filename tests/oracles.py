@@ -203,6 +203,20 @@ def mapg_loss_oracle(logits, model):
     return -value, -logit_grad
 
 
+def td_target_oracle(q, model):
+    """The TD target of a [..., S, M] table, its cutoff found afresh: the
+    reward on a one-step model, else the optimality backup with the rows of
+    the last episode step's states set to their reward."""
+    if model.horizon == 1:
+        return model.reward
+    target = bellman_backup(q, model)
+    if model.horizon is not None:
+        # states at the last episode step do not bootstrap
+        final = episode_positions(model) == model.horizon - 1
+        target[..., final, :] = model.reward[final]
+    return target
+
+
 def vd_kernel_oracle(variant, q_local, w_raw, lam_raw, model, dist):
     """Semi-gradient TD loss and the gradients (q_local, w_raw, lam_raw),
     None where the variant has no such array, one agent at a time."""
@@ -226,15 +240,7 @@ def vd_kernel_oracle(variant, q_local, w_raw, lam_raw, model, dist):
         for i in range(1, n):
             q += lam[..., i, :, :] * adv[i]
         q += maxes.sum(axis=-2)[..., None]
-    if model.horizon == 1:
-        target = model.reward
-    else:
-        target = bellman_backup(q, model)
-        if model.horizon is not None:
-            # states at the last episode step do not bootstrap
-            final = episode_positions(model) == model.horizon - 1
-            target[..., final, :] = model.reward[final]
-    resid = q - target
+    resid = q - td_target_oracle(q, model)
     sq = dist * resid * resid
     loss = 0.5 * sq.reshape(sq.shape[:-2] + (-1,)).sum(-1)
     w = dist * resid

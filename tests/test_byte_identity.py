@@ -52,6 +52,11 @@ CONFIG_OUTPUT_SHA256 = {
         "summary.json": "19fdf9b2e549da3cfdd58b003a8655b727bdf88c7bffcaa2072cc1207cb9d247",
         "trace.csv": "79a394aa6f9042b804014bb9703d2a20aacae30535ebec9e147678061a89295b",
     },
+    "table1_tad_ppo": {
+        "policy.json": "bed61b2c23a033f40b65612ba6fc0dc5e27c97c6e26fb75d86f10625a6ac6813",
+        "summary.json": "d64e9928997ce2f1bbdddc2e4e09953943eb13cd37f949deb097de2dac77788e",
+        "trace.csv": "b50b7c2a27b80816e7a716bed92590ac9e40d32c5b16d67209c9ba71df47954e",
+    },
 }
 
 
@@ -72,3 +77,11 @@ def test_config_outputs_are_byte_identical(stem, tmp_path):
                      "--out", str(out)]) == 0
     got = {name: sha256((out / name).read_bytes()) for name in CONFIG_OUTPUT_SHA256[stem]}
     assert got == CONFIG_OUTPUT_SHA256[stem]
+
+
+def test_every_shipped_config_is_pinned():
+    # a config added to configs/ must bring its three output hashes along
+    stems = {path.stem for path in CONFIGS.glob("*.json")}
+    assert stems == set(CONFIG_OUTPUT_SHA256)
+    assert all(set(pins) == {"policy.json", "summary.json", "trace.csv"}
+               for pins in CONFIG_OUTPUT_SHA256.values())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tadlab.cli as cli
-from tadlab import learners
+import tadlab.core
+from tadlab import SizeGuardError, brute_force_optimal, learners
 from tadlab.claims import CLAIMS, ClaimRecord
 from tadlab import DecentralizedPolicySet, evaluate_policy
 from tadlab.constructions import builtin_game
@@ -107,11 +108,23 @@ def test_unknown_learner_key_exits_2(tmp_path):
 
 
 def test_size_guard_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "SIZE_GUARD", 4)
+    monkeypatch.setattr(tadlab.core, "SIZE_GUARD", 4)
     cfg = write_config(
         tmp_path / "cfg.json", {"env": "table1", "learner": {"kind": "tad"}}
     )
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
+def test_size_guard_exit_line_is_the_oracles_message(tmp_path, monkeypatch, capsys):
+    # one guard: the CLI refuses before the learner with the oracle's own error
+    monkeypatch.setattr(tadlab.core, "SIZE_GUARD", 8)
+    with pytest.raises(SizeGuardError) as raised:
+        brute_force_optimal(builtin_game("table1"))
+    cfg = write_config(tmp_path / "cfg.json", {"env": "table1", "learner": {"kind": "mapg"}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert str(raised.value) == "1 states x 9 joint actions exceeds the enumeration guard (8)"
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergence_exits_4(tmp_path):
@@ -538,6 +551,29 @@ def test_bad_init_file_contents_exit_2(tmp_path, capsys, kind, contents):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("what, text, fragment", [
+    ("config", None, "config file not found: "),
+    ("config", "{", "cannot read config file "),
+    ("config", "[1, 2]", "must hold a JSON object"),
+    ("init", "{", "cannot read init file "),
+    ("init", '"logits"', "must hold a JSON object"),
+], ids=["config-missing", "config-not-json", "config-list", "init-not-json", "init-string"])
+def test_an_unreadable_config_or_init_file_exits_2_naming_it(tmp_path, capsys, what, text,
+                                                            fragment):
+    # the config and the init file go through one reader, which names the file
+    path = tmp_path / f"{what}.json"
+    cfg = tmp_path / "config.json"
+    if what == "init":
+        write_config(cfg, _probe(init={"mode": "file", "file": str(path)}))
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert fragment in err and str(path) in err
     assert not (tmp_path / "out").exists()
 
 

@@ -23,6 +23,7 @@ from tadlab import (
 )
 from tadlab.constructions import builtin_game, random_matrix_game, random_mmdp
 import tadlab
+from tadlab.learners import _td_target
 from tadlab.core import (Mdp, _solve_values, digit_table, joint_policy_matrix, one_hot,
                          optimal_values, policy_slices)
 
@@ -271,9 +272,20 @@ def test_evaluate_matches_horizon_unrolling():
 
 
 def test_bellman_backup_one_step_is_reward():
+    # the one-step cutoff is the TD target's; the backup itself bootstraps
     g = builtin_game("table1")
     q = np.random.default_rng(1).standard_normal((1, 9))
-    assert np.array_equal(bellman_backup(q, g), g.reward)
+    assert np.array_equal(_td_target(g)(q), g.reward)
+
+
+def test_bellman_backup_on_a_one_step_game_is_the_plain_operator():
+    g = builtin_game("table1")
+    q = np.random.default_rng(1).standard_normal((3, 1, 9))
+    # one state, so P @ max q is the next-state probability times that max
+    want = g.reward + g.gamma * (g.transition[:, :, 0] * q.max(axis=-1, keepdims=True))
+    got = bellman_backup(q, g)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not np.array_equal(bellman_backup(q[0], g), g.reward)
 
 
 def test_bellman_backup_zero_reward_propagates_max():

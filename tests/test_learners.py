@@ -67,6 +67,7 @@ from oracles import (
     layered_q_oracle,
     mapg_kernel_oracle,
     mapg_loss_oracle,
+    td_target_oracle,
     vd_kernel_oracle,
 )
 
@@ -1264,6 +1265,39 @@ def test_the_optimum_of_a_layered_episodic_model_is_a_td_fixed_point():
     q_star, _ = optimal_values(model)
     loss, _ = vd_loss_and_grad(duplex_decompose(q_star, np.argmax(q_star, axis=1), 2), model)
     assert loss <= 1e-20
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)], ids=["flat", "stacked", "stacked2"])
+def test_td_target_is_the_oracles_inline_rule_bit_for_bit(batch, partly_reached_models):
+    rng = np.random.default_rng(68)
+    models = [KERNEL_MODELS[name] for name in KERNEL_MODELS if name not in NOT_LAYERED]
+    for model in models + partly_reached_models:
+        q = rng.standard_normal(batch + model.reward.shape)
+        want = td_target_oracle(q, model)
+        got = learners._td_target(model)(q)
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_td_target_keeps_the_one_step_reward_and_cuts_off_final_steps_only():
+    one_step = learners._td_target(TABLE1)(np.ones((4, 1, 9)))
+    assert one_step is TABLE1.reward
+    model = KERNEL_MODELS["layered_h3"]
+    q = np.random.default_rng(69).standard_normal(model.reward.shape)
+    final = episode_positions(model) == model.horizon - 1
+    got, backup = learners._td_target(model)(q), bellman_backup(q, model)
+    assert final.any() and (~final).any()
+    assert got[final].tobytes() == model.reward[final].tobytes()
+    assert got[~final].tobytes() == backup[~final].tobytes()
+
+
+def test_the_optimal_table_is_the_td_targets_fixed_point_bit_for_bit(partly_reached_models):
+    # backward induction applies the same backup and cutoff, in the same order
+    names = ("layered_h2", "layered_h3", "layered_h2_n3", "matgame2", "table1")
+    one_step = random_mmdp(3, 2, 2, gamma=0.9, rng=41, horizon=1)
+    for model in [KERNEL_MODELS[name] for name in names] + [one_step, *partly_reached_models]:
+        q_star, _ = optimal_values(model)
+        assert learners._td_target(model)(q_star).tobytes() == q_star.tobytes()
 
 
 def test_stacked_kernels_match_loop_oracles_on_partly_reached_models(partly_reached_models):

@@ -7,8 +7,19 @@ cannot change. The relation shares none of the conventions the exact
 evaluators share with their oracles: the joint-action codec's digit order,
 the transform's layout rule and the discount split all see a different
 agent order on each side.
+
+Two more relations hold on every model:
+
+- relabeling the states permutes the state axes; the optimum is the same
+  up to the rounding of a reordered solve;
+- a positive affine map of the reward, r -> a*r + b with a > 0, keeps the
+  optimal play and maps the optimum to a*J* + b/(1 - gamma), or to
+  a*J* + b*sum_t gamma^t over an episode's steps.
+
+TAD's `vi` gap stays exactly 0 under each.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -94,3 +105,59 @@ def test_relabeling_the_agents_keeps_the_optimum_and_tads_gap(name):
         assert relabeled_best - trace.ret[-1] == 0.0, perm
         permuted = DecentralizedPolicySet(policy.tables[list(perm)])
         assert evaluate_policy(relabeled, permuted) == pytest.approx(value, rel=1e-12, abs=0), perm
+
+
+def relabel_states(model, perm):
+    """The model whose state j is `model`'s state perm[j]: the state axes of
+    `transition`, `reward` and `initial_dist` read in that order."""
+    perm = np.asarray(perm)
+    return Mmdp(model.n_states, model.n_agents, model.n_actions,
+                model.transition[perm][:, :, perm], model.reward[perm], model.gamma,
+                model.initial_dist[perm], model.horizon)
+
+
+def test_state_relabeling_moves_each_entry_to_its_new_label():
+    model = random_mmdp(3, 2, 2, gamma=0.9, rng=94)
+    perm = (2, 0, 1)
+    relabeled = relabel_states(model, perm)
+    for j, k in itertools.product(range(3), repeat=2):
+        assert relabeled.reward[j].tobytes() == model.reward[perm[j]].tobytes()
+        assert relabeled.transition[j, :, k].tobytes() == \
+            model.transition[perm[j], :, perm[k]].tobytes()
+    assert relabeled.initial_dist.tolist() == model.initial_dist[list(perm)].tolist()
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_relabeling_the_states_keeps_the_optimum_and_tads_gap(name):
+    model = MODELS[name]
+    best, codes = brute_force_optimal(model)
+    perm = np.random.default_rng([93, list(MODELS).index(name)]).permutation(model.n_states)
+    relabeled = relabel_states(model, perm)
+    relabeled_best, relabeled_codes = brute_force_optimal(relabeled)
+    assert relabeled_best == pytest.approx(best, rel=1e-13, abs=0)
+    assert relabeled_codes.tolist() == codes[perm].tolist()
+    _, trace = tad_run(relabeled, sarl="vi")
+    assert relabeled_best - trace.ret[-1] == 0.0
+
+
+def episode_discount_sum(model):
+    """sum_t gamma^t over the steps of an episode: 1 / (1 - gamma) on an
+    infinite horizon, a finite sum over `horizon` steps otherwise."""
+    if model.horizon is None:
+        return 1.0 / (1.0 - model.gamma)
+    return sum(model.gamma**t for t in range(model.horizon))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_a_positive_affine_reward_map_moves_the_optimum_affinely(name):
+    model = MODELS[name]
+    best, codes = brute_force_optimal(model)
+    a, b = np.random.default_rng([95, list(MODELS).index(name)]).uniform((0.1, -3.0), (4.0, 3.0))
+    mapped = dataclasses.replace(model, reward=a * model.reward + b)
+    mapped_best, mapped_codes = brute_force_optimal(mapped)
+    shift = b * episode_discount_sum(model)
+    # relative to the terms' size: a*J* and the shift may nearly cancel
+    assert abs(mapped_best - (a * best + shift)) <= 1e-13 * (abs(a * best) + abs(shift))
+    assert mapped_codes.tolist() == codes.tolist()
+    _, trace = tad_run(mapped, sarl="vi")
+    assert mapped_best - trace.ret[-1] == 0.0
