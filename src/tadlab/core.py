@@ -16,6 +16,9 @@ Model objects are immutable and valid after construction: arrays are copied
 and marked read-only, and `Mmdp` refuses a model that breaks an invariant
 (`validate`) with ``ValueError("invalid model: ...")``. Every model that
 exists can therefore be solved as is, and shared freely across threads.
+The oracle's table and the first-visit times are solved once per model and
+kept on it, outside its fields (`_solved`); the writes are idempotent, so
+sharing stays safe.
 """
 
 from __future__ import annotations
@@ -58,10 +61,27 @@ def _finite(x, what):
     return x
 
 
+def _read_only(a):
+    """The array `a` itself, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def _frozen(a):
-    arr = np.array(a, dtype=float)
-    arr.flags.writeable = False
-    return arr
+    return _read_only(np.array(a, dtype=float))
+
+
+def _solved(model, key, solve):
+    """`solve()`, run once per model and `key`: the result is kept in a
+    dict in the instance's `__dict__`, where `functools.cached_property`
+    keeps its value, outside the dataclass fields, so `dataclasses.replace`,
+    `fields` and `mmdp_to_dict` never see it. A raise is not kept. Two
+    threads may both solve and store the same bits, so a model stays safe
+    to share."""
+    memo = vars(model).setdefault("_solved", {})
+    if key not in memo:
+        memo[key] = solve()
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,10 @@ class DecentralizedPolicySet:
     tables: np.ndarray
 
     def __post_init__(self):
-        tables = _frozen(self.tables)
+        self._hold(_frozen(self.tables))
+
+    def _hold(self, tables):
+        """Keep read-only float tables, refusing any but [n >= 1, S, A]."""
         if tables.ndim != 3 or not len(tables):
             raise ValueError(f"policy tables must be [n_agents >= 1, n_states, n_actions], "
                              f"got shape {tables.shape}")
@@ -211,8 +234,12 @@ class DecentralizedPolicySet:
 
     @classmethod
     def deterministic(cls, actions, n_actions):
-        """One-hot policy set from an int array [n_agents, n_states]."""
-        return cls(one_hot(actions, n_actions))
+        """One-hot policy set from an int array [n_agents, n_states]: the
+        fresh `one_hot` array is frozen in place and held, with no second
+        copy."""
+        policy = object.__new__(cls)
+        policy._hold(_read_only(one_hot(actions, n_actions)))
+        return policy
 
     def joint(self):
         """Product joint policy [n_states, n_actions**n_agents]: the
@@ -519,13 +546,18 @@ def bellman_backup(q, model):
 
 
 def first_visit_times(model):
-    """Earliest reachable step of each state within the horizon, -1 if never.
+    """Earliest reachable step of each state within the horizon, -1 if never
+    (read-only, found once per model, see `_solved`).
 
     Reachability follows transition support under any action, starting from
     the support of the initial distribution.
     """
     if model.horizon is None:
         raise ValueError("first-visit times only make sense for episodic models")
+    return _solved(model, "first_visit_times", lambda: _first_visits(model))
+
+
+def _first_visits(model):
     tau = np.full(model.n_states, -1, dtype=int)
     frontier = np.flatnonzero(model.initial_dist > 0)
     tau[frontier] = 0
@@ -536,7 +568,7 @@ def first_visit_times(model):
             break
         tau[nxt] = t
         frontier = nxt
-    return tau
+    return _read_only(tau)
 
 
 def episode_positions(model):
@@ -561,7 +593,6 @@ def episode_positions(model):
     return tau
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def optimal_values(model, tol=ORACLE_TOL):
     """Optimal action values [S, M] plus the solver's per-iteration record.
 
@@ -584,16 +615,29 @@ def optimal_values(model, tol=ORACLE_TOL):
     one-step games trivially are, and return the reward table itself); the
     record is [0.0].
 
-    A table that is not finite raises GdDivergenceError, with no numpy
-    warning.
+    The solve (`_optimal_values`) runs once per model, `tol` and
+    `MAX_SWEEPS` (see `_solved`): the table is read-only and shared by
+    every later call, and each call gets its own copy of the record. A
+    table that is not finite raises GdDivergenceError, with no numpy
+    warning, on every call.
     """
-    check_options(tol=tol)
+    (tol,) = check_options(tol=tol)
+    q, record = _solved(model, ("optimal_values", tol, MAX_SWEEPS),
+                        lambda: _optimal_values(model, tol))
+    return q, list(record)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _optimal_values(model, tol):
+    """The solve behind `optimal_values`: its read-only table and its
+    record."""
     states = np.arange(model.n_states)
     if model.horizon is not None:
         if model.horizon == 1:
-            return model.reward.copy(), [0.0]
+            return model.reward, [0.0]
         tables = _backward(model, None)[0]
-        return _finite(tables[episode_positions(model), states, :], "the optimal table"), [0.0]
+        return _read_only(_finite(tables[episode_positions(model), states, :],
+                                  "the optimal table")), [0.0]
     codes = np.argmax(model.reward, axis=1)
     margins = []
     for _ in range(MAX_SWEEPS):
@@ -603,7 +647,7 @@ def optimal_values(model, tol=ORACLE_TOL):
         margins.append(float(advantage.max()))
         switch = advantage > tol
         if not switch.any():
-            return q, margins
+            return _read_only(q), margins
         codes = np.where(switch, best, codes)
     raise RuntimeError(f"policy iteration did not settle at tol={tol} in {MAX_SWEEPS} iterations")
 

@@ -85,7 +85,7 @@ from .core import (
     row_norms,
 )
 from .transform import (
-    greedy_distill,
+    _greedy_walk,
     kl_distill,
     layer_backup,
     layer_offsets,
@@ -255,8 +255,8 @@ class TrainTrace:
     track a policy leave those columns empty. `record` holds the learner's
     deterministic diagnostics, ready for JSON, which `to_csv` does not
     write: `run_mapg` and `run_vd` put their stationarity certificate there,
-    and `tad_run` leaves it empty. The CLI writes it as the summary's
-    `certificates`.
+    and `tad_run` leaves it empty but for q_learning's `fixed_point` record
+    (see `_q_sweeps`). The CLI writes it as the summary's `certificates`.
     """
 
     step: list = field(default_factory=list)
@@ -736,21 +736,26 @@ def _td_target(model):
 
 
 def _q_sweeps(target, q, sweeps, lr):
-    """Synchronous Q-learning's loop: at most `sweeps` full sweeps
+    """Synchronous Q-learning's loop: at most `sweeps` (>= 1) full sweeps
     q += lr * (target(q) - q) from the table `q`. `target` must be a
     function of the table alone, so the loop stops at the first sweep that
-    changes no bit (compared as bytes: np.array_equal takes -0.0 for +0.0),
-    as every later sweep would return the same bits. Returns the table; one
-    that turns non-finite raises GdDivergenceError after the loop."""
+    changes no bit (compared as bytes, each table serialized once:
+    np.array_equal takes -0.0 for +0.0), as every later sweep would return
+    the same bits. Returns the table and its fixed-point record
+    {"ok": whether the last sweep changed no bit, rather than the loop
+    running out, "sweeps": the sweeps run}; a table that turns non-finite
+    raises GdDivergenceError after the loop."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(sweeps):
+        last = q.tobytes()
+        for sweep in range(1, sweeps + 1):
             nxt = q + lr * (target(q) - q)
-            if nxt.tobytes() == q.tobytes():
+            fixed = (bits := nxt.tobytes()) == last
+            if fixed:
                 break
-            q = nxt
+            q, last = nxt, bits
     if not np.isfinite(q).all():
         raise GdDivergenceError(f"Q-learning diverged within {sweeps} sweeps (lr={lr})")
-    return q
+    return q, {"ok": fixed, "sweeps": sweep}
 
 
 def q_learning(mdp, sweeps=200, lr=0.5):
@@ -762,14 +767,15 @@ def q_learning(mdp, sweeps=200, lr=0.5):
     `layered_q_learning`'s iterates are checked against.
     """
     sweeps, lr = check_options(sweeps=sweeps, lr=lr)
-    return _q_sweeps(_td_target(mdp), np.zeros_like(mdp.reward), sweeps, lr)
+    return _q_sweeps(_td_target(mdp), np.zeros_like(mdp.reward), sweeps, lr)[0]
 
 
 def layered_q_learning(model, sweeps=200, lr=0.5):
     """Synchronous Q-learning on the sequential transform of an MMDP, on the
     MMDP's tensors, by `_q_sweeps`: returns one [V, A] table in
     virtual-state order, whose iterates are those of `q_learning` on the
-    dense transform up to summation order.
+    dense transform up to summation order, and the loop's fixed-point
+    record (the sweeps run, and whether the last changed no bit).
 
     Each sweep moves every row toward gamma' * (max of its layer-k+1 child
     row), or R + gamma' * T @ max(layer 0) in the last layer. By the layout
@@ -946,13 +952,16 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
     and unused. Distillation reads the solver's own [V, A] table (the vi
     or Q table, or the PG softmax), with no one-hot copy, no
     `lower_policy` and no `CoordinationPolicy`: `greedy_distill`, whose
-    play is evaluated by its joint codes, or the closed-form `kl_distill`.
-    vi and q_learning distill greedily for either value of `distill`, as
-    kl of their deterministic chain is greedy_distill's one-hot tables,
-    bit for bit. An unknown learner, distillation or option is refused
-    before any work; a solve or return that overflows raises
-    GdDivergenceError. Returns the decentralized policies and a trace whose
-    record is empty. The trace starts empty for vi and q_learning, and as
+    play is evaluated by the joint codes its walk ends with, or the
+    closed-form `kl_distill`. vi and q_learning distill greedily for either
+    value of `distill`, as kl of their deterministic chain is
+    greedy_distill's one-hot tables, bit for bit. An unknown learner,
+    distillation or option is refused before any work; a solve or return
+    that overflows raises GdDivergenceError. Returns the decentralized
+    policies and a trace whose record is empty, except for q_learning's,
+    whose "fixed_point" entry is the sweep loop's record: the sweeps run,
+    and "ok" when the last changed no bit rather than reaching `sweeps`.
+    The trace starts empty for vi and q_learning, and as
     the PG learner's own trace (measured on the transformed model) for
     softmax_pg and clipped_pg; one row for the distilled policies then
     ends it: its loss is the negated final return, at step 0 with norm 0.0
@@ -967,17 +976,21 @@ def tad_run(model, sarl="vi", distill="greedy", seed=None, **cfg):
         raise ValueError(f"unknown {sarl} options: {sorted(unknown)}")
     cfg = {**SARL_OPTIONS[sarl], **{k: v for k, v in cfg.items() if v is not None}}
     trace = TrainTrace()
-    if sarl in ("vi", "q_learning"):
-        pol = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
-               else layered_q_learning(model, **cfg))
-        # kl of a deterministic chain is greedy_distill, bit for bit
-        distill = "greedy"
+    if sarl == "vi":
+        pol = layered_optimal_values(model, **cfg)[0]
+    elif sarl == "q_learning":
+        pol, trace.record["fixed_point"] = layered_q_learning(model, **cfg)
     else:
         logits, trace = softmax_pg(model, **cfg)
         pol = softmax(logits)
-    policies = greedy_distill(pol, model) if distill == "greedy" else kl_distill(pol, model)[0]
-    codes = greedy_codes(policies.tables)
-    final_return = evaluate_policy(model, codes if distill == "greedy" else policies)
+    # kl of a deterministic chain (vi's, q_learning's) is greedy_distill, bit for bit
+    if distill == "greedy" or sarl in ("vi", "q_learning"):
+        policies, codes = _greedy_walk(pol, model)
+        final_return = evaluate_policy(model, codes)
+    else:
+        policies = kl_distill(pol, model)[0]
+        codes = greedy_codes(policies.tables)
+        final_return = evaluate_policy(model, policies)
     step, norm = (trace.step[-1] + 1, trace.grad_norm[-1]) if trace.step else (0, 0.0)
     trace.append(step, -final_return, norm, final_return, codes)
     return policies, trace

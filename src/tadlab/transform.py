@@ -324,12 +324,19 @@ def greedy_distill(policy, model):
     plays exactly the determinized coordination policy, so their values
     coincide.
     """
+    return _greedy_walk(policy, model)[0]
+
+
+def _greedy_walk(policy, model):
+    """`greedy_distill`'s policies and the per-state joint codes [S] that
+    its walk ends with: the `core.greedy_codes` of their tables."""
     tables = _conditional_tables(policy, model)
     s, _, a = tables[0].shape
     states, codes = np.arange(s), np.zeros(s, dtype=np.intp)
     for tab in tables:
         codes = codes * a + tab[states, codes].argmax(axis=1)
-    return DecentralizedPolicySet.deterministic(np.unravel_index(codes, (a,) * len(tables)), a)
+    actions = np.unravel_index(codes, (a,) * len(tables))
+    return DecentralizedPolicySet.deterministic(actions, a), codes
 
 
 def kl_distill(policy, model):

@@ -415,7 +415,7 @@ def tad_run_oracle(model, sarl="vi", distill="greedy", **cfg):
     trace = TrainTrace()
     if sarl in ("vi", "q_learning"):
         q = (layered_optimal_values(model, **cfg)[0] if sarl == "vi"
-             else layered_q_learning(model, **cfg))
+             else layered_q_learning(model, **cfg)[0])
         pol = joint_one_hot_oracle(np.argmax(q, axis=1), model.n_actions)
     else:
         logits, trace = softmax_pg(model, **cfg)

@@ -495,6 +495,8 @@ def test_q_learning_options_reach_the_learner_and_the_summary(tmp_path, monkeypa
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert calls == [{"sweeps": 40, "lr": 0.9}]
     assert summary["learner"] == {**learner, "distill": "greedy"}
+    # the sweep loop's record: sweep 20 of 40 changed no bit of the table
+    assert summary["certificates"] == {"fixed_point": {"ok": True, "sweeps": 20}}
 
 
 @pytest.mark.parametrize("text", [

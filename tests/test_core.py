@@ -865,3 +865,126 @@ def test_coordination_policy_takes_well_formed_tables():
     for n, s, a in ((1, 1, 1), (3, 2, 1), (2, 1, 3), (3, 4, 2)):
         policy = CoordinationPolicy(tuple(np.full((s, a**i, a), 1 / a) for i in range(n)))
         assert (len(policy.tables), len(policy.tables[0]), policy.n_actions) == (n, s, a)
+
+
+# ---------------------------------------------------------------------------
+# one solve per model: the oracle's table and the first-visit times are kept
+# on the model, outside its fields
+
+def _count_solves(monkeypatch):
+    """Spy on the solve behind `optimal_values` (the benchmark's tracer
+    wraps `optimal_values` itself); returns the list of models it solved."""
+    calls = []
+    solve = tadlab.core._optimal_values
+
+    def spy(model, tol):
+        calls.append(model)
+        return solve(model, tol)
+
+    monkeypatch.setattr(tadlab.core, "_optimal_values", spy)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_mmdp(4, 2, 3, gamma=0.9, rng=90),
+    lambda: layered_mmdp((2, 3, 1), 2, 2, rng=91),
+    lambda: random_matrix_game(3, 3, 92),
+], ids=["discounted", "layered-episodic", "one-step"])
+def test_the_oracle_table_is_solved_once_and_read_only(build, monkeypatch):
+    model = build()
+    calls = _count_solves(monkeypatch)
+    q, record = optimal_values(model)
+    again, record_again = optimal_values(model)
+    assert len(calls) == 1 and again is q and record_again == record
+    # a dataclasses.replace copy carries no memo: it solves again, to the same bits
+    fresh, fresh_record = optimal_values(dataclasses.replace(model))
+    assert len(calls) == 2 and fresh.tobytes() == q.tobytes() and fresh_record == record
+    assert not q.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        q[0, 0] = 1.0
+    # each call gets its own record
+    record_again.append(1.0)
+    assert optimal_values(model)[1] == record and len(calls) == 2
+
+
+def test_the_oracle_solves_again_for_another_tol_or_cap(monkeypatch):
+    model = _tie_chain(0.5)  # two policy-iteration iterations
+    calls = _count_solves(monkeypatch)
+    optimal_values(model)
+    optimal_values(model, tol=1e-6)
+    optimal_values(model, tol=1e-6)
+    assert len(calls) == 2
+    monkeypatch.setattr(tadlab.core, "MAX_SWEEPS", 1)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="policy iteration did not settle"):
+            optimal_values(model)
+    assert len(calls) == 4
+
+
+def test_a_diverging_solve_raises_on_every_call(monkeypatch):
+    model = _overflowing(random_mmdp(2, 2, 2, gamma=0.99, rng=0))
+    calls = _count_solves(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(tadlab.GdDivergenceError, match="overflowed the float range"):
+            optimal_values(model)
+    assert len(calls) == 2
+
+
+def test_first_visit_times_are_found_once_and_read_only(monkeypatch):
+    from tadlab.transform import never_reached_rows
+
+    layered = layered_mmdp((3, 2), 2, 2, rng=70)
+    model = dataclasses.replace(layered, initial_dist=np.eye(5)[0])
+    calls = []
+    find = tadlab.core._first_visits
+    monkeypatch.setattr(tadlab.core, "_first_visits", lambda m: calls.append(m) or find(m))
+    tau = tadlab.core.first_visit_times(model)
+    positions = tadlab.core.episode_positions(model)
+    assert never_reached_rows(model).size and tadlab.core.first_visit_times(model) is tau
+    assert len(calls) == 1 and not tau.flags.writeable and (tau < 0).any()
+    assert tau.tobytes() == find(model).tobytes()
+    assert (positions[tau < 0] == model.horizon - 1).all()
+
+
+def test_tad_run_and_the_oracle_solve_a_model_once(monkeypatch):
+    from tadlab.learners import tad_run
+
+    model = random_mmdp(6, 3, 3, gamma=0.99, rng=93)
+    calls = _count_solves(monkeypatch)
+    policies, _ = tad_run(model, sarl="vi")
+    best, _ = brute_force_optimal(model)
+    assert calls == [model]
+    assert evaluate_policy(model, policies) == pytest.approx(best, abs=1e-8)
+
+
+def test_claim_4_solves_each_of_its_63_models_once(monkeypatch):
+    from tadlab import claims
+
+    calls = _count_solves(monkeypatch)
+    assert claims.optimal_composition(0).ok
+    assert len(calls) == 63 and len({id(model) for model in calls}) == 63
+
+
+def test_deterministic_makes_one_array_that_owns_its_tables():
+    import tracemalloc
+
+    actions = np.arange(2 * 5000).reshape(2, 5000) % 10
+    tracemalloc.start()
+    try:
+        policy = DecentralizedPolicySet.deterministic(actions, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = policy.tables
+    assert tables.flags.owndata and not tables.flags.writeable
+    assert not np.shares_memory(tables, actions)
+    assert tables.tobytes() == deterministic_tables_oracle(actions, 10).tobytes()
+    # the [2, 5000, 10] table (800 kB) and one_hot's int scratch, no second table
+    assert peak < 1.5 * tables.nbytes
+
+
+@pytest.mark.parametrize("actions", [np.zeros((0, 3), dtype=int), np.zeros(3, dtype=int)],
+                         ids=["no-agent", "rank-1"])
+def test_deterministic_refuses_actions_not_of_rank_two(actions):
+    with pytest.raises(ValueError, match=r"must be \[n_agents >= 1, n_states, n_actions\]"):
+        DecentralizedPolicySet.deterministic(actions, 2)

@@ -614,21 +614,21 @@ def test_q_learning_synchronous_computes_positions_once(model, monkeypatch):
                          ids=["table1", "matgame2", "random_k2_n4"])
 def test_layered_q_learning_bitwise_on_one_step_games(game):
     dense = q_learning(sequential_transform(game), sweeps=200, lr=0.5)
-    layered = layered_q_learning(game, sweeps=200, lr=0.5)
+    layered, _ = layered_q_learning(game, sweeps=200, lr=0.5)
     assert np.array_equal(layered, dense)
 
 
 def test_layered_q_learning_matches_dense_discounted():
     model = random_mmdp(5, 2, 3, gamma=0.9, rng=42)
     dense = q_learning(sequential_transform(model), sweeps=300, lr=0.7)
-    layered = layered_q_learning(model, sweeps=300, lr=0.7)
+    layered, _ = layered_q_learning(model, sweeps=300, lr=0.7)
     assert np.abs(layered - dense).max() < 1e-10
 
 
 def test_layered_q_learning_matches_dense_with_unreached_states(partly_reached_models):
     for model in partly_reached_models:
         dense = q_learning(sequential_transform(model), sweeps=200, lr=0.5)
-        layered = layered_q_learning(model, sweeps=200, lr=0.5)
+        layered, _ = layered_q_learning(model, sweeps=200, lr=0.5)
         assert np.abs(layered - dense).max() < 1e-12
         assert np.array_equal(np.argmax(layered, axis=1), np.argmax(dense, axis=1))
 
@@ -642,7 +642,7 @@ def test_layered_q_learning_bitwise_on_the_per_layer_oracle(sweeps, partly_reach
               # bootstrapping and final-step states in one model
               + [layered_mmdp((1, 2, 2), 2, 3, rng=66), layered_mmdp((2, 1, 3, 2), 3, 2, rng=68)])
     for model in models:
-        got = layered_q_learning(model, sweeps=sweeps, lr=0.5)
+        got, _ = layered_q_learning(model, sweeps=sweeps, lr=0.5)
         want = layered_q_oracle(model, sweeps=sweeps, lr=0.5)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -681,10 +681,12 @@ def _count_calls(monkeypatch, name, fn):
     (random_mmdp(10, 3, 3, gamma=0.9, rng=0), 200, 200),
 ], ids=["game_exits", "mmdp_runs_out"])
 def test_layered_q_learning_stops_at_its_bitwise_fixed_point(model, sweeps, ran, monkeypatch):
-    # one row_max per sweep; the game's table stops changing at sweep 80
+    # one row_max per sweep; the game's table stops changing at sweep 80,
+    # and the record names the sweep that found no bit to change
     calls = _count_calls(monkeypatch, "row_max", transform.row_max)
-    layered_q_learning(model, sweeps=sweeps, lr=0.5)
+    _, record = layered_q_learning(model, sweeps=sweeps, lr=0.5)
     assert len(calls) == ran
+    assert record == {"ok": ran < sweeps, "sweeps": ran}
 
 
 @pytest.mark.parametrize("model,sweeps", [
@@ -693,7 +695,7 @@ def test_layered_q_learning_stops_at_its_bitwise_fixed_point(model, sweeps, ran,
 ], ids=["game_79", "game_80", "game_81", "game_200", "mmdp_2000"])
 def test_layered_q_learning_exit_keeps_the_oracle_bits(model, sweeps):
     # the oracle runs every sweep; around the exit and past it the bits agree
-    got = layered_q_learning(model, sweeps=sweeps, lr=0.5)
+    got, _ = layered_q_learning(model, sweeps=sweeps, lr=0.5)
     want = layered_q_oracle(model, sweeps=sweeps, lr=0.5)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -723,22 +725,25 @@ def _counted_target(step):
 def test_q_sweeps_stop_at_the_first_sweep_that_changes_no_bit():
     goal = np.array([[1.5, 0.0], [2.0, 3.0]])
     target, calls = _counted_target(lambda q: goal.copy())
-    got = learners._q_sweeps(target, np.zeros((2, 2)), 10, 1.0)
+    got, record = learners._q_sweeps(target, np.zeros((2, 2)), 10, 1.0)
     # sweep 1 lands on the goal, sweep 2 leaves every bit where it is
     assert len(calls) == 2 and got.tobytes() == goal.tobytes()
+    assert record == {"ok": True, "sweeps": 2}
     # -0.0 == +0.0, but a sweep that only flips a zero's sign still counts
     start = np.array([[1.5, -0.0], [2.0, 3.0]])
     target, calls = _counted_target(lambda q: goal.copy())
-    got = learners._q_sweeps(target, start, 10, 1.0)
+    got, record = learners._q_sweeps(target, start, 10, 1.0)
     assert len(calls) == 2 and got.tobytes() == goal.tobytes()
+    assert record == {"ok": True, "sweeps": 2}
 
 
 def test_q_sweeps_call_the_target_at_most_sweeps_times():
     target, calls = _counted_target(lambda q: q + 1.0)
-    got = learners._q_sweeps(target, np.zeros((1, 2)), 5, 1.0)
+    got, record = learners._q_sweeps(target, np.zeros((1, 2)), 5, 1.0)
     assert len(calls) == 5 and np.array_equal(got, np.full((1, 2), 5.0))
+    assert record == {"ok": False, "sweeps": 5}
     # each sweep moves lr of the way to the target
-    assert np.array_equal(learners._q_sweeps(lambda q: q + 1.0, np.zeros((1, 2)), 3, 0.5),
+    assert np.array_equal(learners._q_sweeps(lambda q: q + 1.0, np.zeros((1, 2)), 3, 0.5)[0],
                           np.full((1, 2), 1.5))
 
 
@@ -1001,6 +1006,9 @@ def test_tad_learners_never_build_the_transform(monkeypatch):
             greedy = DecentralizedPolicySet.deterministic(
                 policies.greedy_actions(), model.n_actions)
             assert evaluate_policy(model, greedy) == pytest.approx(best, abs=1e-9)
+            if kwargs["sarl"] == "q_learning":
+                # lr 1.0 reaches the bitwise fixed point within the 3,000 sweeps
+                assert trace.record.pop("fixed_point")["ok"]
             assert trace.record == {}
     assert not hasattr(learners, "sequential_transform")
 

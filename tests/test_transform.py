@@ -618,6 +618,23 @@ def test_tad_run_has_the_bits_of_the_one_hot_composition(sarl, distill,
         assert repr(_rows(got_trace)) == repr(_rows(want_trace))
 
 
+def test_tad_run_logs_the_greedy_codes_its_walk_ends_with(partly_reached_models):
+    # tad_run evaluates and logs the codes greedy distillation's walk ends
+    # with, in place of re-deriving them from the one-hot tables
+    rng = np.random.default_rng(74)
+    for model in _tad_models(partly_reached_models):
+        rows, a = layer_offsets(model.n_states, model.n_agents, model.n_actions)[1], model.n_actions
+        ties = rng.integers(0, 2, (rows, a)).astype(float)
+        for table in (layered_optimal_values(model)[0], rng.random((rows, a)), ties):
+            policies, codes = transform._greedy_walk(table, model)
+            want = greedy_codes(policies.tables)
+            assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
+            assert policies.tables.tobytes() == greedy_distill(table, model).tables.tobytes()
+        for sarl in ("vi", "q_learning"):
+            policies, trace = tad_run(model, sarl=sarl)
+            assert trace.greedy[-1] == tuple(greedy_codes(policies.tables).tolist())
+
+
 def test_layer_tables_are_views_of_each_layer():
     rng = np.random.default_rng(73)
     for s, n, a in ((1, 2, 3), (4, 3, 2), (2, 1, 3), (3, 2, 1)):

@@ -63,6 +63,7 @@ KEEP = {
     "learners._scaled_norms": "the overflow path of gd_run's gradient norms",
     "learners.value_iteration": "named in perfbench/tracer.py",
     "learners.q_learning": "named in perfbench/tracer.py",
+    "transform.greedy_distill": "acceptance criterion 9; named in perfbench/tracer.py",
     "transform.inverse_transform": "acceptance criterion 9",
     "transform.lower_policy": "acceptance criterion 9; named in perfbench/tracer.py",
 }
