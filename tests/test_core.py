@@ -988,3 +988,30 @@ def test_deterministic_makes_one_array_that_owns_its_tables():
 def test_deterministic_refuses_actions_not_of_rank_two(actions):
     with pytest.raises(ValueError, match=r"must be \[n_agents >= 1, n_states, n_actions\]"):
         DecentralizedPolicySet.deterministic(actions, 2)
+
+
+def test_threads_sharing_a_model_read_the_same_solve():
+    # the memo's check-then-store may solve twice, never differently
+    import sys
+    import threading
+
+    model = random_mmdp(30, 2, 3, gamma=0.99, rng=94)
+    want = optimal_values(dataclasses.replace(model))[0]
+    tables = []
+
+    def solve():
+        for _ in range(20):
+            tables.append(optimal_values(model)[0])
+
+    threads = [threading.Thread(target=solve) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(tables) == 80
+    assert all(q.tobytes() == want.tobytes() and not q.flags.writeable for q in tables)

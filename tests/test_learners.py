@@ -687,6 +687,7 @@ def test_layered_q_learning_stops_at_its_bitwise_fixed_point(model, sweeps, ran,
     _, record = layered_q_learning(model, sweeps=sweeps, lr=0.5)
     assert len(calls) == ran
     assert record == {"ok": ran < sweeps, "sweeps": ran}
+    assert tad_run(model, sarl="q_learning", sweeps=sweeps)[1].record == {"fixed_point": record}
 
 
 @pytest.mark.parametrize("model,sweeps", [
